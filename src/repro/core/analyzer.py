@@ -92,8 +92,6 @@ class Analyzer:
         #: hundreds of times, and a hit here classifies the record as a
         #: duplicate without constructing anything.
         self._hot: OrderedDict[tuple, None] = OrderedDict()
-        #: Ancestors (ObjectRefs) of each pnode's *current* version.
-        self._ancestors: dict[int, set[ObjectRef]] = {}
         #: Versions some object depends on: immutable from then on.
         self._observed: set[ObjectRef] = set()
         #: (attr, value-key) pairs already recorded, per (pnode, version).
@@ -141,7 +139,8 @@ class Analyzer:
         return self._registry.get(pnode)
 
     def forget(self, pnode: int) -> None:
-        """Drop a dead object from the registry (keeps ancestry sets)."""
+        """Drop a dead object from the registry; its versions stay in
+        ``_observed``/``_seen`` (finalized records may still name them)."""
         self._registry.pop(pnode, None)
 
     # -- record admission -----------------------------------------------------
@@ -213,6 +212,7 @@ class Analyzer:
             ancestry = Attr.ANCESTRY_ATTRS
             plain_types = _PLAIN_VALUE_TYPES
             out_append = out.append
+            observe = self._observed.add
             new_record = ProvenanceRecord.__new__
             record_cls = ProvenanceRecord
             last_subject = last_ref = last_seen = None
@@ -285,7 +285,7 @@ class Analyzer:
                 fields["attr"] = attr
                 fields["value"] = value
                 if is_ref and attr in ancestry:
-                    self._note_edge(ref, value)
+                    observe(value)      # immutable from now on
                 emitted += 1
                 out_append(record)
         finally:
@@ -312,7 +312,8 @@ class Analyzer:
         else:
             seen.add(dedup_key)
         if record.is_ancestry:
-            self._note_edge(subject_ref, value)
+            # Pin ``value`` as observed: immutable from now on.
+            self._observed.add(value)
         self.records_out += 1
         batch_out = self._batch_out
         if batch_out is not None:
@@ -342,33 +343,16 @@ class Analyzer:
     def freeze(self, subject: Freezable) -> int:
         """Create a new version of ``subject``; returns the new version.
 
-        The new version depends on the old one (PREV_VERSION edge), its
-        ancestor set inherits the old version's (contents persist across
-        versions), and its duplicate-elimination state starts fresh.
+        The new version depends on the old one (the PREV_VERSION edge,
+        which also pins the old version as observed) and its
+        duplicate-elimination state starts fresh.
         """
         old_ref = subject.ref()
         subject.version += 1
         new_ref = subject.ref()
         self.freezes += 1
-        inherited = set(self._ancestors.get(subject.pnode, ()))
-        inherited.add(old_ref)
-        self._ancestors[subject.pnode] = inherited
         self._seen.setdefault(new_ref, set())
         if self.on_freeze is not None:
             self.on_freeze(subject, subject.version)
         self._admit(new_ref, Attr.PREV_VERSION, old_ref)
         return subject.version
-
-    def _note_edge(self, subject_ref: ObjectRef, value: ObjectRef) -> None:
-        """Fold ``value`` and its known ancestry into the subject's set,
-        and pin ``value`` as observed (immutable from now on)."""
-        anc = self._ancestors.setdefault(subject_ref.pnode, set())
-        anc.add(value)
-        anc.update(self._ancestors.get(value.pnode, ()))
-        self._observed.add(value)
-
-    # -- introspection ------------------------------------------------------------
-
-    def ancestors_of(self, pnode: int) -> frozenset[ObjectRef]:
-        """Known ancestry of the object's current version (testing aid)."""
-        return frozenset(self._ancestors.get(pnode, ()))

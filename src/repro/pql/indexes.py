@@ -39,7 +39,8 @@ is never consulted when stale.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from repro.core.records import Attr
@@ -265,11 +266,12 @@ class AncestryView:
 
     Provenance graphs are append-only: edges arrive, never leave, so a
     cached closure can only *grow*.  New ancestry edges are buffered by
-    :meth:`note_edge`; the next read drains the buffer, patching every
-    cached closure whose summary the new edge touches (if the edge's
-    source side is already in the closure, the target side and
-    everything beyond it is absorbed by a frontier walk over the live
-    graph).  Each patch is O(newly reachable), not O(closure) -- the
+    :meth:`note_edge`; the next read drains the buffer as one batch:
+    the edges are grouped by near side once, each cached closure
+    intersects its members with those near sides, and the far sides of
+    the edges it touches seed one frontier walk over the live graph.
+    A drain costs O(pending) to group, one set intersection per cached
+    closure, and O(newly reachable) to walk -- never O(closure), the
     near-O(answer) property the planner sells to ancestry queries.
     """
 
@@ -279,7 +281,7 @@ class AncestryView:
         self.max_pending = max_pending
         self._entries: OrderedDict[tuple, _Closure] = OrderedDict()
         self._pending: list[tuple[str, OEMNode, OEMNode]] = []
-        self.refreshes = 0          # closure computes + patches
+        self.refreshes = 0          # computes + (drain, closure) patches
         self.hits = 0               # reads served from a cached closure
         self.invalidations = 0      # whole-view resets (pending overflow)
 
@@ -298,21 +300,34 @@ class AncestryView:
             self.invalidations += 1
 
     def _drain(self) -> None:
-        if not self._pending:
-            return
         pending = self._pending
+        if not pending:
+            return
         self._pending = []
-        for label, source, target in pending:
-            for closure in self._entries.values():
-                if label not in closure.labels:
-                    continue
-                # Forward closures follow out-edges: source -> target.
-                # Reverse closures follow in-edges: target -> source.
-                near, far = ((target, source) if closure.reverse
-                             else (source, target))
-                if id(near) in closure.members or near is closure.root:
-                    closure.absorb([far])
-                    self.refreshes += 1
+        # Group the burst once per walk direction, label -> id(near) ->
+        # [(position, far)]: forward closures cross an edge source ->
+        # target, reverse closures target -> source.
+        forward = defaultdict(lambda: defaultdict(list))
+        backward = defaultdict(lambda: defaultdict(list))
+        for position, (label, source, target) in enumerate(pending):
+            forward[label][id(source)].append((position, target))
+            backward[label][id(target)].append((position, source))
+        for closure in self._entries.values():
+            grouped = backward if closure.reverse else forward
+            touched: list[tuple[int, OEMNode]] = []
+            for label in closure.labels:
+                near_map = grouped.get(label, {})
+                nears = near_map.keys() & closure.members
+                nears.add(id(closure.root))
+                for near in nears:
+                    touched.extend(near_map.get(near, ()))
+            if touched:
+                # One walk, seeded in pending order.  Edges whose near
+                # side joins only through this burst need no seed: the
+                # walk is over the live graph, which holds them all.
+                touched.sort(key=itemgetter(0))
+                closure.absorb([far for _, far in touched])
+                self.refreshes += 1
 
     # -- reads -----------------------------------------------------------------
 

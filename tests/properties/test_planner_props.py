@@ -169,11 +169,18 @@ def test_maintained_indexes_equal_rebuilt(stream, cut):
         rng_fingerprint(RangeIndex("time", graph.nodes()))
 
 
+def assert_closures_well_formed(view) -> None:
+    """Every cached closure lists each member exactly once."""
+    for entry in view._entries.values():
+        assert len(entry.order) == len(entry.members)
+        assert {id(node) for node in entry.order} == entry.members
+
+
 @given(streams, st.integers(0, 60))
 @settings(max_examples=150, deadline=None)
 def test_patched_view_equals_recomputed(stream, cut):
     """Closures cached early and patched through later deltas match
-    closures computed fresh on the final graph."""
+    closures computed fresh on the graph as of each drain."""
     cut = min(cut, len(stream))
     graph = OEMGraph.build(stream[:cut])
     catalog = IndexCatalog.attach(graph)
@@ -182,14 +189,17 @@ def test_patched_view_equals_recomputed(stream, cut):
     for root in roots:
         catalog.view.closure(root, labels, False)
         catalog.view.closure(root, labels, True)
-    graph.apply_batch(stream[cut:])
-    fresh = IndexCatalog(graph)         # unattached: no deltas seen
-    for root in roots:
-        for reverse in (False, True):
-            patched = catalog.view.closure(root, labels, reverse)
-            computed = fresh.view.closure(root, labels, reverse)
-            assert canonical(n.ref for n in patched) == \
-                canonical(n.ref for n in computed), (root.ref, reverse)
+    half = cut + (len(stream) - cut) // 2
+    for burst in (stream[cut:half], stream[half:]):
+        graph.apply_batch(burst)
+        fresh = IndexCatalog(graph)         # unattached: no deltas seen
+        for root in roots:
+            for reverse in (False, True):
+                patched = catalog.view.closure(root, labels, reverse)
+                computed = fresh.view.closure(root, labels, reverse)
+                assert canonical(n.ref for n in patched) == \
+                    canonical(n.ref for n in computed), (root.ref, reverse)
+        assert_closures_well_formed(catalog.view)
 
 
 # -- crash -> recover replay --------------------------------------------------

@@ -126,8 +126,8 @@ class TestCycleAvoidance:
         assert seen == [(9, 1)]
 
     def test_transitive_cycle_detected_via_local_sets(self):
-        """A -> P -> B -> Q; then Q writes A.  Q's local ancestry
-        includes A:0 transitively, so A must be frozen first."""
+        """A -> P -> B -> Q; then Q writes A.  A:0 was observed by P
+        (the local rule; no transitive state), so A is frozen first."""
         analyzer, out = make_analyzer()
         p, q = FakeObject(1), FakeObject(2)
         a, b = FakeObject(3), FakeObject(4)
@@ -175,6 +175,46 @@ class TestRegistry:
         analyzer.register(obj)
         analyzer.forget(42)
         assert analyzer.lookup(42) is None
+
+
+def held_entries(analyzer):
+    """Entries in the analyzer's own containers, one level deep."""
+    total = 0
+    for container in vars(analyzer).values():
+        if isinstance(container, (dict, set)):
+            total += len(container)
+            if isinstance(container, dict):
+                total += sum(len(inner) for inner in container.values()
+                             if isinstance(inner, (dict, set, list)))
+    return total
+
+
+def disclose_chain(depth):
+    """``depth`` objects, each named and depending on the one before."""
+    analyzer = Analyzer(emit=lambda record: None)
+    objects = [FakeObject(pnode) for pnode in range(1, depth + 1)]
+    protos = []
+    for index, obj in enumerate(objects):
+        analyzer.register(obj)
+        protos.append(ProtoRecord(obj, Attr.NAME, f"step{index}"))
+        if index:
+            protos.append(ProtoRecord(obj, Attr.INPUT,
+                                      objects[index - 1].ref()))
+    analyzer.submit_batch(protos)
+    assert analyzer.freezes == 0
+    return analyzer
+
+
+class TestStateGrowth:
+    def test_state_is_linear_in_records_not_chain_depth(self):
+        """A count, not a timing: per-object transitive structures
+        (ancestor sets) hold depth**2 / 2 entries on a chain."""
+        depth = 200
+        shallow = disclose_chain(depth)
+        deep = disclose_chain(2 * depth)
+        assert held_entries(shallow) <= 4 * shallow.records_in
+        assert held_entries(deep) <= 4 * deep.records_in
+        assert held_entries(deep) <= 2 * held_entries(shallow) + 4
 
 
 def assert_acyclic(records):

@@ -179,6 +179,60 @@ class TestAncestryView:
             view.closure(node, ("input",), False)
         assert len(view) == 2
 
+    # The batched drain: one absorb per (drain, closure), whatever the
+    # order of the burst.  Fixture chain: /b(3) -input-> cc(2) -input-> /a(1).
+
+    @staticmethod
+    def _chain_edge(near: int, far: int, reverse: bool, attr=Attr.INPUT):
+        """One edge a walk in the given direction crosses from pnode
+        ``near`` to pnode ``far``."""
+        subject, value = (far, near) if reverse else (near, far)
+        return R(subject, attr, ObjectRef(value, 0))
+
+    @staticmethod
+    def _cache_whole_chain(graph, reverse: bool):
+        """Cache the ``input`` closure from the end of the chain a walk
+        in the given direction starts at; returns the view, a reader of
+        the closure's pnodes (in order), and the two end pnodes."""
+        view = IndexCatalog.attach(graph).view
+        root, last = (1, 3) if reverse else (3, 1)
+        root_node = graph.node(ObjectRef(root, 0))
+
+        def read():
+            return [node.ref.pnode
+                    for node in view.closure(root_node, ("input",), reverse)]
+        assert read() == [2, last]
+        return view, read, root, last
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_burst_edge_joins_through_another(self, graph, reverse, swap):
+        """Edge B's near side (9) is reachable only through edge A of
+        the same burst; the answer cannot depend on arrival order."""
+        view, read, _, last = self._cache_whole_chain(graph, reverse)
+        refreshes = view.refreshes
+        burst = [self._chain_edge(last, 9, reverse),        # A
+                 self._chain_edge(9, 10, reverse)]          # B
+        graph.apply_batch(burst[::-1] if swap else burst)
+        assert read() == [2, last, 9, 10]
+        assert view.refreshes == refreshes + 1
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_edge_from_the_root_itself(self, graph, reverse):
+        """The root is not a member of its own closure, but an edge
+        leaving it grows the closure all the same."""
+        _, read, root, last = self._cache_whole_chain(graph, reverse)
+        graph.apply(self._chain_edge(root, 9, reverse))
+        assert read() == [2, last, 9]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_unfollowed_label_is_ignored(self, graph, reverse):
+        view, read, _, last = self._cache_whole_chain(graph, reverse)
+        refreshes = view.refreshes
+        graph.apply(self._chain_edge(2, 9, reverse, Attr.FORKPARENT))
+        assert read() == [2, last]
+        assert view.refreshes == refreshes
+
 
 class TestPlannerChoices:
     def _access(self, engine, query):
