@@ -166,7 +166,8 @@ def cmd_query(args: argparse.Namespace) -> int:
             for binding in report["bindings"]:
                 line = (f"  {binding['variable']}: {binding['access']}"
                         f" (est={binding['est_rows']}"
-                        f" actual={binding['actual_rows']})")
+                        f" actual={binding['actual_rows']}"
+                        f" kept={binding['kept_rows']})")
                 detail = binding.get("detail")
                 if detail:
                     rendered = ", ".join(f"{key}={value}" for key, value

@@ -19,6 +19,8 @@ Semantics follow Lorel where the paper does not override them:
 
 from __future__ import annotations
 
+import functools
+import re
 from typing import Iterable, Optional
 
 from repro.core.errors import PQLError, PQLNameError, PQLTypeError
@@ -34,6 +36,9 @@ _VIEW_FRONTIER_MAX = 8
 
 #: Environment: variable name -> OEMNode.
 Env = dict
+
+#: The quantifier of a plain step (exactly one hop).
+_ONCE = ast.Quantifier()
 
 
 def _pos(node) -> tuple:
@@ -58,7 +63,8 @@ class Evaluator:
 
     With a :class:`~repro.pql.indexes.IndexCatalog` attached
     (``catalog``), FROM bindings go through the cost-based planner
-    (index vs scan per binding) and closure steps pick the materialized
+    (index vs scan per binding, WHERE conjuncts checked at the binding
+    that completes them) and closure steps pick the materialized
     ancestry view or the CSR arrays over the live dicts; without one,
     evaluation is the pre-planner naive path (member scans plus the
     name-only pushdown) -- the ground truth the planned path is
@@ -92,10 +98,12 @@ class Evaluator:
 
     def _execute(self, query: ast.Query,
                  outer: Optional[Env] = None) -> list:
-        envs = self._expand_bindings(query.bindings, outer or {},
-                                     query.where)
-        if query.where is not None:
-            envs = [env for env in envs if self._truth(query.where, env)]
+        envs, residual = self._expand_bindings(query.bindings, outer or {},
+                                               query.where)
+        if residual:
+            envs = [env for env in envs
+                    if all(self._truth(conjunct, env)
+                           for conjunct in residual)]
 
         if query.select and all(isinstance(item.expr, ast.Call)
                                 and item.expr.name in _AGGREGATES
@@ -147,7 +155,12 @@ class Evaluator:
 
     def _expand_bindings(self, bindings: Iterable[ast.Binding],
                          outer: Env,
-                         where: Optional[ast.Expr] = None) -> list[Env]:
+                         where: Optional[ast.Expr] = None
+                         ) -> tuple[list[Env], list]:
+        """The nested-loop join: the joined tuples plus the WHERE
+        conjuncts still to run on them -- with a catalog the join
+        filters as it binds (planner-placed conjuncts), without one the
+        whole clause comes back."""
         bindings = list(bindings)
         # A variable bound more than once is rebound (shadowed); pruning
         # its earlier binding by the WHERE literal would be unsound.
@@ -159,13 +172,18 @@ class Evaluator:
             filters = {name: preds for name, preds
                        in _planner.extract_filters(where).items()
                        if counts.get(name, 0) == 1}
+            placed, residual = _planner.place_conjuncts(where, bindings,
+                                                        outer)
         else:
             name_filters = {name: literal for name, literal
                             in _equality_name_filters(where).items()
                             if counts.get(name, 0) == 1}
+            placed = [()] * len(bindings)
+            residual = [] if where is None else [where]
         record = self.plan_log is not None and self._depth == 1
+        truth = self._truth
         envs = [dict(outer)]
-        for binding in bindings:
+        for index, binding in enumerate(bindings):
             plan = None
             if catalog is not None:
                 pushdown, plan = _planner.plan_binding(self, binding,
@@ -175,6 +193,7 @@ class Evaluator:
                     self._notes = plan.notes
             else:
                 pushdown = self._pushdown_candidates(binding, name_filters)
+            checks = placed[index]
             expanded: list[Env] = []
             for env in envs:
                 nodes = (pushdown if pushdown is not None
@@ -184,10 +203,16 @@ class Evaluator:
                 for node in nodes:
                     child = dict(env)
                     child[binding.name] = node
-                    expanded.append(child)
+                    for conjunct in checks:
+                        if not truth(conjunct, child):
+                            break
+                    else:
+                        expanded.append(child)
+            if plan is not None:
+                plan.kept_rows = len(expanded)
             envs = expanded
             self._notes = None
-        return envs
+        return envs, residual
 
     def _pushdown_candidates(self, binding: ast.Binding,
                              name_filters: dict) -> Optional[list[OEMNode]]:
@@ -210,19 +235,25 @@ class Evaluator:
                 if isinstance(node.type, str)
                 and node.type.lower() == member]
 
-    def _path_nodes(self, path: ast.Path, env: Env) -> list[OEMNode]:
-        """Nodes reachable over a FROM path."""
-        steps = list(path.steps)
+    def _path_nodes(self, path: ast.Path, env: Env,
+                    stop: Optional[int] = None) -> list[OEMNode]:
+        """Nodes reachable over a FROM path (its first ``stop`` steps
+        when given)."""
+        steps = path.steps
+        if stop is None:
+            stop = len(steps)
+        start = 0
         if path.root == OEMGraph.ROOT:
-            if not steps:
+            if not stop:
                 raise PQLError("'Provenance' needs a member, e.g. "
                                "Provenance.file", *_pos(path))
-            first = steps.pop(0)
+            first = steps[0]
             member = _single_forward_label(first)
-            if member is None or first.quantifier != ast.Quantifier():
+            if member is None or first.quantifier != _ONCE:
                 raise PQLError("the first step after 'Provenance' must be "
                                "a plain member name", *_pos(path))
             frontier = self.graph.members(member)
+            start = 1
         elif path.root in env:
             value = env[path.root]
             if not isinstance(value, OEMNode):
@@ -233,8 +264,8 @@ class Evaluator:
         else:
             raise PQLNameError(f"unbound variable {path.root!r}",
                                *_pos(path))
-        for step in steps:
-            frontier = self._apply_step(frontier, step)
+        for index in range(start, stop):
+            frontier = self._apply_step(frontier, steps[index])
         return frontier
 
     def _apply_step(self, frontier: list[OEMNode],
@@ -382,11 +413,10 @@ class Evaluator:
                 raise PQLNameError(f"unbound variable {path.root!r}",
                                    *_pos(path))
             return [env[path.root]]
-        frontier_path = ast.Path(path.root, path.steps[:-1])
-        frontier = self._path_nodes(frontier_path, env)
+        frontier = self._path_nodes(path, env, len(path.steps) - 1)
         last = path.steps[-1]
         values: list = []
-        if last.quantifier == ast.Quantifier():
+        if last.quantifier == _ONCE:
             label = _single_forward_label(last)
             if label is not None:
                 for node in frontier:
@@ -569,12 +599,15 @@ def _like(text, pattern) -> bool:
     """SQL-LIKE matching: ``%`` any run, ``_`` one character."""
     if not isinstance(text, str) or not isinstance(pattern, str):
         return False
-    import re
-    regex = "".join(
+    return _like_regex(pattern).fullmatch(text) is not None
+
+
+@functools.lru_cache(maxsize=256)
+def _like_regex(pattern: str) -> "re.Pattern":
+    return re.compile("".join(
         ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
         for ch in pattern
-    )
-    return re.fullmatch(regex, text) is not None
+    ))
 
 
 def _compare_pair(op: str, lhs, rhs) -> bool:

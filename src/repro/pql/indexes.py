@@ -106,26 +106,48 @@ class RangeIndex:
     answer half-open / closed range predicates by bisect.  The sort key
     is ``(value, insertion seq)`` so heterogeneous ints/floats compare
     fine and nodes never need ordering.
+
+    Comparisons are existential: ``V.label >= a and V.label < b`` also
+    holds for a node with one value above ``b`` and another below ``a``.
+    So the index keeps the (normally empty) set of nodes holding several
+    numbers under the label and adds them to every two-sided answer.
     """
 
-    __slots__ = ("label", "_pairs", "_seq")
+    __slots__ = ("label", "_pairs", "_seq", "_multi")
 
     def __init__(self, label: str, nodes: Iterable[OEMNode]):
         self.label = label
         self._pairs: list[tuple] = []
         self._seq = 0
+        self._multi: dict[OEMNode, None] = {}       # insertion-ordered set
         for node in nodes:
-            for value in node.atom(label):
-                self.add(value, node)
+            values = node.atom(label)
+            for value in values:
+                if _is_number(value):
+                    self._seq += 1
+                    self._pairs.append((value, self._seq, node))
+            if len(values) > 1:
+                self._note_multi(node)
+        # One stable sort by value: seq order within a value survives.
+        self._pairs.sort(key=itemgetter(0))
 
     def add(self, value, node: OEMNode) -> None:
-        """O(log n) maintenance: one new atom value on one node."""
+        """O(log n) maintenance: one new atom value on one node (already
+        spliced into ``node.atoms``, as the graph's notification is)."""
         if not _is_number(value):
             return
         self._seq += 1
         insort(self._pairs, (value, self._seq, node))
+        self._note_multi(node)
+
+    def _note_multi(self, node: OEMNode) -> None:
+        values = node.atom(self.label)
+        if len(values) > 1 and sum(map(_is_number, values)) > 1:
+            self._multi[node] = None
 
     def _bounds(self, low, low_inc: bool, high, high_inc: bool):
+        """Slice bounds into ``_pairs``, plus the multi-valued nodes a
+        two-sided range must also offer (none for a one-sided one)."""
         pairs = self._pairs
         lo = 0
         hi = len(pairs)
@@ -135,19 +157,23 @@ class RangeIndex:
         if high is not None:
             key = (high, self._seq + 1 if high_inc else -1)
             hi = bisect_right(pairs, key, lo)
-        return lo, hi
+        both = low is not None and high is not None
+        return lo, hi, self._multi if both else ()
 
     def lookup(self, low, low_inc: bool, high, high_inc: bool
                ) -> list[OEMNode]:
-        """Nodes with some value in the range (existential, like every
-        PQL comparison); a node appears once per matching value --
-        callers dedup, the WHERE clause re-checks anyway."""
-        lo, hi = self._bounds(low, low_inc, high, high_inc)
-        return [pair[2] for pair in self._pairs[lo:hi]]
+        """Nodes that can satisfy the bound(s): those with some value in
+        the range, plus -- for a two-sided range -- the multi-valued
+        nodes.  A node appears once per matching value: callers dedup,
+        and the WHERE conjuncts decide each row anyway."""
+        lo, hi, multi = self._bounds(low, low_inc, high, high_inc)
+        nodes = [pair[2] for pair in self._pairs[lo:hi]]
+        nodes.extend(multi)
+        return nodes
 
     def estimate(self, low, low_inc: bool, high, high_inc: bool) -> int:
-        lo, hi = self._bounds(low, low_inc, high, high_inc)
-        return hi - lo
+        lo, hi, multi = self._bounds(low, low_inc, high, high_inc)
+        return hi - lo + len(multi)
 
     def __len__(self) -> int:
         return len(self._pairs)

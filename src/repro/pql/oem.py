@@ -32,6 +32,7 @@ to invalidate cached lint vocabularies and compiled-plan check results.
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict
 from typing import Iterable, Optional
 
@@ -132,26 +133,35 @@ class OEMGraph:
         afterwards.
         """
         graph = cls()
-        for record in records:
-            if record.attr in _FRAMING:
-                continue
-            node = graph._node(record.subject)
-            label = record.attr.lower()
-            graph.records_applied += 1
-            if isinstance(record.value, ObjectRef):
-                target = graph._node(record.value)
-                node.edges.setdefault(label, []).append(target)
-                target.redges.setdefault(label, []).append(node)
-                graph._edge_labels.add(label)
-            elif record.attr in IDENTITY_ATTRS:
-                graph._identity[record.subject.pnode].append(
-                    (label, record.value))
-                graph._atom_labels.add(label)
-            else:
-                node.atoms.setdefault(label, []).append(record.value)
-                graph._atom_labels.add(label)
-        graph._apply_identity(graph._identity)
-        graph._classify()
+        # Everything allocated here stays alive in the graph, so the
+        # cyclic collector is paused for the pass: left on, it re-scans
+        # the growing heap hundreds of times, once in full, for nothing.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for record in records:
+                if record.attr in _FRAMING:
+                    continue
+                node = graph._node(record.subject)
+                label = record.attr.lower()
+                graph.records_applied += 1
+                if isinstance(record.value, ObjectRef):
+                    target = graph._node(record.value)
+                    node.edges.setdefault(label, []).append(target)
+                    target.redges.setdefault(label, []).append(node)
+                    graph._edge_labels.add(label)
+                elif record.attr in IDENTITY_ATTRS:
+                    graph._identity[record.subject.pnode].append(
+                        (label, record.value))
+                    graph._atom_labels.add(label)
+                else:
+                    node.atoms.setdefault(label, []).append(record.value)
+                    graph._atom_labels.add(label)
+            graph._apply_identity(graph._identity)
+            graph._classify()
+        finally:
+            if collecting:
+                gc.enable()
         graph.vocab_epoch += 1
         return graph
 

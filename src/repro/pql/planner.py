@@ -9,8 +9,9 @@ planner decides, per binding, *where the candidate nodes come from*:
   the binding from the secondary hash index on ``label``
   (:class:`repro.pql.indexes.EqualityIndex`; ``name`` rides the
   graph's own name index);
-* ``range_index``     -- a conjunct ``V.label < n`` / ``>= n`` / ...
-  serves it from the sorted range index;
+* ``range_index``     -- conjuncts ``V.label < n`` / ``>= n`` / ...
+  serve it from the sorted range index, a lower and an upper bound on
+  one label as one interval;
 * ``traverse``        -- the binding is rooted in another variable
   (``F.input* as A``): candidates come from walking the graph, where
   the evaluator separately picks ancestry view vs CSR vs live dicts
@@ -24,13 +25,23 @@ sizes and taking the smallest.  Every choice is recorded as a
 the engine hangs off the :class:`~repro.pql.engine.CompiledPlan` and
 serves through EXPLAIN.
 
-Soundness mirrors the old name-only pushdown exactly: only top-level
-AND conjuncts count, only variables bound exactly once may be pruned
-(the evaluator pre-filters), and the WHERE clause always re-runs
-afterwards -- an index only ever *narrows the scan*, it never decides
-the answer.  Comparisons are existential over multi-valued atoms, and
-both index flavours return exactly the nodes carrying a matching atom
-value, a superset of the rows the WHERE clause keeps.
+The planner also decides *where each WHERE conjunct runs*
+(:func:`place_conjuncts`): every side-effect-free top-level AND
+conjunct is evaluated exactly once per tuple, at the last binding that
+completes its variables, so a predicate on the root of a closure is
+checked once per root, not once per ancestor.  Conjuncts that can raise
+on data (arithmetic, calls, subqueries), and whatever follows the first
+of them, run after the join in their original order.
+
+Soundness: only top-level AND conjuncts are indexable, only variables
+bound exactly once may be pruned (the evaluator pre-filters), and an
+index only *narrows the candidates* -- the conjuncts decide every row.
+Comparisons are existential over multi-valued atoms: an equality bucket
+or one-sided range holds exactly the nodes carrying a matching value;
+the inequalities on one ``(variable, label)`` are intersected into one
+interval answered by one two-sided bisect, plus the nodes holding
+several numbers under the label (one may meet the lower bound, another
+the upper).  Either way the candidates are a superset of the rows kept.
 """
 
 from __future__ import annotations
@@ -76,13 +87,14 @@ class BindingPlan:
     (None when the access path has no precomputed size, e.g. a
     traversal); ``actual_rows`` accumulates the rows the binding
     actually contributed across the join (candidates times enclosing
-    tuples for pushed bindings).  ``notes`` counts the traversal
-    mechanisms steps under this binding used (``ancestry_view``,
-    ``csr_bfs``, ``dict_walk``).
+    tuples for pushed bindings) and ``kept_rows`` those that survived
+    the WHERE conjuncts evaluated at this binding.  ``notes`` counts
+    the traversal mechanisms steps under this binding used
+    (``ancestry_view``, ``csr_bfs``, ``dict_walk``).
     """
 
     __slots__ = ("variable", "access", "detail", "est_rows",
-                 "actual_rows", "notes")
+                 "actual_rows", "kept_rows", "notes")
 
     def __init__(self, variable: str, access: str,
                  detail: Optional[dict] = None,
@@ -92,6 +104,7 @@ class BindingPlan:
         self.detail = detail or {}
         self.est_rows = est_rows
         self.actual_rows = 0
+        self.kept_rows = 0
         self.notes: dict[str, int] = {}
 
     def as_dict(self) -> dict:
@@ -100,6 +113,7 @@ class BindingPlan:
             "access": self.access,
             "est_rows": self.est_rows,
             "actual_rows": self.actual_rows,
+            "kept_rows": self.kept_rows,
         }
         if self.detail:
             out["detail"] = dict(self.detail)
@@ -112,22 +126,92 @@ class BindingPlan:
                 f"est={self.est_rows} actual={self.actual_rows}>")
 
 
+def _conjuncts(where: Optional[ast.Expr]) -> tuple:
+    """The top-level AND conjuncts of a WHERE clause, in order."""
+    if where is None:
+        return ()
+    if isinstance(where, ast.BoolOp) and where.op == "and":
+        return where.operands
+    return (where,)
+
+
+def _last_binding(expr: ast.Expr, last: dict, outer) -> Optional[int]:
+    """Index of the last binding a side-effect-free expression (paths,
+    literals, comparisons, and/or/not) waits for, 0 if it waits for
+    none; None if it can raise on data -- arithmetic, calls,
+    subqueries, a variable nothing binds."""
+    if isinstance(expr, ast.PathValue):
+        root = expr.path.root
+        return last.get(root, 0 if root in outer else None)
+    if isinstance(expr, ast.Compare):
+        operands = (expr.left, expr.right)
+    elif isinstance(expr, ast.BoolOp):
+        operands = expr.operands
+    elif isinstance(expr, ast.Not):
+        operands = (expr.operand,)
+    else:
+        return 0 if isinstance(expr, ast.Literal) else None
+    at = 0
+    for operand in operands:
+        index = _last_binding(operand, last, outer)
+        if index is None:
+            return None
+        at = max(at, index)
+    return at
+
+
+def place_conjuncts(where: Optional[ast.Expr], bindings: list,
+                    outer) -> tuple[list[list], list]:
+    """Decide where each WHERE conjunct is evaluated.
+
+    Returns ``(placed, residual)``.  ``placed[i]`` holds the conjuncts
+    the join checks on each tuple binding ``i`` produces: each sits at
+    the *last* binding that completes its variables (a shadowed variable
+    is tested on its final value; outer, correlated variables count as
+    bound).  Placement stops at the first conjunct that can raise on
+    data or names a variable nothing binds: it and all after it are the
+    ``residual``, run after the join in order, so such a conjunct sees
+    exactly the tuples ``and``'s short-circuit showed it.
+    """
+    last = {binding.name: index for index, binding in enumerate(bindings)}
+    placed: list[list] = [[] for _ in bindings]
+    conjuncts = _conjuncts(where)
+    for position, conjunct in enumerate(conjuncts):
+        at = _last_binding(conjunct, last, outer) if bindings else None
+        if at is None:
+            return placed, list(conjuncts[position:])
+        placed[at].append(conjunct)
+    return placed, []
+
+
+def _intersect(first: tuple, second: tuple) -> tuple:
+    """Intersection of two ``(low, low_inc, high, high_inc)`` intervals
+    (None = unbounded); on an equal bound the exclusive side wins."""
+    low, low_inc, high, high_inc = first
+    low2, low2_inc, high2, high2_inc = second
+    if low2 is not None and (
+            low is None or (low2, not low2_inc) > (low, not low_inc)):
+        low, low_inc = low2, low2_inc
+    if high2 is not None and (
+            high is None or (high2, high2_inc) < (high, high_inc)):
+        high, high_inc = high2, high2_inc
+    return low, low_inc, high, high_inc
+
+
 def extract_filters(where: Optional[ast.Expr]) -> dict:
     """Indexable predicates per variable from top-level AND conjuncts.
 
     Returns ``{variable: [predicate, ...]}`` where a predicate is
     ``("eq", label, value)`` for ``V.label = literal`` or
-    ``("range", label, low, low_inc, high, high_inc)`` for a numeric
-    inequality, either operand order.  OR branches, negations, and
-    anything else stay un-extracted (the WHERE clause handles them).
+    ``("range", label, low, low_inc, high, high_inc)`` for numeric
+    inequalities, either operand order; every inequality on one
+    ``(variable, label)`` is intersected into a single interval, listed
+    where the first of them stood.  OR branches, negations, and
+    anything else stay un-extracted (their conjuncts still run).
     """
     filters: dict[str, list[tuple]] = {}
-    if where is None:
-        return filters
-    conjuncts = (list(where.operands)
-                 if isinstance(where, ast.BoolOp) and where.op == "and"
-                 else [where])
-    for conjunct in conjuncts:
+    slots: dict[tuple, int] = {}        # (variable, label) -> list index
+    for conjunct in _conjuncts(where):
         if not isinstance(conjunct, ast.Compare):
             continue
         op = conjunct.op
@@ -144,20 +228,23 @@ def extract_filters(where: Optional[ast.Expr]) -> dict:
                 continue
             variable = lhs.path.root
             value = rhs.value
+            if op != "=" and not _is_number(value):
+                break
+            preds = filters.setdefault(variable, [])
             if op == "=":
-                filters.setdefault(variable, []).append(
-                    ("eq", label, value))
-            elif _is_number(value):
+                preds.append(("eq", label, value))
+            else:
                 effective = _FLIP[op] if flipped else op
-                if effective == "<":
-                    pred = ("range", label, None, False, value, False)
-                elif effective == "<=":
-                    pred = ("range", label, None, False, value, True)
-                elif effective == ">":
-                    pred = ("range", label, value, False, None, False)
-                else:                                   # >=
-                    pred = ("range", label, value, True, None, False)
-                filters.setdefault(variable, []).append(pred)
+                if effective in ("<", "<="):
+                    interval = (None, False, value, effective == "<=")
+                else:
+                    interval = (value, effective == ">=", None, False)
+                slot = slots.setdefault((variable, label), len(preds))
+                if slot == len(preds):
+                    preds.append(("range", label) + interval)
+                else:
+                    preds[slot] = ("range", label) + _intersect(
+                        preds[slot][2:], interval)
             break
     return filters
 
@@ -203,7 +290,8 @@ def plan_binding(evaluator, binding: ast.Binding, filters: dict
             est = catalog.range(label).estimate(low, low_inc,
                                                 high, high_inc)
             detail = {"index": label, "op": "range",
-                      "low": low, "high": high}
+                      "low": low, "low_inc": low_inc,
+                      "high": high, "high_inc": high_inc}
             access = "range_index"
         if est < best_est:
             best_access, best_detail, best_est = access, detail, est
@@ -219,19 +307,11 @@ def plan_binding(evaluator, binding: ast.Binding, filters: dict
     if best_pred[0] == "eq":
         nodes = catalog.equality_lookup(best_pred[1], best_pred[2])
     else:
-        _, label, low, low_inc, high, high_inc = best_pred
-        nodes = catalog.range(label).lookup(low, low_inc, high, high_inc)
+        nodes = catalog.range(best_pred[1]).lookup(*best_pred[2:])
     if member != "node":
         nodes = [node for node in nodes
                  if isinstance(node.type, str)
                  and node.type.lower() == member]
     # Range lookups repeat a node once per matching value; candidate
-    # sets are node sets (order preserved).
-    seen: set[int] = set()
-    unique: list[OEMNode] = []
-    for node in nodes:
-        key = id(node)
-        if key not in seen:
-            seen.add(key)
-            unique.append(node)
-    return unique, plan
+    # sets are node sets (nodes hash by identity; order preserved).
+    return list(dict.fromkeys(nodes)), plan

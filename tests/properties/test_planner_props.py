@@ -52,8 +52,8 @@ edge_names = st.sampled_from(["input", "forkparent", "exec",
 quantifiers = st.sampled_from(["", "*", "+", "?", "{2}", "{1,3}", "{2,}"])
 
 #: WHERE tails that exercise every planner access path: equality on an
-#: indexed atom, numeric ranges (both operand orders), name equality,
-#: multi-conjunct, and un-plannable shapes (OR, inequality).
+#: indexed atom, numeric ranges (both operand orders, two-sided), name
+#: equality, multi-conjunct, and un-plannable shapes (OR, inequality).
 where_tails = st.sampled_from([
     "",
     ' where {v}.md5 = "/pass/a"',
@@ -61,6 +61,7 @@ where_tails = st.sampled_from([
     ' where 50 >= {v}.time',
     ' where {v}.name = "/pass/b"',
     ' where {v}.time > 10 and {v}.name = "/pass/a"',
+    ' where {v}.time >= 20 and {v}.time < 60',
     ' where {v}.name = "/pass/a" or {v}.time = 3',
     ' where {v}.pid != 7',
     ' where {v2}.md5 = "/pass/b"',
@@ -82,6 +83,61 @@ def queries(draw):
             f"{var}.{reverse}{edge}{quant} as {second}")
     text += draw(where_tails).format(v=var, v2=second)
     return text
+
+
+#: Small, dense graphs (few nodes, TIME values around the bounds the
+#: atoms below use, often several per node) so generated joins and
+#: filters have rows to keep and rows to drop.
+few_refs = st.builds(ObjectRef, pnode=st.integers(1, 3),
+                     version=st.integers(0, 1))
+dense_streams = st.lists(st.one_of(
+    st.builds(ProvenanceRecord, subject=few_refs, attr=st.just(Attr.TIME),
+              value=st.sampled_from([5, 10, 20, 30, 31, 59, 60, 70, 90])),
+    st.builds(ProvenanceRecord, subject=few_refs,
+              attr=st.sampled_from([Attr.NAME, Attr.MD5]),
+              value=st.sampled_from(["/pass/a", "/pass/b"])),
+    st.builds(ProvenanceRecord, subject=few_refs, attr=st.just(Attr.TYPE),
+              value=st.just("file")),
+    st.builds(ProvenanceRecord, subject=few_refs,
+              attr=st.sampled_from([Attr.INPUT, Attr.PREV_VERSION]),
+              value=few_refs)), min_size=10, max_size=50)
+
+#: WHERE atoms for the conjunct-placement properties: predicates over
+#: the first variable, the last, and both; two-sided ranges on one
+#: label; an existence test; and a correlated subquery ({v3} is fresh).
+where_atoms = st.sampled_from([
+    "{v}.time >= 20", "{v}.time < 70", "30 < {v}.time", "{v}.time <= 30",
+    "{v2}.time > 10", "{v2}.time < 60", "{v2}.time >= 60",
+    '{v}.name = "/pass/a"', '{v2}.md5 = "/pass/b"', "{v}.pid != 7",
+    "{v}.time < {v2}.time", '{v}.name = {v2}.name', "{v2}.input",
+    "exists (select {v3} from {v2}.input as {v3} "
+    "where {v3}.time >= {v}.time)",
+])
+
+where_exprs = st.recursive(
+    where_atoms,
+    lambda inner: st.one_of(
+        st.builds("not ({})".format, inner),
+        st.builds("({} or {})".format, inner, inner),
+        st.builds("({} and {})".format, inner, inner)),
+    max_leaves=4)
+
+
+@st.composite
+def conjunct_queries(draw):
+    """Two-binding queries whose WHERE is an AND of generated
+    expressions; ``shadow`` binds one variable twice."""
+    var = draw(identifiers.filter(
+        lambda name: name.lower() not in KEYWORDS))
+    shadow = draw(st.booleans())
+    second = var if shadow else f"{var}2"
+    reverse = "^" if draw(st.booleans()) else ""
+    member = draw(st.sampled_from(["node", "file"]))
+    edge = draw(st.sampled_from(["input", "prev_version"]))
+    text = (f"select {second} from Provenance.{member} as {var} "
+            f"{var}.{reverse}{edge}{draw(quantifiers)} as {second} where ")
+    where = " and ".join(draw(st.lists(where_exprs, min_size=1, max_size=4)))
+    return text + where.format(v=var, v2=second, v3=f"{var}3")
 
 
 def canonical(rows) -> list[str]:
@@ -135,6 +191,44 @@ def test_planned_equals_naive_while_growing(stream, cut, query):
     assert_arms_agree(engine, query)
 
 
+@given(dense_streams, st.integers(0, 50), conjunct_queries())
+@settings(max_examples=300, deadline=None)
+def test_pushed_conjuncts_equal_naive(stream, cut, query):
+    """Conjuncts evaluated at the binding that completes them, and
+    ranges merged into one interval, keep exactly the naive rows --
+    before and after the graph (and the range index) grows."""
+    cut = min(cut, len(stream))
+    engine = QueryEngine(OEMGraph.build(stream[:cut]), check=False)
+    assert_arms_agree(engine, query)
+    engine.graph.apply_batch(stream[cut:])
+    assert_arms_agree(engine, query)
+
+
+@given(streams, refs, st.integers(2, 97), st.integers(0, 40),
+       st.integers(1, 3), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_straddling_values_survive_merged_interval(stream, ref, low, width,
+                                                    gap, late):
+    """One node holds a TIME below the window and another above it:
+    ``time >= low and time < high`` holds existentially though no value
+    lies inside -- the case a bare merged interval would lose.  The
+    second value arrives before or after the index is built."""
+    high = low + width
+    straddle = [ProvenanceRecord(ref, Attr.TIME, low - gap),
+                ProvenanceRecord(ref, Attr.TIME, high + gap)]
+    engine = QueryEngine(OEMGraph.build(stream + straddle[:1]), check=False)
+    query = (f"select N from Provenance.node as N "
+             f"where N.time >= {low} and {high} > N.time")
+    if late:
+        engine.execute(query)               # build the index first
+    engine.graph.apply(straddle[1])
+    assert_arms_agree(engine, query)
+    assert ref in engine.execute_refs(query)
+    plan, = engine.plan(query).binding_plans
+    if plan.access == "range_index":
+        assert (plan.detail["low"], plan.detail["high"]) == (low, high)
+
+
 # -- maintained == rebuilt ----------------------------------------------------
 
 def eq_fingerprint(index: EqualityIndex, graph: OEMGraph) -> dict:
@@ -144,9 +238,9 @@ def eq_fingerprint(index: EqualityIndex, graph: OEMGraph) -> dict:
             for value in probes}
 
 
-def rng_fingerprint(index: RangeIndex) -> list:
-    return canonical(
-        (value, node.ref) for value, _, node in index._pairs)
+def rng_fingerprint(index: RangeIndex) -> tuple:
+    return (canonical((value, node.ref) for value, _, node in index._pairs),
+            canonical(node.ref for node in index._multi))
 
 
 @given(streams, st.integers(0, 60))

@@ -1,5 +1,7 @@
 """Unit tests for the OEM graph and query-engine plumbing."""
 
+import gc
+
 import pytest
 
 from repro.core.pnode import ObjectRef
@@ -83,6 +85,30 @@ class TestGraphConstruction:
         stub = graph.node(ObjectRef(99, 3))
         assert stub is not None
         assert stub.atoms == {}
+
+    def test_build_pauses_collector_and_restores_it(self):
+        """The bulk pass runs with the cyclic collector off and leaves
+        it as it found it -- on, off, or on after a failing stream."""
+        seen = []
+
+        def stream(fail=False):
+            seen.append(gc.isenabled())
+            yield R(1, 0, Attr.NAME, "/f")
+            if fail:
+                raise RuntimeError("source went away")
+
+        assert gc.isenabled()
+        OEMGraph.build(stream())
+        assert seen == [False] and gc.isenabled()
+        with pytest.raises(RuntimeError):
+            OEMGraph.build(stream(fail=True))
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            OEMGraph.build(stream())
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestIncrementalApply:

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.errors import PQLTypeError
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ObjType, ProvenanceRecord
 from repro.obs import Observability
@@ -20,6 +21,7 @@ from repro.pql.engine import QueryEngine
 from repro.pql.indexes import (AncestryView, CSRSnapshot, EqualityIndex,
                                IndexCatalog, RangeIndex)
 from repro.pql.oem import OEMGraph
+from repro.pql.planner import extract_filters, place_conjuncts
 from repro.storage.database import ProvenanceDatabase
 
 
@@ -93,6 +95,36 @@ class TestRangeIndex:
         index = RangeIndex("mtime", graph.nodes())
         index.add(True, graph.named("/a")[0])
         assert index.estimate(None, False, None, False) == 3
+
+
+    def test_bulk_build_matches_one_at_a_time(self, graph):
+        """The lazy build sorts once; the result is what insort-ing the
+        same values in node order gives (ties keep arrival order)."""
+        for pnode, mtime in ((4, 20), (5, 10), (6, 20.0), (7, 5)):
+            graph.apply(R(pnode, "MTIME", mtime))
+        built = RangeIndex("mtime", graph.nodes())
+        grown = RangeIndex("mtime", [])
+        for node in graph.nodes():
+            for value in node.atom("mtime"):
+                grown.add(value, node)
+        assert built._pairs == grown._pairs
+        assert [pair[0] for pair in built._pairs] == \
+            sorted(pair[0] for pair in built._pairs)
+
+    def test_multi_valued_nodes_join_two_sided_lookups_only(self, graph):
+        catalog = IndexCatalog.attach(graph)
+        index = catalog.range("mtime")
+        assert index.lookup(12, True, 18, False) == []
+        graph.apply(R(1, "MTIME", 99))          # /a now holds 10 and 99
+        graph.apply(R(3, "MTIME", "later"))     # not a number: still one
+        pnodes = lambda *bounds: sorted(
+            n.ref.pnode for n in index.lookup(*bounds))
+        assert pnodes(12, True, 18, False) == [1]
+        assert index.estimate(12, True, 18, False) == 1
+        assert pnodes(50, True, None, False) == [1]     # one-sided: exact
+        assert pnodes(None, False, 5, False) == []
+        rebuilt = RangeIndex("mtime", graph.nodes())
+        assert list(rebuilt._multi) == list(index._multi)
 
 
 class TestCSRSnapshot:
@@ -296,6 +328,139 @@ class TestPlannerChoices:
             assert sorted(map(repr, planned)) == sorted(map(repr, naive))
 
 
+class TestIntervalMerging:
+    """Range conjuncts on one (variable, label) become one interval."""
+
+    FILE = "select F from Provenance.node as F where "
+
+    def _range(self, engine, where):
+        engine.execute(self.FILE + where)
+        (plan,) = engine.plan(self.FILE + where).binding_plans
+        assert plan.access == "range_index"
+        detail = plan.detail
+        return (detail["low"], detail["low_inc"],
+                detail["high"], detail["high_inc"]), plan
+
+    def test_two_sided_is_one_access(self, engine):
+        interval, plan = self._range(engine,
+                                     "F.mtime >= 15 and F.mtime < 25")
+        assert interval == (15, True, 25, False)
+        assert (plan.est_rows, plan.actual_rows, plan.kept_rows) == (1, 1, 1)
+        assert engine.catalog.index_hits == 1
+
+    def test_exclusive_wins_on_an_equal_bound(self, engine):
+        interval, plan = self._range(
+            engine, "F.mtime >= 20 and F.mtime > 20 and F.mtime <= 30 "
+                    "and F.mtime < 30")
+        assert interval == (20, False, 30, False)
+        assert plan.actual_rows == 0
+        interval, plan = self._range(
+            engine, "F.mtime >= 20 and F.mtime <= 20")
+        assert interval == (20, True, 20, True)
+        assert plan.kept_rows == 1
+
+    def test_contradictory_bounds_give_no_candidates(self, engine):
+        for where in ("F.mtime > 25 and F.mtime < 15",
+                      "F.mtime > 20 and F.mtime <= 20"):
+            _, plan = self._range(engine, where)
+            assert (plan.est_rows, plan.actual_rows) == (0, 0)
+            assert engine.execute(self.FILE + where) == []
+
+    def test_literal_on_the_left(self, engine):
+        interval, _ = self._range(engine, "15 <= F.mtime and 25 > F.mtime")
+        assert interval == (15, True, 25, False)
+
+    def test_three_conjuncts_keep_the_tightest(self, engine):
+        interval, _ = self._range(
+            engine, "F.mtime > 5 and F.mtime < 100 and F.mtime > 12")
+        assert interval == (12, False, 100, False)
+
+    def test_two_labels_stay_separate(self, engine):
+        graph = engine.graph
+        for pnode, size in ((1, 7), (2, 7), (3, 8)):
+            graph.apply(R(pnode, "SIZE", size))
+        filters = extract_filters(engine.parse(
+            self.FILE + "F.mtime >= 10 and F.size < 8 and F.mtime < 30"
+        ).where)
+        assert filters == {"F": [("range", "mtime", 10, True, 30, False),
+                                 ("range", "size", None, False, 8, False)]}
+        interval, plan = self._range(
+            engine, "F.mtime >= 25 and F.size < 9 and F.mtime < 35")
+        assert plan.detail["index"] == "mtime"      # 1 candidate beats 3
+        assert interval == (25, True, 35, False)
+
+
+class TestConjunctPlacement:
+    def _placed(self, engine, text, outer=()):
+        query = engine.parse(text)
+        placed, residual = place_conjuncts(query.where,
+                                           list(query.bindings), outer)
+        return [len(exprs) for exprs in placed], len(residual)
+
+    def test_each_conjunct_sits_where_its_variables_complete(self, engine):
+        text = ("select A from Provenance.file as F, F.input* as A "
+                'where F.md5 = "bbb" and A.mtime < 25 and F.mtime > A.mtime')
+        assert self._placed(engine, text) == ([1, 2], 0)
+
+    def test_shadowed_variable_is_tested_on_its_last_binding(self, engine):
+        text = ("select F from Provenance.file as F, F.input as F "
+                'where F.name = "cc"')
+        assert self._placed(engine, text) == ([0, 1], 0)
+        assert [row.name for row in engine.execute(text)] == ["cc"]
+
+    def test_raising_conjunct_and_all_after_it_stay_behind(self, engine):
+        text = ("select A from Provenance.file as F, F.input* as A "
+                'where F.md5 = "bbb" and A.mtime / 2 > 1 and A.name = "cc"')
+        assert self._placed(engine, text) == ([1, 0], 2)
+
+    def test_outer_variables_count_as_bound(self, engine):
+        text = ("select X from F.input as X "
+                "where X.mtime < F.mtime and G.mtime > 0")
+        assert self._placed(engine, text, outer={"F": None}) == ([1], 1)
+
+    def test_root_predicate_runs_once_per_root(self, engine):
+        """``input*`` from /b joins three tuples; the md5 conjunct is
+        checked on the one root tuple, never on the joined ones."""
+        text = ("select A from Provenance.file as F, F.input* as A "
+                'where F.md5 = "bbb"')
+        evaluator = engine._evaluator
+        compares = []
+        original = evaluator._compare
+        evaluator._compare = lambda expr, env: (
+            compares.append(sorted(env)), original(expr, env))[1]
+        try:
+            assert len(engine.execute(text)) == 3
+        finally:
+            del evaluator._compare
+        assert compares == [["F"]]
+
+    # ``like`` conjuncts: pure but not indexable, so only placement (not
+    # index narrowing, which this leaves as it was) decides who sees what.
+    @pytest.mark.parametrize("where, raises", [
+        ("F.mtime / 0 > 1", True),
+        ('F.md5 like "nosuch" and F.mtime / 0 > 1', False),
+        ('F.mtime / 0 > 1 and F.md5 like "nosuch"', True),
+        ('F.md5 like "aaa" and F.mtime / 0 > 1', True),
+        ('F.md5 like "aaa" and F.nosuch / 0 > 1', False),
+        ('A.name like "cc" and A.mtime / 0 > 1 and F.md5 like "nosuch"',
+         True),
+        ('A.name like "nosuch" and A.mtime / 0 > 1', False),
+    ])
+    def test_division_by_zero_raises_exactly_when_naive_does(
+            self, engine, where, raises):
+        text = ("select A from Provenance.file as F, F.input* as A where "
+                + where)
+        outcomes = []
+        for optimize in (True, False):
+            try:
+                outcomes.append([row.ref for row in engine.execute(
+                    text, check=False, optimize=optimize)])
+            except PQLTypeError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] == "division by zero") is raises
+
+
 class TestFootprintRegression:
     def test_queries_never_mutate_node_footprints(self, engine):
         """The defaultdict leak: probing a missing label used to insert
@@ -338,6 +503,25 @@ class TestExplain:
         assert binding["variable"] == "F"
         assert binding["access"] == "equality_index"
         assert binding["detail"]["index"] == "md5"
+
+    def test_range_bounds_and_kept_rows(self, engine):
+        strict = engine.explain(
+            "select N from Provenance.node as N where N.mtime > 20")
+        closed = engine.explain(
+            "select N from Provenance.node as N where N.mtime >= 20")
+        assert strict["bindings"][0]["detail"]["low_inc"] is False
+        assert closed["bindings"][0]["detail"]["low_inc"] is True
+        report = engine.explain(
+            "select N from Provenance.node as N "
+            'where N.mtime >= 20 and N.name = "/b"')
+        (binding,) = report["bindings"]
+        assert binding["access"] == "equality_index"
+        assert (binding["actual_rows"], binding["kept_rows"]) == (1, 1)
+        report = engine.explain(
+            "select N from Provenance.node as N "
+            'where N.mtime >= 20 and N.name like "/%"')
+        (binding,) = report["bindings"]
+        assert (binding["actual_rows"], binding["kept_rows"]) == (2, 1)
 
     def test_traversal_steps_noted(self, engine):
         report = engine.explain(
@@ -413,13 +597,23 @@ class TestCLIExplain:
                      'where F.md5 = "aaa"']) == 0
         out = capsys.readouterr().out
         assert "equality_index" in out
-        assert "est=1" in out
+        assert "est=1 actual=1 kept=1" in out
+
+    def test_range_text_shows_inclusivity(self, db_path, capsys):
+        assert main(["query", "--db", db_path, "--explain",
+                     "select N from Provenance.node as N "
+                     "where N.mtime > 10 and N.mtime <= 20"]) == 0
+        out = capsys.readouterr().out
+        assert "range_index (est=1 actual=1 kept=1)" in out
+        assert "high=20, high_inc=True" in out
+        assert "low=10, low_inc=False" in out
 
     def test_json_output(self, db_path, capsys):
         assert main(["query", "--db", db_path, "--explain", "--json",
                      "select F from Provenance.file as F"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["bindings"][0]["access"] == "member_scan"
+        assert report["bindings"][0]["kept_rows"] == 2
 
     def test_plain_query_still_prints_rows(self, db_path, capsys):
         assert main(["query", "--db", db_path,
