@@ -44,7 +44,7 @@ from repro.core.records import Attr, ProvenanceRecord, RecordBatch, Value
 _PLAIN_VALUE_TYPES = frozenset((int, float, str, bytes, bool))
 
 
-@dataclass
+@dataclass(slots=True)
 class ProtoRecord:
     """A record-in-flight whose subject is still a live object.
 
@@ -186,9 +186,9 @@ class Analyzer:
           run the ``_seen`` set is already at hand, so LRU maintenance
           there would be pure overhead;
         * field validation happens here with per-class tests, so records
-          are minted inline (the loop-local form of
-          :func:`~repro.core.records.make_record`) instead of through
-          the frozen-dataclass ``__init__``;
+          are minted inline -- :func:`~repro.core.records.make_record`'s
+          idiom with the lookups hoisted out of the loop -- instead of
+          through ``__init__``/``__post_init__``;
         * admitted records leave as one :class:`RecordBatch` through
           ``emit_batch`` (freeze-emitted PREV_VERSION records are
           spliced into the batch at their admission position, so record
@@ -213,7 +213,8 @@ class Analyzer:
             plain_types = _PLAIN_VALUE_TYPES
             out_append = out.append
             observe = self._observed.add
-            new_record = ProvenanceRecord.__new__
+            new_record = object.__new__
+            setfield = object.__setattr__
             record_cls = ProvenanceRecord
             last_subject = last_ref = last_seen = None
             for proto in protos:
@@ -280,10 +281,9 @@ class Analyzer:
                 else:
                     seen.add(dkey)
                 record = new_record(record_cls)
-                fields = record.__dict__
-                fields["subject"] = ref
-                fields["attr"] = attr
-                fields["value"] = value
+                setfield(record, "subject", ref)
+                setfield(record, "attr", attr)
+                setfield(record, "value", value)
                 if is_ref and attr in ancestry:
                     observe(value)      # immutable from now on
                 emitted += 1

@@ -95,17 +95,7 @@ class LibPass:
         _, target = self._target(subject_fd)
         if getattr(target, "pnode", 0) == 0:
             observer.adopt(target)
-        new = ProtoRecord.__new__
-        protos: list[ProtoRecord] = []
-        append = protos.append
-        for value in values:
-            # Bulk fast path: fill the instance dict directly instead of
-            # running the dataclass __init__ once per record.
-            proto = new(ProtoRecord)
-            proto.__dict__ = {"subject": target, "attr": attr,
-                              "value": value}
-            append(proto)
-        return protos
+        return [ProtoRecord(target, attr, value) for value in values]
 
     # -- the six DPAPI calls ------------------------------------------------------------
 

@@ -90,13 +90,16 @@ class ObjType:
     DATASET = "DATASET"        # logical grouping of files
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProvenanceRecord:
     """One unit of provenance: ``subject.attr = value``.
 
     ``subject`` is the (pnode, version) of the object the record
     describes.  ``value`` is a plain value or a cross-reference
     (:class:`ObjectRef`) to another object, typically an ancestor.
+
+    Three slots and no instance dict: a stored record is one object to
+    the allocator and to the cycle collector, not two.
     """
 
     subject: ObjectRef
@@ -134,18 +137,20 @@ def make_record(subject: ObjectRef, attr: str, value: Value) -> "ProvenanceRecor
 
     The batch analyzer validates subject/attr/value itself (once per
     run of protos, with cheap class tests) before minting records, so
-    re-running the frozen-dataclass ``__init__``/``__post_init__``
-    ceremony -- three ``object.__setattr__`` calls plus three
-    ``isinstance`` checks per record -- would only repeat work.  The
-    returned record is indistinguishable from one built normally.
-    Callers *must* guarantee the field invariants ``__post_init__``
-    enforces; external producers go through ``ProvenanceRecord(...)``.
+    re-running ``__init__``/``__post_init__`` -- three ``isinstance``
+    checks per record -- would only repeat work.  The one mint idiom,
+    here and inline in ``Analyzer.submit_batch``: ``object.__new__``,
+    then ``object.__setattr__`` per slot (the frozen class refuses
+    plain assignment).  The returned record is indistinguishable from
+    one built normally.  Callers *must* guarantee the field invariants
+    ``__post_init__`` enforces; external producers go through
+    ``ProvenanceRecord(...)``.
     """
-    record = ProvenanceRecord.__new__(ProvenanceRecord)
-    fields = record.__dict__
-    fields["subject"] = subject
-    fields["attr"] = attr
-    fields["value"] = value
+    record = object.__new__(ProvenanceRecord)
+    setfield = object.__setattr__
+    setfield(record, "subject", subject)
+    setfield(record, "attr", attr)
+    setfield(record, "value", value)
     return record
 
 

@@ -201,6 +201,25 @@ class Inode:
             return first + count
         return self.volume.data_region.tail
 
+    def blocks(self, first_logical: int, last_logical: int):
+        """``block_for`` of each logical block ``first..last`` in order,
+        from one walk of the extents (unallocated tail included)."""
+        logical, last = first_logical, last_logical
+        tail = self.volume.data_region.tail
+        for first, count in self.extents:
+            if logical > last:
+                return
+            if logical < count:
+                stop = min(count, last + 1)
+                yield from range(first + logical, first + stop)
+                logical = stop
+            # Rebase both ends onto the next extent's first block.
+            logical -= count
+            last -= count
+            tail = first + count
+        for _ in range(logical, last + 1):
+            yield tail
+
     def __repr__(self) -> str:
         return f"<Inode {self.volume.name}:{self.ino} {self.kind} pnode={self.pnode}>"
 

@@ -166,13 +166,10 @@ class Volume:
             inode.data.write_hole(offset, length)
         first_block = inode.block_for(offset)
         self.disk.write(first_block, length)
-        first_logical = offset // self.block_size
-        last_logical = max(offset, end - 1) // self.block_size
-        block_size = self.block_size
         self.cache.insert_many(
             self.volume_id,
-            (inode.block_for(logical * block_size)
-             for logical in range(first_logical, last_logical + 1)))
+            inode.blocks(offset // self.block_size,
+                         max(offset, end - 1) // self.block_size))
         self.data_bytes_written += length
         return length
 
@@ -192,8 +189,7 @@ class Volume:
         last = (offset + length - 1) // self.block_size
         run_start: Optional[int] = None
         run_blocks = 0
-        for logical in range(first, last + 1):
-            block = inode.block_for(logical * self.block_size)
+        for block in inode.blocks(first, last):
             if self.cache.lookup(self.volume_id, block):
                 if run_start is not None:
                     self.disk.read(run_start, run_blocks * self.block_size)

@@ -64,7 +64,13 @@ def _is_number(value) -> bool:
 
 
 class EqualityIndex:
-    """Hash index ``value -> [nodes]`` over one atom label."""
+    """Hash index ``value -> nodes`` over one atom label.
+
+    A bucket *is the node* while one node holds the value and becomes a
+    list when a second entry arrives: most values (checksums,
+    annotations) are held once, and a one-element list per value is one
+    more object for the allocator and the cycle collector to carry.
+    """
 
     __slots__ = ("label", "_buckets")
 
@@ -82,21 +88,28 @@ class EqualityIndex:
         except TypeError:           # unhashable value: not indexable
             return
         if bucket is None:
-            self._buckets[value] = [node]
-        else:
+            self._buckets[value] = node
+        elif bucket.__class__ is list:
             bucket.append(node)
+        else:
+            self._buckets[value] = [bucket, node]
 
     def lookup(self, value) -> list[OEMNode]:
+        """Nodes holding ``value``, as a list the caller owns."""
         try:
-            return self._buckets.get(value, [])
+            bucket = self._buckets.get(value)
         except TypeError:
             return []
+        if bucket.__class__ is list:
+            return bucket[:]
+        return [] if bucket is None else [bucket]
 
     def estimate(self, value) -> int:
         return len(self.lookup(value))
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
+        return sum(len(bucket) if bucket.__class__ is list else 1
+                   for bucket in self._buckets.values())
 
 
 class RangeIndex:

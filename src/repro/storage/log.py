@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
+from bisect import bisect_right, insort
 from typing import Callable, Optional
 
 from repro.core.pnode import ObjectRef
@@ -35,14 +36,16 @@ _MD5_META = struct.Struct(">QI")      # offset, length preceding the digest
 
 
 #: Incremental MD5 states over all-zero prefixes, keyed by length, so a
-#: hole digest costs only the delta from the nearest shorter prefix.
+#: hole digest costs only the delta from the nearest shorter prefix
+#: (found by bisecting ``_ZERO_LENGTHS``, the keys in sorted order).
 _ZERO_STATES: dict[int, "hashlib._Hash"] = {0: hashlib.md5()}
+_ZERO_LENGTHS = [0]
 _ZERO_CHUNK = b"\x00" * 65536
 
 
 @functools.lru_cache(maxsize=4096)
 def _zero_digest(length: int) -> bytes:
-    base = max(known for known in _ZERO_STATES if known <= length)
+    base = _ZERO_LENGTHS[bisect_right(_ZERO_LENGTHS, length) - 1]
     state = _ZERO_STATES[base].copy()
     remaining = length - base
     while remaining > 0:
@@ -52,8 +55,10 @@ def _zero_digest(length: int) -> bytes:
     if length not in _ZERO_STATES and len(_ZERO_STATES) < 4096:
         # Idempotent content-keyed memo: every writer computes the same
         # state for a given length, so a lost or duplicated store under
-        # concurrency costs time, never correctness.
+        # concurrency costs time, never correctness (the dict is
+        # written first: every listed length has its state).
         _ZERO_STATES[length] = state.copy()  # lint: disable=PL304
+        insort(_ZERO_LENGTHS, length)
     return state.digest()
 
 

@@ -234,8 +234,17 @@ def test_straddling_values_survive_merged_interval(stream, ref, low, width,
 def eq_fingerprint(index: EqualityIndex, graph: OEMGraph) -> dict:
     probes = ["/pass/a", "/pass/b", "file", "process", "sh"] + \
         list(range(0, 100, 7))
-    return {value: canonical(n.ref for n in index.lookup(value))
-            for value in probes}
+    lookups = {value: canonical(n.ref for n in index.lookup(value))
+               for value in probes}
+    # The raw buckets too: a maintained index must hold the same shape
+    # (the node itself for one entry, a list from the second on).
+    shape = {value: [n.ref for n in bucket] if isinstance(bucket, list)
+             else bucket.ref for value, bucket in index._buckets.items()}
+    assert all(not isinstance(bucket, list) or len(bucket) > 1
+               for bucket in index._buckets.values())
+    assert len(index) == sum(len(index.lookup(value))
+                             for value in index._buckets)
+    return {"lookups": lookups, "buckets": shape}
 
 
 def rng_fingerprint(index: RangeIndex) -> tuple:

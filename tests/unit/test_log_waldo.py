@@ -1,5 +1,8 @@
 """Unit tests for the provenance log, Waldo, and crash recovery."""
 
+import hashlib
+import random
+
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ProvenanceRecord
 from repro.kernel.clock import SimClock
@@ -7,6 +10,7 @@ from repro.kernel.params import LogParams
 from repro.storage.log import (
     LogSegment,
     ProvenanceLog,
+    _zero_digest,
     data_digest,
     md5_unpack,
     md5_value,
@@ -168,6 +172,15 @@ class TestMd5Helpers:
 
     def test_hole_digest_equals_zeros(self):
         assert data_digest(None, 16) == data_digest(b"\x00" * 16, 16)
+
+    def test_zero_digest_for_lengths_in_any_order(self):
+        """More distinct lengths than either memo holds (4,096), arriving
+        out of order: the base is always the nearest shorter prefix."""
+        lengths = list(range(0, 4300 * 3, 3)) + [65536, 65537, 200_001]
+        random.Random(14).shuffle(lengths)
+        for length in lengths + lengths[:50]:
+            assert _zero_digest(length) == hashlib.md5(
+                b"\x00" * length).digest(), length
 
     def test_md5_value_roundtrip(self):
         digest = data_digest(b"payload", 7)

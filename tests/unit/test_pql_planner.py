@@ -72,8 +72,49 @@ class TestEqualityIndex:
 
     def test_unhashable_values_skipped(self, graph):
         index = EqualityIndex("md5", graph.nodes())
+        size = len(index)
         index.add(["un", "hashable"], graph.named("/a")[0])
         assert index.lookup(["un", "hashable"]) == []
+        assert index.estimate(["un", "hashable"]) == 0
+        assert len(index) == size
+
+    def test_bucket_is_the_node_until_a_second_entry(self, graph):
+        a, b, c = (graph.named(name)[0] for name in ("/a", "cc", "/b"))
+        index = EqualityIndex("nosuch", ())
+        index.add("v", a)
+        assert index._buckets["v"] is a         # no list per single value
+        assert index.lookup("v") == [a] and index.estimate("v") == 1
+        index.add("v", b)
+        assert index._buckets["v"] == [a, b]    # promoted, order kept
+        index.add("v", c)
+        assert index.lookup("v") == [a, b, c] and index.estimate("v") == 3
+        assert len(index) == 3
+
+    def test_value_held_twice_by_one_node(self, graph):
+        a = graph.named("/a")[0]
+        index = EqualityIndex("nosuch", ())
+        index.add("v", a)
+        index.add("v", a)
+        assert index.lookup("v") == [a, a]      # once per atom, as before
+        assert index.estimate("v") == len(index) == 2
+
+    def test_lookup_result_is_the_callers(self, graph):
+        a, b = graph.named("/a")[0], graph.named("/b")[0]
+        index = EqualityIndex("nosuch", ())
+        index.add("one", a)
+        index.add("two", a)
+        index.add("two", b)
+        for value, held in (("one", [a]), ("two", [a, b]), ("none", [])):
+            index.lookup(value).append(None)
+            index.lookup(value).clear()
+            assert index.lookup(value) == held
+            assert index.estimate(value) == len(held)
+
+    def test_len_counts_entries_not_values(self, graph):
+        index = EqualityIndex("md5", graph.nodes())
+        assert len(index) == sum(len(n.atom("md5")) for n in graph.nodes())
+        assert len(EqualityIndex("type", graph.nodes())) == sum(
+            len(n.atom("type")) for n in graph.nodes())
 
 
 class TestRangeIndex:

@@ -1,10 +1,17 @@
 """Unit tests for provenance records and bundles."""
 
+import copy
+import dataclasses
+import gc
+import pickle
+
 import pytest
 
+from repro.core.analyzer import ProtoRecord
 from repro.core.errors import InvalidRecord
 from repro.core.pnode import ObjectRef
-from repro.core.records import Attr, Bundle, ProvenanceRecord
+from repro.core.records import Attr, Bundle, ProvenanceRecord, make_record
+from repro.system import System
 
 
 def rec(pnode=1, version=0, attr=Attr.NAME, value="x"):
@@ -56,8 +63,104 @@ class TestProvenanceRecord:
 
     def test_frozen(self):
         record = rec()
-        with pytest.raises(AttributeError):
+        with pytest.raises(dataclasses.FrozenInstanceError):
             record.attr = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del record.attr
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = 1                # no slot, no dict to land in
+
+    def test_three_slots_no_instance_dict(self):
+        assert ProvenanceRecord.__slots__ == ("subject", "attr", "value")
+        for record in (rec(), make_record(ObjectRef(1, 0), Attr.NAME, "x")):
+            assert not hasattr(record, "__dict__")
+        assert not hasattr(ProtoRecord(object(), Attr.NAME, "x"), "__dict__")
+
+    def test_identity_is_unchanged(self):
+        record = rec(pnode=7, version=2, attr=Attr.INPUT,
+                     value=ObjectRef(3, 1))
+        same = rec(pnode=7, version=2, attr=Attr.INPUT, value=ObjectRef(3, 1))
+        assert record == same and hash(record) == hash(same)
+        assert record != rec(pnode=7, version=2, attr=Attr.INPUT,
+                             value=ObjectRef(3, 2))
+        assert len({record, same}) == 1
+        assert record.key() == (ObjectRef(7, 2), "INPUT", ("ref", 3, 1))
+        assert rec(value=1.5).key() == (ObjectRef(1, 0), "NAME",
+                                        ("float", 1.5))
+        assert repr(record) == (
+            "ProvenanceRecord(subject=ObjectRef(pnode=7, version=2), "
+            "attr='INPUT', value=ObjectRef(pnode=3, version=1))")
+        assert str(rec(value="x")) == "1:0 NAME='x'"
+
+    @pytest.mark.parametrize("value", [
+        "text", b"bytes", 7, 2.5, True, ObjectRef(9, 4)])
+    def test_copies_round_trip(self, value):
+        record = rec(attr=Attr.ANNOTATION, value=value)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(record, protocol))
+            assert clone == record and type(clone) is ProvenanceRecord
+            assert type(clone.value) is type(value)
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+        assert dataclasses.replace(record) == record
+        moved = dataclasses.replace(record, subject=ObjectRef(2, 3))
+        assert (moved.subject, moved.attr, moved.value) == (
+            ObjectRef(2, 3), Attr.ANNOTATION, value)
+        assert dataclasses.astuple(rec(value="v")) == ((1, 0), "NAME", "v")
+
+    def test_replace_still_validates(self):
+        with pytest.raises(InvalidRecord):
+            dataclasses.replace(rec(), attr="")
+
+    def test_make_record_is_indistinguishable(self):
+        for value in ("v", 3, ObjectRef(4, 0)):
+            built = ProvenanceRecord(ObjectRef(1, 2), Attr.INPUT, value)
+            minted = make_record(ObjectRef(1, 2), Attr.INPUT, value)
+            assert type(minted) is ProvenanceRecord
+            assert minted == built and hash(minted) == hash(built)
+            assert repr(minted) == repr(built) and str(minted) == str(built)
+            assert minted.key() == built.key()
+            assert minted.is_ancestry == built.is_ancestry
+            assert pickle.dumps(minted) == pickle.dumps(built)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                minted.value = "other"
+
+
+class TestHeapShape:
+    """What one stored record costs the cycle collector.
+
+    A record used to be two tracked objects (the instance plus the
+    ``__dict__`` the mint sites filled) and every distinct annotation
+    value one more (a one-element equality-index bucket): more than
+    three per record by the first query.  Now: the record.
+    """
+
+    RECORDS = 20_000
+
+    def test_tracked_objects_per_record(self):
+        system = System.boot()
+        with system.process(argv=["mkdir"]) as proc:
+            proc.mkdir("/pass/heap")
+        gc.collect()
+        before = len(gc.get_objects())
+        with system.process(argv=["annotator"]) as proc:
+            fd = proc.open("/pass/heap/f.dat", "w")
+            proc.write(fd, b"x" * 64)
+            disclosed = proc.dpapi.record_many(
+                fd, Attr.ANNOTATION,
+                (f"heap.k{key}" for key in range(self.RECORDS)))
+            proc.dpapi.pass_write(fd, records=disclosed)
+            del disclosed
+            proc.close(fd)
+        stored = system.sync()
+        assert stored >= self.RECORDS
+        rows = system.query_engine().execute(
+            "select F from Provenance.file as F "
+            'where F.annotation = "heap.k77"')
+        assert len(rows) == 1
+        gc.collect()
+        growth = len(gc.get_objects()) - before
+        assert growth / stored <= 1.25, (growth, stored)
 
 
 class TestBundle:

@@ -1,5 +1,7 @@
 """Unit tests for SparseFile and VFS path operations."""
 
+import random
+
 import pytest
 
 from repro.core.errors import (
@@ -264,3 +266,66 @@ class TestVolumeIO:
         t0 = volume.clock.now
         volume.read_bytes(inode, 0, 8192)   # cache hit (write-through)
         assert volume.clock.now == t0
+
+
+class TestExtentWalk:
+    """``Inode.blocks`` is ``block_for`` per logical block, in one walk."""
+
+    def fragmented(self, rng):
+        """Files grown in interleaved appends: every growth is one more
+        extent, and the neighbours' growths sit between them."""
+        vfs, volumes = make_vfs()
+        volume = volumes[0]
+        inodes = [vfs.create(f"/f{index}") for index in range(3)]
+        for _ in range(rng.randint(0, 12)):
+            inode = rng.choice(inodes)
+            volume.write_bytes(inode, inode.size, None,
+                               rng.randint(1, 5 * volume.block_size))
+        return volume, inodes
+
+    def test_blocks_equal_block_for(self):
+        rng = random.Random(14)
+        shapes = set()
+        for _ in range(200):
+            volume, inodes = self.fragmented(rng)
+            size = volume.block_size
+            for inode in inodes:
+                shapes.add(len(inode.extents))
+                for _ in range(8):
+                    # Ranges inside, across and past the last extent.
+                    first = rng.randint(0, inode.allocated_blocks + 3)
+                    last = first + rng.randint(0, 12)
+                    assert list(inode.blocks(first, last)) == [
+                        inode.block_for(logical * size)
+                        for logical in range(first, last + 1)]
+        assert {0, 1, 2, 3} <= shapes     # no extents ... several
+
+    def test_unallocated_tail_repeats_one_block(self):
+        vfs, volumes = make_vfs()
+        inode = vfs.create("/f")
+        tail = volumes[0].data_region.tail
+        assert list(inode.blocks(0, 2)) == [tail] * 3     # no extents
+        volumes[0].write_bytes(inode, 0, None, 2 * volumes[0].block_size)
+        (first, count), = inode.extents
+        assert list(inode.blocks(1, 4)) == [first + 1] + [first + count] * 3
+        assert list(inode.blocks(3, 2)) == []
+
+    def test_data_path_touches_the_same_pages_in_the_same_order(self):
+        rng = random.Random(15)
+        volume, inodes = self.fragmented(rng)
+        while not all(len(inode.extents) > 1 for inode in inodes):
+            volume, inodes = self.fragmented(rng)
+        size = volume.block_size
+        for inode in inodes:
+            # Overwrite from mid-block 0 to mid-way into the last block.
+            end = inode.size - size // 2
+            volume.write_bytes(inode, size // 2, None, end - size // 2)
+            expected = [(volume.volume_id, inode.block_for(logical * size))
+                        for logical in range((end - 1) // size + 1)]
+            assert list(volume.cache._pages)[-len(expected):] == expected
+            volume.cache.invalidate_volume(volume.volume_id)
+            before = volume.disk.bytes_read
+            volume.read_bytes(inode, 0, inode.size)
+            assert volume.disk.bytes_read - before == size * len(
+                {inode.block_for(logical * size)
+                 for logical in range(-(-inode.size // size))})
