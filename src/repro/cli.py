@@ -162,6 +162,7 @@ def cmd_query(args: argparse.Namespace) -> int:
                              default=str))
         else:
             print(f"query: {report['query']}")
+            print(f"shape: {report['shape']}")
             print(f"rows: {report['rows']}")
             for binding in report["bindings"]:
                 line = (f"  {binding['variable']}: {binding['access']}"

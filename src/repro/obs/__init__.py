@@ -117,12 +117,13 @@ class Observability:
                               always=always, **fields)
 
     def slow_query(self, text: str, wall_s: float, cache_hit: bool,
-                   rows: int = 0, plan: str = "") -> None:
+                   rows: int = 0, plan: str = "",
+                   shape: str = "") -> None:
         """Record a query in the slow-query log if it crossed the
         journal's latency threshold."""
         if self.journal.enabled:
             self.journal.slow_query(text, wall_s, cache_hit,
-                                    rows=rows, plan=plan)
+                                    rows=rows, plan=plan, shape=shape)
 
     def stats(self) -> dict:
         """The metrics snapshot (layer -> counters/gauges/histograms)."""

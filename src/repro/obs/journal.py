@@ -129,18 +129,20 @@ class EventJournal:
         return event
 
     def slow_query(self, text: str, wall_s: float, cache_hit: bool,
-                   rows: int = 0, plan: str = "") -> Optional[dict]:
+                   rows: int = 0, plan: str = "",
+                   shape: str = "") -> Optional[dict]:
         """Journal a query if it crossed the latency threshold.
 
-        ``text`` is the normalized query (the plan-cache key), ``plan``
-        a compact rendering of the compiled plan, ``cache_hit`` whether
+        ``text`` is the query as the caller wrote it, ``shape`` its
+        plan-cache key (literals lifted out), ``plan`` a compact
+        rendering of the compiled plan, ``cache_hit`` whether
         the plan cache served it.  Slow queries bypass sampling and are
         additionally retained in their own bounded list.
         """
         if not self.enabled or wall_s < self.slow_query_threshold_s:
             return None
         event = self.emit("pql.slow_query", layer="pql", always=True,
-                          query=text, plan=plan, wall_s=wall_s,
+                          query=text, shape=shape, plan=plan, wall_s=wall_s,
                           cache_hit=cache_hit, rows=rows)
         if event is not None:
             self.slow_queries_recorded += 1

@@ -29,26 +29,46 @@ engine over a plain stream, ``from_databases`` delegates to
 Plan cache
 ----------
 
-Compiled queries are cached by *normalized* PQL text (whitespace runs
-collapsed), so reformatting a query does not recompile it.  Each cached
-plan also remembers the graph vocabulary epoch at which it last passed
-the lint pre-pass: repeat executions skip the check entirely until the
-graph's vocabulary grows (a new atom/edge label or Provenance member),
-at which point the plan is re-checked once against the widened
-vocabulary.
+Compiled queries are cached by *shape*: the lexer's token stream with
+every string and number literal in expression position lifted out into
+a parameter tuple (:func:`repro.pql.lexer.parameterize`).  Whitespace,
+comments, keyword case, quote style and the literals' values are not
+part of the key; identifiers, operators, ``true``/``false``, ``limit
+N`` and quantifier bounds are, and so is each literal's type category
+(``?s``/``?n``).  Lexing, parsing and the lint pre-pass run once per
+shape; every other execution is one pass of the lexer's pattern over
+the text plus a *bind* that rebuilds only the frozen AST nodes on the
+way down to each literal, so the checker, the planner and the evaluator
+keep seeing plain ``ast.Literal`` nodes and a cached node is never
+mutated.
+
+Each cached plan also remembers the graph vocabulary epoch at which it
+last passed the lint pre-pass: repeat executions skip the check until
+the graph's vocabulary grows (a new atom/edge label or Provenance
+member), at which point the plan is re-checked once against the widened
+vocabulary.  The verdict carries over between the literals of one shape
+because the checker reads only a literal's type category, which the
+placeholder fixes.  Positions in a cached AST are those of the text the
+shape was parsed from, so a plan that fails its check or raises is
+re-compiled from the caller's text before the error leaves the engine.
+The cache is an LRU of at most :data:`PLAN_CACHE_SHAPES` shapes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
+from collections import OrderedDict
 from typing import Iterable
 
+from repro.core.errors import PQLError
 from repro.core.records import ProvenanceRecord
 from repro.obs import NULL_OBS
-from repro.pql.ast import Query
+from repro.pql.ast import Literal, Query
 from repro.pql.evaluator import Evaluator
 from repro.pql.indexes import IndexCatalog
+from repro.pql.lexer import parameterize
 from repro.pql.oem import OEMGraph, OEMNode
 from repro.pql.parser import parse
 
@@ -56,20 +76,56 @@ from repro.pql.parser import parse
 #: because foreign graphs without a vocab_epoch report epoch None.
 _NEVER = object()
 
+#: Shapes the plan cache retains; the least recently used one goes.
+PLAN_CACHE_SHAPES = 256
+
+
+def _binder(node, slots):
+    """``params -> node`` rebuilt around its parameters, or None when
+    nothing below ``node`` is one.  Walks dataclass fields in order,
+    which is token order, so the n-th string or number literal met takes
+    the n-th slot -- the order :func:`parameterize` lifted them in."""
+    if type(node) is Literal:
+        if isinstance(node.value, bool):
+            return None                     # true/false are structure
+        slot = next(slots)
+        return lambda params: Literal(params[slot])
+    if isinstance(node, tuple):
+        parts = node
+    elif dataclasses.is_dataclass(node):
+        parts = [getattr(node, field.name)
+                 for field in dataclasses.fields(node)]
+    else:
+        return None
+    pairs = [(_binder(part, slots), part) for part in parts]
+    if not any(bind for bind, _ in pairs):
+        return None
+    if parts is node:
+        return lambda params: tuple([bind(params) if bind else part
+                                     for bind, part in pairs])
+    rebuild = type(node)
+    return lambda params: rebuild(*[bind(params) if bind else part
+                                    for bind, part in pairs])
+
 
 class CompiledPlan:
-    """One cached compiled query: normalized text, parsed AST, the
-    vocabulary epoch at which it last passed the lint pre-pass, and --
-    after an optimized execution -- the planner's per-binding access
+    """One cached query shape: the parsed AST of the text it was
+    compiled from (``source``), the vocabulary epoch at which it last
+    passed the lint pre-pass, and the latest execution's view of it --
+    the caller's ``text``, the ``query`` bound to that text's literals
+    and, after an optimized run, the planner's per-binding access
     choices (:class:`~repro.pql.planner.BindingPlan` list, the EXPLAIN
-    payload).  Choices are re-made per execution against current graph
-    statistics; the plan records the latest."""
+    payload), which are re-made per execution against current graph
+    statistics."""
 
-    __slots__ = ("text", "query", "checked_epoch", "binding_plans")
+    __slots__ = ("shape", "source", "text", "query", "bind",
+                 "checked_epoch", "binding_plans")
 
-    def __init__(self, text: str, query: Query):
-        self.text = text
+    def __init__(self, shape: str, text: str, query: Query):
+        self.shape = shape
+        self.source = self.text = text
         self.query = query
+        self.bind = _binder(query, itertools.count())
         self.checked_epoch = _NEVER
         self.binding_plans = None
 
@@ -91,7 +147,9 @@ class QueryEngine:
                  optimize: bool = True):
         self.graph = graph
         self.obs = obs
-        self._plans: dict[str, CompiledPlan] = {}
+        #: shape -> plan, least recently used first.
+        self._plans: OrderedDict[str, CompiledPlan] = OrderedDict()
+        self._last_plan: CompiledPlan | None = None
         self._check = check
         self._vocabulary = None
         self._vocab_epoch = _NEVER
@@ -211,24 +269,42 @@ class QueryEngine:
     # -- compilation ------------------------------------------------------------
 
     def plan(self, text: str) -> CompiledPlan:
-        """Compile (and cache) one query, keyed by normalized text.
+        """The plan of ``text``'s shape, bound to ``text``'s literals
+        (compiled and cached on first sight of the shape).
 
         Sets :attr:`_last_plan_cache_hit` so :meth:`execute` can report
-        the cache status to the slow-query log without re-normalizing.
+        the cache status to the slow-query log.
         """
-        key = " ".join(text.split())
-        cached = self._plans.get(key)
-        self._last_plan_cache_hit = cached is not None
-        if cached is None:
-            with self.obs.span("pql.parse", layer="pql"):
-                cached = CompiledPlan(key, parse(text))
-            self._plans[key] = cached
-            self.obs.inc("pql", "parses")
-            self.obs.inc("pql", "plan_compiles")
-            self.obs.event("pql.plan_compile", layer="pql", query=key)
-        else:
-            self.obs.inc("pql", "parse_cache_hits")
-        return cached
+        plan = self._last_plan
+        if plan is None or plan.text != text:
+            shape, params = parameterize(text)
+            plan = self._plans.get(shape)
+            if plan is None:
+                self._last_plan_cache_hit = False
+                return self._compile(text, shape)
+            self._plans.move_to_end(shape)
+            if plan.text != text:
+                plan.text = text
+                if plan.bind is not None:
+                    plan.query = plan.bind(params)
+            self._last_plan = plan
+        self._last_plan_cache_hit = True
+        self.obs.inc("pql", "parse_cache_hits")
+        return plan
+
+    def _compile(self, text: str, shape: str) -> CompiledPlan:
+        """Lex and parse ``text`` and make it its shape's cached plan."""
+        with self.obs.span("pql.parse", layer="pql"):
+            plan = CompiledPlan(shape, text, parse(text))
+        self._plans[shape] = self._last_plan = plan
+        if len(self._plans) > PLAN_CACHE_SHAPES:
+            self._plans.popitem(last=False)
+            self.obs.inc("pql", "plan_evictions")
+        self.obs.inc("pql", "parses")
+        self.obs.inc("pql", "plan_compiles")
+        self.obs.event("pql.plan_compile", layer="pql", query=text,
+                       shape=shape)
+        return plan
 
     def parse(self, text: str) -> Query:
         """Parse (and cache) one query string."""
@@ -267,28 +343,18 @@ class QueryEngine:
         else:
             use_opt = optimize and isinstance(self.graph, OEMGraph)
         evaluator = self._evaluator_for(use_opt)
+        checking = self._check if check is None else check
         with self.obs.span("pql.execute", layer="pql") as span:
             plan = self.plan(text)
-            if self._check if check is None else check:
-                vocabulary = self.vocabulary()      # refreshes epoch
-                if plan.checked_epoch != self._vocab_epoch:
-                    with self.obs.span("pql.check", layer="pql"):
-                        from repro.lint.pqlcheck import (check_query,
-                                                         raise_on_errors)
-                        raise_on_errors(check_query(plan.query, vocabulary))
-                    plan.checked_epoch = self._vocab_epoch
-                else:
-                    self.obs.inc("pql", "check_cache_hits")
-            with self.obs.span("pql.eval", layer="pql"):
-                if use_opt:
-                    evaluator.plan_log = log = []
-                    try:
-                        rows = evaluator.execute(plan.query)
-                    finally:
-                        evaluator.plan_log = None
-                    plan.binding_plans = log
-                else:
-                    rows = evaluator.execute(plan.query)
+            try:
+                rows = self._run(plan, evaluator, use_opt, checking)
+            except PQLError:
+                if plan.source == text:
+                    raise
+                # The cached AST carries another text's positions:
+                # fail again from this one's.
+                plan = self._compile(text, plan.shape)
+                rows = self._run(plan, evaluator, use_opt, checking)
             span.tag("rows", len(rows))
         self.obs.inc("pql", "queries_executed")
         self.obs.inc("pql", "rows_returned", len(rows))
@@ -299,16 +365,41 @@ class QueryEngine:
         if self.obs.journal.enabled:
             # The plan repr is only worth rendering when the journal
             # can actually record it.
-            self.obs.slow_query(plan.text, elapsed,
+            self.obs.slow_query(text, elapsed,
                                 cache_hit=self._last_plan_cache_hit,
-                                rows=len(rows), plan=repr(plan.query))
+                                rows=len(rows), plan=repr(plan.query),
+                                shape=plan.shape)
         return rows
+
+    def _run(self, plan: CompiledPlan, evaluator: Evaluator,
+             use_opt: bool, check: bool) -> list:
+        """Check (once per shape and vocabulary epoch) and evaluate."""
+        if check:
+            vocabulary = self.vocabulary()          # refreshes epoch
+            if plan.checked_epoch != self._vocab_epoch:
+                with self.obs.span("pql.check", layer="pql"):
+                    from repro.lint.pqlcheck import (check_query,
+                                                     raise_on_errors)
+                    raise_on_errors(check_query(plan.query, vocabulary))
+                plan.checked_epoch = self._vocab_epoch
+            else:
+                self.obs.inc("pql", "check_cache_hits")
+        with self.obs.span("pql.eval", layer="pql"):
+            if not use_opt:
+                return evaluator.execute(plan.query)
+            evaluator.plan_log = log = []
+            try:
+                rows = evaluator.execute(plan.query)
+            finally:
+                evaluator.plan_log = None
+            plan.binding_plans = log
+            return rows
 
     def explain(self, text: str, check: bool | None = None) -> dict:
         """Run a query and report the planner's access-path choices.
 
-        Returns ``{"query", "rows", "optimize", "bindings"}`` where
-        each binding entry carries the chosen access path (index /
+        Returns ``{"query", "shape", "rows", "optimize", "bindings"}``
+        where each binding entry carries the chosen access path (index /
         scan / traversal), its detail, and estimated vs actual rows.
         EXPLAIN *executes* -- actual row counts are measured, not
         guessed -- and journals a ``pql.plan_explain`` event.
@@ -319,12 +410,13 @@ class QueryEngine:
                     for binding in (plan.binding_plans or [])]
         report = {
             "query": plan.text,
+            "shape": plan.shape,
             "rows": len(rows),
             "optimize": self._optimize,
             "bindings": bindings,
         }
         self.obs.event("pql.plan_explain", layer="pql", always=True,
-                       query=plan.text, rows=len(rows),
+                       query=plan.text, shape=plan.shape, rows=len(rows),
                        accesses=",".join(binding["access"]
                                          for binding in bindings))
         return report

@@ -115,15 +115,28 @@ class Evaluator:
         rows: list = []
         if query.limit == 0:
             return rows
+        # ``select V``: the row is the bound node itself.
+        bare = None
+        if len(query.select) == 1:
+            expr = query.select[0].expr
+            if isinstance(expr, ast.PathValue) and not expr.path.steps:
+                bare = expr.path.root
         seen: set = set()
         keyed: list[tuple] = []
         for env in envs:
             sort_key = (self._order_key(query.order, env)
                         if query.order is not None else None)
-            cells = [self._select_values(item.expr, env)
-                     for item in query.select]
-            for row in _cartesian(cells):
-                value = row[0] if len(row) == 1 else tuple(row)
+            if bare is not None:
+                if bare not in env:
+                    raise PQLNameError(f"unbound variable {bare!r}",
+                                       *_pos(expr.path))
+                values = (env[bare],)
+            else:
+                values = [row[0] if len(row) == 1 else row
+                          for row in _cartesian(
+                              [self._select_values(item.expr, env)
+                               for item in query.select])]
+            for value in values:
                 key = _dedup_key(value)
                 if query.distinct and key in seen:
                     continue

@@ -1,14 +1,20 @@
 """PQL lexer.
 
-Produces a stream of :class:`Token` with line/column positions so parse
-errors point at the offending character.  Keywords are case-insensitive
-(``SELECT`` / ``select``); identifiers are case-sensitive.
+One compiled master pattern (:data:`_TOKEN`) defines every token, and
+two readers share it: :func:`tokenize` produces the :class:`Token`
+stream the parser consumes, with line/column positions so parse errors
+point at the offending character, and :func:`parameterize` reduces a
+query to its *shape* -- the same token stream with each string and
+number literal in expression position lifted out into a parameter
+tuple -- which is the key of the engine's plan cache.  Keywords are
+case-insensitive (``SELECT`` / ``select``); identifiers are
+case-sensitive.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.core.errors import PQLSyntaxError
 
@@ -18,9 +24,23 @@ KEYWORDS = frozenset({
     "order", "by", "asc", "desc",
 })
 
-#: Multi-character operators, longest first.
-_TWO_CHAR = ("<=", ">=", "!=", "==")
-_ONE_CHAR = ".*+?(){}|,<>=^-/%[]"
+#: Blanks and ``#`` comments, then one token.  Some alternative always
+#: matches (``bad`` takes any other character, ``\Z`` the end), so a
+#: scan covers the text without gaps.  The alternatives start on
+#: disjoint characters; they are ordered by how often queries use them,
+#: and :func:`parameterize` unpacks the groups in this order.
+_TOKEN = re.compile(r"""
+    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    (?:(?P<word>[^\W\d]\w*)
+      |(?P<op>[<>!=]=|[.*+?(){}|,<>=^\-/%\[\]])
+      |(?P<string>"[^"\\\n]*(?:\\.[^"\\\n]*)*"|'[^'\\\n]*(?:\\.[^'\\\n]*)*')
+      |(?P<number>\d+(?:\.\d+)?)
+      |(?P<bad>.)
+      |\Z)
+""", re.VERBOSE | re.DOTALL)
+
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
 @dataclass(frozen=True)
@@ -42,93 +62,82 @@ class Token:
         return "end of query" if self.kind == "eof" else repr(self.text)
 
 
+def _unquote(raw: str) -> str:
+    """The value of a quoted string token."""
+    body = raw[1:-1]
+    if "\\" not in body:
+        return body
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), body)
+
+
+def number_value(text: str):
+    """The value of a number token."""
+    return float(text) if "." in text else int(text)
+
+
 def tokenize(text: str) -> list[Token]:
     """Lex a whole query; always ends with one 'eof' token."""
-    return list(_tokens(text))
-
-
-def _tokens(text: str) -> Iterator[Token]:
-    line, column = 1, 0
-    index = 0
-    length = len(text)
-    while index < length:
-        char = text[index]
-        if char == "\n":
-            line += 1
-            column = 0
-            index += 1
-            continue
-        if char in " \t\r":
-            index += 1
-            column += 1
-            continue
-        if char == "#":                      # comment to end of line
-            while index < length and text[index] != "\n":
-                index += 1
-            continue
-        start_col = column
-        if char == '"' or char == "'":
-            value, consumed = _lex_string(text, index, line, start_col)
-            yield Token("string", value, line, start_col)
-            index += consumed
-            column += consumed
-            continue
-        if char.isdigit():
-            end = index
-            seen_dot = False
-            while end < length and (text[end].isdigit()
-                                    or (text[end] == "." and not seen_dot
-                                        and end + 1 < length
-                                        and text[end + 1].isdigit())):
-                if text[end] == ".":
-                    seen_dot = True
-                end += 1
-            yield Token("number", text[index:end], line, start_col)
-            column += end - index
-            index = end
-            continue
-        if char.isalpha() or char == "_":
-            end = index
-            while end < length and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            word = text[index:end]
-            kind = "keyword" if word.lower() in KEYWORDS else "ident"
-            yield Token(kind, word.lower() if kind == "keyword" else word,
-                        line, start_col)
-            column += end - index
-            index = end
-            continue
-        two = text[index:index + 2]
-        if two in _TWO_CHAR:
-            yield Token("op", "=" if two == "==" else two, line, start_col)
-            index += 2
-            column += 2
-            continue
-        if char in _ONE_CHAR:
-            yield Token("op", char, line, start_col)
-            index += 1
-            column += 1
-            continue
-        raise PQLSyntaxError(f"unexpected character {char!r}", line, start_col)
-    yield Token("eof", "", line, column)
-
-
-def _lex_string(text: str, index: int, line: int,
-                column: int) -> tuple[str, int]:
-    quote = text[index]
-    out: list[str] = []
-    pos = index + 1
-    while pos < len(text):
-        char = text[pos]
-        if char == "\\" and pos + 1 < len(text):
-            escape = text[pos + 1]
-            out.append({"n": "\n", "t": "\t"}.get(escape, escape))
-            pos += 2
-            continue
-        if char == quote:
-            return "".join(out), pos + 1 - index
-        if char == "\n":
+    tokens: list[Token] = []
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        start = match.start(kind) if kind else match.end()
+        newlines = text.count("\n", match.start(), start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", match.start(), start) + 1
+        column = start - line_start
+        if kind is None:
+            tokens.append(Token("eof", "", line, column))
             break
-        out.append(char)
-        pos += 1
-    raise PQLSyntaxError("unterminated string literal", line, column)
+        value = match[kind]
+        if kind == "bad":
+            raise PQLSyntaxError(
+                "unterminated string literal" if value in "\"'"
+                else f"unexpected character {value!r}", line, column)
+        if kind == "string":
+            value = _unquote(value)
+        elif kind == "word":
+            lowered = value.lower()
+            kind = "ident"
+            if lowered in KEYWORDS:
+                kind, value = "keyword", lowered
+        elif value == "==":
+            value = "="
+        tokens.append(Token(kind, value, line, column))
+    return tokens
+
+
+def parameterize(text: str) -> tuple[str, tuple]:
+    """``(shape, params)`` of a query: its canonical token stream with
+    every string and number literal in expression position replaced by
+    a placeholder typed by category (``?s`` / ``?n``, which no token
+    spells), and those literals' values in token order.
+
+    Quantifier bounds (``{m,n}``) and ``limit N`` are structure, not
+    values, and stay in the shape, as do ``true``/``false``.  Two texts
+    share a shape exactly when :func:`tokenize` yields the same kinds
+    everywhere and the same texts everywhere but at lifted literals.
+    """
+    shape: list[str] = []
+    params: list = []
+    for word, op, string, number, bad in _TOKEN.findall(text):
+        if word:
+            lowered = word.lower()
+            shape.append(lowered if lowered in KEYWORDS else word)
+        elif op:
+            shape.append("=" if op == "==" else op)
+        elif string:
+            shape.append("?s")
+            params.append(_unquote(string))
+        elif number:
+            before = shape[-1] if shape else ""
+            if (before == "{" or before == "limit"
+                    or before == "," and shape[-3:-2] == ["{"]):
+                shape.append(number)
+            else:
+                shape.append("?n")
+                params.append(number_value(number))
+        elif bad:
+            tokenize(text)              # raises the positioned error
+    return " ".join(shape), tuple(params)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from repro.core.errors import PQLSyntaxError
 from repro.pql import ast
-from repro.pql.lexer import Token, tokenize
+from repro.pql.lexer import Token, number_value, tokenize
 
 #: Comparison operator token texts.
 _CMP_OPS = frozenset({"=", "!=", "<", "<=", ">", ">="})
@@ -310,8 +310,7 @@ class _Parser:
             return ast.Literal(token.text)
         if token.kind == "number":
             self._advance()
-            value = float(token.text) if "." in token.text else int(token.text)
-            return ast.Literal(value)
+            return ast.Literal(number_value(token.text))
         if token.is_keyword("true"):
             self._advance()
             return ast.Literal(True)

@@ -128,6 +128,19 @@ class TestGroupCommitAndPlanCompileEvents:
         events = system.journal_events("pql.plan_compile")
         assert len(events) == 1
         assert events[0]["query"] == text
+        assert events[0]["shape"] == "select F from Provenance . file as F"
+
+    def test_plan_compile_event_once_per_shape(self):
+        system = System.boot(journal=True)
+        write_files(system)
+        system.sync()
+        texts = [f'select F from Provenance.file as F where F.name = "{name}"'
+                 for name in ("/pass/a", "/pass/b", "/pass/c")]
+        for text in texts:
+            system.query(text)
+        event, = system.journal_events("pql.plan_compile")
+        assert event["query"] == texts[0]
+        assert "?s" in event["shape"] and "/pass/a" not in event["shape"]
 
     def test_slow_query_log_records_cache_status(self):
         system = System.boot(journal=True)

@@ -225,12 +225,92 @@ class TestLiveEngine:
         assert engine.execute(query)
 
 
+FILE_WHERE = "select F from Provenance.file as F where "
+
+
+def cache_engine(obs=None):
+    from repro.obs import NULL_OBS
+    return QueryEngine(OEMGraph.build([
+        R(1, 0, Attr.TYPE, ObjType.FILE), R(1, 0, Attr.NAME, "a  b"),
+        R(2, 0, Attr.TYPE, ObjType.FILE), R(2, 0, Attr.NAME, "a b"),
+        R(3, 0, Attr.TYPE, ObjType.FILE), R(3, 0, Attr.NAME, "it's"),
+        R(3, 0, Attr.TIME, 7),
+    ]), obs=obs or NULL_OBS)
+
+
 class TestPlanCache:
     def test_plan_cache_normalizes_whitespace(self):
         engine = QueryEngine.from_records([])
         a = engine.plan("select F from Provenance.file as F")
         b = engine.plan("select  F\n from   Provenance.file as F")
         assert a is b
+        assert b.text == "select  F\n from   Provenance.file as F"
+
+    def test_one_shape_for_every_spelling(self):
+        engine = cache_engine()
+        spellings = [
+            FILE_WHERE + 'F.name = "x"',
+            FILE_WHERE + "F.name = 'x'",
+            FILE_WHERE + "F.name == 'a much longer literal'",
+            'SELECT F From Provenance.file AS F WHERE F.name = "x\\"y"',
+            'select F # every file\nfrom Provenance.file as F '
+            '# by name\nwhere F.name="it\'s"',
+        ]
+        shapes = {engine.plan(text).shape for text in spellings}
+        assert shapes == {"select F from Provenance . file as F "
+                          "where F . name = ?s"}
+        assert len(engine._plans) == 1
+        assert engine.plan(spellings[3]).query.where.right.value == 'x"y'
+        assert engine.execute_refs(spellings[4]) == [ObjectRef(3, 0)]
+
+    def test_structure_is_part_of_the_shape(self):
+        engine = cache_engine()
+        base = engine.plan(FILE_WHERE + "F.time = 7").shape
+        for other in (FILE_WHERE + 'F.time = "7"',      # literal type
+                      FILE_WHERE + "F.time = -7",       # unary minus
+                      FILE_WHERE + "F.Time = 7",        # identifier case
+                      FILE_WHERE + "F.time = 7 limit 1",
+                      FILE_WHERE + "F.time = 7 limit 2",
+                      FILE_WHERE + "F.time = 7 and true",
+                      FILE_WHERE + "F.time = 7 and false"):
+            assert engine.plan(other).shape != base, other
+        one = "select A from Provenance.file as F, F.input{1,2} as A"
+        assert (engine.plan(one).shape
+                != engine.plan(one.replace("{1,2}", "{1,3}")).shape)
+        assert engine.plan(FILE_WHERE + "F.time = 8.5").shape == base
+        assert engine.plan(one + " limit 1").query.limit == 1
+        assert engine.plan(one + " limit 2").query.limit == 2
+
+    def test_spaces_inside_a_string_literal_are_kept(self):
+        # The text-keyed cache collapsed them and answered the second
+        # query with the first one's literal.
+        engine = cache_engine()
+        assert engine.execute_refs(
+            FILE_WHERE + 'F.name = "a  b"') == [ObjectRef(1, 0)]
+        assert engine.execute_refs(
+            FILE_WHERE + 'F.name = "a b"') == [ObjectRef(2, 0)]
+
+    def test_comment_ends_at_its_newline(self):
+        # Folding the newline away commented the WHERE clause out (or,
+        # cached the other way round, back in).
+        engine = cache_engine()
+        filtered = ('select F from Provenance.file as F # all\n'
+                    ' where F.name = "a b"')
+        unfiltered = filtered.replace("\n", "")
+        assert engine.execute_refs(filtered) == [ObjectRef(2, 0)]
+        assert len(engine.execute_refs(unfiltered)) == 3
+        assert engine.plan(filtered) is not engine.plan(unfiltered)
+
+    def test_repeat_of_a_text_shares_the_bound_query(self):
+        engine = cache_engine()
+        first, second = (FILE_WHERE + 'F.name = "a b"',
+                         FILE_WHERE + 'F.name = "it\'s"')
+        bound = engine.parse(first)
+        assert engine.parse(first) is bound
+        other = engine.parse(second)
+        assert other is not bound and other != bound
+        assert bound.where.right.value == "a b"      # never mutated
+        assert bound.where.left is other.where.left  # spine only
 
     def test_check_runs_once_per_epoch(self):
         from repro.obs import Observability
@@ -244,6 +324,116 @@ class TestPlanCache:
         assert counters["parses"] == 1
         assert counters["parse_cache_hits"] == 1
         assert counters["check_cache_hits"] == 1
+
+    def test_check_runs_once_per_shape_per_epoch(self):
+        from repro.obs import Observability
+        obs = Observability(metrics_enabled=True)
+        engine = cache_engine(obs)
+        for name in ("a", "b", "c", "d"):
+            engine.execute(FILE_WHERE + f'F.name = "{name}"')
+        counters = obs.stats()["pql"]["counters"]
+        assert (counters["parses"], counters["plan_compiles"]) == (1, 1)
+        assert counters["parse_cache_hits"] == 3
+        assert counters["check_cache_hits"] == 3
+        engine.graph.apply_batch([R(9, 0, "BRAND_NEW_LABEL", 1)])
+        for name in ("e", "f"):
+            engine.execute(FILE_WHERE + f'F.name = "{name}"')
+        counters = obs.stats()["pql"]["counters"]
+        assert counters["parses"] == 1
+        assert counters["check_cache_hits"] == 4     # re-checked once
+
+    def test_sibling_of_another_type_is_still_flagged(self):
+        # PL110 reads a literal's type category; the placeholder keeps
+        # it, so a str plan's verdict is never lent to a number sibling.
+        from repro.lint.pqlcheck import check_query
+        engine = cache_engine()
+        text, number = FILE_WHERE + 'F.name = "a b"', FILE_WHERE + "F.name = 5"
+        assert engine.execute_refs(text) == [ObjectRef(2, 0)]
+        for sibling in (number, FILE_WHERE + "F.name = 77"):
+            plan = engine.plan(sibling)
+            assert plan.shape != engine.plan(text).shape
+            found = check_query(engine.plan(sibling).query,
+                                engine.vocabulary())
+            assert [d.code for d in found] == ["PL110"]
+            assert [d.code for d in engine.lint(sibling)] == ["PL110"]
+            assert engine.execute(sibling) == []
+        assert not check_query(engine.plan(text).query, engine.vocabulary())
+
+    def test_cache_is_a_bounded_lru(self, monkeypatch):
+        from repro.obs import Observability
+        from repro.pql import engine as engine_module
+        monkeypatch.setattr(engine_module, "PLAN_CACHE_SHAPES", 4)
+        obs = Observability(metrics_enabled=True)
+        engine = cache_engine(obs)
+        texts = [FILE_WHERE + f'F.name = "a b" limit {n}'
+                 for n in range(1, 11)]
+        for text in texts:
+            assert engine.execute_refs(text) == [ObjectRef(2, 0)]
+        assert len(engine._plans) == 4
+        counters = obs.stats()["pql"]["counters"]
+        assert counters["plan_evictions"] == 6
+        assert counters["plan_compiles"] == 10
+        # The oldest shape was evicted: it compiles again and answers.
+        assert engine.execute_refs(texts[0]) == [ObjectRef(2, 0)]
+        assert obs.stats()["pql"]["counters"]["plan_compiles"] == 11
+        # Use keeps a shape: texts[7] is the oldest now; touched, it
+        # outlives texts[8] when one more shape arrives.
+        from repro.pql.lexer import parameterize
+        engine.execute(texts[7])
+        engine.execute(FILE_WHERE + "F.time = 7")
+        assert len(engine._plans) == 4
+        assert parameterize(texts[7])[0] in engine._plans
+        assert parameterize(texts[8])[0] not in engine._plans
+
+
+class TestPlanCacheObservability:
+    FIRST = FILE_WHERE + 'F.name = "a b"'
+    SECOND = FILE_WHERE + "F.name = 'it\\'s'"
+    SHAPE = "select F from Provenance . file as F where F . name = ?s"
+
+    def test_journal_and_explain_show_the_callers_literals(self):
+        from repro.obs import Observability
+        obs = Observability(journal_enabled=True)
+        obs.journal.slow_query_threshold_s = 0.0
+        engine = cache_engine(obs)
+        engine.execute(self.FIRST)
+        report = engine.explain(self.SECOND)
+        assert report["query"] == self.SECOND
+        assert report["shape"] == self.SHAPE
+        assert report["rows"] == 1
+        compiles = obs.journal.events("pql.plan_compile")
+        assert [(e["query"], e["shape"]) for e in compiles] == [
+            (self.FIRST, self.SHAPE)]
+        slow = obs.journal.slow_queries()
+        assert [e["query"] for e in slow] == [self.FIRST, self.SECOND]
+        assert [e["cache_hit"] for e in slow] == [False, True]
+        assert {e["shape"] for e in slow} == {self.SHAPE}
+        assert "'a b'" in slow[0]["plan"] and "it's" in slow[1]["plan"]
+        explained, = obs.journal.events("pql.plan_explain")
+        assert explained["query"] == self.SECOND
+        assert explained["shape"] == self.SHAPE
+
+    def test_check_error_is_positioned_in_the_callers_text(self):
+        from repro.core.errors import PQLNameError
+        engine = cache_engine()
+        for literal in ("x", "a much longer literal", "y"):
+            text = FILE_WHERE + f'F.name = "{literal}" and F.nmae = 1'
+            with pytest.raises(PQLNameError, match="PL101") as exc:
+                engine.execute(text)
+            assert (exc.value.line, exc.value.column) == (
+                1, text.index("nmae"))
+        assert len(engine._plans) == 1
+
+    def test_evaluation_error_is_positioned_in_the_callers_text(self):
+        from repro.core.errors import PQLNameError
+        engine = cache_engine()
+        for literal in ("x", "a much longer literal", "y"):
+            text = (f'select F from Provenance.file as F\n where '
+                    f'F.name != "{literal}" and frob(F.name) = "{literal}"')
+            with pytest.raises(PQLNameError, match="frob") as exc:
+                engine.execute(text, check=False)
+            assert (exc.value.line, exc.value.column) == (
+                2, text.split("\n")[1].index("frob"))
 
 
 class TestEngine:

@@ -276,3 +276,49 @@ class TestSelectShapes:
         refs = engine.execute_refs(
             'select F from Provenance.file as F where F.name = "/data/mid.dat"')
         assert refs == [ObjectRef(MID, 0)]
+
+
+class TestBareVariableProjection:
+    """``select V``: the row is the bound node, taken without the
+    generic value-set machinery."""
+
+    FILES = "select F from Provenance.file as F"
+
+    def test_rows_are_the_bound_nodes_in_binding_order(self, engine):
+        rows = engine.execute(self.FILES)
+        assert all(isinstance(row, OEMNode) for row in rows)
+        assert rows == engine.execute(self.FILES, optimize=False)
+        assert rows == [row for row, _ in engine.execute(
+            "select F, F.name from Provenance.file as F")]
+
+    def test_limit(self, engine):
+        rows = engine.execute(self.FILES)
+        assert len(rows) == 4
+        assert engine.execute(self.FILES + " limit 0", check=False) == []
+        assert engine.execute(self.FILES + " limit 2") == rows[:2]
+        assert engine.execute(self.FILES + " limit 9") == rows
+
+    def test_distinct_and_order(self, engine):
+        rows = engine.execute(
+            "select A from Provenance.file as F, F.input* as A")
+        assert len(rows) == len({row.ref for row in rows}) == 6
+        ordered = engine.execute(self.FILES + " order by F.name desc limit 2")
+        assert [row.name for row in ordered] == ["/data/raw2.dat",
+                                                 "/data/raw.dat"]
+
+    def test_unbound_variable_raises_positioned(self, engine):
+        text = "select  G from Provenance.file as F"
+        for optimize in (True, False):
+            with pytest.raises(PQLNameError, match="unbound variable 'G'") \
+                    as info:
+                engine.execute(text, check=False, optimize=optimize)
+            assert (info.value.line, info.value.column) == (1, 8)
+        # No tuple, no evaluation: an empty join raises nothing.
+        assert engine.execute("select G from Provenance.martian as F",
+                              check=False) == []
+
+    def test_subquery_projects_the_outer_variable(self, engine):
+        rows = engine.execute(
+            "select P.name from Provenance.process as P where P in "
+            "(select A from Provenance.file as F, F.input as A)")
+        assert set(rows) == {"align", "convert"}

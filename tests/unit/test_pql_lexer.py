@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import PQLSyntaxError
-from repro.pql.lexer import tokenize
+from repro.pql.lexer import parameterize, tokenize
 
 
 def kinds(text):
@@ -69,3 +69,57 @@ class TestBasics:
         assert tokens[0].line == 1
         assert tokens[1].line == 2
         assert tokens[1].column == 2
+
+    def test_positions_survive_comments_tabs_and_escapes(self):
+        tokens = tokenize('a\t# x "y\n\r "p\\\nq" b')
+        assert [(t.text, t.line, t.column) for t in tokens] == [
+            ("a", 1, 0), ("p\nq", 2, 2), ("b", 2, 9), ("", 2, 10)]
+        # End of query is the end of the text, trailing comment included.
+        assert tokenize("a # gone")[-1].column == 8
+
+    def test_unterminated_string_points_at_its_quote(self):
+        for text in ('a = "oops', "a = 'oops\n'", 'a = "x\\'):
+            with pytest.raises(PQLSyntaxError,
+                               match="unterminated string") as info:
+                tokenize(text)
+            assert (info.value.line, info.value.column) == (1, 4)
+
+
+class TestParameterize:
+    def test_literals_lifted_in_token_order(self):
+        shape, params = parameterize(
+            'select F from P.file as F where F.name = "a\\"b" '
+            "and F.time >= 3 and F.size < 4.5 or F.name like 'x%'")
+        assert shape == ("select F from P . file as F where F . name = ?s "
+                         "and F . time >= ?n and F . size < ?n "
+                         "or F . name like ?s")
+        assert params == ('a"b', 3, 4.5, "x%")
+        assert [type(p) for p in params] == [str, int, float, str]
+
+    def test_quantifier_bounds_and_limit_stay(self):
+        shape, params = parameterize(
+            "select A from F.input{1,3} as A, A.input{2} as B, "
+            "B.input{4,} as C where f(1, 2) = 3 limit 5")
+        assert params == (1, 2, 3)
+        assert "{ 1 , 3 }" in shape and "{ 2 }" in shape
+        assert "{ 4 , }" in shape and shape.endswith("limit 5")
+        assert "f ( ?n , ?n ) = ?n" in shape
+
+    def test_keywords_fold_identifiers_do_not(self):
+        assert (parameterize("SELECT x FROM y AS x WHERE TRUE")[0]
+                == "select x from y as x where true")
+        assert (parameterize("select X from y as X")[0]
+                != parameterize("select x from y as x")[0])
+
+    def test_placeholder_lookalikes_are_not_placeholders(self):
+        # '?' is an operator and 's' an identifier: two tokens.
+        assert parameterize("a.b? s")[0] == "a . b ? s"
+        assert parameterize('a.b = "?s"') == ("a . b = ?s", ("?s",))
+
+    def test_bad_input_raises_the_lexers_error(self):
+        for text in ('a = "oops', "a\n  @"):
+            with pytest.raises(PQLSyntaxError) as expected:
+                tokenize(text)
+            with pytest.raises(PQLSyntaxError) as got:
+                parameterize(text)
+            assert str(got.value) == str(expected.value)

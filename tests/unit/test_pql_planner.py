@@ -639,6 +639,10 @@ class TestCLIExplain:
         out = capsys.readouterr().out
         assert "equality_index" in out
         assert "est=1 actual=1 kept=1" in out
+        assert 'query: select F from Provenance.file as F where ' \
+            'F.md5 = "aaa"\n' in out
+        assert "shape: select F from Provenance . file as F where " \
+            "F . md5 = ?s\n" in out
 
     def test_range_text_shows_inclusivity(self, db_path, capsys):
         assert main(["query", "--db", db_path, "--explain",
@@ -655,6 +659,8 @@ class TestCLIExplain:
         report = json.loads(capsys.readouterr().out)
         assert report["bindings"][0]["access"] == "member_scan"
         assert report["bindings"][0]["kept_rows"] == 2
+        assert report["query"] == "select F from Provenance.file as F"
+        assert report["shape"] == "select F from Provenance . file as F"
 
     def test_plain_query_still_prints_rows(self, db_path, capsys):
         assert main(["query", "--db", db_path,
