@@ -3,15 +3,13 @@
 One results file holds every benchmark's payload::
 
     {"schema": "repro-bench-suite/1",
-     "suites": {"ingest": {...},            # repro-bench-ingest/1
+     "suites": {"ingest_sharded": {...},     # repro-bench-ingest-sharded/1
                 "incremental_query": {...},  # repro-bench-incremental/1
                 "workloads": {...}}}         # repro-bench/1
 
-:func:`merge_results` upgrades a legacy single-payload file (the
-pre-suite format, one benchmark's payload at top level) in place, filing
-the old payload under the suite name its schema implies, so running the
-benchmarks in any order converges on the same document.  ``repro bench``
-and each benchmark's ``--out`` all go through here.
+``repro bench`` and each benchmark's ``--out`` all go through
+:func:`merge_results`, so running the benchmarks in any order converges
+on the same document.
 """
 
 from __future__ import annotations
@@ -19,31 +17,15 @@ from __future__ import annotations
 import json
 import os
 
-#: Payload schema prefix -> suite name in the merged document.
-SUITE_NAMES = {
-    "repro-bench-ingest": "ingest",
-    "repro-bench-incremental": "incremental_query",
-    "repro-bench-obs": "obs_overhead",
-    "repro-bench-pql": "pql_perf",
-    "repro-bench": "workloads",
-}
-
 SUITE_SCHEMA = "repro-bench-suite/1"
-
-
-def suite_name_for(schema: object) -> str | None:
-    """Suite key a payload files under, from its ``schema`` field."""
-    if not isinstance(schema, str):
-        return None
-    return SUITE_NAMES.get(schema.partition("/")[0])
 
 
 def merge_results(path: str, name: str, payload: dict) -> dict:
     """Merge one benchmark payload into the results file at ``path``.
 
-    Existing suite entries under other names survive; a legacy
-    single-payload file is wrapped into the suite document first.
-    Returns the merged document (also written to ``path``).
+    Existing suite entries under other names survive; a file that is
+    not a suite document is replaced by a fresh one.  Returns the
+    merged document (also written to ``path``).
     """
     document: dict = {}
     if os.path.exists(path):
@@ -54,12 +36,7 @@ def merge_results(path: str, name: str, payload: dict) -> dict:
             document = {}
     if not (isinstance(document, dict)
             and isinstance(document.get("suites"), dict)):
-        legacy = document if isinstance(document, dict) else None
-        document = {"schema": SUITE_SCHEMA, "suites": {}}
-        if legacy:
-            legacy_name = suite_name_for(legacy.get("schema"))
-            if legacy_name is not None:
-                document["suites"][legacy_name] = legacy
+        document = {"suites": {}}
     document["schema"] = SUITE_SCHEMA
     document["suites"][name] = payload
     with open(path, "w", encoding="utf-8") as handle:

@@ -41,7 +41,7 @@ def test_figure2_component_pipeline(benchmark):
     system = benchmark.pedantic(drive, rounds=1, iterations=1)
     kernel = system.kernel
     lasagna = kernel.volume("pass").lasagna
-    waldo = system.waldos["pass"]
+    waldo = system.tier.waldo("pass")
 
     components = [
         ("libpass", "DPAPI calls entered user-level library",

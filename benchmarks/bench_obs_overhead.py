@@ -19,7 +19,7 @@ Three arms run the same write-heavy batched-ingest workload:
 
 Each repeat runs the three arms back to back so a pair's elapsed ratio
 cancels clock/cache drift; the *median* pair ratio is the headline
-number (same estimator as ``bench_ingest``).
+number.
 
 Run directly (CI does; no pytest plugins needed)::
 
@@ -66,7 +66,7 @@ def run_arm(config: BootConfig, rounds: int, files: int) -> dict:
     """The workload on one arm: chunked writes, sync, queries."""
     system = System.boot(config=config)
     # Collector-free timing, one explicit collection outside the timed
-    # region (see bench_ingest.run_arm for the rationale).
+    # region (see bench_ingest.run_shard_arm for the rationale).
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -54,7 +54,7 @@ def test_perf_read_syscall_with_provenance(benchmark):
 def test_perf_analyzer_throughput(benchmark):
     """Records per second through dedup + cycle avoidance."""
     sink = []
-    analyzer = Analyzer(emit=sink.append)
+    analyzer = Analyzer(emit=sink.append, emit_batch=sink.extend)
 
     class Obj:
         __slots__ = ("pnode", "version")

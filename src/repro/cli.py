@@ -466,7 +466,6 @@ def cmd_health(args: argparse.Namespace) -> int:
         max_dropped_spans=args.max_dropped_spans,
         max_query_p50_s=args.max_p50,
         max_query_p99_s=args.max_p99,
-        min_ingest_speedup=args.min_ingest_speedup,
         min_pql_speedup=args.min_pql_speedup,
     )
     system = SCENARIOS[args.scenario](tracing=True, journal=True)
@@ -503,8 +502,6 @@ BENCH_SCHEMA = "repro-bench/1"
 #: are merged into the suite document by
 #: ``benchmarks._bench_io.merge_results``.
 BENCH_SUITES = {
-    "ingest": ("bench_ingest",
-               {}, {"rounds": 2, "files": 24, "repeats": 1}),
     "ingest_sharded": ("bench_ingest:run_sharded",
                        {}, {"rounds": 2, "files": 24}),
     "incremental_query": ("bench_incremental_query",
@@ -922,10 +919,6 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="N",
                         help="span ring drops allowed "
                              "(default %(default)s)")
-    health.add_argument("--min-ingest-speedup", type=float, default=2.0,
-                        metavar="X",
-                        help="batched-ingest speedup floor, checked "
-                             "against --bench (default %(default)s)")
     health.add_argument("--min-pql-speedup", type=float, default=5.0,
                         metavar="X",
                         help="query-planner speedup floor (pql_perf "

@@ -65,21 +65,22 @@ Freezable = object
 class Analyzer:
     """Stream processor: proto-records in, finalized records out.
 
-    ``emit`` receives each admitted :class:`ProvenanceRecord` in order;
-    the distributor is the normal consumer.  ``on_freeze`` (optional) is
-    told about analyzer-initiated freezes so storage layers can version
-    data structures.
+    ``emit`` receives each record admitted one at a time (:meth:`submit`,
+    a :meth:`freeze` outside a batch) and ``emit_batch`` each
+    :meth:`submit_batch` group as one :class:`RecordBatch`, both in
+    admission order; the distributor's ``dispatch`` / ``flush_batch``
+    are the normal consumers.  ``on_freeze`` (optional) is told about
+    analyzer-initiated freezes so storage layers can version data
+    structures.
     """
 
     #: Capacity of the hot-triple duplicate cache (see submit_batch).
     HOT_TRIPLES = 4096
 
     def __init__(self, emit: Callable[[ProvenanceRecord], None],
-                 clock=None, record_cost: float = 0.0,
-                 emit_batch: Optional[Callable[[RecordBatch], None]] = None):
+                 emit_batch: Callable[[RecordBatch], None],
+                 clock=None, record_cost: float = 0.0):
         self._emit = emit
-        #: Batch sink (distributor.flush_batch); when None, batches
-        #: degrade to per-record emits through ``emit``.
         self._emit_batch = emit_batch
         self._clock = clock
         self._record_cost = record_cost
@@ -171,10 +172,11 @@ class Analyzer:
     def submit_batch(self, protos) -> int:
         """Admit a sequence in one vectorized pass; returns emitted count.
 
-        Semantically identical to calling :meth:`submit` per item (the
-        batched-vs-unbatched property test holds the two paths to the
-        same database contents), but the per-record constants are
-        amortized:
+        Admits the same stream as calling :meth:`submit` per item
+        (:meth:`submit` is the reference ``tests/unit/test_batch_paths``
+        and ``tests/properties/test_analyzer_props`` hold this method
+        to: same records, same order, same counters), but the
+        per-record constants are amortized:
 
         * one clock advance for the whole batch;
         * duplicate elimination runs *before* record construction --
@@ -192,7 +194,7 @@ class Analyzer:
         * admitted records leave as one :class:`RecordBatch` through
           ``emit_batch`` (freeze-emitted PREV_VERSION records are
           spliced into the batch at their admission position, so record
-          order matches the per-record path exactly).
+          order is exactly :meth:`submit`'s).
         """
         if not isinstance(protos, (list, tuple)):
             protos = list(protos)
@@ -220,8 +222,8 @@ class Analyzer:
             for proto in protos:
                 if proto.__class__ is not ProtoRecord and isinstance(
                         proto, ProvenanceRecord):
-                    # Already finalized (e.g. the NFS wire): the legacy
-                    # admission path, collected via _batch_out.
+                    # Already finalized (e.g. the NFS wire): admitted
+                    # as :meth:`submit` would, collected via _batch_out.
                     self._admit(proto.subject, proto.attr, proto.value)
                     continue
                 subject = proto.subject
@@ -293,12 +295,7 @@ class Analyzer:
             self.records_out += emitted
             self.duplicates_dropped += dropped
         if out:
-            if self._emit_batch is not None:
-                self._emit_batch(RecordBatch(out))
-            else:
-                emit = self._emit
-                for record in out:
-                    emit(record)
+            self._emit_batch(RecordBatch(out))
         return len(out)
 
     def _admit(self, subject_ref: ObjectRef, attr: str, value: Value) -> None:

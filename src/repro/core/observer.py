@@ -34,15 +34,10 @@ class Observer:
     """Translates events into records and routes data through the DPAPI."""
 
     def __init__(self, kernel: "Kernel", analyzer: Analyzer,
-                 distributor: Distributor, batching: bool = True):
+                 distributor: Distributor):
         self.kernel = kernel
         self.analyzer = analyzer
         self.distributor = distributor
-        #: Batched ingest: each event's proto-records travel downstream
-        #: as one ``Analyzer.submit_batch`` call instead of one submit
-        #: per record.  Off = the per-record legacy path (the benchmark
-        #: baseline and the unbatched arm of the equivalence tests).
-        self.batching = batching
         self._transient = PnodeAllocator(TRANSIENT_VOLUME)
         #: pnodes whose identity (NAME/TYPE) records were already emitted.
         self._identified: set[int] = set()
@@ -52,7 +47,7 @@ class Observer:
         #: *different* process starts a new version, so independent
         #: producing runs never merge their ancestry into one version.
         self._last_writer: dict[int, int] = {}
-        # Statistics (all submissions funnel through _submit).
+        # Statistics (all submissions funnel through _flush_event).
         self.records_emitted = 0
         self.disclosed_count = 0
 
@@ -68,28 +63,15 @@ class Observer:
             "transient_pnodes": self._transient.high_water - 1,
         }
 
-    def _submit(self, proto: ProtoRecord) -> None:
-        """Emit one proto-record downstream (the observer's choke point,
-        so record emission is countable per layer)."""
-        self.records_emitted += 1
-        self.analyzer.submit(proto)
-
     def _flush_event(self, protos: list) -> None:
-        """Emit one event's worth of proto-records downstream.
-
-        With batching on, the whole event becomes one
-        ``Analyzer.submit_batch`` call; otherwise each proto takes the
-        per-record path.  Admission order is the list order either way.
-        """
+        """Emit one event's worth of proto-records downstream as one
+        ``Analyzer.submit_batch`` call (the observer's choke point, so
+        record emission is countable per layer).  Admission order is
+        the list order."""
         if not protos:
             return
         self.records_emitted += len(protos)
-        if self.batching:
-            self.analyzer.submit_batch(protos)
-        else:
-            submit = self.analyzer.submit
-            for proto in protos:
-                submit(proto)
+        self.analyzer.submit_batch(protos)
 
     def submit_protos(self, protos) -> None:
         """Public batch entry: emit caller-built proto-records as one
@@ -233,8 +215,9 @@ class Observer:
         self._identify_process(proc, protos)
         if self._writer_changed(inode, proc.pnode):
             # The freeze record must land between the identity records
-            # and the INPUT edge, exactly as on the per-record path: the
-            # identity batch goes first, then the freeze, then the edge.
+            # and the INPUT edge, and a freeze outside a batch leaves by
+            # the ordered route: the identity batch goes first, then the
+            # freeze, then the edge.
             self._flush_event(protos)
             protos = []
             self.analyzer.freeze(inode)
@@ -247,12 +230,6 @@ class Observer:
         """True when a different process starts writing this file."""
         previous = self._last_writer.get(inode.pnode)
         return previous is not None and previous != writer_pnode
-
-    def _note_writer(self, inode: Inode, writer_pnode: int) -> None:
-        """Freeze a file that a new process starts writing."""
-        if self._writer_changed(inode, writer_pnode):
-            self.analyzer.freeze(inode)
-        self._last_writer[inode.pnode] = writer_pnode
 
     def on_mmap(self, proc: Process, inode: Inode, path: Optional[str],
                 readable: bool, writable: bool) -> None:

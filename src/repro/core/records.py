@@ -166,15 +166,16 @@ def _value_key(value: Value) -> tuple:
 
 
 class RecordBatch:
-    """An ordered batch of finalized records on the batched ingest path.
+    """An ordered batch of finalized records the log may group-commit.
 
-    The carrier the batch pipeline (analyzer ``submit_batch`` ->
+    The carrier the ingest pipeline (analyzer ``submit_batch`` ->
     distributor ``flush_batch`` -> Lasagna ``append_provenance`` -> log
-    ``append_batch``) hands between layers.  Unlike :class:`Bundle` it
-    performs no per-item validation: every producer is an internal
-    pipeline stage that only ever holds already-validated
-    :class:`ProvenanceRecord` instances, so re-checking each one would
-    put a per-record cost back on the path batching exists to remove.
+    ``append_batch``) hands between layers; a :class:`Bundle` in the
+    same sink means the caller orders the flush instead.  Unlike
+    :class:`Bundle` it performs no per-item validation: every producer
+    is an internal pipeline stage that only ever holds
+    already-validated :class:`ProvenanceRecord` instances, so
+    re-checking each one would only repeat work per record.
     It iterates and sizes like a Bundle, so sinks accept either.
     """
 

@@ -136,17 +136,18 @@ class Kernel:
 
     # -- provenance wiring ------------------------------------------------------------
 
-    def enable_provenance(self, default_volume: Optional[str] = None,
-                          batching: bool = True) -> None:
+    def enable_provenance(self,
+                          default_volume: Optional[str] = None) -> None:
         """Build the observer/analyzer/distributor pipeline and attach the
         interceptor.  Lasagna must already be attached to PASS volumes
         (the storage layer or :class:`repro.system.System` does that).
 
-        ``batching`` selects the batched ingest path: the observer groups
-        each syscall event into one analyzer batch, the analyzer emits
-        :class:`RecordBatch` carriers through ``flush_batch``, and the
-        log group-commits.  ``False`` forces the per-record legacy path
-        (the benchmark baseline and an ablation arm)."""
+        The observer groups each syscall event into one analyzer batch,
+        the analyzer emits :class:`RecordBatch` carriers through
+        ``flush_batch``, and the log may group-commit them.  Records
+        admitted one at a time (``Analyzer.submit``) leave through
+        ``dispatch`` and wait in the log buffer for the next explicit
+        flush, so their caller decides where the ordering point is."""
         from repro.core.analyzer import Analyzer
         from repro.core.distributor import Distributor
         from repro.core.observer import Observer
@@ -165,10 +166,9 @@ class Kernel:
             emit=self.distributor.dispatch,
             clock=self.clock,
             record_cost=self.params.cpu.provenance_record,
-            emit_batch=self.distributor.flush_batch if batching else None,
+            emit_batch=self.distributor.flush_batch,
         )
-        self.observer = Observer(self, self.analyzer, self.distributor,
-                                 batching=batching)
+        self.observer = Observer(self, self.analyzer, self.distributor)
         self.analyzer.bind_obs(self.obs)
         self.distributor.bind_obs(self.obs)
         self.observer.bind_obs(self.obs)

@@ -81,9 +81,9 @@ PL210 = rule(
     "PL210", ERROR, "query layer pulls from storage",
     "repro.pql must not import repro.storage: the OEM graph *receives* "
     "records -- batch-built from a stream and kept live through "
-    "ProvenanceDatabase.subscribe's push feed -- it never reaches into "
-    "the database to pull them.  Waldo serves the engine (section 5.1), "
-    "not the other way round; a storage import here inverts that "
+    "ProvenanceDatabase.subscribe_batch's push feed -- it never reaches "
+    "into the database to pull them.  Waldo serves the engine (section "
+    "5.1), not the other way round; a storage import here inverts that "
     "ownership and couples query evaluation to the store's layout.")
 
 #: Layer allow-lists: module-prefix of the *importing* layer -> import

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 #: The committed overhead budget (percent) for the enabled
-#: journal+exporter stack on the batched ingest path (see
+#: journal+exporter stack on the ingest path (see
 #: docs/OBSERVABILITY.md and benchmarks/bench_obs_overhead.py).
 OVERHEAD_BUDGET_PCT = 5.0
 
@@ -34,7 +34,6 @@ OVERHEAD_BUDGET_PCT = 5.0
 #: ``lower`` means regression when it rises above
 #: max(budget, baseline + slack).
 COMPARE_METRICS = {
-    "ingest": ("speedup", "higher"),
     "ingest_sharded": ("speedup", "higher"),
     "incremental_query": ("speedup", "higher"),
     "obs_overhead": ("overhead_pct", "lower"),
@@ -43,7 +42,6 @@ COMPARE_METRICS = {
 
 #: Informational (never gating) per-suite metrics worth reporting.
 REPORT_METRICS = {
-    "ingest": ("batched.records_per_sec", "unbatched.records_per_sec"),
     "ingest_sharded": ("shards_1.storage_records_per_sec",
                        "shards_4.storage_records_per_sec"),
     "obs_overhead": ("disabled_overhead_pct",),
@@ -69,9 +67,6 @@ class SLOPolicy:
     #: WAP violations from a crashtest report (must be 0: the paper's
     #: core invariant).
     max_wap_violations: int = 0
-    #: Batched-ingest speedup floor, checked when a benchmark document
-    #: is supplied (mirrors the CI gate).
-    min_ingest_speedup: float = 2.0
     #: Obs overhead ceiling, checked when the benchmark document
     #: carries the obs_overhead suite.
     max_obs_overhead_pct: float = OVERHEAD_BUDGET_PCT
@@ -183,26 +178,13 @@ def evaluate_health(snapshot: dict, dropped_spans: int = 0,
             "crashtest report not supplied"))
 
     suites = (bench or {}).get("suites", {})
-    ingest = suites.get("ingest")
-    if ingest is not None:
-        speedup = ingest.get("speedup", 0.0)
-        rps = ingest.get("batched", {}).get("records_per_sec", 0.0)
-        checks.append(HealthCheck(
-            "ingest_speedup", speedup >= slos.min_ingest_speedup,
-            round(speedup, 2), slos.min_ingest_speedup,
-            f"batched ingest at {rps:,.0f} records/s"))
-    else:
-        checks.append(HealthCheck(
-            "ingest_speedup", True, None, slos.min_ingest_speedup,
-            "ingest benchmark results not supplied"))
-
     obs_suite = suites.get("obs_overhead")
     if obs_suite is not None:
         overhead = obs_suite.get("overhead_pct", 0.0)
         checks.append(HealthCheck(
             "obs_overhead_pct", overhead <= slos.max_obs_overhead_pct,
             round(overhead, 2), slos.max_obs_overhead_pct,
-            "journal+exporters cost on the batched ingest path"))
+            "journal+exporters cost on the ingest path"))
 
     pql_suite = suites.get("pql_perf")
     if pql_suite is not None:

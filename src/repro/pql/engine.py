@@ -10,21 +10,18 @@ Engine lifecycle
 :meth:`QueryEngine.live` is the one construction path: it batch-builds
 the graph from the sources' current records, then *subscribes* to each
 source so every record the source ingests afterwards is spliced into the
-graph via :meth:`OEMGraph.apply` -- the engine stays current without
-ever being rebuilt.  ``System.query_engine()``, ``Waldo.query_engine()``
-and the CLI all hand out the same live engine instead of constructing
-their own; a sync is an O(new records) update, not an O(total history)
-rebuild.
+graph via :meth:`OEMGraph.apply_batch` -- the engine stays current
+without ever being rebuilt.  ``System.query_engine()`` and the CLI hand
+out the same live engine instead of constructing their own; a sync is an
+O(new records) update, not an O(total history) rebuild.
 
 Sources are duck-typed: anything with ``all_records()`` works, and
-anything that also has ``subscribe(listener)`` (the push feed
+anything that also has ``subscribe_batch(listener)`` (the push feed
 ``ProvenanceDatabase`` exposes) keeps the engine live.  The graph
 receives records; it never pulls them from storage (lint rule PL210).
 
-:meth:`from_records` and :meth:`from_databases` remain as thin
-compatibility wrappers -- ``from_records`` yields a static snapshot
-engine over a plain stream, ``from_databases`` delegates to
-:meth:`live`.
+:meth:`from_records` yields a static snapshot engine over a plain
+record stream.
 
 Plan cache
 ----------
@@ -154,6 +151,7 @@ class QueryEngine:
         self._vocabulary = None
         self._vocab_epoch = _NEVER
         self._last_plan_cache_hit = False
+        #: Sources whose push feed delivers to :meth:`_apply_batch`.
         self._subscriptions: list = []
         #: Default execution mode; per-call ``optimize=`` overrides.
         #: Optimized engines share one IndexCatalog per graph; the
@@ -203,31 +201,21 @@ class QueryEngine:
             span.tag("nodes", len(graph))
         engine = cls(graph, check=check, obs=obs, optimize=optimize)
         for source in sources:
-            # Prefer the batch feed (one graph splice per drained
-            # group); sources without one fall back to the per-record
-            # subscription.
+            # One graph splice per drained group.
             subscribe_batch = getattr(source, "subscribe_batch", None)
             if subscribe_batch is not None:
                 subscribe_batch(engine._apply_batch)
-                engine._subscriptions.append(
-                    (source, engine._apply_batch, True))
-                continue
-            subscribe = getattr(source, "subscribe", None)
-            if subscribe is not None:
-                subscribe(engine._apply)
-                engine._subscriptions.append(
-                    (source, engine._apply, False))
+                engine._subscriptions.append(source)
         return engine
 
     def detach(self) -> int:
         """Unhook this engine's push-feed subscriptions from its
-        sources (see :meth:`ProvenanceDatabase.unsubscribe`); the graph
-        freezes at its current state.  Returns feeds detached."""
+        sources (see :meth:`ProvenanceDatabase.unsubscribe_batch`); the
+        graph freezes at its current state.  Returns feeds detached."""
         detached = 0
-        for source, callback, batched in self._subscriptions:
-            name = "unsubscribe_batch" if batched else "unsubscribe"
-            unhook = getattr(source, name, None)
-            if unhook is not None and unhook(callback):
+        for source in self._subscriptions:
+            unhook = getattr(source, "unsubscribe_batch", None)
+            if unhook is not None and unhook(self._apply_batch):
                 detached += 1
         self._subscriptions = []
         return detached
@@ -235,25 +223,14 @@ class QueryEngine:
     @classmethod
     def from_records(cls, records: Iterable[ProvenanceRecord],
                      obs=NULL_OBS) -> "QueryEngine":
-        """Compatibility wrapper: a static snapshot engine over a raw
-        record stream (no source to stay live against)."""
+        """A static snapshot engine over a raw record stream (no
+        source to stay live against)."""
         return cls(OEMGraph.build(records), obs=obs)
-
-    @classmethod
-    def from_databases(cls, databases, obs=NULL_OBS) -> "QueryEngine":
-        """Compatibility wrapper: delegates to :meth:`live`, so the
-        returned engine tracks the databases as they grow."""
-        return cls.live(databases, obs=obs)
 
     # -- live maintenance ----------------------------------------------------------
 
-    def _apply(self, record: ProvenanceRecord) -> None:
-        """Subscription callback: splice one record into the graph."""
-        self.graph.apply(record)
-        self.obs.inc("pql", "oem_records_applied")
-
     def _apply_batch(self, records) -> None:
-        """Batch-subscription callback: splice one record group in."""
+        """Subscription callback: splice one record group in."""
         count = self.graph.apply_batch(records)
         self.obs.inc("pql", "oem_records_applied", count)
 
@@ -261,7 +238,7 @@ class QueryEngine:
         """Feed a batch of records into the live graph directly (for
         callers holding a stream rather than a subscribable source)."""
         with self.obs.span("oem.apply", layer="pql") as span:
-            count = self.graph.apply_many(records)
+            count = self.graph.apply_batch(records)
             span.tag("records", count)
         self.obs.inc("pql", "oem_records_applied", count)
         return count

@@ -18,8 +18,8 @@ objects" (section 5.7).  Here:
   everything.
 
 The graph is *maintainable*: :meth:`OEMGraph.build` constructs it from a
-record stream in one batch pass, and :meth:`OEMGraph.apply` splices a
-single record into an existing graph -- new nodes, edge wiring,
+record stream in one batch pass, and :meth:`OEMGraph.apply_batch` splices
+a record group into an existing graph -- new nodes, edge wiring,
 identity-atom sharing, member classification, and the name index are all
 updated in O(delta).  A live query engine applies records as Waldo
 drains them instead of rebuilding the world per sync; the two paths are
@@ -128,8 +128,8 @@ class OEMGraph:
 
         Identity-atom sharing and member classification are deferred to
         the end of the stream (cheaper than doing them per record); the
-        finished graph is indistinguishable from one grown a record at
-        a time with :meth:`apply`, and can keep growing incrementally
+        finished graph is indistinguishable from one grown with
+        :meth:`apply_batch`, and can keep growing incrementally
         afterwards.
         """
         graph = cls()
@@ -166,59 +166,22 @@ class OEMGraph:
         return graph
 
     def apply(self, record: ProvenanceRecord) -> None:
-        """Splice one record into the graph (the incremental delta path).
+        """Splice one record into the graph (a batch of one)."""
+        self.apply_batch((record,))
+
+    def apply_batch(self, records: Iterable[ProvenanceRecord]) -> int:
+        """Splice a record group into the graph (the incremental delta
+        path); returns how many records were applied.
 
         Applying a record stream through here yields a graph equivalent
         to :meth:`build` on the same stream: nodes, atoms, edges, member
         classification, identity sharing, and the name index are all
         maintained eagerly.  Used by live query engines as Waldo drains
-        records into the database.
-        """
-        if record.attr in _FRAMING:
-            return
-        node = self._live_node(record.subject)
-        label = record.attr.lower()
-        self.records_applied += 1
-        catalog = self.indexes
-        if isinstance(record.value, ObjectRef):
-            target = self._live_node(record.value)
-            node.edges.setdefault(label, []).append(target)
-            target.redges.setdefault(label, []).append(node)
-            if label not in self._edge_labels:
-                self._edge_labels.add(label)
-                self.vocab_epoch += 1
-            if catalog is not None:
-                catalog.note_edge(label, node, target)
-        elif record.attr in IDENTITY_ATTRS:
-            # Shared by every version, present and future.
-            self._identity[record.subject.pnode].append(
-                (label, record.value))
-            self._note_atom_label(label)
-            for version in self._by_pnode[record.subject.pnode]:
-                self._add_identity_atom(version, label, record.value)
-        else:
-            node.atoms.setdefault(label, []).append(record.value)
-            self._note_atom_label(label)
-            if catalog is not None:
-                catalog.note_atom(node, label, record.value)
-
-    def apply_many(self, records: Iterable[ProvenanceRecord]) -> int:
-        """Apply a batch of records; returns how many were applied."""
-        count = 0
-        for record in records:
-            self.apply(record)
-            count += 1
-        return count
-
-    def apply_batch(self, records: Iterable[ProvenanceRecord]) -> int:
-        """Splice a record group into the graph in one vectorized pass.
-
-        Node/atom/edge/identity effects are identical to calling
-        :meth:`apply` per record, but lookups are hoisted out of the
-        loop and vocabulary bookkeeping is deferred: however many new
-        labels or members the batch introduces, the epoch advances once
-        at the end (cached vocabularies only test the epoch for change,
-        so one bump per batch invalidates them just as well).
+        records into the database.  Vocabulary bookkeeping is deferred:
+        however many new labels or members the batch introduces, the
+        epoch advances once at the end (cached vocabularies only test
+        the epoch for change, so one bump per batch invalidates them
+        just as well).
         """
         epoch0 = self.vocab_epoch
         count = 0
@@ -247,6 +210,7 @@ class OEMGraph:
                 if catalog is not None:
                     catalog.note_edge(label, node, target)
             elif attr in IDENTITY_ATTRS:
+                # Shared by every version, present and future.
                 identity[record.subject.pnode].append((label, value))
                 note_label(label)
                 for version in by_pnode[record.subject.pnode]:

@@ -48,76 +48,35 @@ class ProvenanceDatabase:
         #: been folded into ``_main_bytes`` yet (see ``main_bytes``).
         self._unsized: list[ProvenanceRecord] = []
         self.index_bytes = 0
-        self._listeners: list = []
         self._batch_listeners: list = []
 
     # -- writes ------------------------------------------------------------------
 
-    def _ingest(self, record: ProvenanceRecord) -> None:
-        """Index one record (no listener notification)."""
-        subject = record.subject
-        self._records[subject.pnode].append(record)
-        self.record_count += 1
-        self._main_bytes += codec.encoded_size(record)
-        previous = self._max_version.get(subject.pnode, -1)
-        if subject.version > previous:
-            self._max_version[subject.pnode] = subject.version
-
-        self._by_attr[record.attr].append(subject)
-        self.index_bytes += ATTR_INDEX_ENTRY_BYTES
-        if record.attr == Attr.NAME and isinstance(record.value, str):
-            self._by_name[record.value].append(subject)
-            self.index_bytes += NAME_INDEX_BASE_BYTES + len(record.value)
-        if isinstance(record.value, ObjectRef):
-            self._by_xref[record.value].append((subject, record.attr))
-            self.index_bytes += XREF_INDEX_ENTRY_BYTES
-
     def insert(self, record: ProvenanceRecord) -> None:
-        """Add one record and maintain every index."""
-        self._ingest(record)
-        for listener in self._listeners:
-            listener(record)
-        if self._batch_listeners:
-            batch = (record,)
-            for listener in self._batch_listeners:
-                listener(batch)
-
-    def subscribe(self, listener) -> None:
-        """Register a callable invoked with every inserted record.
-
-        This is the push feed live query engines ride: the graph
-        *receives* records as Waldo ingests them, it never reaches back
-        into storage to pull (lint rule PL210).  Recovery replay goes
-        through :meth:`insert` too, so subscribers stay correct across
-        crash/recover cycles.
-        """
-        self._listeners.append(listener)
+        """Add one record and maintain every index (a batch of one)."""
+        self.insert_many((record,))
 
     def subscribe_batch(self, listener) -> None:
         """Register a callable invoked with each inserted record *group*.
 
-        The batched flavour of :meth:`subscribe`: ``insert_many`` hands
-        the whole sequence over in one call, and single ``insert`` calls
-        arrive as 1-tuples, so a batch subscriber sees every record
-        exactly once, in insertion order, whichever write path ran.
+        This is the push feed live query engines ride: the graph
+        *receives* records as Waldo ingests them, it never reaches back
+        into storage to pull (lint rule PL210).  ``insert_many`` hands
+        the whole sequence over in one call and a single ``insert``
+        arrives as a 1-tuple, so a subscriber sees every record exactly
+        once, in insertion order.  Recovery replay goes through
+        :meth:`insert_many` too, so subscribers stay correct across
+        crash/recover cycles.
         """
         self._batch_listeners.append(listener)
 
-    def unsubscribe(self, listener) -> bool:
-        """Remove one per-record listener; True if it was registered.
+    def unsubscribe_batch(self, listener) -> bool:
+        """Remove one listener; True if it was registered.
 
         Query engines with bounded lifetimes (benchmark arms, EXPLAIN
         scratch engines) detach instead of riding the feed forever --
         otherwise every insert keeps paying for graphs nobody queries.
         """
-        try:
-            self._listeners.remove(listener)
-            return True
-        except ValueError:
-            return False
-
-    def unsubscribe_batch(self, listener) -> bool:
-        """Remove one batch listener; True if it was registered."""
         try:
             self._batch_listeners.remove(listener)
             return True
@@ -131,15 +90,14 @@ class ProvenanceDatabase:
         listener exists -- listeners may share one federated OEM
         graph; a subscriber-free database is touched by its own drain
         alone."""
-        return bool(self._listeners or self._batch_listeners)
+        return bool(self._batch_listeners)
 
     def insert_many(self, records: Iterable[ProvenanceRecord]) -> int:
         """Insert a batch; returns how many records were added.
 
-        One vectorized indexing pass -- the loop body mirrors
-        :meth:`_ingest` with every instance lookup hoisted and the size
-        counters accumulated locally; per-record subscribers are then
-        replayed in order and batch subscribers notified once.
+        The one indexing pass: every instance lookup hoisted, the size
+        counters accumulated locally, subscribers notified once with
+        the whole group.
         """
         if not isinstance(records, (list, tuple)):
             records = list(records)
@@ -183,10 +141,6 @@ class ProvenanceDatabase:
         self._unsized.extend(records)
         self.index_bytes += index_bytes
         if records:
-            if self._listeners:
-                for record in records:
-                    for listener in self._listeners:
-                        listener(record)
             for listener in self._batch_listeners:
                 listener(records)
         return len(records)
@@ -287,13 +241,8 @@ class ProvenanceDatabase:
             raise LogCorruption("not a PASS provenance database export")
         database = cls(name)
         payload = blob[len(cls.MAGIC):]
-        count = 0
-        for record in codec.decode_stream(payload):
-            database.insert(record)
-            count += 1
-        consumed = sum(codec.encoded_size(record)
-                       for record in database.all_records())
-        if consumed != len(payload):
+        count = database.insert_many(codec.decode_stream(payload))
+        if database.main_bytes != len(payload):
             from repro.core.errors import LogCorruption
             raise LogCorruption(
                 f"database export truncated after {count} records")

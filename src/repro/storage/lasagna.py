@@ -109,7 +109,7 @@ class Lasagna:
         first = region.allocate(blocks)
         if self.passv1_direct_db:
             # PASSv1 regression: indexed B-tree writes, random placement,
-            # no batching -- a full seek per flush plus index update I/O.
+            # no clustering -- a full seek per flush plus index update I/O.
             self.volume.disk.write(first, nbytes * 2)
             return
         barrier = 0.0 if self._waive_barrier else (
@@ -119,9 +119,16 @@ class Lasagna:
     def append_provenance(self, bundle: Bundle) -> None:
         """Buffer records ahead of dependent data.
 
-        Accepts a :class:`Bundle` (the per-record legacy path) or a
-        :class:`RecordBatch` (the batched ingest path, which defers
-        encoding and may group-commit inside ``append_batch``).
+        The two carriers differ in who orders the flush.  A
+        :class:`RecordBatch` (an analyzer batch) goes through
+        ``append_batch``, which may group-commit as soon as the buffer
+        crosses a threshold.  A :class:`Bundle` (records admitted one at
+        a time: a freeze outside a batch, a finalized record off the NFS
+        wire, ``pass_sync``) goes through ``append``, which never
+        commits on its own: the records wait for the caller's next
+        explicit flush.  Do not merge the branches -- an earlier group
+        commit is an extra WAP barrier, and simulated elapsed time moves
+        (docs/PERFORMANCE.md, "Two routes to the log").
         """
         cost = self.params.cpu.log_encode * len(bundle)
         if cost:

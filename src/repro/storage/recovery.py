@@ -81,8 +81,7 @@ def recover(lasagna: Lasagna, database=None, consume: bool = False,
             _verify_md5(volume, record, report)
 
     if database is not None:
-        for record in report.committed_records:
-            database.insert(record)
+        database.insert_many(report.committed_records)
     if consume:
         log.reset_after_recovery()
     # Recovery is rare and diagnosis-critical: journal it unsampled so

@@ -161,7 +161,7 @@ class StorageTier:
 
     def __init__(self, shards: int = 1, shard_key: str = "pnode",
                  compaction: Optional[CompactionPolicy] = None,
-                 obs=NULL_OBS, faults=None, batching: bool = True):
+                 obs=NULL_OBS, faults=None):
         if int(shards) < 1:
             raise ValueError(f"shards must be >= 1, got {shards!r}")
         if shard_key not in SHARD_KEYS:
@@ -172,7 +172,6 @@ class StorageTier:
         self.compaction = compaction or CompactionPolicy()
         self.obs = obs
         self._faults = faults
-        self.batching = batching
         #: Effective intra-volume shard count (``volume`` keying keeps
         #: the classic one-pipeline-per-volume layout).
         self.shards_per_volume = self.shards if shard_key == "pnode" else 1
@@ -203,8 +202,8 @@ class StorageTier:
             archive = SegmentArchive(self.compaction)
             waldos.append(Waldo(
                 log, name=log.volume_name, obs=self.obs,
-                faults=self._faults, batching=self.batching,
-                insert_lock=self._merge_lock, archive=archive))
+                faults=self._faults, insert_lock=self._merge_lock,
+                archive=archive))
             archives.append(archive)
         self._volumes[volume.name] = _VolumeShards(
             volume, lasagna, waldos, archives)
@@ -232,10 +231,6 @@ class StorageTier:
 
     def shard_count(self, volume: str) -> int:
         return len(self._volumes[volume].waldos)
-
-    def shard0_waldos(self) -> dict[str, Waldo]:
-        """volume -> shard-0 Waldo (the deprecation-wrapper view)."""
-        return {name: vs.waldos[0] for name, vs in self._volumes.items()}
 
     def archives(self, volume: str) -> list[SegmentArchive]:
         return list(self._volumes[volume].archives)

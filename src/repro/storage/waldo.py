@@ -14,7 +14,6 @@ than touching the database directly.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from repro.core.records import Attr, ProvenanceRecord
@@ -29,15 +28,11 @@ class Waldo:
     def __init__(self, log: ProvenanceLog,
                  database: Optional[ProvenanceDatabase] = None,
                  name: str = "waldo", obs=NULL_OBS, faults=None,
-                 batching: bool = True, insert_lock=None, archive=None):
+                 insert_lock=None, archive=None):
         self.log = log
         self.database = database or ProvenanceDatabase(name)
         self.name = name
         self.obs = obs
-        #: Bulk drain: each segment's committed records reach the
-        #: database as one ``insert_many`` call (off = per-record
-        #: inserts, the legacy arm of the ingest benchmark).
-        self.batching = batching
         #: Fault injector (repro.faults); None keeps drain() bare.
         self._faults = faults
         #: Held around the database insert (and thus the push-feed
@@ -123,9 +118,8 @@ class Waldo:
 
         The transaction walk first accumulates every record that is
         allowed into the database -- committed batches at their ENDTXN
-        position, unframed records in place -- so insertion order is
-        identical on both paths; the bulk path then makes it one
-        ``insert_many`` call per segment.
+        position, unframed records in place -- and hands them over as
+        one ``insert_many`` call per segment.
         """
         ready: list[ProvenanceRecord] = []
         open_txns: dict[int, list[ProvenanceRecord]] = {}
@@ -144,7 +138,8 @@ class Waldo:
             if current_txn is not None:
                 open_txns[current_txn].append(record)
             else:
-                # Unframed record (legacy path): straight in.
+                # Outside any transaction frame (a segment not written
+                # by ``ProvenanceLog.flush``): straight in.
                 ready.append(record)
         for batch in open_txns.values():
             self.orphaned.extend(batch)
@@ -162,15 +157,10 @@ class Waldo:
         return len(ready)
 
     def _insert(self, ready: list[ProvenanceRecord]) -> None:
-        if self.batching:
-            with self.obs.span("waldo.drain_batch", layer="waldo",
-                               volume=self.name) as span:
-                span.tag("records", len(ready))
-                self.database.insert_many(ready)
-        else:
-            insert = self.database.insert
-            for record in ready:
-                insert(record)
+        with self.obs.span("waldo.drain_batch", layer="waldo",
+                           volume=self.name) as span:
+            span.tag("records", len(ready))
+            self.database.insert_many(ready)
 
     # -- crash simulation --------------------------------------------------------------
 
@@ -190,21 +180,6 @@ class Waldo:
         return len(pending)
 
     # -- query service -----------------------------------------------------------------
-
-    def query_engine(self):
-        """Deprecated: a live PQL engine over this one shard's database.
-
-        Under sharding a volume's provenance spans several databases;
-        query through ``System.query_engine()`` (the tier's federated
-        engine) instead.  Kept as a thin wrapper because 'Waldo is also
-        responsible for accessing the database on behalf of the query
-        engine' (section 5.1) was the original API.
-        """
-        warnings.warn(
-            "Waldo.query_engine() is deprecated; use "
-            "System.query_engine() (the StorageTier federated engine)",
-            DeprecationWarning, stacklevel=2)
-        return self._shard_engine()
 
     def _shard_engine(self):
         """The single live engine over this shard's database -- built

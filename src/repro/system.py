@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import warnings
 from typing import Iterable, Optional
 
 from repro.core.pnode import ObjectRef
@@ -31,11 +30,6 @@ from repro.kernel.syscalls import Syscalls
 from repro.obs import Observability
 from repro.storage.database import ProvenanceDatabase
 from repro.storage.tier import CompactionPolicy, StorageTier
-from repro.storage.waldo import Waldo
-
-#: "Caller did not pass this kwarg" sentinel, so explicit None (e.g.
-#: faults=None) still overrides a config that set something else.
-_UNSET = object()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,8 +37,8 @@ class BootConfig:
     """Everything :meth:`System.boot` needs, as one value.
 
     Boot call sites (benchmarks, crashlab, workloads) share configs by
-    defining them once and passing ``System.boot(config=...)``; the old
-    individual kwargs still work and override config fields, so
+    defining them once and passing ``System.boot(config=...)``; keyword
+    arguments override config fields, so
     ``System.boot(config=QUIET, tracing=True)`` is the quiet config with
     tracing flipped on.
     """
@@ -62,11 +56,6 @@ class BootConfig:
     #: export half of observability is opt-in like tracing.
     journal: bool = False
     faults: object = None
-    #: Batched ingest path (observer event batches, analyzer
-    #: submit_batch, log group commit, bulk Waldo drain).  ``False``
-    #: boots the per-record legacy pipeline *and* zeroes the log's
-    #: group-commit thresholds -- the ingest benchmark's baseline arm.
-    batching: bool = True
     #: Storage topology (see repro.storage.tier).  ``shards`` splits
     #: each PASS volume's WAP log / Waldo / database into that many
     #: intra-volume shards (1 = the classic single pipeline, byte
@@ -79,10 +68,9 @@ class BootConfig:
     compaction: Optional[CompactionPolicy] = None
 
     def with_overrides(self, **overrides) -> "BootConfig":
-        """A copy with every non-``_UNSET`` override applied."""
-        changes = {key: value for key, value in overrides.items()
-                   if value is not _UNSET}
-        return dataclasses.replace(self, **changes) if changes else self
+        """A copy with the named fields replaced (an explicit ``None``
+        overrides too; an unknown name is a ``TypeError``)."""
+        return dataclasses.replace(self, **overrides)
 
 
 class System:
@@ -104,26 +92,15 @@ class System:
     # -- construction ----------------------------------------------------------------
 
     @classmethod
-    def boot(cls, params=_UNSET,
-             pass_volumes=_UNSET,
-             plain_volumes=_UNSET,
-             provenance=_UNSET,
-             hostname=_UNSET,
-             clock=_UNSET,
-             observability=_UNSET,
-             tracing=_UNSET,
-             journal=_UNSET,
-             faults=_UNSET,
-             batching=_UNSET,
-             shards=_UNSET,
-             shard_key=_UNSET,
-             compaction=_UNSET,
-             config: Optional[BootConfig] = None) -> "System":
+    def boot(cls, config: Optional[BootConfig] = None,
+             **overrides) -> "System":
         """Boot a machine from a :class:`BootConfig`.
 
         ``config`` supplies every knob at once (defaults to
-        ``BootConfig()``); any individual kwarg passed explicitly
-        overrides the config's field, so both the legacy kwarg style and
+        ``BootConfig()``); each keyword argument names a
+        :class:`BootConfig` field and overrides it
+        (:meth:`BootConfig.with_overrides`), so both
+        ``System.boot(tracing=True)`` and
         ``System.boot(config=shared, tracing=True)`` work.
 
         Each name in ``pass_volumes`` becomes a PASS-enabled volume
@@ -141,32 +118,17 @@ class System:
         injection site in the stack (disk, WAP log, Lasagna, Waldo,
         distributor); None -- the default -- keeps the hot paths bare.
         """
-        cfg = (config or BootConfig()).with_overrides(
-            params=params, pass_volumes=pass_volumes,
-            plain_volumes=plain_volumes, provenance=provenance,
-            hostname=hostname, clock=clock, observability=observability,
-            tracing=tracing, journal=journal, faults=faults,
-            batching=batching, shards=shards, shard_key=shard_key,
-            compaction=compaction)
-        sim_params = cfg.params or SimParams()
-        if not cfg.batching:
-            # The unbatched arm must not group-commit either: zeroed
-            # thresholds make every flush an explicit ordering point,
-            # exactly the pre-batching pipeline.
-            sim_params = dataclasses.replace(
-                sim_params, log=dataclasses.replace(
-                    sim_params.log, group_commit_records=0,
-                    group_commit_bytes=0))
+        cfg = (config or BootConfig()).with_overrides(**overrides)
         obs = Observability(metrics_enabled=cfg.observability,
                             trace_enabled=cfg.tracing,
                             journal_enabled=cfg.journal)
-        kernel = Kernel(sim_params, hostname=cfg.hostname, clock=cfg.clock,
+        kernel = Kernel(cfg.params, hostname=cfg.hostname, clock=cfg.clock,
                         obs=obs, faults=cfg.faults)
         if cfg.faults is not None:
             cfg.faults.bind_obs(obs)
         tier = StorageTier(shards=cfg.shards, shard_key=cfg.shard_key,
                            compaction=cfg.compaction, obs=kernel.obs,
-                           faults=cfg.faults, batching=cfg.batching)
+                           faults=cfg.faults)
         for name in cfg.pass_volumes:
             volume = kernel.add_volume(name, f"/{name}", pass_capable=True)
             if cfg.provenance:
@@ -174,7 +136,7 @@ class System:
         for name in cfg.plain_volumes:
             kernel.add_volume(name, f"/{name}", pass_capable=False)
         if cfg.provenance:
-            kernel.enable_provenance(batching=cfg.batching)
+            kernel.enable_provenance()
             kernel.cache.shrink(kernel.params.cache.stack_cache_factor)
         return cls(kernel, tier, cfg.provenance)
 
@@ -202,21 +164,6 @@ class System:
                                        program=program)
 
     # -- provenance plumbing -----------------------------------------------------------------
-
-    @property
-    def waldos(self) -> dict[str, Waldo]:
-        """Deprecated: volume -> shard-0 Waldo.
-
-        The pre-tier API exposed one Waldo per volume; under sharding a
-        volume has several.  This view keeps old call sites working
-        (it IS the complete picture at ``shards=1``) but new code
-        should go through :attr:`tier`.
-        """
-        warnings.warn(
-            "System.waldos is deprecated; use System.tier "
-            "(StorageTier) -- a sharded volume has several Waldos",
-            DeprecationWarning, stacklevel=2)
-        return self.tier.shard0_waldos()
 
     def sync(self) -> int:
         """Flush all logs and drain every shard; returns records inserted.

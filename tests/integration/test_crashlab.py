@@ -95,7 +95,7 @@ class TestLiveEngineAcrossCrash:
         engine = system.query_engine()
         with pytest.raises(FaultError):
             churn(system)
-        waldo = system.waldos["pass"]
+        waldo = system.tier.waldo("pass")
         lasagna = system.kernel.volume("pass").lasagna
         waldo.crash()
         lasagna.crash()
@@ -115,7 +115,9 @@ class TestGroupCommitCrashCoverage:
 
     def test_default_boot_has_batching_and_group_commit(self):
         from repro.crashlab.workloads import BOOT
-        assert BOOT.batching is True
+        from repro.kernel.params import SimParams
+        log = (BOOT.params or SimParams()).log
+        assert log.group_commit_records > 0 and log.group_commit_bytes > 0
 
     def test_churn_actually_group_commits(self):
         """The churn workload's disclosure burst crosses the threshold,

@@ -82,7 +82,7 @@ class TestRecoveryIsJournaled:
         with pytest.raises(CrashFault):
             system.sync()
 
-        waldo = system.waldos["pass"]
+        waldo = system.tier.waldo("pass")
         lasagna = system.kernel.volume("pass").lasagna
         waldo.crash()
         lasagna.crash()

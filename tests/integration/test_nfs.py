@@ -263,11 +263,11 @@ class TestTransactionsAndCrashes:
         # buffered to disk, then let Waldo look.
         server.volume.lasagna.log.flush()
         server.volume.lasagna.log.rotate()
-        server_sys.waldos["export"].drain()
+        server_sys.tier.waldo("export").drain()
         db = server_sys.database("export")
         names = {r.value for r in db.all_records() if r.attr == Attr.NAME}
         assert "half-sent-nfs" not in names
-        orphaned = server_sys.waldos["export"].orphaned
+        orphaned = server_sys.tier.waldo("export").orphaned
         assert any(r.value == "half-sent-nfs" for r in orphaned)
 
     def test_mkobj_survives_server_restart(self):

@@ -129,7 +129,7 @@ class TestServerCrashMidDrain:
         with pytest.raises(CrashFault):
             server_sys.sync()
         assert injector.halted
-        waldo = server_sys.waldos["export"]
+        waldo = server_sys.tier.waldo("export")
         lasagna = server_sys.kernel.volume("export").lasagna
         # Standard restart sequence: requeue, drop volatile state,
         # replay the log into the database.
@@ -181,7 +181,7 @@ class TestPartitionDuringPassSync:
         names = {r.value for r in db.all_records() if r.attr == Attr.NAME}
         assert "/nfs/keep" in names
         assert "/nfs/renamed" not in names          # fully absent
-        waldo = server_sys.waldos["export"]
+        waldo = server_sys.tier.waldo("export")
         assert any(r.attr == Attr.NAME and r.value == "/nfs/renamed"
                    for r in waldo.orphaned)
         # The drop was transient: the next write+sync round-trips.

@@ -59,7 +59,7 @@ class TestBasicFlow:
     def test_baseline_records_nothing(self, baseline):
         write_file(baseline, "/pass/x", b"data")
         assert baseline.kernel.observer is None
-        assert not baseline.waldos
+        assert not baseline.tier
 
 
 class TestPipelineProvenance:

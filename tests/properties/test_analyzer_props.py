@@ -37,7 +37,7 @@ def run_stream(stream, batch=None):
     are the versions current when the chunk is built, as a DPAPI caller
     would disclose them."""
     out = []
-    analyzer = Analyzer(emit=out.append)
+    analyzer = Analyzer(emit=out.append, emit_batch=out.extend)
     objects = [Obj(pnode) for pnode in range(1, N_OBJECTS + 1)]
     if batch is None:
         for subject_index, value_index in stream:
@@ -105,7 +105,8 @@ def test_dedup_never_drops_distinct_statements(stream):
     nothing: the output is already duplicate-free and stable."""
     _, _, out = run_stream(stream)
     replay_out = []
-    replayer = Analyzer(emit=replay_out.append)
+    replayer = Analyzer(emit=replay_out.append,
+                        emit_batch=replay_out.extend)
     for record in out:
         replayer.submit(record)
     assert replay_out == out

@@ -1,10 +1,12 @@
-"""Batched and per-record ingest are observationally equivalent.
+"""Where the log commits is not observable.
 
-The acceptance property for the batched ingest path: for *any* churn
-workload, a system booted with ``batching=True`` (event batches, group
-commit, bulk Waldo drain) and one booted with ``batching=False`` (the
-per-record pipeline) end up with identical database contents -- every
-record, in insertion order -- and identical PQL answers.
+There is one ingest path; what varies is where its WAP log
+group-commits.  For *any* churn workload, a log that never
+group-commits (every flush is an explicit ordering point), one that
+commits after every appended batch, and the default thresholds end up
+with identical database contents -- every record, in insertion order --
+and identical PQL answers (ProvMark's oracle, PAPERS.md: same scenario,
+different capture configuration, same graph).
 
 Identity is checked modulo the two things that legitimately differ
 between boots: the globally unique volume id embedded in pnode numbers,
@@ -16,10 +18,15 @@ from hypothesis import given, settings
 
 from repro.core.pnode import ObjectRef, TRANSIENT_VOLUME, local_of, volume_of
 from repro.core.records import Attr
-from repro.system import BootConfig, System
+from repro.kernel.params import LogParams, SimParams
+from repro.system import System
 
-BATCHED = BootConfig(observability=False)
-UNBATCHED = BootConfig(observability=False, batching=False)
+#: Log configurations that must not be observable, by name.
+CONFIGS = {
+    "never": LogParams(group_commit_records=0, group_commit_bytes=0),
+    "every_batch": LogParams(group_commit_records=1),
+    "default": LogParams(),
+}
 
 #: One workload step: (operation, file slot, magnitude).
 steps = st.lists(
@@ -115,28 +122,35 @@ def query_answers(system: System) -> list[list[tuple]]:
             for query in QUERIES]
 
 
+def run_everywhere(workload) -> dict[str, System]:
+    """The workload replayed on one fresh system per configuration:
+    all must end up with the same contents and the same answers."""
+    systems = {name: System.boot(observability=False,
+                                 params=SimParams(log=log))
+               for name, log in CONFIGS.items()}
+    for system in systems.values():
+        drive(system, workload)
+    contents = canonical_contents(systems["default"])
+    answers = query_answers(systems["default"])
+    for name, system in systems.items():
+        assert canonical_contents(system) == contents, name
+        assert query_answers(system) == answers, name
+    return systems
+
+
 @given(steps)
 @settings(max_examples=25, deadline=None)
 def test_batched_pipeline_is_observationally_equivalent(workload):
-    batched = System.boot(config=BATCHED)
-    unbatched = System.boot(config=UNBATCHED)
-    drive(batched, workload)
-    drive(unbatched, workload)
-    assert canonical_contents(batched) == canonical_contents(unbatched)
-    assert query_answers(batched) == query_answers(unbatched)
+    run_everywhere(workload)
 
 
 def test_burst_workload_group_commits():
     """The generated grammar really can reach group commit: a burst-only
     workload fires it, and equivalence still holds there."""
     workload = [("write", 0, 8), ("burst", 0, 40), ("burst", 1, 40)]
-    batched = System.boot(config=BATCHED)
-    unbatched = System.boot(config=UNBATCHED)
-    drive(batched, workload)
-    drive(unbatched, workload)
-    log = batched.kernel.volume("pass").lasagna.log
-    assert log.batch_flushes > 0
-    assert batched.kernel.volume("pass").lasagna.log.batch_records > 0
-    assert unbatched.kernel.volume("pass").lasagna.log.batch_flushes == 0
-    assert canonical_contents(batched) == canonical_contents(unbatched)
-    assert query_answers(batched) == query_answers(unbatched)
+    logs = {name: system.kernel.volume("pass").lasagna.log
+            for name, system in run_everywhere(workload).items()}
+    assert logs["default"].batch_flushes > 0
+    assert logs["default"].batch_records > 0
+    assert logs["never"].batch_flushes == 0
+    assert logs["every_batch"].batch_flushes > logs["default"].batch_flushes

@@ -80,7 +80,7 @@ def test_query_results_match(stream):
     """Same rows out of both graphs, not just same structure."""
     batch = QueryEngine(OEMGraph.build(stream), check=False)
     live_graph = OEMGraph()
-    live_graph.apply_many(stream)
+    live_graph.apply_batch(stream)
     live = QueryEngine(live_graph, check=False)
     for query in (
         "select N from Provenance.node as N",

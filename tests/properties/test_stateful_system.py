@@ -214,7 +214,7 @@ class NfsFaultMachine(RuleBasedStateMachine):
         """Kill the server's Waldo + log volatile state mid-flight and
         run the standard recovery sequence; service then continues."""
         from repro.storage.recovery import recover
-        waldo = self.server_sys.waldos["export"]
+        waldo = self.server_sys.tier.waldo("export")
         lasagna = self.server_sys.kernel.volume("export").lasagna
         waldo.crash()
         lasagna.crash()

@@ -18,7 +18,7 @@ class FakeObject:
 
 def make_analyzer():
     out = []
-    analyzer = Analyzer(emit=out.append)
+    analyzer = Analyzer(emit=out.append, emit_batch=out.extend)
     return analyzer, out
 
 
@@ -191,7 +191,8 @@ def held_entries(analyzer):
 
 def disclose_chain(depth):
     """``depth`` objects, each named and depending on the one before."""
-    analyzer = Analyzer(emit=lambda record: None)
+    analyzer = Analyzer(emit=lambda record: None,
+                        emit_batch=lambda batch: None)
     objects = [FakeObject(pnode) for pnode in range(1, depth + 1)]
     protos = []
     for index, obj in enumerate(objects):

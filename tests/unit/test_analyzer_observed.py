@@ -12,7 +12,7 @@ from tests.unit.test_analyzer import FakeObject, assert_acyclic
 
 def make():
     out = []
-    return Analyzer(emit=out.append), out
+    return Analyzer(emit=out.append, emit_batch=out.extend), out
 
 
 class TestObservedRule:

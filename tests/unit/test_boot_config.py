@@ -1,5 +1,7 @@
 """BootConfig: one value for System.boot, with kwargs as overrides."""
 
+import dataclasses
+
 import pytest
 
 from repro.system import BootConfig, System
@@ -25,7 +27,7 @@ class TestBootConfig:
     def test_boot_from_config(self):
         system = System.boot(config=BootConfig(
             pass_volumes=("vol",), plain_volumes=(), hostname="boxy"))
-        assert list(system.waldos) == ["vol"]
+        assert system.tier.volumes() == ["vol"]
         assert system.kernel.hostname == "boxy"
 
     def test_kwargs_override_config(self):
@@ -46,3 +48,13 @@ class TestBootConfig:
     def test_legacy_kwarg_style_still_boots(self):
         system = System.boot(provenance=False, plain_volumes=("p",))
         assert not system.provenance
+
+    def test_field_set_is_exact(self):
+        """A new knob is a deliberate edit here too; a deleted one (one
+        ingest path, no option) is a TypeError."""
+        assert {field.name for field in dataclasses.fields(BootConfig)} == {
+            "params", "pass_volumes", "plain_volumes", "provenance",
+            "hostname", "clock", "observability", "tracing", "journal",
+            "faults", "shards", "shard_key", "compaction"}
+        with pytest.raises(TypeError):
+            System.boot(batching=False)

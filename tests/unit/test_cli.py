@@ -95,27 +95,15 @@ class TestOtherCommands:
         document = json.loads(target.read_text())
         assert document["schema"] == "repro-bench-suite/1"
         suites = document["suites"]
-        assert suites["ingest"]["schema"] == "repro-bench-ingest/1"
+        assert (suites["ingest_sharded"]["schema"]
+                == "repro-bench-ingest-sharded/1")
         assert (suites["incremental_query"]["schema"]
                 == "repro-bench-incremental/1")
         assert suites["obs_overhead"]["schema"] == "repro-bench-obs/1"
         for payload in suites.values():
             assert payload["records_total"] > 0
-        assert suites["ingest"]["speedup"] > 0
+        assert suites["ingest_sharded"]["speedup"] > 0
         assert "overhead_pct" in suites["obs_overhead"]
-
-    def test_bench_suite_merge_preserves_legacy_payload(self, tmp_path,
-                                                        capsys):
-        """A pre-suite BENCH_results.json is wrapped, not clobbered."""
-        target = tmp_path / "BENCH_results.json"
-        assert main(["bench", "--scale", "0.02", "--out", str(target)]) == 0
-        assert main(["bench", "--suite", "ingest", "--quick",
-                     "--out", str(target)]) == 0
-        document = json.loads(target.read_text())
-        assert document["schema"] == "repro-bench-suite/1"
-        assert document["suites"]["workloads"]["schema"] == BENCH_SCHEMA
-        assert "Linux Compile" in document["suites"]["workloads"]["workloads"]
-        assert document["suites"]["ingest"]["schema"] == "repro-bench-ingest/1"
 
     def test_bench_suite_unknown_name_errors(self, capsys):
         assert main(["bench", "--suite", "nope", "--out", "-"]) == 2
@@ -258,9 +246,9 @@ class TestPassviewCommands:
         baseline = tmp_path / "baseline.json"
         current = tmp_path / "current.json"
         baseline.write_text(json.dumps(
-            {"suites": {"ingest": {"speedup": 4.0}}}))
+            {"suites": {"ingest_sharded": {"speedup": 4.0}}}))
         current.write_text(json.dumps(
-            {"suites": {"ingest": {"speedup": 3.8}}}))
+            {"suites": {"ingest_sharded": {"speedup": 3.8}}}))
         assert main(["bench", "--against", str(baseline),
                      "--out", str(current)]) == 0
         assert "bench compare: OK" in capsys.readouterr().out
@@ -270,9 +258,9 @@ class TestPassviewCommands:
         baseline = tmp_path / "baseline.json"
         current = tmp_path / "current.json"
         baseline.write_text(json.dumps(
-            {"suites": {"ingest": {"speedup": 4.0}}}))
+            {"suites": {"ingest_sharded": {"speedup": 4.0}}}))
         current.write_text(json.dumps(
-            {"suites": {"ingest": {"speedup": 1.0}}}))
+            {"suites": {"ingest_sharded": {"speedup": 1.0}}}))
         assert main(["bench", "--against", str(baseline),
                      "--out", str(current)]) == 1
         assert "REGRESSED" in capsys.readouterr().out
@@ -284,14 +272,14 @@ class TestPassviewCommands:
     def test_bench_compare_runs_suites_then_gates(self, tmp_path, capsys):
         target = tmp_path / "BENCH_results.json"
         # First run: no baseline yet -- results become the baseline.
-        assert main(["bench", "--suite", "ingest", "--quick",
+        assert main(["bench", "--suite", "ingest_sharded", "--quick",
                      "--out", str(target),
                      "--compare", str(target)]) == 0
         assert "become the baseline" in capsys.readouterr().err
         # Second run compares against the first.  Quick-scale speedup
         # is noisy run to run; a wide tolerance keeps this a test of
         # the compare mechanics, not of benchmark stability.
-        assert main(["bench", "--suite", "ingest", "--quick",
+        assert main(["bench", "--suite", "ingest_sharded", "--quick",
                      "--out", str(target),
                      "--compare", str(target),
                      "--tolerance", "0.9"]) == 0

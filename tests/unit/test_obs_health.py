@@ -54,13 +54,6 @@ class TestEvaluateHealth:
             crashtest={"totals": {"wap_violations": 2}})
         assert [f.name for f in verdict.failures] == ["wap_violations"]
 
-    def test_ingest_speedup_from_bench(self):
-        bench = {"suites": {"ingest": {
-            "speedup": 1.2, "batched": {"records_per_sec": 1000.0}}}}
-        verdict = evaluate_health(snapshot_with_latencies(0.01, 0.05),
-                                  bench=bench)
-        assert [f.name for f in verdict.failures] == ["ingest_speedup"]
-
     def test_obs_overhead_from_bench(self):
         bench = {"suites": {"obs_overhead": {"overhead_pct": 9.0}}}
         verdict = evaluate_health(snapshot_with_latencies(0.01, 0.05),
@@ -72,7 +65,7 @@ class TestEvaluateHealth:
         assert verdict.ok
         by_name = {c.name: c for c in verdict.checks}
         assert "not supplied" in by_name["wap_violations"].detail
-        assert "not supplied" in by_name["ingest_speedup"].detail
+        assert "not supplied" in by_name["pql_speedup"].detail
 
     def test_verdict_serializes(self):
         verdict = evaluate_health(snapshot_with_latencies(0.01, 0.05))
@@ -84,8 +77,8 @@ class TestEvaluateHealth:
 
 
 BASELINE = {"suites": {
-    "ingest": {"speedup": 4.0,
-               "batched": {"records_per_sec": 30000.0}},
+    "ingest_sharded": {"speedup": 4.0,
+                       "shards_4": {"storage_records_per_sec": 30000.0}},
     "obs_overhead": {"overhead_pct": 2.0, "disabled_overhead_pct": 0.5},
 }}
 
@@ -95,17 +88,17 @@ class TestCompareBench:
         report = compare_bench(BASELINE, BASELINE)
         assert report["ok"]
         assert report["regressions"] == []
-        assert report["suites"]["ingest"]["status"] == "ok"
+        assert report["suites"]["ingest_sharded"]["status"] == "ok"
 
     def test_speedup_regression_beyond_tolerance(self):
-        current = {"suites": {"ingest": {"speedup": 2.0}}}
+        current = {"suites": {"ingest_sharded": {"speedup": 2.0}}}
         report = compare_bench(BASELINE, current, tolerance=0.25)
         assert not report["ok"]
-        assert report["regressions"] == ["ingest"]
-        assert report["suites"]["ingest"]["status"] == "regressed"
+        assert report["regressions"] == ["ingest_sharded"]
+        assert report["suites"]["ingest_sharded"]["status"] == "regressed"
 
     def test_speedup_drop_within_tolerance_is_ok(self):
-        current = {"suites": {"ingest": {"speedup": 3.5}}}
+        current = {"suites": {"ingest_sharded": {"speedup": 3.5}}}
         report = compare_bench(BASELINE, current, tolerance=0.25)
         assert report["ok"]
 
@@ -123,10 +116,10 @@ class TestCompareBench:
         assert report["regressions"] == ["obs_overhead"]
 
     def test_new_suite_never_gates(self):
-        current = {"suites": {"ingest": {"speedup": 0.1}}}
+        current = {"suites": {"ingest_sharded": {"speedup": 0.1}}}
         report = compare_bench({}, current)
         assert report["ok"]
-        assert report["suites"]["ingest"]["status"] == "new"
+        assert report["suites"]["ingest_sharded"]["status"] == "new"
 
     def test_unknown_suites_are_ignored(self):
         current = {"suites": {"workloads": {"anything": 1}}}
@@ -136,13 +129,13 @@ class TestCompareBench:
 
     def test_info_metrics_reported(self):
         report = compare_bench(BASELINE, BASELINE)
-        info = report["suites"]["ingest"]["info"]
-        assert info["batched.records_per_sec"] == 30000.0
+        info = report["suites"]["ingest_sharded"]["info"]
+        assert info["shards_4.storage_records_per_sec"] == 30000.0
 
     def test_render_compare(self):
-        current = {"suites": {"ingest": {"speedup": 2.0}}}
+        current = {"suites": {"ingest_sharded": {"speedup": 2.0}}}
         text = render_compare(compare_bench(BASELINE, current))
         assert "REGRESSED" in text
-        assert "ingest" in text
+        assert "ingest_sharded" in text
         new_text = render_compare(compare_bench({}, current))
         assert "no baseline" in new_text

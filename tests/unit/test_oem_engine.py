@@ -158,7 +158,7 @@ class TestIncrementalApply:
 
     def test_apply_many_counts(self):
         graph = OEMGraph()
-        applied = graph.apply_many([
+        applied = graph.apply_batch([
             R(1, 0, Attr.NAME, "/a"),
             R(2, 0, Attr.NAME, "/b"),
         ])
@@ -180,7 +180,7 @@ class TestLiveEngine:
     def test_from_databases_is_live(self):
         from repro.storage.database import ProvenanceDatabase
         db = ProvenanceDatabase("a")
-        engine = QueryEngine.from_databases([db])
+        engine = QueryEngine.live([db])
         db.insert(R(1, 0, Attr.NAME, "/x"))
         assert engine.graph.named("/x")
 
@@ -195,13 +195,15 @@ class TestLiveEngine:
         from repro.storage.waldo import Waldo
         log = ProvenanceLog(SimClock(), LogParams(max_size=1 << 30))
         waldo = Waldo(log)
-        engine = waldo.query_engine()
-        assert waldo.query_engine() is engine
+        names = "select N.name from Provenance.node as N"
+        assert waldo.query(names) == []
+        engine = waldo._engine
         log.append(R(1, 0, Attr.NAME, "/via-drain"))
         log.flush()
         log.rotate()
         waldo.drain()
-        assert engine.graph.named("/via-drain")
+        assert waldo.query(names) == ["/via-drain"]
+        assert waldo._engine is engine
 
     def test_vocabulary_refreshes_when_graph_grows(self):
         from repro.storage.database import ProvenanceDatabase
@@ -443,7 +445,7 @@ class TestEngine:
         db2 = ProvenanceDatabase("b")
         db1.insert(R(1, 0, Attr.TYPE, ObjType.FILE))
         db2.insert(R(2, 0, Attr.TYPE, ObjType.FILE))
-        engine = QueryEngine.from_databases([db1, db2])
+        engine = QueryEngine.live([db1, db2])
         assert engine.execute("select count(F) from Provenance.file as F") \
             == [2]
 

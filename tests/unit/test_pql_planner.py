@@ -619,7 +619,6 @@ class TestDetach:
 
     def test_database_unsubscribe_unknown_listener(self):
         database = ProvenanceDatabase("t")
-        assert database.unsubscribe(lambda record: None) is False
         assert database.unsubscribe_batch(lambda batch: None) is False
 
 

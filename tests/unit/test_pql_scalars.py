@@ -76,7 +76,7 @@ class TestWaldoQueryService:
         from tests.conftest import write_file
         write_file(system, "/pass/through-waldo", b"x")
         system.sync()
-        waldo = system.waldos["pass"]
+        waldo = system.tier.waldo("pass")
         rows = waldo.query(
             'select F.name from Provenance.file as F '
             'where F.name = "/pass/through-waldo"')
@@ -86,7 +86,7 @@ class TestWaldoQueryService:
         from tests.conftest import write_file
         write_file(system, "/pass/a", b"1")
         system.sync()
-        waldo = system.waldos["pass"]
+        waldo = system.tier.waldo("pass")
         assert waldo.query("select count(F) from Provenance.file as F")
         write_file(system, "/pass/b", b"2")
         system.sync()

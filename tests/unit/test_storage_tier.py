@@ -2,9 +2,8 @@
 
 The facade contract: ``shards=1`` is the classic pipeline (same labels,
 same single database), sharded topologies route records stably by
-subject pnode, ``sizes()`` never undercounts, the drained-segment
-archive stays within its compaction policy, and the legacy accessors
-(``System.waldos``, ``Waldo.query_engine``) still work but warn.
+subject pnode, ``sizes()`` never undercounts, and the drained-segment
+archive stays within its compaction policy.
 """
 
 import pytest
@@ -188,24 +187,6 @@ class TestArchiveCompaction:
         assert rollup["bytes_reclaimed"] >= 0
         assert all(not archive.segments
                    for archive in system.tier.archives("pass"))
-
-
-class TestDeprecationWrappers:
-    def test_system_waldos_warns_and_returns_shard_zero(self):
-        system = System.boot(shards=4)
-        with pytest.warns(DeprecationWarning, match="System.tier"):
-            view = system.waldos
-        assert list(view) == ["pass"]
-        assert view["pass"] is system.tier.waldo("pass", shard=0)
-
-    def test_waldo_query_engine_warns_but_still_serves(self):
-        system = System.boot()
-        _write_files(system, count=2)
-        waldo = system.tier.waldo("pass")
-        with pytest.warns(DeprecationWarning, match="query_engine"):
-            engine = waldo.query_engine()
-        with pytest.warns(DeprecationWarning):
-            assert waldo.query_engine() is engine
 
 
 class TestCrashRecover:

@@ -51,7 +51,7 @@ class TestSystemAssembly:
         system = System.boot(provenance=False)
         assert not system.kernel.provenance_on
         assert system.kernel.volume("pass").lasagna is None
-        assert system.waldos == {}
+        assert system.tier.volumes() == []
 
     def test_cache_shrunk_only_with_provenance(self):
         base = System.boot(provenance=False)
@@ -128,7 +128,7 @@ class TestLogRotationPolicy:
                 fd = proc.open(f"/pass/f{index}", "w")
                 proc.write(fd, b"x")
                 proc.close(fd)
-        waldo = system.waldos["pass"]
+        waldo = system.tier.waldo("pass")
         assert waldo.drain() > 0          # rotated segments arrived early
 
     def test_dormancy_rotation_via_tick(self):
@@ -140,4 +140,5 @@ class TestLogRotationPolicy:
         log = system.kernel.volume("pass").lasagna.log
         system.kernel.clock.advance(60.0)
         log.tick()
-        assert log.closed_segments or system.waldos["pass"]._pending_segments
+        assert (log.closed_segments
+                or system.tier.waldo("pass").pending_segment_count)
