@@ -10,7 +10,11 @@ Paper row / our row, per workload::
     PA-Kepler           1246    1264      1.4%
 
 Absolute seconds differ (our substrate is a scaled simulator); the
-regenerated quantity is the overhead column and its ordering.
+regenerated quantity is the overhead column and its ordering.  Beside
+the simulated seconds each row prints the *wall* seconds the two arms
+took on this machine -- what capturing provenance costs the simulator
+itself (EXPERIMENTS.md, "Table 2, wall clock"); nothing is asserted on
+them.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ def _bench_one(benchmark, workload_cls, table2_rows):
     print_row(workload.name, f"{base.elapsed:.1f}s",
               f"{passv2.elapsed:.1f}s", f"{overhead:.1f}%",
               f"(paper {PAPER_TABLE2[workload.name]['local']}%)")
+    print_row("  wall clock", f"{base.wall_s:.3f}s", f"{passv2.wall_s:.3f}s",
+              f"x{passv2.wall_s / base.wall_s:.2f}")
     return base, passv2, overhead
 
 

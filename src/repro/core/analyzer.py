@@ -31,6 +31,7 @@ subject version is dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional, Union
 
 from collections import OrderedDict
@@ -56,6 +57,48 @@ class ProtoRecord:
     subject: object
     attr: str
     value: Value
+
+
+@dataclass(slots=True)
+class ProtoRun:
+    """Many records-in-flight about one live subject and one attribute:
+    what ``LibPass.record_many`` returns.  It iterates and sizes as its
+    :class:`ProtoRecord`s, so ``protos += run`` splices them into a
+    list; handed over whole -- to ``pass_write``, or as one item of a
+    ``submit_batch`` list -- it is admitted in bulk."""
+
+    subject: object
+    attr: str
+    values: list
+
+    def __iter__(self):
+        return map(ProtoRecord, repeat(self.subject), repeat(self.attr),
+                   self.values)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def proto_count(protos: list) -> int:
+    """Records a list of protos stands for: a run counts its values."""
+    if ProtoRun in map(type, protos):
+        return sum(len(proto.values) if proto.__class__ is ProtoRun else 1
+                   for proto in protos)
+    return len(protos)
+
+
+def _run_class(values: list):
+    """The one exact class every value of a run has, else None."""
+    classes = set(map(type, values))
+    return classes.pop() if len(classes) == 1 else None
+
+
+def _dedup_key(attr: str, value: Value) -> tuple:
+    """A ``_seen`` entry, type-disambiguated (``1 == True``, and an
+    ObjectRef is itself a tuple): one flat tuple per admitted record."""
+    if isinstance(value, ObjectRef):
+        return (attr, "ref", value.pnode, value.version)
+    return (attr, value.__class__.__name__, value)
 
 
 #: Object the analyzer can freeze: has pnode, version, ref().
@@ -84,18 +127,18 @@ class Analyzer:
         self._emit_batch = emit_batch
         self._clock = clock
         self._record_cost = record_cost
-        #: While submit_batch runs, admitted records collect here (so
-        #: freeze-emitted PREV_VERSION records keep their position in
-        #: the batch) instead of going straight to ``emit``.
+        #: While submit_batch runs, admitted records collect here as
+        #: flat rows (so freeze-emitted PREV_VERSION rows keep their
+        #: position in the batch) instead of going straight to ``emit``.
         self._batch_out: Optional[list] = None
-        #: LRU of (pnode, version, attr, value-key) quadruples already
+        #: LRU of (pnode, version, dedup-key) triples already
         #: processed: block-sized I/O re-submits the same few triples
         #: hundreds of times, and a hit here classifies the record as a
         #: duplicate without constructing anything.
         self._hot: OrderedDict[tuple, None] = OrderedDict()
         #: Versions some object depends on: immutable from then on.
         self._observed: set[ObjectRef] = set()
-        #: (attr, value-key) pairs already recorded, per (pnode, version).
+        #: Dedup keys already recorded, per (pnode, version).
         self._seen: dict[ObjectRef, set[tuple]] = {}
         #: pnode -> live object, so freezes can bump versions.
         self._registry: dict[int, Freezable] = {}
@@ -179,32 +222,51 @@ class Analyzer:
         per-record constants are amortized:
 
         * one clock advance for the whole batch;
-        * duplicate elimination runs *before* record construction --
-          one ``_seen``-set membership test per proto, with subject refs
+        * duplicate elimination runs on the dedup key alone -- one
+          ``_seen``-set membership test per proto, with subject refs
           resolved once per run of protos about the same object;
-        * a capped LRU of hot (subject, attr, value-key) triples
+        * a capped LRU of hot (subject, dedup-key) triples
           short-circuits the duplicate storms block-sized I/O produces;
           it is consulted (and fed) only at run boundaries -- inside a
           run the ``_seen`` set is already at hand, so LRU maintenance
           there would be pure overhead;
-        * field validation happens here with per-class tests, so records
-          are minted inline -- :func:`~repro.core.records.make_record`'s
-          idiom with the lookups hoisted out of the loop -- instead of
-          through ``__init__``/``__post_init__``;
-        * admitted records leave as one :class:`RecordBatch` through
-          ``emit_batch`` (freeze-emitted PREV_VERSION records are
-          spliced into the batch at their admission position, so record
-          order is exactly :meth:`submit`'s).
+        * a :class:`ProtoRun` whose values share one exact plain class
+          is admitted with set operations instead of a loop body per
+          value.  It does not consult the LRU: every key in ``_hot`` is
+          also in ``_seen`` of its version (added in the same iteration,
+          and ``_seen`` is never pruned), so a hit could only drop what
+          the ``_seen`` test drops.  Any other run (cross-references,
+          which cycle avoidance must see one by one; mixed classes such
+          as ``1``/``True``/``1.0``; subclasses) travels as its
+          proto-records;
+        * field validation happens here with per-class tests, and no
+          record object is built: admitted records leave as the flat
+          rows of one :class:`RecordBatch` through ``emit_batch``
+          (freeze-emitted PREV_VERSION rows are spliced into the batch
+          at their admission position, so record order is exactly
+          :meth:`submit`'s).
         """
         if not isinstance(protos, (list, tuple)):
             protos = list(protos)
+        plain_types = _PLAIN_VALUE_TYPES
         count = len(protos)
+        if ProtoRun in map(type, protos):
+            # A run bulk admission cannot take travels as proto-records.
+            flat: list = []
+            for proto in protos:
+                if (proto.__class__ is ProtoRun
+                        and _run_class(proto.values) not in plain_types):
+                    flat += proto
+                else:
+                    flat.append(proto)
+            protos = flat
+            count = proto_count(protos)
         self.records_in += count
         if self._clock is not None and self._record_cost:
             self._clock.advance(self._record_cost * count,
                                 "provenance_cpu")
-        out: list[ProvenanceRecord] = []
-        emitted = dropped = 0
+        out: list = []
+        dropped = 0
         self._batch_out = out
         try:
             seen_map = self._seen
@@ -212,20 +274,18 @@ class Analyzer:
             hot_cap = self.HOT_TRIPLES
             dedup = self.dedup_enabled
             ancestry = Attr.ANCESTRY_ATTRS
-            plain_types = _PLAIN_VALUE_TYPES
-            out_append = out.append
             observe = self._observed.add
-            new_record = object.__new__
-            setfield = object.__setattr__
-            record_cls = ProvenanceRecord
             last_subject = last_ref = last_seen = None
             for proto in protos:
-                if proto.__class__ is not ProtoRecord and isinstance(
-                        proto, ProvenanceRecord):
-                    # Already finalized (e.g. the NFS wire): admitted
-                    # as :meth:`submit` would, collected via _batch_out.
-                    self._admit(proto.subject, proto.attr, proto.value)
-                    continue
+                if proto.__class__ is not ProtoRecord:
+                    if proto.__class__ is ProtoRun:
+                        dropped += self._admit_run(proto, out)
+                        continue
+                    if isinstance(proto, ProvenanceRecord):
+                        # Already finalized (e.g. the NFS wire): admitted
+                        # as :meth:`submit` would, collected via _batch_out.
+                        self._admit(proto.subject, proto.attr, proto.value)
+                        continue
                 subject = proto.subject
                 attr = proto.attr
                 value = proto.value
@@ -237,14 +297,14 @@ class Analyzer:
                         # run cache so the ref is re-resolved.
                         last_subject = None
                     is_ref = True
-                    vkey = ("ref", value.pnode, value.version)
+                    dkey = (attr, "ref", value.pnode, value.version)
                 else:
                     if cls not in plain_types and not isinstance(
                             value, (int, float, str, bytes, bool)):
                         raise InvalidRecord(
                             f"unsupported value type: {cls.__name__}")
                     is_ref = False
-                    vkey = (cls.__name__, value)
+                    dkey = (attr, cls.__name__, value)
                 if not attr or (attr.__class__ is not str
                                 and not isinstance(attr, str)):
                     raise InvalidRecord(
@@ -255,7 +315,7 @@ class Analyzer:
                     hkey = None
                 else:
                     if dedup:
-                        hkey = (subject.pnode, subject.version, attr, vkey)
+                        hkey = (subject.pnode, subject.version, dkey)
                         if hkey in hot:
                             hot.move_to_end(hkey)
                             dropped += 1
@@ -275,33 +335,50 @@ class Analyzer:
                     hot[hkey] = None
                     if len(hot) > hot_cap:
                         hot.popitem(last=False)
-                dkey = (attr, vkey)
                 if dkey in seen:
                     if dedup:
                         dropped += 1
                         continue
                 else:
                     seen.add(dkey)
-                record = new_record(record_cls)
-                setfield(record, "subject", ref)
-                setfield(record, "attr", attr)
-                setfield(record, "value", value)
                 if is_ref and attr in ancestry:
                     observe(value)      # immutable from now on
-                emitted += 1
-                out_append(record)
+                out += (ref, attr, value)
         finally:
             self._batch_out = None
-            self.records_out += emitted
+            self.records_out += len(out) // 3
             self.duplicates_dropped += dropped
         if out:
-            self._emit_batch(RecordBatch(out))
-        return len(out)
+            self._emit_batch(RecordBatch.of_rows(out))
+        return len(out) // 3
+
+    def _admit_run(self, run: ProtoRun, out: list) -> int:
+        """Admit a run whose values share one exact plain class onto
+        ``out``; returns how many were dropped as duplicates."""
+        ref = run.subject.ref()
+        attr = run.attr
+        values = run.values
+        ProvenanceRecord(ref, attr, values[0])  # subject, attr: validated once
+        seen = self._seen.setdefault(ref, set())
+        name = values[0].__class__.__name__
+        keys = [(attr, name, value) for value in values]
+        fresh = set(keys)
+        if self.dedup_enabled and (len(fresh) != len(keys)
+                                   or not seen.isdisjoint(fresh)):
+            # First occurrences not seen before, in order.
+            fresh = dict.fromkeys(key for key in keys if key not in seen)
+            values = [key[2] for key in fresh]
+        seen.update(fresh)
+        block = [attr] * (3 * len(values))
+        block[0::3] = [ref] * len(values)
+        block[2::3] = values
+        out += block
+        return len(keys) - len(values)
 
     def _admit(self, subject_ref: ObjectRef, attr: str, value: Value) -> None:
         record = ProvenanceRecord(subject_ref, attr, value)
         seen = self._seen.setdefault(subject_ref, set())
-        dedup_key = (attr, record.key()[2])
+        dedup_key = _dedup_key(attr, value)
         if dedup_key in seen:
             if self.dedup_enabled:
                 self.duplicates_dropped += 1
@@ -311,11 +388,12 @@ class Analyzer:
         if record.is_ancestry:
             # Pin ``value`` as observed: immutable from now on.
             self._observed.add(value)
-        self.records_out += 1
         batch_out = self._batch_out
         if batch_out is not None:
-            batch_out.append(record)
+            # Counted, with the rest of the batch, when it closes.
+            batch_out += (subject_ref, attr, value)
         else:
+            self.records_out += 1
             self._emit(record)
 
     # -- cycle avoidance --------------------------------------------------------

@@ -22,7 +22,8 @@ from typing import Callable, Optional
 
 from repro.core.errors import UnknownPnode, VolumeError
 from repro.core.pnode import TRANSIENT_VOLUME, ObjectRef, volume_of
-from repro.core.records import Bundle, ProvenanceRecord, RecordBatch
+from repro.core.records import (Bundle, ProvenanceRecord, RecordBatch,
+                                records_from)
 
 #: A sink accepting (volume_name, Bundle) -- Lasagna's provenance-only
 #: write path, bound in by the kernel assembly.
@@ -41,16 +42,17 @@ class Distributor:
         self.default_volume = default_volume
         #: Fault injector (repro.faults); None keeps flush() bare.
         self._faults = faults
-        #: Cached records of not-yet-persistent objects, by pnode.
-        self._cache: dict[int, list[ProvenanceRecord]] = {}
+        #: Cached records of not-yet-persistent objects, by pnode, as
+        #: flat (subject, attr, value) rows.
+        self._cache: dict[int, list] = {}
         #: Volume each flushed transient pnode was assigned to.
         self._assigned: dict[int, str] = {}
         #: Volume hints from pass_mkobj.
         self._hints: dict[int, str] = {}
-        #: While flush_batch runs, volume-bound records accumulate here
+        #: While flush_batch runs, volume-bound rows accumulate here
         #: (per-volume, in admission order) instead of hitting the sink
         #: one Bundle at a time; None outside a batch.
-        self._pending: Optional[dict[str, list[ProvenanceRecord]]] = None
+        self._pending: Optional[dict[str, list]] = None
         # Statistics.
         self.records_cached = 0
         self.records_flushed = 0
@@ -97,7 +99,8 @@ class Distributor:
             self._flush_sink(volume, Bundle([record]))
             self.records_flushed += 1
         else:
-            self._cache.setdefault(pnode, []).append(record)
+            self._cache.setdefault(pnode, []).extend(
+                (record.subject, record.attr, record.value))
             self.records_cached += 1
 
     def flush_batch(self, batch: RecordBatch) -> None:
@@ -111,7 +114,7 @@ class Distributor:
         Bundle per record.  Per-volume record order -- the order the WAP
         log and the database see -- is exactly the per-record order.
         """
-        pending: dict[str, list[ProvenanceRecord]] = {}
+        pending: dict[str, list] = {}
         self._pending = pending
         flushed = cached = 0
         try:
@@ -128,8 +131,9 @@ class Distributor:
             volume = None
             bucket: Optional[list] = None
             routed = False
-            for record in batch:
-                pnode = record.subject.pnode
+            row = iter(batch.rows)
+            for subject, attr, value in zip(row, row, row):
+                pnode = subject.pnode
                 if pnode != last_pnode:
                     last_pnode = pnode
                     volume_id = volume_of(pnode)
@@ -149,25 +153,23 @@ class Distributor:
                         if bucket is None:
                             bucket = pending[volume] = []
                 if routed:
-                    value = record.value
                     if isinstance(value, ObjectRef):
                         # Ancestors first: write-ahead provenance across
                         # objects.  flush() appends into ``pending`` (the
                         # same per-volume list ``bucket`` refers to), so
                         # ancestor records precede this one.
                         self.flush(value.pnode, volume)
-                    bucket.append(record)
                     flushed += 1
                 else:
-                    bucket.append(record)
                     cached += 1
+                bucket += (subject, attr, value)
         finally:
             self._pending = None
             self.records_flushed += flushed
             self.records_cached += cached
         self.batches_dispatched += 1
-        for volume, records in pending.items():
-            self._flush_sink(volume, RecordBatch(records))
+        for volume, rows in pending.items():
+            self._flush_sink(volume, RecordBatch.of_rows(rows))
 
     def _flush_ancestors(self, record: ProvenanceRecord, volume: str) -> None:
         """Materialize cached provenance of any ancestor the record names."""
@@ -192,7 +194,7 @@ class Distributor:
         if self._faults is not None:
             # Cached transient records are about to become durable.
             self._faults.fire("distributor.flush", pnode=pnode,
-                              records=len(self._cache[pnode]))
+                              records=len(self._cache[pnode]) // 3)
         self.flush_calls += 1
         volume = (volume or self._hints.get(pnode)
                   or self._assigned.get(pnode) or self.default_volume)
@@ -200,20 +202,22 @@ class Distributor:
             raise VolumeError(
                 f"no PASS volume available to hold provenance of pnode {pnode}"
             )
-        records = self._cache.pop(pnode)
+        rows = self._cache.pop(pnode)
         self._assigned[pnode] = volume
         # Ancestors first: write-ahead provenance across objects.
-        for record in records:
-            if isinstance(record.value, ObjectRef):
-                self.flush(record.value.pnode, volume)
+        for value in rows[2::3]:
+            if isinstance(value, ObjectRef):
+                self.flush(value.pnode, volume)
         pending = self._pending
         if pending is not None:
             # Inside flush_batch: join the per-volume batch in order.
-            pending.setdefault(volume, []).extend(records)
+            pending.setdefault(volume, []).extend(rows)
         else:
-            self._flush_sink(volume, Bundle(records))
-        self.records_flushed += len(records)
-        return len(records)
+            # The ordered route, in one sink call: the caller's next
+            # explicit flush commits these, never a threshold.
+            self._flush_sink(volume, Bundle.of_rows(rows))
+        self.records_flushed += len(rows) // 3
+        return len(rows) // 3
 
     def sync(self, pnode: int, volume: Optional[str] = None) -> int:
         """``pass_sync``: force an object's provenance to disk."""
@@ -223,15 +227,15 @@ class Distributor:
 
     def discard(self, pnode: int) -> int:
         """Drop cached records of a dead object with no persistent ties."""
-        records = self._cache.pop(pnode, [])
-        self.records_discarded += len(records)
-        return len(records)
+        count = len(self._cache.pop(pnode, ())) // 3
+        self.records_discarded += count
+        return count
 
     # -- introspection ---------------------------------------------------------
 
     def cached_records(self, pnode: int) -> list[ProvenanceRecord]:
         """Copy of the records currently cached for an object."""
-        return list(self._cache.get(pnode, ()))
+        return list(records_from(self._cache.get(pnode, ())))
 
     def cached_pnodes(self) -> list[int]:
         """Pnodes with cached (unmaterialized) provenance."""

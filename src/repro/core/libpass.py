@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.core.analyzer import ProtoRecord
+from repro.core.analyzer import ProtoRecord, ProtoRun
 from repro.core.errors import BadFileDescriptor, ProvenanceError
 from repro.core.pnode import ObjectRef
 from repro.core.records import Value
@@ -82,20 +82,21 @@ class LibPass:
         return ProtoRecord(target, attr, value)
 
     def record_many(self, subject_fd: int, attr: str,
-                    values: Iterable[Value]) -> list[ProtoRecord]:
+                    values: Iterable[Value]) -> ProtoRun:
         """Build many disclosed records about one subject in one call.
 
         The bulk companion to :meth:`record`: the descriptor is resolved
         (and the subject adopted) once for the whole group instead of
         per record, which is what tight disclosure loops -- application
         checkpoints, batch annotators -- want before handing the group
-        to :meth:`pass_write`.
+        to :meth:`pass_write`.  The group is one :class:`ProtoRun`, not
+        an object per value; it reads as a sequence of records.
         """
         observer = self._observer()
         _, target = self._target(subject_fd)
         if getattr(target, "pnode", 0) == 0:
             observer.adopt(target)
-        return [ProtoRecord(target, attr, value) for value in values]
+        return ProtoRun(target, attr, list(values))
 
     # -- the six DPAPI calls ------------------------------------------------------------
 

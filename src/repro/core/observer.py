@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.core.analyzer import Analyzer, ProtoRecord
+from repro.core.analyzer import Analyzer, ProtoRecord, ProtoRun, proto_count
 from repro.core.distributor import Distributor
 from repro.core.dpapi import PassObject
 from repro.core.errors import StalePnodeVersion
@@ -70,7 +70,7 @@ class Observer:
         the list order."""
         if not protos:
             return
-        self.records_emitted += len(protos)
+        self.records_emitted += proto_count(protos)
         self.analyzer.submit_batch(protos)
 
     def submit_protos(self, protos) -> None:
@@ -280,10 +280,15 @@ class Observer:
         event: list = []
         if proc is not None:
             self._identify_process(proc, event)
-        before = len(event)
-        event.extend(protos)
-        self.disclosed_count += len(event) - before
+        self._disclose(protos, event)
         self._flush_event(event)
+
+    def _disclose(self, protos, event: list) -> None:
+        """Put disclosed protos on the event: a ``record_many`` run as
+        one item, which the analyzer admits in bulk."""
+        disclosed = [protos] if protos.__class__ is ProtoRun else list(protos)
+        self.disclosed_count += proto_count(disclosed)
+        event += disclosed
 
     def disclosed_write(self, proc: Optional[Process], inode: Inode,
                         path: Optional[str], offset: int,
@@ -299,9 +304,7 @@ class Observer:
                 event = []
                 self.analyzer.freeze(inode)
             self._last_writer[inode.pnode] = proc.pnode
-        before = len(event)
-        event.extend(protos)
-        self.disclosed_count += len(event) - before
+        self._disclose(protos, event)
         if proc is not None:
             self._identify_process(proc, event)
             event.append(ProtoRecord(inode, Attr.INPUT, proc.ref()))

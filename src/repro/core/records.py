@@ -14,7 +14,7 @@ shell pipeline, for example).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Union
 
 from repro.core.errors import InvalidRecord
 from repro.core.pnode import ObjectRef
@@ -135,16 +135,18 @@ class ProvenanceRecord:
 def make_record(subject: ObjectRef, attr: str, value: Value) -> "ProvenanceRecord":
     """Trusted-path record constructor for internal pipeline stages.
 
-    The batch analyzer validates subject/attr/value itself (once per
-    run of protos, with cheap class tests) before minting records, so
-    re-running ``__init__``/``__post_init__`` -- three ``isinstance``
-    checks per record -- would only repeat work.  The one mint idiom,
-    here and inline in ``Analyzer.submit_batch``: ``object.__new__``,
-    then ``object.__setattr__`` per slot (the frozen class refuses
-    plain assignment).  The returned record is indistinguishable from
-    one built normally.  Callers *must* guarantee the field invariants
-    ``__post_init__`` enforces; external producers go through
-    ``ProvenanceRecord(...)``.
+    The ingest pipeline validates subject/attr/value once, where a
+    record is admitted (``Analyzer.submit_batch``, with cheap class
+    tests), and from there carries it as three slots of a flat rows
+    list; a :class:`ProvenanceRecord` is minted from those slots only
+    where something reads one, so re-running
+    ``__init__``/``__post_init__`` -- three ``isinstance`` checks per
+    record -- would only repeat work.  The one mint idiom:
+    ``object.__new__``, then ``object.__setattr__`` per slot (the frozen
+    class refuses plain assignment).  The returned record is
+    indistinguishable from one built normally.  Callers *must* guarantee
+    the field invariants ``__post_init__`` enforces; external producers
+    go through ``ProvenanceRecord(...)``.
     """
     record = object.__new__(ProvenanceRecord)
     setfield = object.__setattr__
@@ -165,97 +167,111 @@ def _value_key(value: Value) -> tuple:
     return (type(value).__name__, value)
 
 
-class RecordBatch:
+def records_from(rows) -> Iterator[ProvenanceRecord]:
+    """Mint, lazily and in order, the records a flat rows sequence holds
+    (``rows[3*i:3*i+3] == (subject, attr, value)``)."""
+    row = iter(rows)
+    return map(make_record, row, row, row)
+
+
+def rows_of(records) -> list:
+    """The flat rows of a carrier (its own list, not a copy), or of any
+    iterable of records, flattened once."""
+    if isinstance(records, _Rows):
+        return records.rows
+    rows: list = []
+    for record in records:
+        rows += (record.subject, record.attr, record.value)
+    return rows
+
+
+class _Rows:
+    """What the two carriers share: one flat list, three slots per
+    record, so a carrier of N records is one collector-visible object,
+    not N + 1.  Read the slots three at a time (``row = iter(rows);
+    zip(row, row, row)``); iterating, indexing or ``list()`` mints
+    :class:`ProvenanceRecord` objects for whoever wants to read one."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, records: Iterable[ProvenanceRecord] = ()):
+        #: The backing list, in admission order, owned by the carrier
+        #: (flattened from ``records`` here; handed over by ``of_rows``).
+        self.rows: list = []
+        self.extend(records)
+
+    @classmethod
+    def of_rows(cls, rows: list):
+        """Adopt an already flat, already validated rows list (the
+        trusted constructor internal pipeline stages use)."""
+        carrier = cls.__new__(cls)
+        carrier.rows = rows
+        return carrier
+
+    def add(self, record: ProvenanceRecord) -> None:
+        """Append one record."""
+        self.rows += (record.subject, record.attr, record.value)
+
+    def extend(self, records: Iterable[ProvenanceRecord]) -> None:
+        """Append many records."""
+        self.rows += rows_of(records)
+
+    def subjects(self) -> list[ObjectRef]:
+        """Distinct subjects in order (first occurrence wins)."""
+        return list(dict.fromkeys(self.rows[0::3]))
+
+    def __iter__(self) -> Iterator[ProvenanceRecord]:
+        return records_from(self.rows)
+
+    def __getitem__(self, index: int) -> ProvenanceRecord:
+        start = 3 * range(len(self))[index]
+        return make_record(*self.rows[start:start + 3])
+
+    def __len__(self) -> int:
+        return len(self.rows) // 3
+
+    def __bool__(self) -> bool:
+        return bool(self.rows)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)} records)"
+
+
+class RecordBatch(_Rows):
     """An ordered batch of finalized records the log may group-commit.
 
     The carrier the ingest pipeline (analyzer ``submit_batch`` ->
     distributor ``flush_batch`` -> Lasagna ``append_provenance`` -> log
-    ``append_batch``) hands between layers; a :class:`Bundle` in the
-    same sink means the caller orders the flush instead.  Unlike
-    :class:`Bundle` it performs no per-item validation: every producer
-    is an internal pipeline stage that only ever holds
-    already-validated :class:`ProvenanceRecord` instances, so
-    re-checking each one would only repeat work per record.
-    It iterates and sizes like a Bundle, so sinks accept either.
+    ``append_batch`` -> Waldo -> ``insert_many`` -> ``apply_batch``)
+    hands between layers; a :class:`Bundle` in the same sink means the
+    caller orders the flush instead.  Unlike :class:`Bundle` it performs
+    no per-item validation: every producer is an internal pipeline stage
+    that only ever holds already-validated records, so re-checking each
+    one would only repeat work per record.
     """
 
-    __slots__ = ("records",)
-
-    def __init__(self, records: Optional[list] = None):
-        #: The backing list, in admission order.  Owned by the batch:
-        #: producers hand the list over rather than copying it.
-        self.records: list[ProvenanceRecord] = (
-            records if records is not None else [])
-
-    def add(self, record: ProvenanceRecord) -> None:
-        """Append one record."""
-        self.records.append(record)
-
-    def extend(self, records: Iterable[ProvenanceRecord]) -> None:
-        """Append many records."""
-        self.records.extend(records)
-
-    def subjects(self) -> list[ObjectRef]:
-        """Distinct subjects in batch order (first occurrence wins)."""
-        seen: dict[ObjectRef, None] = {}
-        for record in self.records:
-            seen.setdefault(record.subject, None)
-        return list(seen)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __bool__(self) -> bool:
-        return bool(self.records)
-
-    def __repr__(self) -> str:
-        return f"RecordBatch({len(self.records)} records)"
+    __slots__ = ()
 
 
-class Bundle:
+class Bundle(_Rows):
     """An ordered collection of records describing possibly many objects.
 
     "A provenance bundle is an array of object handles and records, each
     potentially describing a different object" (section 5.2).  The bundle
     is what ``pass_write`` carries alongside data so that provenance and
-    data move through the system together.
+    data move through the system together.  Every item handed to the
+    public constructor, ``add`` or ``extend`` is checked.
     """
 
-    def __init__(self, records: Iterable[ProvenanceRecord] = ()):
-        self._records: list[ProvenanceRecord] = list(records)
-        for record in self._records:
-            if not isinstance(record, ProvenanceRecord):
-                raise InvalidRecord(f"bundle items must be records: {record!r}")
+    __slots__ = ()
 
     def add(self, record: ProvenanceRecord) -> None:
         """Append one record to the bundle."""
         if not isinstance(record, ProvenanceRecord):
             raise InvalidRecord(f"bundle items must be records: {record!r}")
-        self._records.append(record)
+        super().add(record)
 
     def extend(self, records: Iterable[ProvenanceRecord]) -> None:
         """Append many records to the bundle."""
         for record in records:
             self.add(record)
-
-    def subjects(self) -> list[ObjectRef]:
-        """Distinct subjects in bundle order (first occurrence wins)."""
-        seen: dict[ObjectRef, None] = {}
-        for record in self._records:
-            seen.setdefault(record.subject, None)
-        return list(seen)
-
-    def __iter__(self):
-        return iter(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __bool__(self) -> bool:
-        return bool(self._records)
-
-    def __repr__(self) -> str:
-        return f"Bundle({len(self._records)} records)"

@@ -23,6 +23,7 @@ from repro.core.errors import (
     IsADirectory,
     NotADirectory,
 )
+from repro.core.pnode import ObjectRef
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.kernel.volume import Volume
@@ -182,9 +183,8 @@ class Inode:
     def size(self) -> int:
         return self.data.size if self.data is not None else 0
 
-    def ref(self):
+    def ref(self) -> ObjectRef:
         """Current (pnode, version) identity; PASS volumes only."""
-        from repro.core.pnode import ObjectRef
         return ObjectRef(self.pnode, self.version)
 
     def block_for(self, offset: int) -> int:

@@ -15,9 +15,10 @@ without ever being rebuilt.  ``System.query_engine()`` and the CLI hand
 out the same live engine instead of constructing their own; a sync is an
 O(new records) update, not an O(total history) rebuild.
 
-Sources are duck-typed: anything with ``all_records()`` works, and
-anything that also has ``subscribe_batch(listener)`` (the push feed
-``ProvenanceDatabase`` exposes) keeps the engine live.  The graph
+Sources are duck-typed: anything with ``all_records()`` works (a
+``ProvenanceDatabase`` is read through ``all_rows()``, without minting
+a record), and anything that also has ``subscribe_batch(listener)``
+(the push feed it exposes) keeps the engine live.  The graph
 receives records; it never pulls them from storage (lint rule PL210).
 
 :meth:`from_records` yields a static snapshot engine over a plain
@@ -60,7 +61,7 @@ from collections import OrderedDict
 from typing import Iterable
 
 from repro.core.errors import PQLError
-from repro.core.records import ProvenanceRecord
+from repro.core.records import ProvenanceRecord, RecordBatch, rows_of
 from repro.obs import NULL_OBS
 from repro.pql.ast import Literal, Query
 from repro.pql.evaluator import Evaluator
@@ -188,16 +189,21 @@ class QueryEngine:
              optimize: bool = True) -> "QueryEngine":
         """The one real construction path: a live engine over sources.
 
-        Batch-builds the graph from each source's ``all_records()``,
-        then subscribes to every source that supports it so later
+        Batch-builds the graph from each source's ``all_rows()`` (or,
+        for a source without one, ``all_records()``), then
+        subscribes to every source that supports it so later
         inserts flow straight into the graph.  Callers own exactly one
         live engine per source set and reuse it across syncs;
         short-lived engines (benchmark arms) should :meth:`detach`
         when done so sources stop feeding them.
         """
-        streams = [source.all_records() for source in sources]
+        rows: list = []
+        for source in sources:
+            all_rows = getattr(source, "all_rows", None)
+            rows += (all_rows() if all_rows is not None
+                     else rows_of(source.all_records()))
         with obs.span("oem.build", layer="pql") as span:
-            graph = OEMGraph.build(itertools.chain(*streams))
+            graph = OEMGraph.build(RecordBatch.of_rows(rows))
             span.tag("nodes", len(graph))
         engine = cls(graph, check=check, obs=obs, optimize=optimize)
         for source in sources:

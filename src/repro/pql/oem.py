@@ -37,7 +37,7 @@ from collections import defaultdict
 from typing import Iterable, Optional
 
 from repro.core.pnode import ObjectRef
-from repro.core.records import Attr, ProvenanceRecord
+from repro.core.records import Attr, ProvenanceRecord, rows_of
 
 #: Attributes whose atoms are shared by every version of an object.
 IDENTITY_ATTRS = frozenset({Attr.NAME, Attr.TYPE, Attr.ARGV, Attr.ENV,
@@ -124,7 +124,9 @@ class OEMGraph:
 
     @classmethod
     def build(cls, records: Iterable[ProvenanceRecord]) -> "OEMGraph":
-        """Build a graph from a stream of records in one batch pass.
+        """Build a graph from a :class:`~repro.core.records.RecordBatch`
+        (read as rows, no record minted) or any stream of records, in
+        one batch pass.
 
         Identity-atom sharing and member classification are deferred to
         the end of the stream (cheaper than doing them per record); the
@@ -139,23 +141,23 @@ class OEMGraph:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            for record in records:
-                if record.attr in _FRAMING:
+            row = iter(rows_of(records))
+            for subject, attr, value in zip(row, row, row):
+                if attr in _FRAMING:
                     continue
-                node = graph._node(record.subject)
-                label = record.attr.lower()
+                node = graph._node(subject)
+                label = attr.lower()
                 graph.records_applied += 1
-                if isinstance(record.value, ObjectRef):
-                    target = graph._node(record.value)
+                if isinstance(value, ObjectRef):
+                    target = graph._node(value)
                     node.edges.setdefault(label, []).append(target)
                     target.redges.setdefault(label, []).append(node)
                     graph._edge_labels.add(label)
-                elif record.attr in IDENTITY_ATTRS:
-                    graph._identity[record.subject.pnode].append(
-                        (label, record.value))
+                elif attr in IDENTITY_ATTRS:
+                    graph._identity[subject.pnode].append((label, value))
                     graph._atom_labels.add(label)
                 else:
-                    node.atoms.setdefault(label, []).append(record.value)
+                    node.atoms.setdefault(label, []).append(value)
                     graph._atom_labels.add(label)
             graph._apply_identity(graph._identity)
             graph._classify()
@@ -192,14 +194,13 @@ class OEMGraph:
         add_identity = self._add_identity_atom
         note_label = self._note_atom_label
         catalog = self.indexes
-        for record in records:
-            attr = record.attr
+        row = iter(rows_of(records))
+        for subject, attr, value in zip(row, row, row):
             if attr in _FRAMING:
                 continue
             count += 1
-            node = live_node(record.subject)
+            node = live_node(subject)
             label = attr.lower()
-            value = record.value
             if isinstance(value, ObjectRef):
                 target = live_node(value)
                 node.edges.setdefault(label, []).append(target)
@@ -211,9 +212,9 @@ class OEMGraph:
                     catalog.note_edge(label, node, target)
             elif attr in IDENTITY_ATTRS:
                 # Shared by every version, present and future.
-                identity[record.subject.pnode].append((label, value))
+                identity[subject.pnode].append((label, value))
                 note_label(label)
-                for version in by_pnode[record.subject.pnode]:
+                for version in by_pnode[subject.pnode]:
                     add_identity(version, label, value)
             else:
                 node.atoms.setdefault(label, []).append(value)

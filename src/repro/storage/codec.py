@@ -147,14 +147,17 @@ def decode_stream(buf: bytes) -> Iterable[ProvenanceRecord]:
 
 
 def encoded_size(record: ProvenanceRecord) -> int:
-    """Encoded length of a record, computed arithmetically.
+    """Encoded length of a record: ``len(encode_record(record))``
+    (property-tested), computed arithmetically."""
+    return encoded_size_of(record.attr, record.value)
 
-    Equals ``len(encode_record(record))`` (property-tested) without
-    building any bytes -- this runs once per record on the database
-    insert path and once per append on the log's byte accounting, so it
-    must stay allocation-free.
+
+def encoded_size_of(attr: str, value: Value) -> int:
+    """Encoded length of a record with this attribute and value (the
+    subject head is fixed-width), without building any bytes -- this
+    runs once per stored row when the database folds its deferred size
+    accounting, so it must stay allocation-free.
     """
-    value = record.value
     # Exact-class tests first (the overwhelmingly common case); the
     # isinstance chain below only catches subclasses.  bool must stay
     # ahead of int in both chains (bool is an int subclass).
@@ -183,7 +186,6 @@ def encoded_size(record: ProvenanceRecord) -> int:
         vsize = 5 + len(value)
     else:
         raise TypeError(f"unencodable value type: {type(value).__name__}")
-    attr = record.attr
     attr_len = len(attr) if attr.isascii() else len(attr.encode("utf-8"))
     return _HEAD.size + 1 + attr_len + vsize
 
@@ -196,9 +198,10 @@ class RecordEncoder:
     produces runs of records about the same few objects).  The encoder
     interns the three reusable fragments of the wire format -- subject
     head, length-prefixed attribute name, and tagged ObjectRef value --
-    so a batch encode is mostly dictionary hits plus one ``bytes.join``.
+    so a batch encode is mostly dictionary hits.
 
-    Output is byte-identical to :func:`encode_record` (property-tested).
+    Output is byte-identical to :func:`encode_record` (property-tested:
+    ``tests/properties/test_codec_props.py``).
     Caches are capped; on overflow they are cleared (the working set has
     moved on, so LRU bookkeeping would cost more than it saves).
     """
@@ -222,55 +225,16 @@ class RecordEncoder:
 
     def encode(self, record: ProvenanceRecord) -> bytes:
         """Encode one record (identical bytes to :func:`encode_record`)."""
-        subject = record.subject
-        attr = record.attr
-        if subject is self._run_subject and attr is self._run_attr:
-            head_prefix = self._run_head_prefix
-        else:
-            head = self._heads.get(subject)
-            if head is None:
-                if len(self._heads) >= self._CAP:
-                    self._heads.clear()
-                head = _HEAD.pack(subject.pnode, subject.version)
-                self._heads[subject] = head
-            prefix = self._attrs.get(attr)
-            if prefix is None:
-                raw = attr.encode("utf-8")
-                if len(raw) > 255:
-                    raise ValueError(f"attribute name too long: {attr!r}")
-                if len(self._attrs) >= self._CAP:
-                    self._attrs.clear()
-                prefix = bytes([len(raw)]) + raw
-                self._attrs[attr] = prefix
-            head_prefix = head + prefix
-            self._run_subject = subject
-            self._run_attr = attr
-            self._run_head_prefix = head_prefix
-        value = record.value
-        if value.__class__ is str:
-            # Unique strings (annotations, names) defeat memoization, so
-            # the common tail is encoded inline instead of paying the
-            # encode_value isinstance chain per record.
-            raw = value.encode("utf-8")
-            tail = _TAG_STR + _LEN.pack(len(raw)) + raw
-        elif isinstance(value, ObjectRef):
-            tail = self._refs.get(value)
-            if tail is None:
-                if len(self._refs) >= self._CAP:
-                    self._refs.clear()
-                tail = bytes([TAG_REF]) + _REF.pack(value.pnode,
-                                                    value.version)
-                self._refs[value] = tail
-        else:
-            tail = encode_value(value)
-        return head_prefix + tail
+        return self.encode_rows(
+            (record.subject, record.attr, record.value))[0]
 
-    def encode_list(self, records: Iterable[ProvenanceRecord]) -> list[bytes]:
-        """Encode records into one chunk each (the group-commit buffer).
+    def encode_rows(self, rows) -> list[bytes]:
+        """Encode flat (subject, attr, value) rows into one chunk per
+        record (the group-commit buffer).
 
-        Byte-for-byte what ``[self.encode(r) for r in records]`` returns,
-        with the run memo, caches, and value fast paths held in locals so
-        the per-record cost is the loop body alone -- no method dispatch.
+        Byte-for-byte ``encode_record`` of each row, with the run memo,
+        caches, and value fast paths held in locals so the per-record
+        cost is the loop body alone -- no method dispatch.
         """
         heads = self._heads
         attrs = self._attrs
@@ -282,9 +246,8 @@ class RecordEncoder:
         pack_len = _LEN.pack
         out: list[bytes] = []
         append = out.append
-        for record in records:
-            subject = record.subject
-            attr = record.attr
+        row = iter(rows)
+        for subject, attr, value in zip(row, row, row):
             if subject is not run_subject or attr is not run_attr:
                 head = heads.get(subject)
                 if head is None:
@@ -305,8 +268,10 @@ class RecordEncoder:
                 head_prefix = head + prefix
                 run_subject = subject
                 run_attr = attr
-            value = record.value
             if value.__class__ is str:
+                # Unique strings (annotations, names) defeat memoization,
+                # so the common tail is encoded inline instead of paying
+                # the encode_value isinstance chain per record.
                 raw = value.encode("utf-8")
                 append(head_prefix + _TAG_STR + pack_len(len(raw)) + raw)
             elif isinstance(value, ObjectRef):
@@ -324,7 +289,3 @@ class RecordEncoder:
         self._run_attr = run_attr
         self._run_head_prefix = head_prefix
         return out
-
-    def encode_batch(self, records: Iterable[ProvenanceRecord]) -> bytes:
-        """Encode a whole batch into one contiguous byte string."""
-        return b"".join(self.encode_list(records))

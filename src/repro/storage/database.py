@@ -18,10 +18,12 @@ Indexes maintained (mirroring what the PQL evaluator needs):
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
 from repro.core.pnode import ObjectRef
-from repro.core.records import Attr, ProvenanceRecord
+from repro.core.records import (Attr, ProvenanceRecord, RecordBatch,
+                                make_record, records_from)
 from repro.storage import codec
 
 #: Approximate on-disk bytes per index entry (key pointer + record id),
@@ -36,7 +38,8 @@ class ProvenanceDatabase:
 
     def __init__(self, name: str = "provenance"):
         self.name = name
-        self._records: dict[int, list[ProvenanceRecord]] = defaultdict(list)
+        #: pnode -> its records, as flat (subject, attr, value) rows.
+        self._records: dict[int, list] = defaultdict(list)
         self._by_attr: dict[str, list[ObjectRef]] = defaultdict(list)
         self._by_name: dict[str, list[ObjectRef]] = defaultdict(list)
         self._by_xref: dict[ObjectRef, list[tuple[ObjectRef, str]]] = (
@@ -44,9 +47,9 @@ class ProvenanceDatabase:
         self._max_version: dict[int, int] = {}
         self.record_count = 0
         self._main_bytes = 0
-        #: Records inserted by bulk drains whose encoded size has not
+        #: Rows inserted by bulk drains whose encoded size has not
         #: been folded into ``_main_bytes`` yet (see ``main_bytes``).
-        self._unsized: list[ProvenanceRecord] = []
+        self._unsized: list = []
         self.index_bytes = 0
         self._batch_listeners: list = []
 
@@ -62,9 +65,9 @@ class ProvenanceDatabase:
         This is the push feed live query engines ride: the graph
         *receives* records as Waldo ingests them, it never reaches back
         into storage to pull (lint rule PL210).  ``insert_many`` hands
-        the whole sequence over in one call and a single ``insert``
-        arrives as a 1-tuple, so a subscriber sees every record exactly
-        once, in insertion order.  Recovery replay goes through
+        the whole group over as one :class:`RecordBatch` (a single
+        ``insert`` is a batch of one), so a subscriber sees every record
+        exactly once, in insertion order.  Recovery replay goes through
         :meth:`insert_many` too, so subscribers stay correct across
         crash/recover cycles.
         """
@@ -93,14 +96,16 @@ class ProvenanceDatabase:
         return bool(self._batch_listeners)
 
     def insert_many(self, records: Iterable[ProvenanceRecord]) -> int:
-        """Insert a batch; returns how many records were added.
+        """Insert a :class:`RecordBatch`, or any iterable of records
+        (flattened once); returns how many records were added.
 
         The one indexing pass: every instance lookup hoisted, the size
         counters accumulated locally, subscribers notified once with
         the whole group.
         """
-        if not isinstance(records, (list, tuple)):
-            records = list(records)
+        if not isinstance(records, RecordBatch):
+            records = RecordBatch(records)
+        rows = records.rows
         by_pnode = self._records
         by_attr = self._by_attr
         by_name = self._by_name
@@ -115,17 +120,15 @@ class ProvenanceDatabase:
         # as a different ObjectRef instance.
         last_subject = None
         plist: Optional[list] = None
-        for record in records:
-            subject = record.subject
+        row = iter(rows)
+        for subject, attr, value in zip(row, row, row):
             if subject is not last_subject:
                 last_subject = subject
                 pnode = subject.pnode
                 plist = by_pnode[pnode]
                 if subject.version > max_version.get(pnode, -1):
                     max_version[pnode] = subject.version
-            plist.append(record)
-            attr = record.attr
-            value = record.value
+            plist += (subject, attr, value)
             by_attr[attr].append(subject)
             index_bytes += ATTR_INDEX_ENTRY_BYTES
             if attr == name_attr and isinstance(value, str):
@@ -136,11 +139,11 @@ class ProvenanceDatabase:
                 index_bytes += XREF_INDEX_ENTRY_BYTES
         self.record_count += len(records)
         # Main-store size accounting is deferred: sizes are pure
-        # functions of the records, so the ``main_bytes`` read folds
+        # functions of the rows, so the ``main_bytes`` read folds
         # them in later instead of this loop paying per record.
-        self._unsized.extend(records)
+        self._unsized += rows
         self.index_bytes += index_bytes
-        if records:
+        if rows:
             for listener in self._batch_listeners:
                 listener(records)
         return len(records)
@@ -157,11 +160,8 @@ class ProvenanceDatabase:
         """
         pending = self._unsized
         if pending:
-            sizer = codec.encoded_size
-            total = 0
-            for record in pending:
-                total += sizer(record)
-            self._main_bytes += total
+            self._main_bytes += sum(map(codec.encoded_size_of,
+                                        pending[1::3], pending[2::3]))
             self._unsized = []
         return self._main_bytes
 
@@ -171,12 +171,14 @@ class ProvenanceDatabase:
 
     def records_of(self, pnode: int) -> list[ProvenanceRecord]:
         """All records for all versions of one object."""
-        return list(self._records.get(pnode, ()))
+        return list(records_from(self._records.get(pnode, ())))
 
     def records_of_version(self, ref: ObjectRef) -> list[ProvenanceRecord]:
         """Records describing one specific version."""
-        return [record for record in self._records.get(ref.pnode, ())
-                if record.subject.version == ref.version]
+        row = iter(self._records.get(ref.pnode, ()))
+        return [make_record(subject, attr, value)
+                for subject, attr, value in zip(row, row, row)
+                if subject.version == ref.version]
 
     def max_version(self, pnode: int) -> Optional[int]:
         """Latest version number seen for an object, or None."""
@@ -184,9 +186,9 @@ class ProvenanceDatabase:
 
     def attribute_values(self, ref: ObjectRef, attr: str) -> list:
         """Values of one attribute on one version (possibly several)."""
-        return [record.value for record in self._records.get(ref.pnode, ())
-                if record.subject.version == ref.version
-                and record.attr == attr]
+        row = iter(self._records.get(ref.pnode, ()))
+        return [value for subject, name, value in zip(row, row, row)
+                if subject.version == ref.version and name == attr]
 
     def subjects_with_attr(self, attr: str) -> list[ObjectRef]:
         """Subject refs carrying an attribute (attribute index)."""
@@ -213,10 +215,15 @@ class ProvenanceDatabase:
         """Every (subject, attr) pair whose value references ``ref``."""
         return list(self._by_xref.get(ref, ()))
 
-    def all_records(self) -> Iterable[ProvenanceRecord]:
-        """Stream every record (graph construction)."""
-        for records in self._records.values():
-            yield from records
+    def all_records(self) -> Iterator[ProvenanceRecord]:
+        """Stream every record, grouped by pnode, each in insertion
+        order (minted as read)."""
+        return records_from(self.all_rows())
+
+    def all_rows(self) -> Iterator:
+        """:meth:`all_records` as a stream of flat (subject, attr,
+        value) slots: what graph construction reads, mint-free."""
+        return chain.from_iterable(self._records.values())
 
     # -- serialization -------------------------------------------------------------------
 
@@ -226,11 +233,8 @@ class ProvenanceDatabase:
     def to_bytes(self) -> bytes:
         """Serialize the whole database (indexes are derived state and
         are rebuilt on load)."""
-        chunks = [self.MAGIC]
-        for records in self._records.values():
-            chunks.extend(codec.encode_record(record)
-                          for record in records)
-        return b"".join(chunks)
+        return self.MAGIC + b"".join(
+            codec.RecordEncoder().encode_rows(self.all_rows()))
 
     @classmethod
     def from_bytes(cls, blob: bytes,

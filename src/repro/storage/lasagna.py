@@ -133,32 +133,29 @@ class Lasagna:
         cost = self.params.cpu.log_encode * len(bundle)
         if cost:
             self.volume.clock.advance(cost, "provenance_cpu")
+        parts = (bundle,) if self.shards == 1 else self._by_shard(bundle)
         if isinstance(bundle, RecordBatch):
             self.obs.observe("lasagna", "batch_size", len(bundle),
                              volume=self.volume.name)
-            if self.shards == 1:
-                self.log.append_batch(bundle.records)
-                return
-            # Split by subject shard, preserving order within each
-            # bucket (and therefore within each subject: all of a
-            # subject's records hash to the same shard).
-            count = self.shards
-            buckets: list[list] = [[] for _ in range(count)]
-            for record in bundle.records:
-                buckets[shard_of(record.subject.pnode, count)].append(
-                    record)
-            for log, bucket in zip(self.shard_logs, buckets):
-                if bucket:
-                    log.append_batch(bucket)
+            for log, part in zip(self.shard_logs, parts):
+                if part:
+                    log.append_batch(part)
             return
-        if self.shards == 1:
-            for record in bundle:
-                self.log.append(record)
-            return
-        logs = self.shard_logs
+        for log, part in zip(self.shard_logs, parts):
+            if part:
+                log.append(part)
+
+    def _by_shard(self, bundle) -> list:
+        """Split a carrier by subject shard, one carrier of its class
+        per shard log, preserving order within each (and therefore
+        within each subject: all of a subject's records hash to the
+        same shard)."""
         count = self.shards
-        for record in bundle:
-            logs[shard_of(record.subject.pnode, count)].append(record)
+        buckets: list[list] = [[] for _ in range(count)]
+        row = iter(bundle.rows)
+        for subject, attr, value in zip(row, row, row):
+            buckets[shard_of(subject.pnode, count)] += (subject, attr, value)
+        return [bundle.of_rows(bucket) for bucket in buckets]
 
     def sync(self) -> None:
         """Flush every shard log, rotate it, and let Waldo drain it."""

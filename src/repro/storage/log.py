@@ -26,7 +26,8 @@ from bisect import bisect_right, insort
 from typing import Callable, Optional
 
 from repro.core.pnode import ObjectRef
-from repro.core.records import Attr, ProvenanceRecord, make_record
+from repro.core.records import (Attr, Bundle, ProvenanceRecord, RecordBatch,
+                                rows_of)
 from repro.kernel.clock import SimClock
 from repro.kernel.params import LogParams
 from repro.obs import NULL_OBS
@@ -88,29 +89,41 @@ class LogSegment:
     def __init__(self, index: int):
         self.index = index
         self.raw = bytearray()
-        self.records: list[ProvenanceRecord] = []
+        #: What ``raw`` decodes to, as flat (subject, attr, value) rows.
+        self.rows: list = []
         self.closed = False
 
     @property
     def nbytes(self) -> int:
         return len(self.raw)
 
-    def append(self, record: ProvenanceRecord, encoded: bytes) -> None:
-        self.raw.extend(encoded)
-        self.records.append(record)
+    @property
+    def records(self) -> RecordBatch:
+        """The segment's records as a sized view of ``rows``: ``len``
+        costs nothing, iterating or indexing mints the records read."""
+        return RecordBatch.of_rows(self.rows)
 
-    def append_batch(self, records: list, raw: bytes) -> None:
-        """Append one flushed group: pre-joined bytes plus its records."""
+    @records.setter
+    def records(self, records) -> None:
+        self.rows = rows_of(records)
+
+    def append(self, record: ProvenanceRecord, encoded: bytes) -> None:
+        self.extend(encoded, (record.subject, record.attr, record.value))
+
+    def extend(self, raw: bytes, *groups) -> None:
+        """Append one flushed group: pre-joined bytes plus its rows, as
+        the flat pieces they arrive in."""
         self.raw.extend(raw)
-        self.records.extend(records)
+        for rows in groups:
+            self.rows += rows
 
     def truncate_tail(self, nbytes: int) -> None:
         """Crash simulation: drop the last ``nbytes`` of raw log."""
         if nbytes <= 0:
             return
         del self.raw[max(0, len(self.raw) - nbytes):]
-        # Decoded record list no longer trustworthy; recovery re-decodes.
-        self.records = list(codec.decode_stream(bytes(self.raw)))
+        # Decoded rows no longer trustworthy; recovery re-decodes.
+        self.records = codec.decode_stream(bytes(self.raw))
 
 
 class ProvenanceLog:
@@ -128,13 +141,13 @@ class ProvenanceLog:
         self._faults = faults
         self.obs = obs
         self.volume_name = volume_name
-        #: Buffered records, not yet durable.  Each record is encoded
+        #: Buffered records (flat rows), not yet durable.  Each is encoded
         #: exactly once, at append time, through the memoized encoder;
         #: the raw chunks wait in ``_buffer_raw`` so a flush is a single
         #: join, and the running byte total -- the single source of
         #: truth for how much disk the next flush pays for -- is the sum
         #: of their lengths.
-        self._buffer: list[ProvenanceRecord] = []
+        self._buffer: list = []
         self._buffer_raw: list[bytes] = []
         self._buffer_bytes = 0
         self._encoder = codec.RecordEncoder()
@@ -171,22 +184,31 @@ class ProvenanceLog:
             "log_flushes": self.flushes,
             "txns_opened": self.txns_opened,
             "rotations": self.rotations,
-            "buffered_records": len(self._buffer),
+            "buffered_records": len(self._buffer_raw),
             "batch_records": self.batch_records,
             "batch_flushes": self.batch_flushes,
         }
 
     # -- buffering --------------------------------------------------------------
 
-    def append(self, record: ProvenanceRecord) -> None:
-        """Buffer one record (not yet durable)."""
-        raw = self._encoder.encode(record)
-        self._buffer.append(record)
-        self._buffer_raw.append(raw)
-        self._buffer_bytes += len(raw)
+    def append(self, records) -> None:
+        """Buffer one record, or a :class:`Bundle` of them in one call
+        (not yet durable, and never committed from here: the caller's
+        next explicit flush is the ordering point)."""
+        self._buffer_rows(records.rows if isinstance(records, Bundle) else (
+            records.subject, records.attr, records.value))
+
+    def _buffer_rows(self, rows) -> int:
+        """Encode rows into the buffer; returns how many records."""
+        raws = self._encoder.encode_rows(rows)
+        self._buffer += rows
+        self._buffer_raw += raws
+        self._buffer_bytes += sum(map(len, raws))
+        return len(raws)
 
     def append_batch(self, records) -> None:
-        """Buffer a batch of records and group-commit past thresholds.
+        """Buffer a :class:`RecordBatch` (or any iterable of records)
+        and group-commit past thresholds.
 
         The batched ingest entry point: each record is encoded once,
         here, and when the buffer crosses
@@ -209,31 +231,27 @@ class ProvenanceLog:
         self._append_batch(records)
 
     def _append_batch(self, records) -> None:
-        raws = self._encoder.encode_list(records)
-        buffer = self._buffer
-        buffer.extend(records)
-        self._buffer_raw.extend(raws)
-        size = self._buffer_bytes + sum(map(len, raws))
-        self._buffer_bytes = size
-        self.batch_records += len(raws)
+        self.batch_records += self._buffer_rows(rows_of(records))
+        buffered = len(self._buffer_raw)
+        size = self._buffer_bytes
         params = self.params
         if ((params.group_commit_records
-                and len(buffer) >= params.group_commit_records)
+                and buffered >= params.group_commit_records)
                 or (params.group_commit_bytes
                     and size >= params.group_commit_bytes)):
             self.batch_flushes += 1
             with self.obs.span("log.group_commit", layer="lasagna",
                                volume=self.volume_name) as span:
-                span.tag("records", len(buffer))
+                span.tag("records", buffered)
                 self.obs.event("log.group_commit", layer="lasagna",
                                volume=self.volume_name,
-                               records=len(buffer), nbytes=size,
+                               records=buffered, nbytes=size,
                                txn=self._next_txn)
                 self.flush()
 
     @property
     def buffered_records(self) -> int:
-        return len(self._buffer)
+        return len(self._buffer_raw)
 
     def next_txn_id(self) -> int:
         txn = self._next_txn
@@ -263,20 +281,17 @@ class ProvenanceLog:
 
     def _flush(self, txn_subject: Optional[ObjectRef] = None
                ) -> Optional[int]:
-        if not self._buffer:
+        buffer = self._buffer
+        if not buffer:
             return None
         faults = self._faults
         if faults is not None:
             # Crashing here loses the whole buffer: never durable.
-            faults.fire("log.flush.pre", records=len(self._buffer))
+            faults.fire("log.flush.pre", records=len(self._buffer_raw))
         txn = self.next_txn_id()
-        subject = txn_subject or self._buffer[0].subject
-        frame_open = make_record(subject, Attr.BEGINTXN, txn)
-        frame_close = make_record(subject, Attr.ENDTXN, txn)
-        encode = self._encoder.encode
-        open_raw = encode(frame_open)
-        close_raw = encode(frame_close)
-        batch = [frame_open, *self._buffer, frame_close]
+        subject = txn_subject or buffer[0]
+        frame = (subject, Attr.BEGINTXN, txn, subject, Attr.ENDTXN, txn)
+        open_raw, close_raw = self._encoder.encode_rows(frame)
         # One byte counter: the buffered payload was encoded (and sized)
         # on append, so the disk charge is that counter plus the two
         # frames, and the write itself is one join of the ready chunks.
@@ -293,7 +308,7 @@ class ProvenanceLog:
                 # The batch reached the disk queue; a mid-sector crash
                 # tears its tail off, cutting into the ENDTXN record so
                 # recovery sees an orphaned transaction.
-                self.current.append_batch(batch, raw)
+                self.current.extend(raw, frame[:3], buffer, frame[3:])
                 tear = max(1, min(nbytes - 1, int(nbytes * action.param)))
                 self.current.truncate_tail(tear)
                 from repro.faults import CrashFault
@@ -301,8 +316,8 @@ class ProvenanceLog:
                     f"torn log append: {tear} of {nbytes} bytes lost "
                     f"(txn {txn})", site=action.site, hit=action.hit,
                     torn_bytes=tear))
-        self.current.append_batch(batch, raw)
-        self.records_logged += len(batch)
+        self.current.extend(raw, frame[:3], buffer, frame[3:])
+        self.records_logged += len(buffer) // 3 + 2
         self.bytes_logged += nbytes
         self.flushes += 1
         self._last_activity = self.clock.now
@@ -349,7 +364,7 @@ class ProvenanceLog:
         current on-disk segment is torn (an in-flight sector).  Returns
         the number of buffered records that were lost.
         """
-        lost = len(self._buffer)
+        lost = len(self._buffer_raw)
         self._buffer = []
         self._buffer_raw = []
         self._buffer_bytes = 0

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.records import Attr, ProvenanceRecord
+from repro.core.records import (Attr, ProvenanceRecord, RecordBatch,
+                                records_from)
 from repro.obs import NULL_OBS
 from repro.storage.database import ProvenanceDatabase
 from repro.storage.log import LogSegment, ProvenanceLog
@@ -116,33 +117,48 @@ class Waldo:
     def _process(self, segment: LogSegment) -> int:
         """Insert a segment's committed transactions into the database.
 
-        The transaction walk first accumulates every record that is
-        allowed into the database -- committed batches at their ENDTXN
-        position, unframed records in place -- and hands them over as
-        one ``insert_many`` call per segment.
+        The transaction walk first accumulates every row that is allowed
+        into the database -- committed batches at their ENDTXN position,
+        unframed records in place -- and hands them over as one
+        ``insert_many`` call per segment.  Frames are found on the
+        attribute column (a *value* may equal ``"BEGINTXN"``) and what
+        lies between two of them moves as one slice.
         """
-        ready: list[ProvenanceRecord] = []
-        open_txns: dict[int, list[ProvenanceRecord]] = {}
+        rows = segment.rows
+        attrs = rows[1::3]
+
+        def find(attr: str, start: int) -> int:
+            try:
+                return attrs.index(attr, start)
+            except ValueError:
+                return len(attrs)
+
+        ready: list = []
+        open_txns: dict[int, list] = {}
         current_txn: Optional[int] = None
-        for record in segment.records:
-            if record.attr == Attr.BEGINTXN:
-                current_txn = int(record.value)
-                open_txns[current_txn] = []
-                continue
-            if record.attr == Attr.ENDTXN:
-                txn = int(record.value)
-                ready.extend(open_txns.pop(txn, ()))
+        position = 0
+        begin, end = find(Attr.BEGINTXN, 0), find(Attr.ENDTXN, 0)
+        while True:
+            frame = min(begin, end)
+            # Rows outside any transaction frame (a segment not written
+            # by ``ProvenanceLog.flush``) go straight in.
+            target = ready if current_txn is None else open_txns[current_txn]
+            target += rows[3 * position:3 * frame]
+            if frame == len(attrs):
+                break
+            txn = int(rows[3 * frame + 2])
+            if frame == begin:
+                current_txn = txn
+                open_txns[txn] = []
+                begin = find(Attr.BEGINTXN, frame + 1)
+            else:
+                ready += open_txns.pop(txn, ())
                 if current_txn == txn:
                     current_txn = None
-                continue
-            if current_txn is not None:
-                open_txns[current_txn].append(record)
-            else:
-                # Outside any transaction frame (a segment not written
-                # by ``ProvenanceLog.flush``): straight in.
-                ready.append(record)
-        for batch in open_txns.values():
-            self.orphaned.extend(batch)
+                end = find(Attr.ENDTXN, frame + 1)
+            position = frame + 1
+        for orphans in open_txns.values():
+            self.orphaned.extend(records_from(orphans))
         if not ready:
             return 0
         # The insert lock serializes the push feed into the shared
@@ -154,13 +170,13 @@ class Waldo:
                 self._insert(ready)
         else:
             self._insert(ready)
-        return len(ready)
+        return len(ready) // 3
 
-    def _insert(self, ready: list[ProvenanceRecord]) -> None:
+    def _insert(self, ready: list) -> None:
         with self.obs.span("waldo.drain_batch", layer="waldo",
                            volume=self.name) as span:
-            span.tag("records", len(ready))
-            self.database.insert_many(ready)
+            span.tag("records", len(ready) // 3)
+            self.database.insert_many(RecordBatch.of_rows(ready))
 
     # -- crash simulation --------------------------------------------------------------
 

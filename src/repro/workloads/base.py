@@ -14,6 +14,7 @@ provenance was on -- the provenance database and index sizes.
 from __future__ import annotations
 
 import abc
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,6 +39,9 @@ class WorkloadResult:
     #: Per-layer observability snapshot of the measured machine
     #: (layer -> counters/gauges/histograms; see docs/OBSERVABILITY.md).
     layer_metrics: dict = field(default_factory=dict)
+    #: Real seconds ``workload.run`` took (``run_local`` only): what the
+    #: simulator itself costs, beside the simulated ``elapsed``.
+    wall_s: float = 0.0
 
     @property
     def provenance_total(self) -> int:
@@ -91,12 +95,14 @@ def run_local(workload: Workload, provenance: bool,
     volume = system.kernel.volume("pass")
     workload.setup(system, "/pass")
     setup_bytes = volume.data_bytes_written
+    started = time.perf_counter()
     with Stopwatch(clock) as watch:
         stats = workload.run(system, "/pass")
     result = WorkloadResult(
         workload=workload.name,
         config="passv2" if provenance else "ext3",
         elapsed=watch.elapsed,
+        wall_s=time.perf_counter() - started,
         data_bytes=volume.used_bytes(),
         bytes_written=volume.data_bytes_written - setup_bytes,
         stats=stats or {},

@@ -8,9 +8,9 @@ purely local information, keeps the provenance graph over
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.analyzer import Analyzer, ProtoRecord
+from repro.core.analyzer import Analyzer, ProtoRecord, ProtoRun
 from repro.core.pnode import ObjectRef
-from repro.core.records import Attr
+from repro.core.records import Attr, ProvenanceRecord
 
 N_OBJECTS = 6
 
@@ -141,3 +141,91 @@ def test_observed_versions_immutable(stream, batch):
             assert record.subject not in observed, record
             observed.add(record.value)
     assert_acyclic(out)
+
+
+# -- one stream, three shapes: ProtoRecord, finalized record, ProtoRun -----------
+
+
+class Tag(str):
+    """A str subclass: a run holding one is not bulk-admissible."""
+
+
+#: Few plain values, so duplicates are common -- within a run, across
+#: batches, across shapes; ``1``/``True``/``1.0`` are equal and hash
+#: alike yet are three different record values.
+plain_values = st.sampled_from(["a", "b", "c", 1, True, 1.0, 2, b"a",
+                                Tag("a")])
+#: Cross-references by explicit (object, version), so both admission
+#: paths are fed the same values whatever has been frozen meanwhile;
+#: naming the subject itself at a version not yet superseded is the
+#: self-reference that forces a freeze.
+ref_values = st.builds(ObjectRef, st.integers(1, N_OBJECTS),
+                       st.integers(0, 2))
+attr_names = st.sampled_from([Attr.ANNOTATION, Attr.NAME, Attr.INPUT])
+subject_indexes = st.integers(0, N_OBJECTS - 1)
+
+items = st.one_of(
+    st.tuples(st.just("proto"), subject_indexes, attr_names,
+              st.one_of(plain_values, ref_values)),
+    st.tuples(st.just("final"), ref_values, attr_names,
+              st.one_of(plain_values, ref_values)),
+    # Uniform runs (bulk-admissible when plain) and mixed ones.
+    st.tuples(st.just("run"), subject_indexes, attr_names,
+              st.one_of(st.lists(st.sampled_from(["a", "b", "c", "d"]),
+                                 max_size=8),
+                        st.lists(st.sampled_from([1, 2, 3]), max_size=5),
+                        st.lists(ref_values, max_size=5),
+                        st.lists(plain_values, max_size=6))),
+)
+
+
+def _shaped(item, objects, expand):
+    kind, subject, attr, value = item
+    if kind == "final":
+        return [ProvenanceRecord(subject, attr, value)]
+    if kind == "proto":
+        return [ProtoRecord(objects[subject], attr, value)]
+    run = ProtoRun(objects[subject], attr, list(value))
+    return list(run) if expand else [run]
+
+
+def _admit_stream(stream, chunk, dedup):
+    """``chunk`` None: ``submit`` per record, runs expanded (the
+    reference).  Otherwise ``submit_batch`` per ``chunk`` items, runs
+    riding as one item each."""
+    out = []
+    analyzer = Analyzer(emit=out.append, emit_batch=out.extend)
+    analyzer.dedup_enabled = dedup
+    objects = [Obj(pnode) for pnode in range(1, N_OBJECTS + 1)]
+    if chunk is None:
+        for item in stream:
+            for proto in _shaped(item, objects, expand=True):
+                analyzer.submit(proto)
+    else:
+        for start in range(0, len(stream), chunk):
+            analyzer.submit_batch([
+                proto for item in stream[start:start + chunk]
+                for proto in _shaped(item, objects, expand=False)])
+    return analyzer, objects, out
+
+
+@given(st.lists(items, max_size=30), st.sampled_from([1, 2, 7, 30]),
+       st.booleans())
+@settings(max_examples=500)
+def test_mixed_batches_admit_what_submit_admits(stream, chunk, dedup):
+    """ProtoRecords, finalized records and ProtoRuns in one batch: the
+    emitted rows, their order, every counter and the versions the
+    objects end on equal ``submit`` over the expanded stream -- with
+    duplicates inside a run, against earlier batches (the ``_seen``
+    sets) and against one-record batches (the hot LRU), with dedup on
+    and off, and with freezes landing in the middle of a run."""
+    reference, ref_objects, expected = _admit_stream(stream, None, dedup)
+    analyzer, objects, out = _admit_stream(stream, chunk, dedup)
+    assert out == expected
+    assert ([obj.version for obj in objects]
+            == [obj.version for obj in ref_objects])
+    for counter in ("records_in", "records_out", "duplicates_dropped",
+                    "freezes", "cycle_breaks"):
+        assert getattr(analyzer, counter) == getattr(reference, counter), \
+            counter
+    assert analyzer.records_out == len(out)

@@ -1,6 +1,7 @@
 """Property-based tests for the record codec."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.core.pnode import ObjectRef
@@ -158,16 +159,87 @@ def test_record_encoder_matches_encode_record(batch):
         assert encoder.encode(record) == codec.encode_record(record)
 
 
+def _rows(batch):
+    return [slot for r in batch for slot in (r.subject, r.attr, r.value)]
+
+
 @given(st.lists(records, max_size=40))
 @settings(max_examples=200)
 def test_encode_list_and_batch_match_per_record_path(batch):
+    """``encode_rows`` (what ``encode_list``/``encode_batch`` became):
+    one chunk per row, each byte-identical to ``encode_record``."""
     batch = _with_shared_instances(batch)
     expected = [codec.encode_record(record) for record in batch]
     encoder = codec.RecordEncoder()
-    assert encoder.encode_list(batch) == expected
+    assert encoder.encode_rows(_rows(batch)) == expected
     # The run memo carries across calls; a replay must stay identical.
-    assert encoder.encode_list(batch) == expected
-    assert codec.RecordEncoder().encode_batch(batch) == b"".join(expected)
+    assert encoder.encode_rows(_rows(batch)) == expected
+    assert encoder.encode_rows(iter(_rows(batch))) == expected
+
+
+@given(st.lists(st.tuples(records, st.booleans()), max_size=40),
+       st.booleans())
+@settings(max_examples=300)
+def test_encode_rows_and_encode_interleave_on_one_encoder(stream, share):
+    """Every log byte goes through one encoder whose run memo spans
+    calls: chunks of ``encode_rows`` and single ``encode`` calls, over
+    subjects that share an instance with their neighbours or are equal
+    copies of them, stay byte-identical to ``encode_record``."""
+    batch = [record for record, _ in stream]
+    if share:
+        batch = _with_shared_instances(batch)
+    encoder = codec.RecordEncoder()
+    chunk: list = []
+    for record, (_, single) in zip(batch, stream):
+        if single:
+            assert encoder.encode_rows(_rows(chunk)) == [
+                codec.encode_record(r) for r in chunk]
+            chunk = []
+            assert encoder.encode(record) == codec.encode_record(record)
+        else:
+            chunk.append(record)
+    assert encoder.encode_rows(_rows(chunk)) == [
+        codec.encode_record(r) for r in chunk]
+
+
+def test_encode_rows_covers_every_tag_and_both_run_shapes():
+    """All six tags and the non-ASCII attribute/value, as a run about
+    one subject *instance*, then about equal but distinct instances."""
+    subject = ObjectRef(11, 3)
+    for subjects in ([subject] * len(ALL_TAG_RECORDS),
+                     [ObjectRef(11, 3) for _ in ALL_TAG_RECORDS]):
+        run = [ProvenanceRecord(ref, record.attr, record.value)
+               for ref, record in zip(subjects, ALL_TAG_RECORDS)]
+        encoder = codec.RecordEncoder()
+        assert encoder.encode_rows(_rows(ALL_TAG_RECORDS + run)) == [
+            codec.encode_record(r) for r in ALL_TAG_RECORDS + run]
+
+
+def test_encoder_caches_clear_past_their_cap():
+    """More distinct subjects, attributes and cross-references than the
+    memo holds: the caches clear and the bytes stay right."""
+    count = codec.RecordEncoder._CAP + 50
+    batch = [ProvenanceRecord(ObjectRef(index, 0), f"a{index}",
+                              ObjectRef(index, 1))
+             for index in range(count)]
+    encoder = codec.RecordEncoder()
+    expected = [codec.encode_record(record) for record in batch]
+    assert encoder.encode_rows(_rows(batch)) == expected
+    assert len(encoder._heads) == len(encoder._refs) == 50
+    assert encoder.encode_rows(_rows(batch[:60])) == expected[:60]
+
+
+def test_encoder_rejects_overlong_attribute():
+    """An attribute name past 255 UTF-8 bytes (here 128 two-byte
+    characters) cannot be framed; neither entry point may write it."""
+    record = ProvenanceRecord(ObjectRef(1, 0), "é" * 128, "v")
+    encoder = codec.RecordEncoder()
+    for encode in (codec.encode_record, encoder.encode,
+                   lambda r: encoder.encode_rows(_rows([r]))):
+        with pytest.raises(ValueError, match="too long"):
+            encode(record)
+    ok = ProvenanceRecord(ObjectRef(1, 0), "é" * 127, "v")
+    assert encoder.encode(ok) == codec.encode_record(ok)
 
 
 @given(records)

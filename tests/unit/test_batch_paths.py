@@ -12,16 +12,17 @@ tests pin stage-local contracts (validation, thresholds, framing, laziness).
 
 import pytest
 
-from repro.core.analyzer import Analyzer, ProtoRecord
+from repro.core.analyzer import Analyzer, ProtoRecord, ProtoRun
 from repro.core.distributor import Distributor
 from repro.core.errors import InvalidRecord
 from repro.core.pnode import ObjectRef, make_pnode
-from repro.core.records import Attr, ProvenanceRecord, RecordBatch
+from repro.core.records import Attr, Bundle, ProvenanceRecord, RecordBatch
 from repro.kernel.clock import SimClock
-from repro.kernel.params import LogParams
+from repro.kernel.params import LogParams, SimParams
 from repro.storage import codec
 from repro.storage.database import ProvenanceDatabase
 from repro.storage.log import ProvenanceLog
+from repro.system import System
 
 
 class FakeObject:
@@ -125,6 +126,151 @@ class TestSubmitBatch:
                                                 Attr.ANNOTATION]
 
 
+class TestRunAdmission:
+    """A ``ProtoRun`` is admitted in bulk when its values share one
+    exact plain class, as its proto-records otherwise; either way the
+    stream is what ``submit`` per value emits."""
+
+    def reference(self, subject, attr, values):
+        out = []
+        analyzer = Analyzer(emit=out.append, emit_batch=out.extend)
+        analyzer.submit_many(ProtoRun(subject, attr, values))
+        return analyzer, out
+
+    def test_run_reads_as_its_proto_records(self):
+        file_ = FakeObject(2)
+        run = ProtoRun(file_, Attr.ANNOTATION, ["a", "b"])
+        assert len(run) == 2
+        assert list(run) == [ProtoRecord(file_, Attr.ANNOTATION, "a"),
+                             ProtoRecord(file_, Attr.ANNOTATION, "b")]
+        protos = [ProtoRecord(file_, Attr.TYPE, "FILE")]
+        protos += run                    # what the e2e workloads do
+        assert len(protos) == 3 and protos[1:] == list(run)
+
+    def test_bulk_admission_counts_values_and_charges_the_clock_once(self):
+        clock = SimClock()
+        batches = []
+        analyzer = Analyzer(emit=None, emit_batch=batches.append,
+                            clock=clock, record_cost=0.5)
+        file_ = FakeObject(2)
+        emitted = analyzer.submit_batch([
+            ProtoRecord(file_, Attr.TYPE, "FILE"),
+            ProtoRun(file_, Attr.ANNOTATION, ["a", "b", "a", "c"]),
+            ProtoRecord(file_, Attr.ANNOTATION, "b"),        # seen in run
+            ProtoRecord(file_, Attr.NAME, "/f"),
+        ])
+        assert clock.now == 0.5 * 7
+        assert (analyzer.records_in, analyzer.records_out,
+                analyzer.duplicates_dropped) == (7, 5, 2)
+        assert emitted == 5 and len(batches) == 1
+        ref = ObjectRef(2, 0)
+        assert batches[0].rows == [
+            ref, Attr.TYPE, "FILE", ref, Attr.ANNOTATION, "a",
+            ref, Attr.ANNOTATION, "b", ref, Attr.ANNOTATION, "c",
+            ref, Attr.NAME, "/f"]
+        # Against an earlier batch, whole and in part.
+        analyzer.submit_batch([ProtoRun(file_, Attr.ANNOTATION, ["c", "a"])])
+        analyzer.submit_batch([ProtoRun(file_, Attr.ANNOTATION,
+                                        ["a", "d", "d", "b", "e"])])
+        assert len(batches) == 2
+        assert [r.value for r in batches[1]] == ["d", "e"]
+        assert analyzer.duplicates_dropped == 2 + 2 + 3
+
+    def test_dedup_disabled_admits_every_value(self):
+        batches = []
+        analyzer = Analyzer(emit=None, emit_batch=batches.append)
+        analyzer.dedup_enabled = False
+        run = ProtoRun(FakeObject(2), Attr.ANNOTATION, ["a", "a", "b"])
+        analyzer.submit_batch([run])
+        analyzer.submit_batch([run])
+        assert [[r.value for r in b] for b in batches] == [["a", "a", "b"]] * 2
+        assert analyzer.duplicates_dropped == 0
+
+    @pytest.mark.parametrize("values", [
+        [1, True, 1.0, 1],                       # equal, three classes
+        [True, False, True],                     # bool is bulk-admissible
+        [type("Tag", (str,), {})("a"), "a"],     # a subclass is not
+        [],
+        [b"x", b"y", b"x"],
+        [2.5, 2.5],
+    ])
+    def test_any_run_emits_what_submit_emits(self, values):
+        expected, expected_out = self.reference(
+            FakeObject(2), Attr.ANNOTATION, values)
+        out = []
+        analyzer = Analyzer(emit=None, emit_batch=out.extend)
+        analyzer.submit_batch([ProtoRun(FakeObject(2), Attr.ANNOTATION,
+                                        values)])
+        assert out == expected_out
+        assert [type(r.value) for r in out] == [
+            type(r.value) for r in expected_out]
+        assert analyzer.records_in == expected.records_in == len(values)
+        assert analyzer.duplicates_dropped == expected.duplicates_dropped
+
+    def test_reference_run_freezes_mid_run(self):
+        """Cycle avoidance sees each cross-reference: the self-reference
+        in the middle of the run freezes the subject there."""
+        def values():
+            return [ObjectRef(1, 0), ObjectRef(2, 0), ObjectRef(3, 0)]
+
+        expected, expected_out = self.reference(
+            FakeObject(2), Attr.INPUT, values())
+        out = []
+        analyzer = Analyzer(emit=None, emit_batch=out.extend)
+        file_ = FakeObject(2)
+        analyzer.submit_batch([ProtoRun(file_, Attr.INPUT, values())])
+        assert out == expected_out and file_.version == 1
+        assert [(r.subject.version, r.attr) for r in out] == [
+            (0, Attr.INPUT), (1, Attr.PREV_VERSION), (1, Attr.INPUT),
+            (1, Attr.INPUT)]
+        assert analyzer.freezes == expected.freezes == 1
+
+    @pytest.mark.parametrize("run", [
+        ProtoRun(FakeObject(1), "", ["x"]),
+        ProtoRun(FakeObject(1), 7, ["x"]),
+        ProtoRun(FakeObject(1), Attr.NAME, ["x", ["not", "a", "value"]]),
+        ProtoRun(FakeObject(1), Attr.NAME, [None]),
+        ProtoRun(type("Bad", (), {"ref": lambda self: (1, 0)})(),
+                 Attr.NAME, ["x"]),
+    ])
+    def test_invalid_run_raises(self, run):
+        analyzer, batches, _ = batch_analyzer()
+        with pytest.raises(InvalidRecord):
+            analyzer.submit_batch([run])
+        assert batches == []
+
+
+class TestDisclosedRuns:
+    """``record_many`` -> ``pass_write``: one object for the group, and
+    every counter still counts records."""
+
+    def test_counters_count_the_runs_values(self):
+        system = System.boot()
+        with system.process(argv=["annotator"]) as proc:
+            fd = proc.open("/pass/f.dat", "w")
+            run = proc.dpapi.record_many(
+                fd, Attr.ANNOTATION, (f"k{i}" for i in range(50)))
+            assert type(run) is ProtoRun and len(run) == 50
+            observer, analyzer = system.kernel.observer, system.kernel.analyzer
+            before = (observer.records_emitted, observer.disclosed_count,
+                      analyzer.records_in, analyzer.records_out)
+            proc.dpapi.pass_write(fd, records=run)
+            after = (observer.records_emitted, observer.disclosed_count,
+                     analyzer.records_in, analyzer.records_out)
+            # 50 disclosed + the kernel's own file <- process edge.
+            assert [b - a for a, b in zip(before, after)] == [51, 50, 51, 51]
+            # A list holding runs beside records counts the same way.
+            obj = proc.dpapi.pass_mkobj()
+            proc.dpapi.pass_write(obj, records=[
+                proc.dpapi.record(obj, Attr.NAME, "thing"),
+                proc.dpapi.record_many(obj, Attr.ANNOTATION, ["x", "y"]),
+                proc.dpapi.record_many(obj, Attr.INPUT,
+                                       [proc.dpapi.ref_of(fd)])])
+            assert observer.disclosed_count - after[1] == 4
+            assert observer.records_emitted - after[0] == 4
+            proc.close(fd)
+
+
 # -- distributor ------------------------------------------------------------------
 
 
@@ -204,6 +350,31 @@ class TestFlushBatch:
         assert sunk[0][0] == "pass"
 
 
+    def test_flush_outside_a_batch_is_one_ordered_bundle_per_object(self):
+        """``pass_sync`` / ancestor materialization outside a batch: the
+        cached rows reach the sink as :class:`Bundle`s (the caller
+        orders the flush), one call per object, ancestors first."""
+        dist, sunk = make_distributor()
+        parent, child = transient_ref(7), transient_ref(8)
+        dist.flush_batch(RecordBatch([
+            ProvenanceRecord(parent, Attr.NAME, "proc"),
+            ProvenanceRecord(parent, Attr.PID, 7),
+            ProvenanceRecord(child, Attr.NAME, "pipe"),
+            ProvenanceRecord(child, Attr.INPUT, parent),
+        ]))
+        assert sunk == [] and dist.records_cached == 4
+        assert [r.attr for r in dist.cached_records(child.pnode)] == [
+            Attr.NAME, Attr.INPUT]
+        assert dist.sync(child.pnode) == 2
+        assert [(volume, type(bundle), [r.attr for r in bundle])
+                for volume, bundle in sunk] == [
+            ("pass", Bundle, [Attr.NAME, Attr.PID]),
+            ("pass", Bundle, [Attr.NAME, Attr.INPUT])]
+        assert dist.records_flushed == 4 and dist.flush_calls == 2
+        assert dist.cached_pnodes() == []
+        assert dist.discard(parent.pnode) == 0
+
+
 # -- provenance log ---------------------------------------------------------------
 
 
@@ -268,6 +439,21 @@ class TestAppendBatch:
         assert written_one == written_many
         assert one.bytes_logged == many.bytes_logged == len(one.current.raw)
 
+    def test_append_of_a_bundle_never_commits(self):
+        """The ordered route in one call: a Bundle of any size waits for
+        the caller's flush; the next *batch* sees the full buffer."""
+        log, written = make_log(group_commit_records=8,
+                                group_commit_bytes=64)
+        log.append(Bundle([rec(value=f"v{i}") for i in range(20)]))
+        log.append(rec(value="single"))
+        assert written == [] and log.buffered_records == 21
+        assert log.batch_records == log.batch_flushes == 0
+        log.append_batch(RecordBatch([rec(value="batch")]))
+        assert log.batch_flushes == 1 and log.buffered_records == 0
+        assert written == [len(log.current.raw)]
+        assert [r.value for r in log.current.records][1:-1] == [
+            *(f"v{i}" for i in range(20)), "single", "batch"]
+
     def test_flush_charges_exactly_the_appended_bytes(self):
         """Satellite: one byte counter -- the disk charge equals the
         encoded buffer plus framing, with no re-encoding pass."""
@@ -277,6 +463,30 @@ class TestAppendBatch:
             log.append(record)
         log.flush()
         assert written == [len(log.current.raw)]
+
+
+class TestAppendProvenance:
+    """Lasagna keeps the two routes apart, sharded or not."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_bundle_waits_and_batch_may_commit(self, shards):
+        system = System.boot(shards=shards, params=SimParams(
+            log=LogParams(group_commit_records=4)))
+        lasagna = system.tier.lasagna("pass")
+        records = [rec(pnode=pnode, value=f"v{pnode}")
+                   for pnode in range(1, 13)]
+        lasagna.append_provenance(Bundle(records))
+        assert sum(log.flushes for log in lasagna.shard_logs) == 0
+        assert sum(log.buffered_records
+                   for log in lasagna.shard_logs) == 12
+        lasagna.append_provenance(RecordBatch(records[:shards]))
+        assert all(log.flushes == 1 and not log.buffered_records
+                   for log in lasagna.shard_logs)
+        system.sync()
+        stored = [record for database in system.databases()
+                  for record in database.all_records()]
+        assert sorted(stored, key=lambda r: r.subject.pnode) == sorted(
+            records + records[:shards], key=lambda r: r.subject.pnode)
 
 
 # -- database ---------------------------------------------------------------------

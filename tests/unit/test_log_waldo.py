@@ -105,6 +105,48 @@ class TestCrash:
         assert len(log.current.records) == before - 1
 
 
+class TestSegmentRecordsView:
+    """``LogSegment.records`` is a sized view of the flat ``rows``."""
+
+    def segment(self):
+        log, _, _ = make_log()
+        for i in range(3):
+            log.append(rec(value=f"n{i}"))
+        log.flush()
+        return log.current
+
+    def test_len_index_and_iteration(self):
+        segment = self.segment()
+        view = segment.records
+        assert len(view) == 5 == len(segment.rows) // 3
+        assert view.rows is segment.rows            # nothing materialized
+        assert view[0].attr == Attr.BEGINTXN and view[-1].attr == Attr.ENDTXN
+        assert view[1] == rec(value="n0")
+        assert [r.value for r in view][1:4] == ["n0", "n1", "n2"]
+        assert all(type(r) is ProvenanceRecord for r in view)
+
+    def test_assignment_flattens_records(self):
+        segment = self.segment()
+        segment.records = [rec(value="only")]
+        assert segment.rows == [ObjectRef(1, 0), Attr.NAME, "only"]
+        assert list(segment.records) == [rec(value="only")]
+
+    def test_truncate_tail_redecodes_rows(self):
+        segment = self.segment()
+        whole = list(segment.records)
+        segment.truncate_tail(1)                    # cuts into ENDTXN
+        assert list(segment.records) == whole[:-1]
+        assert len(segment.rows) == 3 * 4
+        segment.truncate_tail(0)                    # no-op
+        assert len(segment.records) == 4
+
+    def test_append_is_one_row(self):
+        segment = LogSegment(3)
+        segment.append(rec(value="x"), b"raw")
+        assert segment.rows == [ObjectRef(1, 0), Attr.NAME, "x"]
+        assert bytes(segment.raw) == b"raw" and segment.nbytes == 3
+
+
 class TestWaldo:
     def test_drain_inserts_committed_records(self):
         log, _, _ = make_log()
@@ -145,6 +187,57 @@ class TestWaldo:
         waldo.drain()
         assert len(waldo.database) == 0
         assert waldo.orphaned == [orphan]
+
+    def _drain_rows(self, records):
+        log, _, _ = make_log()
+        waldo = Waldo(log)
+        segment = LogSegment(0)
+        for record in records:
+            segment.append(record, b"")
+        segment.closed = True
+        waldo._pending_segments.append(segment)
+        return waldo, waldo.drain()
+
+    def test_frames_are_attributes_not_values(self):
+        """A record whose *value* is the string "BEGINTXN"/"ENDTXN" is
+        data, wherever it sits relative to real frames."""
+        a = rec(pnode=1, value=Attr.BEGINTXN)
+        b = rec(pnode=2, attr=Attr.ANNOTATION, value=Attr.ENDTXN)
+        c = rec(pnode=3, value="plain")
+        waldo, inserted = self._drain_rows([
+            a, rec(attr=Attr.BEGINTXN, value=5), b, c,
+            rec(attr=Attr.ENDTXN, value=5), b])
+        assert inserted == 4 and waldo.orphaned == []
+        assert list(waldo.database.all_records()) == [a, b, b, c]
+
+    def test_interleaved_transactions_commit_at_their_endtxn(self):
+        """Two open transactions: each batch enters at its own ENDTXN
+        position, unframed records in place, the unfinished one and a
+        stray ENDTXN aside."""
+        r = [rec(pnode=9, attr=Attr.ANNOTATION, value=f"r{i}")
+             for i in range(6)]
+
+        def begin(txn):
+            return rec(attr=Attr.BEGINTXN, value=txn)
+
+        def end(txn):
+            return rec(attr=Attr.ENDTXN, value=txn)
+
+        waldo, inserted = self._drain_rows([
+            r[0],                       # unframed: straight in
+            begin(1), r[1],
+            begin(2), r[2],             # txn 1 still open underneath
+            end(1),                     # commits r1; 2 stays current
+            r[3], end(2),               # commits r2, r3
+            end(7),                     # never opened: nothing
+            begin(3), r[4],             # never closed: orphaned
+            begin(4), end(4), r[5],     # empty txn, then unframed
+        ])
+        assert inserted == 5
+        assert [record.value for record in
+                waldo.database.all_records()] == ["r0", "r1", "r2", "r3",
+                                                  "r5"]
+        assert waldo.orphaned == [r[4]]
 
     def test_drain_is_idempotent(self):
         log, _, _ = make_log()
