@@ -3,8 +3,8 @@
 One results file holds every benchmark's payload::
 
     {"schema": "repro-bench-suite/1",
-     "suites": {"ingest_sharded": {...},     # repro-bench-ingest-sharded/1
-                "incremental_query": {...},  # repro-bench-incremental/1
+     "suites": {"incremental_query": {...},  # repro-bench-incremental/1
+                "obs_overhead": {...},       # repro-bench-obs/1
                 "workloads": {...}}}         # repro-bench/1
 
 ``repro bench`` and each benchmark's ``--out`` all go through

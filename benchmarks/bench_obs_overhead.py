@@ -65,8 +65,8 @@ QUERIES = (
 def run_arm(config: BootConfig, rounds: int, files: int) -> dict:
     """The workload on one arm: chunked writes, sync, queries."""
     system = System.boot(config=config)
-    # Collector-free timing, one explicit collection outside the timed
-    # region (see bench_ingest.run_shard_arm for the rationale).
+    # Collector off while timed, one collection after: gen-2 passes scan
+    # the growing database, a fee per second an arm runs, not per record.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -54,7 +54,7 @@ def register_actor_type(cls: type) -> type:
     if not issubclass(cls, Actor):
         raise WorkflowError(f"{cls.__name__} is not an Actor subclass")
     # Registration API, exercised at import/composition time by user
-    # code -- never on the record hot path a shard writer touches.
+    # code -- never on the record hot path.
     ACTOR_TYPES[cls.__name__] = cls  # lint: disable=PL304
     return cls
 

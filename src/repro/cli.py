@@ -496,14 +496,10 @@ def cmd_health(args: argparse.Namespace) -> int:
 BENCH_SCHEMA = "repro-bench/1"
 
 #: Registered benchmark suites for ``bench --suite``: suite name ->
-#: (entry point in benchmarks/, full-scale kwargs, --quick kwargs).
-#: An entry point is a module name (its ``run(**kwargs) -> payload``)
-#: or ``module:function`` for modules exposing several suites; payloads
-#: are merged into the suite document by
-#: ``benchmarks._bench_io.merge_results``.
+#: (module in benchmarks/, full-scale kwargs, --quick kwargs).  Each
+#: module's ``run(**kwargs) -> payload`` is merged into the suite
+#: document by ``benchmarks._bench_io.merge_results``.
 BENCH_SUITES = {
-    "ingest_sharded": ("bench_ingest:run_sharded",
-                       {}, {"rounds": 2, "files": 24}),
     "incremental_query": ("bench_incremental_query",
                           {}, {"rounds": 3, "files": 30}),
     "obs_overhead": ("bench_obs_overhead",
@@ -544,13 +540,12 @@ def _run_bench_suites(args: argparse.Namespace) -> int:
         _sys.path.insert(0, bench_dir)
     merge_results = importlib.import_module("_bench_io").merge_results
     for name in names:
-        entry, full, quick = BENCH_SUITES[name]
-        module_name, _, func_name = entry.partition(":")
+        module_name, full, quick = BENCH_SUITES[name]
         kwargs = quick if args.quick else full
         # Targets come from the static BENCH_SUITES registry above --
         # never repro-internal modules, never user input.
         module = importlib.import_module(module_name)  # lint: disable=PL305
-        payload = getattr(module, func_name or "run")(**kwargs)
+        payload = module.run(**kwargs)
         if "speedup" in payload:
             print(f"{name}: {payload['records_total']} records, "
                   f"{payload['speedup']:.1f}x speedup")
@@ -639,7 +634,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for workload_cls in ALL_WORKLOADS:
         workload = workload_cls(scale=args.scale)
         base = run_local(workload, provenance=False)
-        passv2 = run_local(workload, provenance=True, shards=args.shards)
+        passv2 = run_local(workload, provenance=True)
         print(f"{workload.name:22s}{base.elapsed:>9.1f}s"
               f"{passv2.elapsed:>9.1f}s"
               f"{overhead_pct(base, passv2):>9.1f}%")
@@ -672,14 +667,7 @@ def cmd_crashtest(args: argparse.Namespace) -> int:
             print(f"crashtest: unknown workload {name!r} "
                   f"(have: {', '.join(sorted(WORKLOADS))})", file=sys.stderr)
             return 2
-    config = None
-    if args.shards != 1:
-        import dataclasses
-
-        from repro.crashlab.workloads import BOOT
-
-        config = dataclasses.replace(BOOT, shards=args.shards)
-    report = explore(names, seed=args.seed, config=config)
+    report = explore(names, seed=args.seed)
     if args.json:
         print(report.render_json())
     else:
@@ -706,7 +694,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     system = build_quickstart()
     kernel = system.kernel
     tier = system.tier
-    lasagna = tier.lasagna("pass")
+    log = tier.lasagna("pass").log
+    waldo = tier.waldo("pass")
     print("PASSv2 components after the quickstart scenario:")
     print(f"  interceptor   events={dict(kernel.interceptor.counts)}")
     print(f"  analyzer      in={kernel.analyzer.records_in} "
@@ -715,15 +704,12 @@ def cmd_inspect(args: argparse.Namespace) -> int:
           f"freezes={kernel.analyzer.freezes}")
     print(f"  distributor   cached={kernel.distributor.records_cached} "
           f"flushed={kernel.distributor.records_flushed}")
-    for log in lasagna.shard_logs:
-        print(f"  lasagna       [{log.volume_name}] flushes={log.flushes} "
-              f"log-bytes={log.bytes_logged}")
-    for waldo in tier.waldos("pass"):
-        print(f"  waldo         [{waldo.name}] "
-              f"records={len(waldo.database)} sizes={waldo.sizes()}")
-    sizes = tier.sizes()
-    print(f"  tier          {len(tier.volumes())} volume(s) x "
-          f"{tier.shards_per_volume} shard(s) total={sizes['total']}")
+    print(f"  lasagna       [{log.volume_name}] flushes={log.flushes} "
+          f"log-bytes={log.bytes_logged}")
+    print(f"  waldo         [{waldo.name}] "
+          f"records={len(waldo.database)} sizes={waldo.sizes()}")
+    print(f"  tier          {len(tier.volumes())} volume(s) "
+          f"total={tier.sizes()['total']}")
     return 0
 
 
@@ -809,9 +795,6 @@ def main(argv: list[str] | None = None) -> int:
                             "(default %(default)s)")
     bench.add_argument("--json", action="store_true",
                        help="machine-readable comparison report")
-    bench.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="storage-tier shards per PASS volume for "
-                            "the workload table (default %(default)s)")
     bench.set_defaults(func=cmd_bench)
 
     stats = sub.add_parser(
@@ -943,9 +926,6 @@ def main(argv: list[str] | None = None) -> int:
                            help="fault-plan seed (default %(default)s)")
     crashtest.add_argument("--json", action="store_true",
                            help="machine-readable report for CI")
-    crashtest.add_argument("--shards", type=int, default=1, metavar="N",
-                           help="storage-tier shards per PASS volume "
-                                "(default %(default)s)")
     crashtest.set_defaults(func=cmd_crashtest)
 
     inspect = sub.add_parser("inspect",

@@ -65,27 +65,6 @@ def local_of(pnode: int) -> int:
     return pnode & _LOCAL_MASK
 
 
-#: 64-bit odd multiplier (golden-ratio / splitmix64 constant) used to
-#: scatter the sequential local counters before the modulo below.
-_SHARD_MIX = 0x9E3779B97F4A7C15
-
-
-def shard_of(pnode: int, shards: int) -> int:
-    """Stable intra-volume shard index for a subject pnode.
-
-    Pnode numbers are sequential per volume, so a bare modulo would
-    stripe consecutive files round-robin but correlate with workload
-    structure; mixing the bits first spreads any allocation pattern
-    evenly.  All records of a subject share its pnode, so routing by
-    subject keeps a subject's record order intact within one shard.
-    """
-    if shards <= 1:
-        return 0
-    mixed = (pnode * _SHARD_MIX) & 0xFFFFFFFFFFFFFFFF
-    mixed ^= mixed >> 29
-    return mixed % shards
-
-
 class PnodeAllocator:
     """Monotonic, never-recycled pnode allocator for one volume.
 

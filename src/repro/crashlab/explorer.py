@@ -91,8 +91,8 @@ def run_crash_scenario(workload: Callable[[System], None],
     This is the primitive both the explorer and the hypothesis property
     tests drive: any plan, any workload, same verdict logic.  The whole
     crash/recover path goes through the storage tier, so it exercises
-    every shard of a sharded boot (``config`` overrides the default
-    single-shard :data:`BOOT`).
+    every PASS volume of the boot (``config`` overrides the default
+    one-volume :data:`BOOT`).
     """
     injector = FaultInjector(plan, record_trace=True)
     system = System.boot(config=config or BOOT, faults=injector)
@@ -124,8 +124,8 @@ def wap_violations(trace, databases, report: RecoveryReport,
     """Completed data writes with neither committed provenance nor an
     inconsistency flag -- each one falsifies the WAP invariant.
 
-    ``databases`` is one database or a list (a sharded volume's MD5
-    records span every shard database)."""
+    ``databases`` is one database or a list (a multi-volume boot's
+    MD5 records span every volume's database)."""
     if not isinstance(databases, (list, tuple)):
         databases = [databases]
     covered: set[tuple[int, int, int]] = set()
@@ -271,8 +271,8 @@ def explore(workloads: Optional[list[str]] = None,
             seed: int = 0, config=None) -> ExplorerReport:
     """Enumerate every reachable crash point of each workload and
     replay the workload once per point (same seed).  ``config``
-    overrides the boot topology -- ``repro crashtest --shards N``
-    explores the same workloads over a sharded tier."""
+    overrides the boot (:data:`BOOT` by default), e.g. to explore the
+    same workloads over several PASS volumes."""
     names = list(workloads) if workloads else sorted(WORKLOADS)
     report = ExplorerReport(seed=seed, workloads=names)
     for name in names:

@@ -67,18 +67,11 @@ SITES: tuple[SiteSpec, ...] = (
              "Waldo is about to ingest one closed segment; crashing "
              "here leaves the segment un-ingested (Waldo.crash requeues "
              "it for recovery)"),
-    SiteSpec("shard.drain.pre", "storage",
-             (),
-             "the storage tier is about to drain one shard's Waldo "
-             "(payload: volume, shard index, queued segments); crashing "
-             "here dies between shards -- already-drained shards are in "
-             "their databases, this one and later ones recover from "
-             "their logs"),
     SiteSpec("federate.merge", "storage",
              (),
              "the tier is assembling the federated source list (every "
-             "shard database) for a live query engine; an io_error here "
-             "models a shard refusing queries"),
+             "volume's database) for a live query engine; an io_error "
+             "here models a volume refusing queries"),
     SiteSpec("distributor.flush", "core",
              (),
              "cached transient-object records are about to materialize "

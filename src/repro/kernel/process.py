@@ -35,8 +35,8 @@ class DeadlockError(KernelError):
     errno_name = "EDEADLK"
 
 
-#: Pipe ids: an itertools.count so the mint stays atomic (and
-#: unrebindable) when kernels run under parallel shard writers.
+#: Pipe ids: an itertools.count so nothing can rebind or rewind the
+#: sequence (lint rule PL304).
 _PIPE_IDS = itertools.count(1)
 
 

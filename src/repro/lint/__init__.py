@@ -17,9 +17,8 @@ cost something.  This package rejects them before they run:
   module call graph (plain ``ast``, nothing under analysis imported),
   and :mod:`repro.lint.flowcheck` runs dataflow rules over it: layer
   discipline through objects, cross-layer private-state reaches, batch
-  escape/mutation across boundaries, shard-readiness of shared state,
-  and dynamic imports -- the preconditions the sharded storage tier
-  relies on.
+  escape/mutation across boundaries, shared mutable state, and
+  dynamic imports.
 
 Diagnostics carry ``PL###`` codes (PL1xx = PQL, PL2xx = layering,
 PL3xx = dataflow) and come in two severities; reporters render them as

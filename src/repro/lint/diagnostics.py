@@ -50,7 +50,7 @@ def rule(code: str, severity: str, title: str, detail: str = "") -> Rule:
         raise ValueError(f"duplicate rule code {code!r}")
     registered = Rule(code, severity, title, detail)
     # Import-time registration only: every rule module runs this at
-    # module scope, before any checker (or shard writer) exists.
+    # module scope, before any checker exists.
     _REGISTRY[code] = registered  # lint: disable=PL304
     return registered
 

@@ -34,7 +34,6 @@ OVERHEAD_BUDGET_PCT = 5.0
 #: ``lower`` means regression when it rises above
 #: max(budget, baseline + slack).
 COMPARE_METRICS = {
-    "ingest_sharded": ("speedup", "higher"),
     "incremental_query": ("speedup", "higher"),
     "obs_overhead": ("overhead_pct", "lower"),
     "pql_perf": ("speedup", "higher"),
@@ -42,8 +41,6 @@ COMPARE_METRICS = {
 
 #: Informational (never gating) per-suite metrics worth reporting.
 REPORT_METRICS = {
-    "ingest_sharded": ("shards_1.storage_records_per_sec",
-                       "shards_4.storage_records_per_sec"),
     "obs_overhead": ("disabled_overhead_pct",),
     "pql_perf": ("point_lookup.speedup", "ancestry.speedup",
                  "records_total"),

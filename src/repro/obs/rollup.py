@@ -1,7 +1,7 @@
 """Dimension rollups over metrics snapshots and journal events.
 
-The metrics registry keys everything by (layer, volume); the sharded
-storage tier and the PA-NFS fleet need the same numbers re-aggregated
+The metrics registry keys everything by (layer, volume); multi-volume
+boots and the PA-NFS fleet need the same numbers re-aggregated
 along whatever axis a dashboard slices by -- per layer across all
 volumes, per volume across all layers, per (layer, volume) pair, or,
 for journal events, per site/kind.  These are pure functions over the

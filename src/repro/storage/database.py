@@ -88,11 +88,7 @@ class ProvenanceDatabase:
 
     @property
     def has_subscribers(self) -> bool:
-        """Whether any push-feed listener is registered.  Concurrent
-        shard drains only need to serialize their inserts when a
-        listener exists -- listeners may share one federated OEM
-        graph; a subscriber-free database is touched by its own drain
-        alone."""
+        """Whether any push-feed listener is registered."""
         return bool(self._batch_listeners)
 
     def insert_many(self, records: Iterable[ProvenanceRecord]) -> int:

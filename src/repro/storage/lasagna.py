@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.errors import KernelError
-from repro.core.pnode import shard_of
 from repro.core.records import Attr, Bundle, ProvenanceRecord, RecordBatch
 from repro.kernel.params import SimParams
 from repro.kernel.vfs import Inode
@@ -38,7 +37,7 @@ class Lasagna:
     """Stackable provenance-aware file system over one volume."""
 
     def __init__(self, volume: Volume, params: Optional[SimParams] = None,
-                 obs=NULL_OBS, faults=None, shards: int = 1):
+                 obs=NULL_OBS, faults=None):
         if not volume.pass_capable:
             from repro.core.errors import NotPassVolume
             raise NotPassVolume(
@@ -49,21 +48,12 @@ class Lasagna:
         self.obs = obs
         #: Fault injector (repro.faults); None keeps the write path bare.
         self._faults = faults
-        #: Intra-volume WAP-log shards (1 = the classic single log).
-        #: Records route by subject-pnode hash, so a subject's records
-        #: stay ordered within one shard; ``self.log`` aliases shard 0
-        #: for the unsharded API surface (and IS the log at shards=1).
-        self.shards = max(1, int(shards))
-        self.shard_logs: list[ProvenanceLog] = []
-        for index in range(self.shards):
-            label = (volume.name if self.shards == 1
-                     else f"{volume.name}/s{index}")
-            self.shard_logs.append(ProvenanceLog(
-                volume.clock, self.params.log,
-                disk_write=self._log_disk_write,
-                faults=faults, obs=obs, volume_name=label,
-            ))
-        self.log = self.shard_logs[0]
+        #: The volume's one WAP log.
+        self.log = ProvenanceLog(
+            volume.clock, self.params.log,
+            disk_write=self._log_disk_write,
+            faults=faults, obs=obs, volume_name=volume.name,
+        )
         volume.lasagna = self
         volume.fs_top = self
         #: Fault injection: crash after the WAP flush, before this many
@@ -81,12 +71,8 @@ class Lasagna:
         # (harvested at snapshot time; the write path stays bare).
         obs.add_collector("lasagna", self._obs_counters,
                           volume=volume.name)
-        for log in self.shard_logs:
-            # At shards=1 the single log reports under the volume name
-            # exactly as before; sharded logs carry shard-suffixed
-            # volume labels (``pass/s0``...), see docs/OBSERVABILITY.md.
-            obs.add_collector("lasagna", log.obs_counters,
-                              volume=log.volume_name)
+        obs.add_collector("lasagna", self.log.obs_counters,
+                          volume=volume.name)
 
     def _obs_counters(self) -> dict:
         return {
@@ -133,45 +119,27 @@ class Lasagna:
         cost = self.params.cpu.log_encode * len(bundle)
         if cost:
             self.volume.clock.advance(cost, "provenance_cpu")
-        parts = (bundle,) if self.shards == 1 else self._by_shard(bundle)
         if isinstance(bundle, RecordBatch):
             self.obs.observe("lasagna", "batch_size", len(bundle),
                              volume=self.volume.name)
-            for log, part in zip(self.shard_logs, parts):
-                if part:
-                    log.append_batch(part)
-            return
-        for log, part in zip(self.shard_logs, parts):
-            if part:
-                log.append(part)
-
-    def _by_shard(self, bundle) -> list:
-        """Split a carrier by subject shard, one carrier of its class
-        per shard log, preserving order within each (and therefore
-        within each subject: all of a subject's records hash to the
-        same shard)."""
-        count = self.shards
-        buckets: list[list] = [[] for _ in range(count)]
-        row = iter(bundle.rows)
-        for subject, attr, value in zip(row, row, row):
-            buckets[shard_of(subject.pnode, count)] += (subject, attr, value)
-        return [bundle.of_rows(bucket) for bucket in buckets]
+            if bundle:
+                self.log.append_batch(bundle)
+        elif bundle:
+            self.log.append(bundle)
 
     def sync(self) -> None:
-        """Flush every shard log, rotate it, and let Waldo drain it."""
+        """Flush the log, rotate it, and let Waldo drain it."""
         with self.obs.span("lasagna.sync", layer="lasagna",
                            volume=self.volume.name):
-            for log in self.shard_logs:
-                log.flush()
-                log.rotate()
+            self.log.flush()
+            self.log.rotate()
 
     def flush_buffered(self) -> None:
-        """Flush any shard log holding buffered records (the journal's
+        """Flush the log if it holds buffered records (the journal's
         ordered-mode coupling: metadata commits force pending
         provenance out first)."""
-        for log in self.shard_logs:
-            if log.buffered_records:
-                log.flush()
+        if self.log.buffered_records:
+            self.log.flush()
 
     # -- stackable data path -----------------------------------------------------------
 
@@ -190,27 +158,12 @@ class Lasagna:
         # large writes the ordering point hides inside the multi-block
         # transfer, so the barrier latency is waived.
         digest = data_digest(data, nbytes)
-        subject_log = (self.log if self.shards == 1 else
-                       self.shard_logs[shard_of(inode.pnode, self.shards)])
-        subject_log.append(ProvenanceRecord(
+        self.log.append(ProvenanceRecord(
             inode.ref(), Attr.MD5, md5_value(offset, nbytes, digest),
         ))
         self._waive_barrier = nbytes >= 65536
         try:
-            if self.shards > 1:
-                # WAP spans objects: ancestors' records may sit in other
-                # shards' buffers (the distributor flushed them to us
-                # first), so every shard goes durable before the data.
-                # One ordering point per data write: the other shards
-                # ride the clustered queue barrier-free, the subject's
-                # shard pays the barrier (exactly the single-log cost).
-                waived = self._waive_barrier
-                self._waive_barrier = True
-                for log in self.shard_logs:
-                    if log is not subject_log and log.buffered_records:
-                        log.flush()
-                self._waive_barrier = waived
-            subject_log.flush(txn_subject=inode.ref())
+            self.log.flush(txn_subject=inode.ref())
         finally:
             self._waive_barrier = False
         if self.fail_before_data_write:
@@ -246,14 +199,11 @@ class Lasagna:
     # -- crash simulation -----------------------------------------------------------------
 
     def crash(self, drop_tail_bytes: int = 0) -> int:
-        """Machine crash: unflushed provenance is lost across every
-        shard; an optional torn tail applies to shard 0 (the only shard
-        at the default topology).  Returns lost record count."""
+        """Machine crash: unflushed provenance is lost, and an
+        optional torn tail comes off the log.  Returns lost record
+        count."""
         self.fail_before_data_write = False
-        lost = self.log.crash(drop_tail_bytes)
-        for log in self.shard_logs[1:]:
-            lost += log.crash()
-        return lost
+        return self.log.crash(drop_tail_bytes)
 
     def __repr__(self) -> str:
         return f"<Lasagna over {self.volume.name}>"

@@ -166,14 +166,6 @@ class ProvenanceLog:
         self.rotations = 0
         self.batch_records = 0
         self.batch_flushes = 0
-        #: Opt-in wall-clock accounting (set to ``time.perf_counter`` to
-        #: enable).  ``wall_seconds`` then accumulates real time spent in
-        #: ``append_batch``/``flush`` -- the work a per-shard storage
-        #: worker would own -- measured at the outermost entry only, so
-        #: a group commit inside ``append_batch`` is not double-counted.
-        self.wall_clock: Optional[Callable[[], float]] = None
-        self.wall_seconds = 0.0
-        self._wall_depth = 0
 
     def obs_counters(self) -> dict:
         """WAP log totals, harvested by the observability layer (the
@@ -218,19 +210,6 @@ class ProvenanceLog:
         write or sync that would have forced it), so group commit can
         never weaken write-ahead provenance.
         """
-        clock = self.wall_clock
-        if clock is not None and self._wall_depth == 0:
-            self._wall_depth += 1
-            started = clock()
-            try:
-                self._append_batch(records)
-            finally:
-                self._wall_depth -= 1
-                self.wall_seconds += clock() - started
-            return
-        self._append_batch(records)
-
-    def _append_batch(self, records) -> None:
         self.batch_records += self._buffer_rows(rows_of(records))
         buffered = len(self._buffer_raw)
         size = self._buffer_bytes
@@ -268,19 +247,6 @@ class ProvenanceLog:
         flush precedes); when the buffer is empty nothing is written and
         None is returned, else the transaction id.
         """
-        clock = self.wall_clock
-        if clock is not None and self._wall_depth == 0:
-            self._wall_depth += 1
-            started = clock()
-            try:
-                return self._flush(txn_subject)
-            finally:
-                self._wall_depth -= 1
-                self.wall_seconds += clock() - started
-        return self._flush(txn_subject)
-
-    def _flush(self, txn_subject: Optional[ObjectRef] = None
-               ) -> Optional[int]:
         buffer = self._buffer
         if not buffer:
             return None

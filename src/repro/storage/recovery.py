@@ -46,18 +46,13 @@ class RecoveryReport:
         return not self.orphaned_records and not self.inconsistent_data
 
 
-def recover(lasagna: Lasagna, database=None, consume: bool = False,
-            log=None) -> RecoveryReport:
+def recover(lasagna: Lasagna, database=None,
+            consume: bool = False) -> RecoveryReport:
     """Replay a volume's provenance log after a crash.
 
     Committed records are optionally inserted into ``database`` (pass
     Waldo's database to rebuild it); the report lists orphans and any
     data whose checksum proves it was mid-write.
-
-    ``log`` selects one shard log of a sharded volume (defaults to
-    ``lasagna.log``, which IS the volume's only log unsharded); the
-    storage tier replays each shard against its own database and merges
-    the reports.
 
     With ``consume=True`` the log is reset after the replay (the
     recovered records now live in the database), which makes recovery
@@ -66,8 +61,7 @@ def recover(lasagna: Lasagna, database=None, consume: bool = False,
     """
     report = RecoveryReport()
     volume = lasagna.volume
-    if log is None:
-        log = lasagna.log
+    log = lasagna.log
 
     for segment in log.all_segments():
         raw = bytes(segment.raw)

@@ -1,38 +1,32 @@
-"""The storage tier: every PASS volume's sharded WAP pipeline, one facade.
+"""The storage tier: every PASS volume's WAP pipeline, one facade.
 
-The paper's layering deliberately decouples capture (observer /
-analyzer / distributor) from storage (Lasagna / Waldo), but one WAP
-log, one Waldo drain, and one ProvenanceDatabase per volume still
-serialize every record through a single writer.  :class:`StorageTier`
-removes that bottleneck without touching the capture layers:
+The paper's Figure 2 and section 5.6 give each PASS volume one WAP log
+(inside its Lasagna), one Waldo draining it and one database.
+:class:`StorageTier` is the one construction site for that pipeline and
+the place several volumes meet:
 
-* each PASS volume's log is split into ``shards`` intra-volume shard
-  logs; records route by subject-pnode hash (all of a subject's records
-  land -- ordered -- in one shard);
-* each shard log gets its own Waldo and ProvenanceDatabase, so drains
-  are independent per shard and run concurrently (a thread pool over
-  the existing group-commit segments) when no fault injector, tracer,
-  or journal needs deterministic serial order;
+* :meth:`attach` builds a volume's Lasagna, Waldo, ProvenanceDatabase
+  and drained-segment archive;
+* :meth:`sync` / :meth:`drain` run every volume's pipeline in volume
+  order on the calling thread;
 * queries federate at the query layer: :meth:`federated_sources` hands
-  the union of every shard database to ``QueryEngine.live``, whose OEM
-  graph is arrival-order-insensitive -- the merged live graph answers
-  cross-shard joins exactly as the single-shard graph would;
-* drained segments are archived per shard and compacted under a
+  every volume's database to ``QueryEngine.live``, whose OEM graph is
+  arrival-order-insensitive -- the merged live graph answers
+  cross-volume joins exactly as one database holding everything would;
+* drained segments are archived per volume and compacted under a
   :class:`CompactionPolicy`, so the store survives months of churn with
   bounded memory.
 
 ``System.boot``, crashlab, the benchmarks, and the CLI all construct
-storage through this facade; ``BootConfig.shards = 1`` (the default)
-reproduces today's single-shard pipeline byte for byte.
+storage through this facade.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
+from repro.core.errors import NotPassVolume
 from repro.obs import NULL_OBS
 from repro.storage import recovery
 from repro.storage.database import ProvenanceDatabase
@@ -41,15 +35,10 @@ from repro.storage.log import LogSegment
 from repro.storage.recovery import RecoveryReport
 from repro.storage.waldo import Waldo
 
-#: Supported intra-volume shard keys: ``pnode`` hashes the subject's
-#: pnode number across ``shards`` shard logs; ``volume`` disables
-#: intra-volume sharding (one shard per volume regardless of count).
-SHARD_KEYS = ("pnode", "volume")
-
 
 @dataclass(frozen=True)
 class CompactionPolicy:
-    """Bounds on each shard's drained-segment archive.
+    """Bounds on each volume's drained-segment archive.
 
     Once either bound is exceeded the oldest archived segments are
     folded into :class:`CompactedExtent` summaries (index range, record
@@ -72,7 +61,7 @@ class CompactedExtent:
 
 
 class SegmentArchive:
-    """Drained log segments retained for one shard, bounded by policy.
+    """Drained log segments retained for one volume, bounded by policy.
 
     Waldo hands every segment here after ingesting it; the archive is
     forensic state (what the database was built from), not a
@@ -138,78 +127,34 @@ class SegmentArchive:
         }
 
 
-class _VolumeShards:
-    """One PASS volume's shard set (tier-internal)."""
-
-    def __init__(self, volume, lasagna: Lasagna, waldos: list[Waldo],
-                 archives: list[SegmentArchive]):
-        self.volume = volume
-        self.lasagna = lasagna
-        self.waldos = waldos
-        self.archives = archives
-        #: Wall seconds each shard's Waldo spent draining (populated
-        #: only while wall timing is enabled; see enable_wall_timing).
-        self.drain_seconds = [0.0] * len(waldos)
-
-    @property
-    def name(self) -> str:
-        return self.volume.name
-
-
 class StorageTier:
-    """Facade over every PASS volume's sharded storage pipeline."""
+    """Facade over every PASS volume's storage pipeline."""
 
-    def __init__(self, shards: int = 1, shard_key: str = "pnode",
-                 compaction: Optional[CompactionPolicy] = None,
+    def __init__(self, compaction: Optional[CompactionPolicy] = None,
                  obs=NULL_OBS, faults=None):
-        if int(shards) < 1:
-            raise ValueError(f"shards must be >= 1, got {shards!r}")
-        if shard_key not in SHARD_KEYS:
-            raise ValueError(
-                f"shard_key must be one of {SHARD_KEYS}, got {shard_key!r}")
-        self.shards = int(shards)
-        self.shard_key = shard_key
         self.compaction = compaction or CompactionPolicy()
         self.obs = obs
         self._faults = faults
-        #: Effective intra-volume shard count (``volume`` keying keeps
-        #: the classic one-pipeline-per-volume layout).
-        self.shards_per_volume = self.shards if shard_key == "pnode" else 1
-        self._volumes: dict[str, _VolumeShards] = {}
-        #: Serializes database inserts (and the push feed into the
-        #: shared federated OEM graph) across concurrent shard drains.
-        self._merge_lock = (threading.Lock()
-                            if self.shards_per_volume > 1 else None)
-        self._wall_clock: Optional[Callable[[], float]] = None
-        self._drain_clock: Optional[Callable[[], float]] = None
-        self._collector_registered = False
+        #: Volume name -> its pipeline: the Lasagna owns the log, the
+        #: Waldo draining it owns the database and the archive.
+        self._volumes: dict[str, tuple[Lasagna, Waldo]] = {}
         self.drains = 0
-        self.parallel_drains = 0
         self.federations = 0
 
     # -- construction -----------------------------------------------------------
 
     def attach(self, volume, params=None) -> None:
-        """Build one PASS volume's shard set (Lasagna with shard logs,
-        one Waldo + database + archive per shard).  The one construction
-        site ``System.boot`` uses for the whole storage layer."""
-        count = self.shards_per_volume
+        """Build one PASS volume's pipeline (Lasagna with its log, one
+        Waldo + database + archive).  The one construction site
+        ``System.boot`` uses for the whole storage layer."""
         lasagna = Lasagna(volume, params, obs=self.obs,
-                          faults=self._faults, shards=count)
-        waldos: list[Waldo] = []
-        archives: list[SegmentArchive] = []
-        for log in lasagna.shard_logs:
-            archive = SegmentArchive(self.compaction)
-            waldos.append(Waldo(
-                log, name=log.volume_name, obs=self.obs,
-                faults=self._faults, insert_lock=self._merge_lock,
-                archive=archive))
-            archives.append(archive)
-        self._volumes[volume.name] = _VolumeShards(
-            volume, lasagna, waldos, archives)
-        if not self._collector_registered:
-            self._collector_registered = True
+                          faults=self._faults)
+        waldo = Waldo(lasagna.log, name=volume.name, obs=self.obs,
+                      faults=self._faults,
+                      archive=SegmentArchive(self.compaction))
+        if not self._volumes:
             self.obs.add_collector("tier", self._obs_counters)
+        self._volumes[volume.name] = (lasagna, waldo)
 
     # -- accessors --------------------------------------------------------------
 
@@ -219,101 +164,63 @@ class StorageTier:
     def __bool__(self) -> bool:
         return bool(self._volumes)
 
-    def lasagna(self, volume: str) -> Lasagna:
-        return self._volumes[volume].lasagna
-
-    def waldos(self, volume: str) -> list[Waldo]:
-        """All of one volume's shard Waldos, shard order."""
-        return list(self._volumes[volume].waldos)
-
-    def waldo(self, volume: str, shard: int = 0) -> Waldo:
-        return self._volumes[volume].waldos[shard]
-
-    def shard_count(self, volume: str) -> int:
-        return len(self._volumes[volume].waldos)
-
-    def archives(self, volume: str) -> list[SegmentArchive]:
-        return list(self._volumes[volume].archives)
-
-    def databases(self, volume: Optional[str] = None
-                  ) -> list[ProvenanceDatabase]:
-        """Every shard database (volume order, shard order), or one
-        volume's shard databases."""
-        if volume is not None:
-            return [waldo.database
-                    for waldo in self._volumes[volume].waldos]
-        return [waldo.database for vs in self._volumes.values()
-                for waldo in vs.waldos]
-
-    def database(self, volume: Optional[str] = None,
-                 shard: int = 0) -> ProvenanceDatabase:
-        """One shard's database (first volume, shard 0 by default).
-        Under sharding a volume's provenance spans every shard database
-        -- use :meth:`databases` / :meth:`federated_sources` for the
-        whole volume."""
+    def _pipeline(self, volume: Optional[str]) -> tuple[Lasagna, Waldo]:
+        """The one lookup behind every accessor (None = the first PASS
+        volume)."""
         if volume is None:
+            if not self._volumes:
+                raise NotPassVolume("no PASS volume attached")
             volume = next(iter(self._volumes))
-        return self._volumes[volume].waldos[shard].database
+        try:
+            return self._volumes[volume]
+        except KeyError:
+            raise NotPassVolume(
+                f"volume {volume!r} has no provenance storage attached"
+            ) from None
+
+    def _waldos(self) -> list[Waldo]:
+        return [waldo for _, waldo in self._volumes.values()]
+
+    def lasagna(self, volume: str) -> Lasagna:
+        return self._pipeline(volume)[0]
+
+    def waldo(self, volume: str) -> Waldo:
+        return self._pipeline(volume)[1]
+
+    def archive(self, volume: str) -> SegmentArchive:
+        return self._pipeline(volume)[1].archive
+
+    def database(self, volume: Optional[str] = None) -> ProvenanceDatabase:
+        """One volume's database (the first PASS volume by default)."""
+        return self._pipeline(volume)[1].database
+
+    def databases(self) -> list[ProvenanceDatabase]:
+        """Every volume's database, volume order."""
+        return [waldo.database for waldo in self._waldos()]
 
     # -- ingest path ------------------------------------------------------------
 
     def sync(self) -> int:
-        """Flush + rotate every shard log, then drain every shard;
+        """Flush + rotate every volume's log, then drain every Waldo;
         returns records inserted (the ``System.sync`` work)."""
-        for vs in self._volumes.values():
-            vs.lasagna.sync()
+        for lasagna, _ in self._volumes.values():
+            lasagna.sync()
         return self.drain()
 
     def drain(self) -> int:
-        """Drain every shard's Waldo; returns records inserted.
-
-        Shards drain concurrently (one worker per shard) when nothing
-        needs deterministic serial order: a fault injector, the tracer
-        (span trees are per-thread structures), and the journal all
-        force the serial path.  ``shards=1`` is always serial -- the
-        classic pipeline."""
+        """Drain every volume's Waldo, volume order; returns records
+        inserted."""
         self.drains += 1
-        jobs = [(vs, index) for vs in self._volumes.values()
-                for index in range(len(vs.waldos))]
-        parallel = (self.shards_per_volume > 1
-                    and len(jobs) > 1
-                    and self._faults is None
-                    and not self.obs.tracer.enabled
-                    and not self.obs.journal.enabled)
-        if not parallel:
-            inserted = 0
-            for vs, index in jobs:
-                if self._faults is not None:
-                    waldo = vs.waldos[index]
-                    self._faults.fire(
-                        "shard.drain.pre", volume=vs.name, shard=index,
-                        segments=waldo.pending_segment_count)
-                inserted += self._drain_one(vs, index)
-            return inserted
-        self.parallel_drains += 1
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            inserted = sum(pool.map(
-                lambda job: self._drain_one(*job), jobs))
-        return inserted
-
-    def _drain_one(self, vs: _VolumeShards, index: int) -> int:
-        clock = self._drain_clock
-        if clock is None:
-            return vs.waldos[index].drain()
-        started = clock()
-        try:
-            return vs.waldos[index].drain()
-        finally:
-            vs.drain_seconds[index] += clock() - started
+        return sum(waldo.drain() for waldo in self._waldos())
 
     # -- query federation --------------------------------------------------------
 
     def federated_sources(self) -> list[ProvenanceDatabase]:
-        """The union of every shard database: the sources of the
-        merge-at-query federation.  ``QueryEngine.live`` over this list
-        builds one merged OEM graph (kept current by each database's
-        push feed), so cross-shard joins resolve exactly as they would
-        single-shard -- answers merge at the graph, never per shard."""
+        """Every volume's database: the sources of the merge-at-query
+        federation.  ``QueryEngine.live`` over this list builds one
+        merged OEM graph (kept current by each database's push feed),
+        so cross-volume joins resolve exactly as they would in one
+        database -- answers merge at the graph, never per volume."""
         sources = self.databases()
         self.federations += 1
         if self._faults is not None:
@@ -327,132 +234,67 @@ class StorageTier:
     # -- rollups -----------------------------------------------------------------
 
     def sizes(self, volume: Optional[str] = None) -> dict:
-        """Tier-wide (or one volume's) database/index byte sizes.
-
-        The rollup ``Waldo.sizes()`` cannot provide under sharding:
-        totals sum over every shard, with the per-shard breakdown under
-        ``"per_shard"`` (keyed by shard label)."""
-        totals: dict = {"database": 0, "indexes": 0, "total": 0}
-        per_shard: dict[str, dict] = {}
-        targets = ([self._volumes[volume]] if volume is not None
-                   else list(self._volumes.values()))
-        for vs in targets:
-            for waldo in vs.waldos:
-                sizes = waldo.database.sizes()
-                for key in ("database", "indexes", "total"):
-                    totals[key] += sizes[key]
-                per_shard[waldo.name] = sizes
-        totals["per_shard"] = per_shard
+        """Tier-wide (or one volume's) database/index byte sizes:
+        totals sum over the volumes, with each volume's own
+        ``database.sizes()`` under ``"per_volume"`` (keyed by name)."""
+        names = list(self._volumes) if volume is None else [volume]
+        per_volume = {name: self.database(name).sizes() for name in names}
+        totals: dict = {
+            key: sum(sizes[key] for sizes in per_volume.values())
+            for key in ("database", "indexes", "total")}
+        totals["per_volume"] = per_volume
         return totals
 
     def compact(self) -> dict:
-        """Force-compact every shard archive; returns rollup stats."""
+        """Force-compact every volume's archive; returns rollup stats."""
         reclaimed = 0
         segments = 0
-        for vs in self._volumes.values():
-            for archive in vs.archives:
-                before = archive.segments_compacted
-                reclaimed += archive.compact(force=True)
-                segments += archive.segments_compacted - before
+        for waldo in self._waldos():
+            before = waldo.archive.segments_compacted
+            reclaimed += waldo.archive.compact(force=True)
+            segments += waldo.archive.segments_compacted - before
         return {"segments_compacted": segments,
                 "bytes_reclaimed": reclaimed}
 
     def _obs_counters(self) -> dict:
-        archived = compacted = reclaimed = retained = 0
-        for vs in self._volumes.values():
-            for archive in vs.archives:
-                archived += archive.segments_archived
-                compacted += archive.segments_compacted
-                reclaimed += archive.bytes_reclaimed
-                retained += len(archive.segments)
+        archives = [waldo.archive for waldo in self._waldos()]
         return {
             "volumes": len(self._volumes),
-            "shards": sum(len(vs.waldos)
-                          for vs in self._volumes.values()),
             "drains": self.drains,
-            "parallel_drains": self.parallel_drains,
             "federations": self.federations,
-            "segments_archived": archived,
-            "segments_compacted": compacted,
-            "segments_retained": retained,
-            "archive_bytes_reclaimed": reclaimed,
+            "segments_archived": sum(
+                archive.segments_archived for archive in archives),
+            "segments_compacted": sum(
+                archive.segments_compacted for archive in archives),
+            "segments_retained": sum(
+                len(archive.segments) for archive in archives),
+            "archive_bytes_reclaimed": sum(
+                archive.bytes_reclaimed for archive in archives),
         }
-
-    # -- wall-clock accounting ---------------------------------------------------
-
-    def enable_wall_timing(self,
-                           clock: Optional[Callable[[], float]] = None
-                           ) -> None:
-        """Start accumulating real seconds of per-shard storage work
-        (log append/flush + Waldo drain), the measurement behind the
-        sharded ingest benchmark's critical-path model.
-
-        Log work runs inline on the ingest thread, so it is charged
-        wall time; drains may run concurrently in the shard pool, so
-        each is charged its *own thread's* CPU time
-        (``time.thread_time``) -- elapsed time there would bill every
-        shard for the GIL holds of all the others and make the
-        per-shard numbers meaningless.  An explicit ``clock`` (tests,
-        simulated time) is used for both.
-        """
-        import time
-        self._wall_clock = clock or time.perf_counter
-        self._drain_clock = clock or time.thread_time
-        for vs in self._volumes.values():
-            for log in vs.lasagna.shard_logs:
-                log.wall_clock = self._wall_clock
-
-    def storage_seconds(self, volume: Optional[str] = None
-                        ) -> list[float]:
-        """Per-shard storage wall seconds (log work + drain work), one
-        entry per shard.  With one worker per shard the tier's elapsed
-        storage time is ``max`` of this list; serially it is ``sum`` --
-        at ``shards=1`` the two coincide."""
-        if volume is not None:
-            targets = [self._volumes[volume]]
-        else:
-            targets = list(self._volumes.values())
-        seconds: list[float] = []
-        for vs in targets:
-            for log, drain in zip(vs.lasagna.shard_logs,
-                                  vs.drain_seconds):
-                seconds.append(log.wall_seconds + drain)
-        return seconds
 
     # -- crash / recovery --------------------------------------------------------
 
     def crash(self) -> tuple[int, int]:
         """Machine death: every Waldo requeues undrained segments onto
-        its shard log, every Lasagna loses its buffered records.
+        its log, every Lasagna loses its buffered records.
         Returns ``(requeued_segments, lost_records)``."""
-        requeued = 0
-        for vs in self._volumes.values():
-            for waldo in vs.waldos:
-                requeued += waldo.crash()
-        lost = 0
-        for vs in self._volumes.values():
-            lost += vs.lasagna.crash()
+        requeued = sum(waldo.crash() for waldo in self._waldos())
+        lost = sum(lasagna.crash()
+                   for lasagna, _ in self._volumes.values())
         return requeued, lost
 
     def recover(self, consume: bool = False) -> RecoveryReport:
-        """Replay every shard log into its shard database (volume
-        order, shard order) and merge the reports.  At ``shards=1``
-        this is exactly the classic single-volume recovery."""
+        """Replay every volume's log into its database (volume order)
+        and merge the reports."""
         combined = RecoveryReport()
-        for vs in self._volumes.values():
-            for log, waldo in zip(vs.lasagna.shard_logs, vs.waldos):
-                report = recovery.recover(
-                    vs.lasagna, database=waldo.database,
-                    consume=consume, log=log)
-                combined.committed_records.extend(
-                    report.committed_records)
-                combined.orphaned_records.extend(
-                    report.orphaned_records)
-                combined.inconsistent_data.extend(
-                    report.inconsistent_data)
-                combined.torn_bytes += report.torn_bytes
+        for lasagna, waldo in self._volumes.values():
+            report = recovery.recover(
+                lasagna, database=waldo.database, consume=consume)
+            combined.committed_records.extend(report.committed_records)
+            combined.orphaned_records.extend(report.orphaned_records)
+            combined.inconsistent_data.extend(report.inconsistent_data)
+            combined.torn_bytes += report.torn_bytes
         return combined
 
     def __repr__(self) -> str:
-        return (f"<StorageTier {len(self._volumes)} volume(s) x "
-                f"{self.shards_per_volume} shard(s)>")
+        return f"<StorageTier {len(self._volumes)} volume(s)>"

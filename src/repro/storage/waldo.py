@@ -24,24 +24,18 @@ from repro.storage.log import LogSegment, ProvenanceLog
 
 
 class Waldo:
-    """One Waldo daemon per shard log (one per PASS volume unsharded)."""
+    """One Waldo daemon per PASS volume, draining that volume's log."""
 
     def __init__(self, log: ProvenanceLog,
                  database: Optional[ProvenanceDatabase] = None,
                  name: str = "waldo", obs=NULL_OBS, faults=None,
-                 insert_lock=None, archive=None):
+                 archive=None):
         self.log = log
         self.database = database or ProvenanceDatabase(name)
         self.name = name
         self.obs = obs
         #: Fault injector (repro.faults); None keeps drain() bare.
         self._faults = faults
-        #: Held around the database insert (and thus the push-feed
-        #: fan-out into any live OEM graph) when the storage tier drains
-        #: shards in parallel: the transaction walk runs concurrently,
-        #: the merge into shared query state does not.  None (the
-        #: single-shard default) keeps the path lock-free.
-        self._insert_lock = insert_lock
         #: Optional :class:`repro.storage.tier.SegmentArchive` that
         #: retains drained segments (bounded by its compaction policy).
         self.archive = archive
@@ -161,22 +155,11 @@ class Waldo:
             self.orphaned.extend(records_from(orphans))
         if not ready:
             return 0
-        # The insert lock serializes the push feed into the shared
-        # federated OEM graph; with no subscribers the database is
-        # private to this shard's drain and inserts run lock-free.
-        lock = self._insert_lock
-        if lock is not None and self.database.has_subscribers:
-            with lock:
-                self._insert(ready)
-        else:
-            self._insert(ready)
-        return len(ready) // 3
-
-    def _insert(self, ready: list) -> None:
         with self.obs.span("waldo.drain_batch", layer="waldo",
                            volume=self.name) as span:
             span.tag("records", len(ready) // 3)
             self.database.insert_many(RecordBatch.of_rows(ready))
+        return len(ready) // 3
 
     # -- crash simulation --------------------------------------------------------------
 
@@ -197,8 +180,8 @@ class Waldo:
 
     # -- query service -----------------------------------------------------------------
 
-    def _shard_engine(self):
-        """The single live engine over this shard's database -- built
+    def _live_engine(self):
+        """The single live engine over this volume's database -- built
         once, then kept current by the database's push feed."""
         if self._engine is None:
             from repro.pql.engine import QueryEngine
@@ -206,8 +189,8 @@ class Waldo:
         return self._engine
 
     def query(self, text: str) -> list:
-        """Run one PQL query against this shard's provenance."""
-        return self._shard_engine().execute(text)
+        """Run one PQL query against this volume's provenance."""
+        return self._live_engine().execute(text)
 
     def sizes(self) -> dict[str, int]:
         """Database / index byte sizes (Table 3)."""

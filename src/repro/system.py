@@ -56,15 +56,8 @@ class BootConfig:
     #: export half of observability is opt-in like tracing.
     journal: bool = False
     faults: object = None
-    #: Storage topology (see repro.storage.tier).  ``shards`` splits
-    #: each PASS volume's WAP log / Waldo / database into that many
-    #: intra-volume shards (1 = the classic single pipeline, byte
-    #: identical); ``shard_key`` is ``"pnode"`` (hash the subject pnode
-    #: across shards) or ``"volume"`` (one shard per volume regardless
-    #: of count); ``compaction`` bounds the drained-segment archives
-    #: (None = the default CompactionPolicy).
-    shards: int = 1
-    shard_key: str = "pnode"
+    #: Bounds each volume's drained-segment archive (see
+    #: repro.storage.tier; None = the default CompactionPolicy).
     compaction: Optional[CompactionPolicy] = None
 
     def with_overrides(self, **overrides) -> "BootConfig":
@@ -79,8 +72,8 @@ class System:
     def __init__(self, kernel: Kernel, tier: StorageTier,
                  provenance: bool):
         self.kernel = kernel
-        #: The storage facade: sharded WAP logs, Waldo drains, shard
-        #: databases, query federation (repro.storage.tier).
+        #: The storage facade: each PASS volume's WAP log, Waldo and
+        #: database, and query federation (repro.storage.tier).
         self.tier = tier
         self.provenance = provenance
         self._query_engine = None
@@ -126,8 +119,7 @@ class System:
                         obs=obs, faults=cfg.faults)
         if cfg.faults is not None:
             cfg.faults.bind_obs(obs)
-        tier = StorageTier(shards=cfg.shards, shard_key=cfg.shard_key,
-                           compaction=cfg.compaction, obs=kernel.obs,
+        tier = StorageTier(compaction=cfg.compaction, obs=kernel.obs,
                            faults=cfg.faults)
         for name in cfg.pass_volumes:
             volume = kernel.add_volume(name, f"/{name}", pass_capable=True)
@@ -166,7 +158,7 @@ class System:
     # -- provenance plumbing -----------------------------------------------------------------
 
     def sync(self) -> int:
-        """Flush all logs and drain every shard; returns records inserted.
+        """Flush all logs and drain every Waldo; returns records inserted.
 
         The live query engine (if one has been handed out) absorbs the
         drained records through the databases' push feed, so a sync is
@@ -180,13 +172,13 @@ class System:
         return self.tier.sizes()
 
     def databases(self) -> list[ProvenanceDatabase]:
-        """Every shard database of every volume."""
+        """Every PASS volume's database, volume order."""
         return self.tier.databases()
 
     def database(self, volume: Optional[str] = None) -> ProvenanceDatabase:
-        """One volume's shard-0 database (first PASS volume by default).
-        Under sharding a volume's provenance spans all of its shard
-        databases -- use :meth:`databases` or the query engine."""
+        """One volume's database (the first PASS volume by default);
+        raises :class:`~repro.core.errors.NotPassVolume` for a volume
+        without provenance storage."""
         return self.tier.database(volume)
 
     # -- queries --------------------------------------------------------------------------

@@ -82,15 +82,11 @@ class Workload(abc.ABC):
 
 
 def run_local(workload: Workload, provenance: bool,
-              params: Optional[SimParams] = None,
-              shards: int = 1) -> WorkloadResult:
-    """One machine: PASSv2 (provenance=True) or vanilla ext3.
-
-    ``shards`` selects the storage-tier topology (intra-volume WAP-log
-    shards; 1 = the classic single pipeline)."""
+              params: Optional[SimParams] = None) -> WorkloadResult:
+    """One machine: PASSv2 (provenance=True) or vanilla ext3."""
     system = System.boot(config=BootConfig(
         params=params, provenance=provenance,
-        pass_volumes=("pass",), plain_volumes=(), shards=shards))
+        pass_volumes=("pass",), plain_volumes=()))
     clock = system.kernel.clock
     volume = system.kernel.volume("pass")
     workload.setup(system, "/pass")
@@ -110,8 +106,6 @@ def run_local(workload: Workload, provenance: bool,
     )
     if provenance:
         system.sync()
-        # Tier rollup: sums every shard database, so a sharded run's
-        # Table 3 columns do not undercount.
         sizes = system.tier.sizes("pass")
         result.provenance_bytes = sizes["database"]
         result.index_bytes = sizes["indexes"]

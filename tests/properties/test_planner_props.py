@@ -317,22 +317,26 @@ def test_patched_view_equals_recomputed(stream, cut):
 # -- crash -> recover replay --------------------------------------------------
 
 def test_crash_recover_replay_keeps_planner_sound():
-    """Sharded system, queries warm the indexes, machine dies with
-    undrained logs, recovery replays through the databases' push feeds:
-    the maintained indexes must absorb the replayed records and keep
-    planned == naive."""
+    """Two PASS volumes under one live engine, queries warm the indexes,
+    the machine dies with both logs undrained, recovery replays through
+    the databases' push feeds: the maintained indexes must absorb the
+    replayed records and keep planned == naive."""
     from repro.system import System
     from tests.conftest import write_file
 
-    system = System.boot(shards=4)
+    system = System.boot(pass_volumes=("pass", "pass2"))
     write_file(system, "/pass/before", b"old")
+    write_file(system, "/pass2/before", b"old")
     system.sync()
     engine = system.query_engine()
     q_name = ('select F from Provenance.file as F '
               'where F.name = "/pass/after"')
     q_closure = ('select A from Provenance.file as F, F.input* as A '
                  'where F.name = "/pass/out"')
-    for query in (q_name, q_closure):
+    q_across = ('select A from Provenance.file as F, F.input* as A '
+                'where F.name = "/pass2/copy"')
+    queries = (q_name, q_closure, q_across)
+    for query in queries:
         engine.execute(query)               # build indexes pre-crash
     assert engine.catalog is not None
 
@@ -346,12 +350,17 @@ def test_crash_recover_replay_keeps_planner_sound():
         out = proc.open("/pass/out", "w")
         proc.write(out, b"derived")
         proc.close(out)
-    # No sync: the records sit in shard logs.  Die and recover.
+        copy = proc.open("/pass2/copy", "w")
+        proc.write(copy, b"derived")
+        proc.close(copy)
+    # No sync: the records sit in both volumes' logs.  Die and recover.
+    assert all(system.tier.lasagna(name).log.current.nbytes
+               for name in ("pass", "pass2"))
     system.tier.crash()
     report = system.tier.recover(consume=True)
     assert report.committed_records
 
-    for query in (q_name, q_closure):
+    for query in queries:
         planned = engine.execute_refs(query)
         saved = engine._optimize
         engine._optimize = False
@@ -361,8 +370,7 @@ def test_crash_recover_replay_keeps_planner_sound():
             engine._optimize = saved
         assert canonical(planned) == canonical(naive), query
     assert engine.execute_refs(q_name)      # the replay really arrived
-    names = {getattr(row, "name", None)
-             for row in engine.execute(
-                 'select A from Provenance.file as F, F.input* as A '
-                 'where F.name = "/pass/out"')}
-    assert "/pass/after" in names
+    for query in (q_closure, q_across):
+        names = {getattr(row, "name", None)
+                 for row in engine.execute(query)}
+        assert "/pass/after" in names, query

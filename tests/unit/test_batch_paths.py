@@ -466,27 +466,24 @@ class TestAppendBatch:
 
 
 class TestAppendProvenance:
-    """Lasagna keeps the two routes apart, sharded or not."""
+    """Lasagna keeps the two routes apart."""
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_bundle_waits_and_batch_may_commit(self, shards):
-        system = System.boot(shards=shards, params=SimParams(
+    def test_bundle_waits_and_batch_may_commit(self):
+        system = System.boot(params=SimParams(
             log=LogParams(group_commit_records=4)))
         lasagna = system.tier.lasagna("pass")
         records = [rec(pnode=pnode, value=f"v{pnode}")
                    for pnode in range(1, 13)]
         lasagna.append_provenance(Bundle(records))
-        assert sum(log.flushes for log in lasagna.shard_logs) == 0
-        assert sum(log.buffered_records
-                   for log in lasagna.shard_logs) == 12
-        lasagna.append_provenance(RecordBatch(records[:shards]))
-        assert all(log.flushes == 1 and not log.buffered_records
-                   for log in lasagna.shard_logs)
+        assert lasagna.log.flushes == 0
+        assert lasagna.log.buffered_records == 12
+        lasagna.append_provenance(RecordBatch(records[:1]))
+        assert lasagna.log.flushes == 1
+        assert not lasagna.log.buffered_records
         system.sync()
-        stored = [record for database in system.databases()
-                  for record in database.all_records()]
+        stored = list(system.database().all_records())
         assert sorted(stored, key=lambda r: r.subject.pnode) == sorted(
-            records + records[:shards], key=lambda r: r.subject.pnode)
+            records + records[:1], key=lambda r: r.subject.pnode)
 
 
 # -- database ---------------------------------------------------------------------

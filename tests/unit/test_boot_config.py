@@ -51,10 +51,13 @@ class TestBootConfig:
 
     def test_field_set_is_exact(self):
         """A new knob is a deliberate edit here too; a deleted one (one
-        ingest path, no option) is a TypeError."""
+        ingest path, one pipeline per volume, no option) is a
+        TypeError."""
         assert {field.name for field in dataclasses.fields(BootConfig)} == {
             "params", "pass_volumes", "plain_volumes", "provenance",
             "hostname", "clock", "observability", "tracing", "journal",
-            "faults", "shards", "shard_key", "compaction"}
-        with pytest.raises(TypeError):
-            System.boot(batching=False)
+            "faults", "compaction"}
+        for gone in ({"batching": False}, {"shards": 4},
+                     {"shard_key": "volume"}):
+            with pytest.raises(TypeError):
+                System.boot(**gone)

@@ -95,14 +95,12 @@ class TestOtherCommands:
         document = json.loads(target.read_text())
         assert document["schema"] == "repro-bench-suite/1"
         suites = document["suites"]
-        assert (suites["ingest_sharded"]["schema"]
-                == "repro-bench-ingest-sharded/1")
         assert (suites["incremental_query"]["schema"]
                 == "repro-bench-incremental/1")
         assert suites["obs_overhead"]["schema"] == "repro-bench-obs/1"
         for payload in suites.values():
             assert payload["records_total"] > 0
-        assert suites["ingest_sharded"]["speedup"] > 0
+        assert suites["incremental_query"]["speedup"] > 0
         assert "overhead_pct" in suites["obs_overhead"]
 
     def test_bench_suite_unknown_name_errors(self, capsys):
@@ -246,9 +244,9 @@ class TestPassviewCommands:
         baseline = tmp_path / "baseline.json"
         current = tmp_path / "current.json"
         baseline.write_text(json.dumps(
-            {"suites": {"ingest_sharded": {"speedup": 4.0}}}))
+            {"suites": {"incremental_query": {"speedup": 4.0}}}))
         current.write_text(json.dumps(
-            {"suites": {"ingest_sharded": {"speedup": 3.8}}}))
+            {"suites": {"incremental_query": {"speedup": 3.8}}}))
         assert main(["bench", "--against", str(baseline),
                      "--out", str(current)]) == 0
         assert "bench compare: OK" in capsys.readouterr().out
@@ -258,9 +256,9 @@ class TestPassviewCommands:
         baseline = tmp_path / "baseline.json"
         current = tmp_path / "current.json"
         baseline.write_text(json.dumps(
-            {"suites": {"ingest_sharded": {"speedup": 4.0}}}))
+            {"suites": {"incremental_query": {"speedup": 4.0}}}))
         current.write_text(json.dumps(
-            {"suites": {"ingest_sharded": {"speedup": 1.0}}}))
+            {"suites": {"incremental_query": {"speedup": 1.0}}}))
         assert main(["bench", "--against", str(baseline),
                      "--out", str(current)]) == 1
         assert "REGRESSED" in capsys.readouterr().out
@@ -272,14 +270,14 @@ class TestPassviewCommands:
     def test_bench_compare_runs_suites_then_gates(self, tmp_path, capsys):
         target = tmp_path / "BENCH_results.json"
         # First run: no baseline yet -- results become the baseline.
-        assert main(["bench", "--suite", "ingest_sharded", "--quick",
+        assert main(["bench", "--suite", "incremental_query", "--quick",
                      "--out", str(target),
                      "--compare", str(target)]) == 0
         assert "become the baseline" in capsys.readouterr().err
         # Second run compares against the first.  Quick-scale speedup
         # is noisy run to run; a wide tolerance keeps this a test of
         # the compare mechanics, not of benchmark stability.
-        assert main(["bench", "--suite", "ingest_sharded", "--quick",
+        assert main(["bench", "--suite", "incremental_query", "--quick",
                      "--out", str(target),
                      "--compare", str(target),
                      "--tolerance", "0.9"]) == 0

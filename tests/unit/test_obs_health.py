@@ -77,8 +77,7 @@ class TestEvaluateHealth:
 
 
 BASELINE = {"suites": {
-    "ingest_sharded": {"speedup": 4.0,
-                       "shards_4": {"storage_records_per_sec": 30000.0}},
+    "pql_perf": {"speedup": 4.0, "point_lookup": {"speedup": 60.0}},
     "obs_overhead": {"overhead_pct": 2.0, "disabled_overhead_pct": 0.5},
 }}
 
@@ -88,17 +87,17 @@ class TestCompareBench:
         report = compare_bench(BASELINE, BASELINE)
         assert report["ok"]
         assert report["regressions"] == []
-        assert report["suites"]["ingest_sharded"]["status"] == "ok"
+        assert report["suites"]["pql_perf"]["status"] == "ok"
 
     def test_speedup_regression_beyond_tolerance(self):
-        current = {"suites": {"ingest_sharded": {"speedup": 2.0}}}
+        current = {"suites": {"pql_perf": {"speedup": 2.0}}}
         report = compare_bench(BASELINE, current, tolerance=0.25)
         assert not report["ok"]
-        assert report["regressions"] == ["ingest_sharded"]
-        assert report["suites"]["ingest_sharded"]["status"] == "regressed"
+        assert report["regressions"] == ["pql_perf"]
+        assert report["suites"]["pql_perf"]["status"] == "regressed"
 
     def test_speedup_drop_within_tolerance_is_ok(self):
-        current = {"suites": {"ingest_sharded": {"speedup": 3.5}}}
+        current = {"suites": {"pql_perf": {"speedup": 3.5}}}
         report = compare_bench(BASELINE, current, tolerance=0.25)
         assert report["ok"]
 
@@ -116,10 +115,10 @@ class TestCompareBench:
         assert report["regressions"] == ["obs_overhead"]
 
     def test_new_suite_never_gates(self):
-        current = {"suites": {"ingest_sharded": {"speedup": 0.1}}}
+        current = {"suites": {"pql_perf": {"speedup": 0.1}}}
         report = compare_bench({}, current)
         assert report["ok"]
-        assert report["suites"]["ingest_sharded"]["status"] == "new"
+        assert report["suites"]["pql_perf"]["status"] == "new"
 
     def test_unknown_suites_are_ignored(self):
         current = {"suites": {"workloads": {"anything": 1}}}
@@ -129,13 +128,13 @@ class TestCompareBench:
 
     def test_info_metrics_reported(self):
         report = compare_bench(BASELINE, BASELINE)
-        info = report["suites"]["ingest_sharded"]["info"]
-        assert info["shards_4.storage_records_per_sec"] == 30000.0
+        info = report["suites"]["pql_perf"]["info"]
+        assert info["point_lookup.speedup"] == 60.0
 
     def test_render_compare(self):
-        current = {"suites": {"ingest_sharded": {"speedup": 2.0}}}
+        current = {"suites": {"pql_perf": {"speedup": 2.0}}}
         text = render_compare(compare_bench(BASELINE, current))
         assert "REGRESSED" in text
-        assert "ingest_sharded" in text
+        assert "pql_perf" in text
         new_text = render_compare(compare_bench({}, current))
         assert "no baseline" in new_text

@@ -1,139 +1,119 @@
-"""StorageTier facade unit tests: routing, topology, rollups, archive.
+"""StorageTier facade unit tests: layout, accessors, rollups, archive.
 
-The facade contract: ``shards=1`` is the classic pipeline (same labels,
-same single database), sharded topologies route records stably by
-subject pnode, ``sizes()`` never undercounts, and the drained-segment
-archive stays within its compaction policy.
+The facade contract: one Lasagna (one log), one Waldo, one database and
+one archive per PASS volume; ``sizes()`` sums over the volumes; every
+accessor raises ``NotPassVolume`` for a volume without provenance
+storage; the drained-segment archive stays within its compaction
+policy; crash and recovery walk every volume.
 """
 
 import pytest
 
-from repro.core.pnode import shard_of
-from repro.storage.tier import (
-    CompactionPolicy,
-    SegmentArchive,
-    StorageTier,
-)
-from repro.system import BootConfig, System
+from repro.core.errors import NotPassVolume
+from repro.storage.tier import CompactionPolicy, SegmentArchive
+from repro.system import System
+
+VOLUMES = ("pass", "pass2")
 
 
-def _write_files(system, count=6, payload=b"x" * 64):
+def _write_files(system, count=6, payload=b"x" * 64, sync=True):
+    """``count`` files on every PASS volume of ``system``."""
     with system.process(argv=["writer"]) as proc:
-        for index in range(count):
-            fd = proc.open(f"/pass/f{index}.dat", "w")
-            proc.write(fd, payload)
-            proc.close(fd)
-    system.sync()
-
-
-class TestShardRouting:
-    def test_stable_and_in_range(self):
-        for pnode in range(0, 5000, 7):
-            index = shard_of(pnode, 4)
-            assert 0 <= index < 4
-            assert shard_of(pnode, 4) == index
-
-    def test_single_shard_is_identity(self):
-        assert all(shard_of(pnode, 1) == 0 for pnode in range(100))
-
-    def test_spreads_consecutive_pnodes(self):
-        """Pnode numbers are near-consecutive per volume; the mix must
-        not map runs of them onto one shard."""
-        counts = [0, 0, 0, 0]
-        for pnode in range(1000):
-            counts[shard_of(pnode, 4)] += 1
-        assert min(counts) > 125          # perfectly even would be 250
-
-    def test_invalid_topology_rejected(self):
-        with pytest.raises(ValueError):
-            StorageTier(shards=0)
-        with pytest.raises(ValueError):
-            StorageTier(shards=2, shard_key="rack")
+        for volume in system.tier.volumes():
+            for index in range(count):
+                fd = proc.open(f"/{volume}/f{index}.dat", "w")
+                proc.write(fd, payload)
+                proc.close(fd)
+    if sync:
+        system.sync()
 
 
 class TestSingleShardIdentity:
     def test_labels_and_layout_match_the_classic_pipeline(self):
         system = System.boot()
         tier = system.tier
-        assert tier.shard_count("pass") == 1
+        assert tier.volumes() == ["pass"]
         assert tier.waldo("pass").name == "pass"
-        assert tier.lasagna("pass").log is tier.lasagna("pass").shard_logs[0]
-        assert len(system.databases()) == 1
-
-    def test_volume_key_ignores_shard_count(self):
-        system = System.boot(shards=4, shard_key="volume")
-        assert system.tier.shard_count("pass") == 1
+        assert tier.waldo("pass").log is tier.lasagna("pass").log
+        assert tier.waldo("pass").archive is tier.archive("pass")
+        assert system.databases() == [tier.database("pass")]
+        assert system.database() is tier.waldo("pass").database
 
 
-class TestShardedTopology:
-    def test_shard_labels_carry_the_shard_suffix(self):
-        system = System.boot(shards=3)
-        names = [waldo.name for waldo in system.tier.waldos("pass")]
-        assert names == ["pass/s0", "pass/s1", "pass/s2"]
+class TestAccessorErrors:
+    """Every accessor goes through one lookup, which names the volume
+    (the parent leaked ``StopIteration`` / ``KeyError``)."""
 
-    def test_records_route_across_shard_databases(self):
-        system = System.boot(shards=4)
-        _write_files(system, count=12)
-        populated = [db for db in system.tier.databases("pass")
-                     if len(db)]
-        assert len(populated) >= 2
+    def test_baseline_boot_has_no_default_database(self, baseline):
+        with pytest.raises(NotPassVolume, match="no PASS volume attached"):
+            baseline.database()
+        assert baseline.databases() == []
 
-    def test_parallel_drain_runs_with_quiet_observability(self):
-        system = System.boot(shards=4, observability=False)
-        _write_files(system)
-        assert system.tier.parallel_drains > 0
+    @pytest.mark.parametrize("accessor", [
+        "database", "lasagna", "waldo", "archive", "sizes"])
+    @pytest.mark.parametrize("volume", ["scratch", "nope"])
+    def test_plain_and_unknown_volumes_are_named(self, system, accessor,
+                                                 volume):
+        with pytest.raises(NotPassVolume, match=repr(volume)):
+            getattr(system.tier, accessor)(volume)
 
-    def test_tracing_forces_serial_drain(self):
-        system = System.boot(shards=4, tracing=True)
-        _write_files(system)
-        assert system.tier.parallel_drains == 0
+    def test_error_survives_a_generator_program(self, baseline):
+        """Interleaved programs are generators, where a leaked
+        ``StopIteration`` resurfaces as ``RuntimeError: generator
+        raised StopIteration``; the program must see the real error."""
+        def program(sys_):
+            yield
+            baseline.database()
+
+        baseline.kernel.start("/bin/reader", program=program)
+        with pytest.raises(NotPassVolume):
+            baseline.kernel.schedule()
 
 
 class TestSizesRollup:
-    def test_totals_are_the_sum_of_every_shard(self):
-        system = System.boot(shards=4)
+    def test_totals_are_the_sum_of_every_shard(self, two_volume_system):
+        system = two_volume_system
         _write_files(system, count=10)
-        rollup = system.tier.sizes("pass")
-        shard_sizes = [waldo.database.sizes()
-                       for waldo in system.tier.waldos("pass")]
+        rollup = system.tier.sizes()
+        assert list(rollup["per_volume"]) == list(VOLUMES)
+        for name in VOLUMES:
+            assert rollup["per_volume"][name] == (
+                system.database(name).sizes())
+            assert rollup["per_volume"][name]["total"] > 0
         for key in ("database", "indexes", "total"):
-            assert rollup[key] == sum(sizes[key] for sizes in shard_sizes)
-        assert set(rollup["per_shard"]) == {
-            waldo.name for waldo in system.tier.waldos("pass")}
-        assert rollup["total"] > 0
+            assert rollup[key] == sum(
+                sizes[key] for sizes in rollup["per_volume"].values())
 
-    def test_system_sizes_matches_tier_rollup(self):
-        system = System.boot(shards=2)
-        _write_files(system)
-        assert system.sizes() == system.tier.sizes()
+    def test_system_sizes_matches_tier_rollup(self, two_volume_system):
+        _write_files(two_volume_system)
+        assert two_volume_system.sizes() == two_volume_system.tier.sizes()
 
-    def test_single_shard_rollup_matches_waldo_sizes(self):
-        system = System.boot()
+    def test_single_shard_rollup_matches_waldo_sizes(self,
+                                                     two_volume_system):
+        system = two_volume_system
         _write_files(system)
-        waldo_sizes = system.tier.waldo("pass").sizes()
-        rollup = system.tier.sizes("pass")
-        for key in ("database", "indexes", "total"):
-            assert rollup[key] == waldo_sizes[key]
+        for name in VOLUMES:
+            waldo_sizes = system.tier.waldo(name).sizes()
+            rollup = system.tier.sizes(name)
+            assert list(rollup["per_volume"]) == [name]
+            for key in ("database", "indexes", "total"):
+                assert rollup[key] == waldo_sizes[key]
 
 
 class TestObservability:
-    def test_tier_layer_reports_counters(self):
-        system = System.boot(shards=2)
+    def test_tier_layer_reports_counters(self, two_volume_system):
+        system = two_volume_system
         _write_files(system)
         system.query_engine()
         stats = system.stats()
         assert "tier" in stats
         counters = stats["tier"]["counters"]
-        assert counters["shards"] == 2
+        assert counters["volumes"] == 2
         assert counters["drains"] > 0
         assert counters["federations"] == 1
-        assert counters["segments_archived"] > 0
-
-    def test_per_shard_waldo_metrics_have_shard_labels(self):
-        system = System.boot(shards=2)
-        _write_files(system)
-        volumes = system.stats()["waldo"].get("volumes", {})
-        assert {"pass/s0", "pass/s1"} <= set(volumes)
+        assert counters["segments_archived"] >= 2
+        assert "shards" not in counters
+        assert "parallel_drains" not in counters
 
 
 class TestArchiveCompaction:
@@ -177,36 +157,37 @@ class TestArchiveCompaction:
         assert reclaimed == 500
         assert archive.stats()["segments_compacted"] == 5
 
-    def test_drained_segments_reach_the_tier_archives(self):
-        system = System.boot(shards=2)
+    def test_drained_segments_reach_the_tier_archives(
+            self, two_volume_system):
+        system = two_volume_system
         _write_files(system, count=8)
-        archived = sum(archive.segments_archived
-                       for archive in system.tier.archives("pass"))
-        assert archived > 0
+        archives = [system.tier.archive(name) for name in VOLUMES]
+        assert archives[0] is not archives[1]
+        assert all(archive.segments_archived > 0 for archive in archives)
         rollup = system.tier.compact()
-        assert rollup["bytes_reclaimed"] >= 0
-        assert all(not archive.segments
-                   for archive in system.tier.archives("pass"))
+        assert rollup["segments_compacted"] == sum(
+            archive.segments_compacted for archive in archives)
+        assert rollup["bytes_reclaimed"] > 0
+        assert all(not archive.segments for archive in archives)
 
 
 class TestCrashRecover:
-    def test_tier_crash_and_recover_round_trip(self):
-        system = System.boot(shards=4)
-        with system.process(argv=["writer"]) as proc:
-            for index in range(6):
-                fd = proc.open(f"/pass/g{index}.dat", "w")
-                proc.write(fd, b"y" * 48)
-                proc.close(fd)
+    def test_tier_crash_and_recover_round_trip(self, two_volume_system):
+        system = two_volume_system
+        _write_files(system, sync=False)
         # Rotate segments out but never drain: everything is in logs.
-        for log in system.tier.lasagna("pass").shard_logs:
+        for name in VOLUMES:
+            log = system.tier.lasagna(name).log
             log.flush()
             log.rotate()
-        before = sum(len(db) for db in system.databases())
-        assert before == 0
+            assert log.closed_segments
+        assert sum(len(db) for db in system.databases()) == 0
         system.tier.crash()
         report = system.tier.recover(consume=True)
         assert report.committed_records
+        assert all(len(db) for db in system.databases())
         after = sum(len(db) for db in system.databases())
         assert after == len(report.committed_records)
         second = system.tier.recover(consume=True)
         assert second.clean and not second.committed_records
+        assert sum(len(db) for db in system.databases()) == after
