@@ -13,7 +13,7 @@ metadata operations; all I/O *cost* accounting lives in the volume layer
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.errors import (
     CrossDeviceLink,
@@ -75,20 +75,24 @@ class SparseFile:
         if length == 0:
             return b""
         end = offset + length
+        offsets = self._offsets
+        index = bisect.bisect_right(offsets, offset) - 1
+        if (index < 0 or offsets[index] + len(self._chunks[offsets[index]])
+                <= offset):
+            # Nothing reaches offset from the left; the next chunk, if
+            # it starts inside the range, is the first to copy.
+            index += 1
+            if index == len(offsets) or offsets[index] >= end:
+                return bytes(length)        # all hole
         out = bytearray(length)
-        index = bisect.bisect_right(self._offsets, offset) - 1
-        if index < 0:
-            index = 0
-        while index < len(self._offsets):
-            start = self._offsets[index]
+        while index < len(offsets):
+            start = offsets[index]
             if start >= end:
                 break
             chunk = self._chunks[start]
-            chunk_end = start + len(chunk)
             lo = max(start, offset)
-            hi = min(chunk_end, end)
-            if lo < hi:
-                out[lo - offset:hi - offset] = chunk[lo - start:hi - start]
+            hi = min(start + len(chunk), end)
+            out[lo - offset:hi - offset] = chunk[lo - start:hi - start]
             index += 1
         return bytes(out)
 
@@ -201,24 +205,29 @@ class Inode:
             return first + count
         return self.volume.data_region.tail
 
-    def blocks(self, first_logical: int, last_logical: int):
-        """``block_for`` of each logical block ``first..last`` in order,
-        from one walk of the extents (unallocated tail included)."""
+    def block_runs(self, first_logical: int,
+                   last_logical: int) -> list[range]:
+        """Disk blocks of logical blocks ``first..last`` in file order,
+        as one ``range`` per extent touched, from one walk of the
+        extents.  Every logical block past the last extent is the
+        one-block range ``block_for`` gives it (the same block again)."""
+        runs: list[range] = []
         logical, last = first_logical, last_logical
         tail = self.volume.data_region.tail
         for first, count in self.extents:
             if logical > last:
-                return
+                return runs
             if logical < count:
                 stop = min(count, last + 1)
-                yield from range(first + logical, first + stop)
+                runs.append(range(first + logical, first + stop))
                 logical = stop
             # Rebase both ends onto the next extent's first block.
             logical -= count
             last -= count
             tail = first + count
-        for _ in range(logical, last + 1):
-            yield tail
+        if logical <= last:
+            runs.extend([range(tail, tail + 1)] * (last + 1 - logical))
+        return runs
 
     def __repr__(self) -> str:
         return f"<Inode {self.volume.name}:{self.ino} {self.kind} pnode={self.pnode}>"
@@ -229,6 +238,9 @@ class VFS:
 
     def __init__(self) -> None:
         self._mounts: dict[str, "Volume"] = {}
+        #: (mount point, prefix its descendants start with, volume),
+        #: longest mount point first: the first match is the deepest.
+        self._by_depth: list[tuple[str, str, "Volume"]] = []
 
     # -- mounting ----------------------------------------------------------
 
@@ -238,30 +250,41 @@ class VFS:
         if path in self._mounts:
             raise FileExists(f"mount point busy: {path}")
         self._mounts[path] = volume
+        self._index_mounts()
         volume.mountpoint = path
 
     def unmount(self, path: str) -> "Volume":
-        """Remove the mount at ``path`` and return its volume."""
+        """Remove the mount at ``path`` and return its volume.  Its
+        pages leave the machine's cache with it."""
         path = self._norm(path)
         try:
             volume = self._mounts.pop(path)
         except KeyError:
             raise FileNotFound(f"not a mount point: {path}") from None
+        self._index_mounts()
         volume.mountpoint = None
+        # An NFS client volume keeps no pages on this machine.
+        cache = getattr(volume, "cache", None)
+        if cache is not None:
+            cache.invalidate_volume(volume.volume_id)
         return volume
+
+    def _index_mounts(self) -> None:
+        self._by_depth = sorted(
+            ((mount, mount.rstrip("/") + "/", volume)
+             for mount, volume in self._mounts.items()),
+            key=lambda entry: -len(entry[0]))
 
     def volume_for(self, path: str) -> tuple["Volume", str]:
         """Longest-prefix match: returns (volume, path relative to it)."""
-        path = self._norm(path)
-        best: Optional[str] = None
-        for mount in self._mounts:
-            if path == mount or path.startswith(mount.rstrip("/") + "/"):
-                if best is None or len(mount) > len(best):
-                    best = mount
-        if best is None:
-            raise FileNotFound(f"no volume mounted for {path}")
-        rel = path[len(best):].lstrip("/")
-        return self._mounts[best], rel
+        return self._volume_for(self._norm(path))
+
+    def _volume_for(self, path: str) -> tuple["Volume", str]:
+        """:meth:`volume_for` an already normal path."""
+        for mount, prefix, volume in self._by_depth:
+            if path.startswith(prefix) or path == mount:
+                return volume, path[len(prefix):]
+        raise FileNotFound(f"no volume mounted for {path}")
 
     def mounts(self) -> dict[str, "Volume"]:
         """Copy of the mount table."""
@@ -271,7 +294,11 @@ class VFS:
 
     def resolve(self, path: str) -> Inode:
         """Resolve ``path`` to an inode or raise :class:`FileNotFound`."""
-        volume, rel = self.volume_for(path)
+        return self._resolve(self._norm(path))
+
+    def _resolve(self, path: str) -> Inode:
+        """:meth:`resolve` an already normal path."""
+        volume, rel = self._volume_for(path)
         inode = volume.root
         if not rel:
             return inode
@@ -291,7 +318,7 @@ class VFS:
         if path == "/":
             raise IsADirectory("cannot operate on the root directory itself")
         parent_path, _, name = path.rpartition("/")
-        parent = self.resolve(parent_path or "/")
+        parent = self._resolve(parent_path or "/")
         if not parent.is_dir:
             raise NotADirectory(parent_path or "/")
         return parent.volume, parent, name
@@ -412,10 +439,11 @@ class VFS:
 
     def walk(self, path: str = "/") -> Iterator[tuple[str, Inode]]:
         """Depth-first (path, inode) traversal below ``path``."""
-        inode = self.resolve(path)
-        yield self._norm(path), inode
+        path = self._norm(path)
+        inode = self._resolve(path)
+        yield path, inode
         if inode.is_dir:
-            base = self._norm(path).rstrip("/")
+            base = path.rstrip("/")
             for name in sorted(inode.entries):
                 yield from self.walk(f"{base}/{name}")
 
@@ -424,6 +452,9 @@ class VFS:
         """Normalize to an absolute path with no trailing slash (except /)."""
         if not path.startswith("/"):
             raise FileNotFound(f"paths must be absolute: {path!r}")
+        if ("//" not in path and "/." not in path
+                and (not path.endswith("/") or path == "/")):
+            return path                     # already normal
         parts = [part for part in path.split("/") if part and part != "."]
         stack: list[str] = []
         for part in parts:

@@ -166,10 +166,10 @@ class Volume:
             inode.data.write_hole(offset, length)
         first_block = inode.block_for(offset)
         self.disk.write(first_block, length)
-        self.cache.insert_many(
+        self.cache.write(
             self.volume_id,
-            inode.blocks(offset // self.block_size,
-                         max(offset, end - 1) // self.block_size))
+            inode.block_runs(offset // self.block_size,
+                             max(offset, end - 1) // self.block_size))
         self.data_bytes_written += length
         return length
 
@@ -185,27 +185,10 @@ class Volume:
 
     def _charge_read(self, inode: Inode, offset: int, length: int) -> None:
         """Charge cache-missing block runs of [offset, offset+length)."""
-        first = offset // self.block_size
-        last = (offset + length - 1) // self.block_size
-        run_start: Optional[int] = None
-        run_blocks = 0
-        for block in inode.blocks(first, last):
-            if self.cache.lookup(self.volume_id, block):
-                if run_start is not None:
-                    self.disk.read(run_start, run_blocks * self.block_size)
-                    run_start, run_blocks = None, 0
-                continue
-            if run_start is None:
-                run_start = block
-                run_blocks = 1
-            elif block == run_start + run_blocks:
-                run_blocks += 1
-            else:
-                self.disk.read(run_start, run_blocks * self.block_size)
-                run_start, run_blocks = block, 1
-            self.cache.insert(self.volume_id, block)
-        if run_start is not None:
-            self.disk.read(run_start, run_blocks * self.block_size)
+        runs = inode.block_runs(offset // self.block_size,
+                                (offset + length - 1) // self.block_size)
+        for block, count in self.cache.read(self.volume_id, runs):
+            self.disk.read(block, count * self.block_size)
 
     def truncate(self, inode: Inode, size: int) -> None:
         """Set file size (metadata op)."""

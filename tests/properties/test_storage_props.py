@@ -104,24 +104,114 @@ def test_torn_tail_yields_committed_prefix_only(script, tear):
                                             flat[:len(committed)]]
 
 
-@given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 63)),
-                max_size=200),
-       st.integers(4, 32))
-@settings(max_examples=200)
-def test_page_cache_is_true_lru(accesses, capacity):
-    """The cache matches a reference LRU over any access pattern."""
+class ReferenceLRU:
+    """The per-page cache the run cache replaced: one list of
+    ``(volume id, block)``, least recent first, driven by the old loops
+    copied literally -- ``PageCache.insert_many`` for a write,
+    ``Volume._charge_read`` for a read."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.pages = []
+        self.hits = self.misses = self.evictions = 0
+
+    def _evict(self):
+        while len(self.pages) > self.capacity:
+            self.pages.pop(0)
+            self.evictions += 1
+
+    def _touch(self, key):
+        if key in self.pages:
+            self.pages.remove(key)
+        self.pages.append(key)
+
+    def lookup(self, volume_id, block):
+        if (volume_id, block) in self.pages:
+            self._touch((volume_id, block))
+            self.hits += 1
+            return True
+        self.misses += 1
+        return False
+
+    def insert(self, volume_id, block):
+        self._touch((volume_id, block))
+        self._evict()
+
+    def write(self, volume_id, blocks):
+        for block in blocks:
+            self._touch((volume_id, block))
+        self._evict()
+
+    def read(self, volume_id, blocks):
+        charged = []
+        run_start, run_blocks = None, 0
+        for block in blocks:
+            if self.lookup(volume_id, block):
+                if run_start is not None:
+                    charged.append((run_start, run_blocks))
+                    run_start, run_blocks = None, 0
+                continue
+            if run_start is None:
+                run_start = block
+                run_blocks = 1
+            elif block == run_start + run_blocks:
+                run_blocks += 1
+            else:
+                charged.append((run_start, run_blocks))
+                run_start, run_blocks = block, 1
+            self.insert(volume_id, block)
+        if run_start is not None:
+            charged.append((run_start, run_blocks))
+        return charged
+
+    def shrink(self, factor):
+        self.capacity = max(1, int(self.capacity * factor))
+        self._evict()
+
+    def invalidate_volume(self, volume_id):
+        self.pages = [key for key in self.pages if key[0] != volume_id]
+
+
+volume_ids = st.integers(1, 3)
+block_numbers = st.integers(0, 47)
+#: What ``Inode.block_runs`` hands the data path: extents in any disk
+#: order, overlapping and repeated ranges, and the unallocated tail --
+#: one block over and over.
+block_ranges = st.lists(
+    st.one_of(
+        st.builds(lambda first, count: [range(first, first + count)],
+                  block_numbers, st.integers(1, 14)),
+        st.builds(lambda block, times: [range(block, block + 1)] * times,
+                  block_numbers, st.integers(2, 4))),
+    min_size=1, max_size=4).map(lambda groups: sum(groups, []))
+cache_steps = st.one_of(
+    st.tuples(st.just("lookup"), volume_ids, block_numbers),
+    st.tuples(st.just("insert"), volume_ids, block_numbers),
+    st.tuples(st.just("write"), volume_ids, block_ranges),
+    st.tuples(st.just("read"), volume_ids, block_ranges),
+    st.tuples(st.just("shrink"), st.sampled_from([0.5, 0.8, 1.0])),
+    st.tuples(st.just("invalidate_volume"), volume_ids))
+
+
+@given(st.lists(cache_steps, max_size=60), st.integers(1, 40))
+@settings(max_examples=400)
+def test_page_cache_is_true_lru(steps, capacity):
+    """Stored as runs, behaving page by page: after every step the
+    counters, the size, the whole LRU order and -- for a read -- the
+    runs charged to the disk equal the per-page reference's."""
     cache = PageCache(CacheParams(capacity_pages=capacity))
-    reference: list = []          # most recent last
-    for volume_id, block in accesses:
-        key = (volume_id, block)
-        hit = cache.lookup(volume_id, block)
-        assert hit == (key in reference)
-        if not hit:
-            cache.insert(volume_id, block)
-            reference.append(key)
-            if len(reference) > capacity:
-                reference.pop(0)
+    reference = ReferenceLRU(capacity)
+    for name, *args in steps:
+        if name in ("write", "read"):
+            volume_id, runs = args
+            blocks = [block for run in runs for block in run]
+            expected = getattr(reference, name)(volume_id, blocks)
+            assert getattr(cache, name)(volume_id, runs) == expected
         else:
-            reference.remove(key)
-            reference.append(key)
-        assert len(cache) == len(reference)
+            assert (getattr(cache, name)(*args)
+                    == getattr(reference, name)(*args))
+        assert ((cache.hits, cache.misses, cache.evictions)
+                == (reference.hits, reference.misses, reference.evictions))
+        assert len(cache) == len(reference.pages)
+        assert cache.capacity == reference.capacity
+        assert list(cache.lru_order()) == reference.pages

@@ -1,5 +1,7 @@
 """Unit tests for the clock, disk cost model, and page cache."""
 
+import random
+
 import pytest
 
 from repro.core.errors import VolumeError
@@ -7,6 +9,7 @@ from repro.kernel.cache import PageCache
 from repro.kernel.clock import SimClock, Stopwatch
 from repro.kernel.disk import SimulatedDisk
 from repro.kernel.params import CacheParams, DiskParams
+from repro.obs import Observability
 
 
 class TestClock:
@@ -166,9 +169,108 @@ class TestPageCacheUnit:
         assert not cache.lookup(1, 0)
         assert cache.lookup(2, 0)
 
-    def test_invalidate_single(self):
-        cache = PageCache()
-        cache.insert(1, 7)
-        cache.invalidate(1, 7)
-        assert not cache.lookup(1, 7)
-        cache.invalidate(1, 7)       # idempotent
+
+def cache_holding(capacity, blocks, volume_id=1):
+    """A cache whose LRU order is exactly ``blocks``, oldest first."""
+    cache = PageCache(CacheParams(capacity_pages=capacity))
+    for block in blocks:
+        cache.insert(volume_id, block)
+    assert blocks_of(cache) == list(blocks) and cache.evictions == 0
+    return cache
+
+
+def blocks_of(cache):
+    return [block for _, block in cache.lru_order()]
+
+
+class TestPageCacheRuns:
+    """The two entry points of the data path, worked by hand."""
+
+    def test_write_is_one_pass_then_one_eviction_check(self):
+        """The contract the pins were recorded with: same final order
+        as ``insert`` per block, but *not* the same eviction count."""
+        cache = cache_holding(3, [5, 1, 2])
+        cache.write(1, [range(4, 6)])
+        assert blocks_of(cache) == [2, 4, 5]
+        assert cache.evictions == 1          # page 1; 5 was only moved
+        per_insert = cache_holding(3, [5, 1, 2])
+        per_insert.insert(1, 4)              # evicts 5 ...
+        per_insert.insert(1, 5)              # ... and brings it back
+        assert blocks_of(per_insert) == [2, 4, 5]
+        assert per_insert.evictions == 2
+
+    def test_write_retouches_its_own_earlier_pages(self):
+        cache = PageCache(CacheParams(capacity_pages=8))
+        cache.write(1, [range(2, 6), range(0, 4)])
+        assert blocks_of(cache) == [4, 5, 0, 1, 2, 3]
+        assert len(cache) == 6 and cache.evictions == 0
+
+    def test_write_longer_than_the_cache_evicts_its_own_head(self):
+        cache = PageCache(CacheParams(capacity_pages=4))
+        cache.write(1, [range(0, 6)])
+        assert blocks_of(cache) == [2, 3, 4, 5]
+        assert cache.evictions == 2
+
+    def test_read_gap_evicts_a_later_page_of_the_same_read(self):
+        """Block 3 is cached when the read starts, the oldest page, and
+        gone by the time the read reaches it: a miss, not a hit."""
+        cache = cache_holding(4, [3, 10, 11, 12])
+        assert cache.read(1, [range(0, 4)]) == [(0, 4)]
+        assert (cache.hits, cache.misses, cache.evictions) == (0, 4, 4)
+        assert blocks_of(cache) == [0, 1, 2, 3]
+
+    def test_read_hit_splits_the_missing_runs(self):
+        cache = cache_holding(8, [2, 3])
+        assert cache.read(1, [range(0, 6)]) == [(0, 2), (4, 2)]
+        assert (cache.hits, cache.misses) == (2, 4)
+        assert blocks_of(cache) == [0, 1, 2, 3, 4, 5]
+
+    def test_read_gap_longer_than_the_cache(self):
+        cache = PageCache(CacheParams(capacity_pages=4))
+        assert cache.read(1, [range(0, 10)]) == [(0, 10)]
+        assert (cache.hits, cache.misses, cache.evictions) == (0, 10, 6)
+        assert blocks_of(cache) == [6, 7, 8, 9]
+
+    def test_read_of_a_repeated_block_misses_once(self):
+        cache = PageCache(CacheParams(capacity_pages=4))
+        assert cache.read(1, [range(7, 8)] * 3) == [(7, 1)]
+        assert (cache.hits, cache.misses, len(cache)) == (2, 1, 1)
+
+    def test_missing_runs_join_across_adjacent_extents_only(self):
+        cache = PageCache(CacheParams(capacity_pages=16))
+        runs = [range(0, 2), range(2, 4), range(8, 10)]
+        assert cache.read(1, runs) == [(0, 4), (8, 2)]
+
+    def test_volumes_do_not_share_pages(self):
+        cache = PageCache(CacheParams(capacity_pages=8))
+        cache.write(1, [range(0, 3)])
+        assert cache.read(2, [range(0, 3)]) == [(0, 3)]
+        assert list(cache.lru_order()) == [(1, 0), (1, 1), (1, 2),
+                                           (2, 0), (2, 1), (2, 2)]
+
+    def test_runs_gauge_counts_runs_not_pages(self):
+        obs = Observability()
+        cache = PageCache(CacheParams(capacity_pages=64), obs=obs)
+        cache.write(1, [range(0, 30)])
+        cache.lookup(1, 10)                  # splits the run in three
+        counters = obs.stats()["cache"]["counters"]
+        assert counters["pages"] == 30
+        assert counters["runs"] == 3
+
+
+class TestStateGrowth:
+    def test_hits_do_not_grow_the_touch_log(self):
+        """A count, not a timing: a hit appends to the touch log and
+        kills an older entry lazily, so a hit-only workload must not
+        let the log outgrow the runs it describes."""
+        capacity = 512
+        cache = PageCache(CacheParams(capacity_pages=capacity))
+        cache.write(1, [range(0, capacity)])
+        rng = random.Random(23)
+        for _ in range(100_000):
+            assert cache.lookup(1, rng.randrange(capacity))
+        assert (cache.hits, cache.evictions, len(cache)) == (100_000, 0,
+                                                             capacity)
+        runs = len(cache._starts)
+        assert runs <= capacity
+        assert len(cache._log_ticks) <= 2 * runs + 64

@@ -15,6 +15,7 @@ from repro.core.errors import (
 from repro.kernel.cache import PageCache
 from repro.kernel.clock import SimClock
 from repro.kernel.disk import SimulatedDisk
+from repro.kernel.params import CacheParams
 from repro.kernel.vfs import VFS, SparseFile
 from repro.kernel.volume import Volume
 
@@ -214,6 +215,34 @@ class TestVFSPaths:
         assert vfs.resolve("/d/./x") is inode
         assert vfs.resolve("/d/../d/x") is inode
 
+    @pytest.mark.parametrize("path, normal", [
+        ("/", "/"), ("/a", "/a"), ("/a/b.c/d", "/a/b.c/d"),
+        ("//", "/"), ("/a/", "/a"), ("//a//b", "/a/b"),
+        ("/a/./b", "/a/b"), ("/a/.", "/a"), ("/a/..", "/"),
+        ("/..", "/"), ("/a/../../b/", "/b"),
+        # Names that only look special stay as they are.
+        ("/.hg/store", "/.hg/store"), ("/a/.b", "/a/.b"),
+        ("/a/...", "/a/..."), ("/a/..b/c", "/a/..b/c"),
+    ])
+    def test_norm(self, path, normal):
+        assert VFS._norm(path) == normal
+        assert VFS._norm(normal) == normal
+
+    def test_deepest_mount_wins_until_it_is_unmounted(self):
+        vfs, (root, outer) = make_vfs(names=("root", "outer"))
+        inner = Volume("inner", 3, outer.clock, outer.disk, outer.cache)
+        vfs.mount(inner, "/outer/inner")
+        assert vfs.volume_for("/outer/inner/x") == (inner, "x")
+        assert vfs.volume_for("/outer/inner") == (inner, "")
+        assert vfs.volume_for("/outer/innermost/x") == (outer, "innermost/x")
+        assert vfs.volume_for("/outer/./inner/../y/") == (outer, "y")
+        assert vfs.volume_for("/elsewhere") == (root, "elsewhere")
+        assert vfs.unmount("/outer/inner/") is inner
+        assert inner.mountpoint is None
+        assert vfs.volume_for("/outer/inner/x") == (outer, "inner/x")
+        with pytest.raises(FileNotFound):
+            vfs.unmount("/outer/inner")
+
     def test_walk(self):
         vfs, _ = make_vfs()
         vfs.mkdir("/d")
@@ -268,8 +297,39 @@ class TestVolumeIO:
         assert volume.clock.now == t0
 
 
+def blocks_in(runs):
+    return [block for run in runs for block in run]
+
+
+class TestUnmount:
+    def test_departed_volume_leaves_the_cache(self):
+        """Dead pages used to keep counting against the capacity: the
+        survivor's older pages were evicted to make room beside them."""
+        clock = SimClock()
+        disk = SimulatedDisk(clock)
+        cache = PageCache(CacheParams(capacity_pages=8))
+        vfs = VFS()
+        stays = Volume("stays", 1, clock, disk, cache)
+        leaves = Volume("leaves", 2, clock, disk, cache)
+        vfs.mount(stays, "/")
+        vfs.mount(leaves, "/leaves")
+        size = stays.block_size
+        inode = vfs.create("/f")
+        stays.write_bytes(inode, 0, None, 4 * size)
+        leaves.write_bytes(vfs.create("/leaves/g"), 0, None, 4 * size)
+        assert len(cache) == 8
+        vfs.unmount("/leaves")
+        assert len(cache) == 4
+        assert {volume_id for volume_id, _ in cache.lru_order()} == {1}
+        stays.write_bytes(inode, 4 * size, None, 4 * size)
+        stays.read_bytes(inode, 0, 8 * size)
+        assert (cache.hits, cache.misses, cache.evictions) == (8, 0, 0)
+        assert disk.bytes_read == 0
+
+
 class TestExtentWalk:
-    """``Inode.blocks`` is ``block_for`` per logical block, in one walk."""
+    """``Inode.block_runs`` is ``block_for`` per logical block, in one
+    walk, as ranges."""
 
     def fragmented(self, rng):
         """Files grown in interleaved appends: every growth is one more
@@ -295,20 +355,26 @@ class TestExtentWalk:
                     # Ranges inside, across and past the last extent.
                     first = rng.randint(0, inode.allocated_blocks + 3)
                     last = first + rng.randint(0, 12)
-                    assert list(inode.blocks(first, last)) == [
+                    runs = inode.block_runs(first, last)
+                    assert all(type(run) is range and run for run in runs)
+                    assert blocks_in(runs) == [
                         inode.block_for(logical * size)
                         for logical in range(first, last + 1)]
+                    assert len(runs) <= len(inode.extents) + last - first + 1
         assert {0, 1, 2, 3} <= shapes     # no extents ... several
 
     def test_unallocated_tail_repeats_one_block(self):
         vfs, volumes = make_vfs()
         inode = vfs.create("/f")
         tail = volumes[0].data_region.tail
-        assert list(inode.blocks(0, 2)) == [tail] * 3     # no extents
+        assert blocks_in(inode.block_runs(0, 2)) == [tail] * 3  # no extents
         volumes[0].write_bytes(inode, 0, None, 2 * volumes[0].block_size)
         (first, count), = inode.extents
-        assert list(inode.blocks(1, 4)) == [first + 1] + [first + count] * 3
-        assert list(inode.blocks(3, 2)) == []
+        assert inode.block_runs(1, 4) == (
+            [range(first + 1, first + 2)]
+            + [range(first + count, first + count + 1)] * 3)
+        assert inode.block_runs(3, 2) == []
+        assert inode.block_runs(0, 1) == [range(first, first + count)]
 
     def test_data_path_touches_the_same_pages_in_the_same_order(self):
         rng = random.Random(15)
@@ -322,7 +388,8 @@ class TestExtentWalk:
             volume.write_bytes(inode, size // 2, None, end - size // 2)
             expected = [(volume.volume_id, inode.block_for(logical * size))
                         for logical in range((end - 1) // size + 1)]
-            assert list(volume.cache._pages)[-len(expected):] == expected
+            assert (list(volume.cache.lru_order())[-len(expected):]
+                    == expected)
             volume.cache.invalidate_volume(volume.volume_id)
             before = volume.disk.bytes_read
             volume.read_bytes(inode, 0, inode.size)
