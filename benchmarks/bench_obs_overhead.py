@@ -24,7 +24,7 @@ number.
 Run directly (CI does; no pytest plugins needed)::
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py \
-        --out BENCH_results.json
+        --out obs-overhead.json
 
 Exits nonzero when the enabled overhead exceeds ``--max-overhead-pct``
 (default 5, the budget) or when the full arm produced no spans /
@@ -35,16 +35,12 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import sys
 import time
 
 from repro.obs.export import chrome_trace_json, prometheus_text
 from repro.system import BootConfig, System
-
-try:
-    from _bench_io import merge_results
-except ImportError:  # imported as part of a package-style run
-    from benchmarks._bench_io import merge_results
 
 OFF = BootConfig(observability=False)
 DEFAULT = BootConfig()
@@ -107,7 +103,7 @@ def run_arm(config: BootConfig, rounds: int, files: int) -> dict:
 
 
 def run(rounds: int = 10, files: int = 220, repeats: int = 3) -> dict:
-    """All three arms; returns the BENCH_results payload.
+    """All three arms; returns the ``--out`` payload.
 
     ``overhead_pct`` is the median full-vs-default pair overhead (the
     gated budget); ``disabled_overhead_pct`` is the median
@@ -171,7 +167,7 @@ def main(argv=None) -> int:
                         help="back-to-back arm triples; the median "
                              "pair overhead is reported")
     parser.add_argument("--out", default=None,
-                        help="merge the result payload into this JSON file")
+                        help="write the result payload to this JSON file")
     parser.add_argument("--max-overhead-pct", type=float, default=5.0,
                         help="enabled-overhead budget (default "
                              "%(default)s, the committed budget)")
@@ -194,9 +190,11 @@ def main(argv=None) -> int:
           f"{result['overhead_pct']:+.2f}%")
     print(f"  disabled overhead (default vs off): "
           f"{result['disabled_overhead_pct']:+.2f}%")
-    if args.out and args.out != "-":
-        merge_results(args.out, "obs_overhead", result)
-        print(f"merged into {args.out}")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(result, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote {args.out}")
     if result["full"]["spans"] == 0 or result["full"]["journal_events"] == 0:
         print("FAIL: full arm collected no spans/journal events; the "
               "overhead gate would be vacuous", file=sys.stderr)

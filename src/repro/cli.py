@@ -466,7 +466,6 @@ def cmd_health(args: argparse.Namespace) -> int:
         max_dropped_spans=args.max_dropped_spans,
         max_query_p50_s=args.max_p50,
         max_query_p99_s=args.max_p99,
-        min_pql_speedup=args.min_pql_speedup,
     )
     system = SCENARIOS[args.scenario](tracing=True, journal=True)
     for _ in range(max(1, args.query_repeats)):
@@ -482,7 +481,6 @@ def cmd_health(args: argparse.Namespace) -> int:
         system.stats(),
         dropped_spans=system.obs.tracer.dropped_spans,
         journal_stats=system.obs.journal.stats(),
-        bench=load(args.bench),
         crashtest=load(args.crashtest),
         slos=slos,
     )
@@ -495,139 +493,12 @@ def cmd_health(args: argparse.Namespace) -> int:
 
 BENCH_SCHEMA = "repro-bench/1"
 
-#: Registered benchmark suites for ``bench --suite``: suite name ->
-#: (module in benchmarks/, full-scale kwargs, --quick kwargs).  Each
-#: module's ``run(**kwargs) -> payload`` is merged into the suite
-#: document by ``benchmarks._bench_io.merge_results``.
-BENCH_SUITES = {
-    "incremental_query": ("bench_incremental_query",
-                          {}, {"rounds": 3, "files": 30}),
-    "obs_overhead": ("bench_obs_overhead",
-                     {}, {"rounds": 2, "files": 40}),
-    "pql_perf": ("bench_pql_perf",
-                 {}, {"files": 2000, "lookups": 30, "closures": 10}),
-}
-
-
-def _benchmarks_dir() -> str:
-    """The repo-root ``benchmarks/`` directory (suite registry home)."""
-    import os
-
-    root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-    return os.path.join(root, "benchmarks")
-
-
-def _run_bench_suites(args: argparse.Namespace) -> int:
-    """Run registered benchmark suites and merge their payloads."""
-    import importlib
-    import os
-    import sys as _sys
-
-    names = sorted(BENCH_SUITES) if "all" in args.suite else args.suite
-    unknown = [name for name in names if name not in BENCH_SUITES]
-    if unknown:
-        print(f"bench: unknown suite(s) {', '.join(unknown)!s} "
-              f"(have: {', '.join(sorted(BENCH_SUITES))}, all)",
-              file=sys.stderr)
-        return 2
-    bench_dir = _benchmarks_dir()
-    if not os.path.isdir(bench_dir):
-        print(f"bench: benchmarks directory not found at {bench_dir!r}",
-              file=sys.stderr)
-        return 2
-    if bench_dir not in _sys.path:
-        _sys.path.insert(0, bench_dir)
-    merge_results = importlib.import_module("_bench_io").merge_results
-    for name in names:
-        module_name, full, quick = BENCH_SUITES[name]
-        kwargs = quick if args.quick else full
-        # Targets come from the static BENCH_SUITES registry above --
-        # never repro-internal modules, never user input.
-        module = importlib.import_module(module_name)  # lint: disable=PL305
-        payload = module.run(**kwargs)
-        if "speedup" in payload:
-            print(f"{name}: {payload['records_total']} records, "
-                  f"{payload['speedup']:.1f}x speedup")
-        else:
-            print(f"{name}: {payload['records_total']} records, "
-                  f"{payload['overhead_pct']:+.2f}% enabled overhead")
-        if args.out != "-":
-            merge_results(args.out, name, payload)
-    if args.out != "-":
-        print(f"merged {len(names)} suite(s) into {args.out}",
-              file=sys.stderr)
-    return 0
-
-
-def _compare_bench_files(args: argparse.Namespace,
-                         baseline: dict | None) -> int:
-    """Gate the freshly written --out document against a baseline
-    loaded *before* the suites ran (--out may BE the baseline path)."""
-    import json
-
-    from repro.obs.health import compare_bench, render_compare
-
-    if baseline is None:
-        print(f"bench: no baseline at {args.compare!r}; this run's "
-              f"results become the baseline", file=sys.stderr)
-        return 0
-    with open(args.out, "r", encoding="utf-8") as handle:
-        current = json.load(handle)
-    report = compare_bench(baseline, current, tolerance=args.tolerance)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_compare(report))
-    return 0 if report["ok"] else 1
-
-
-def _load_json(path: str) -> dict | None:
-    import json
-    import os
-
-    if not path or not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
 
 def cmd_bench(args: argparse.Namespace) -> int:
     import json
 
     from repro.workloads import ALL_WORKLOADS
     from repro.workloads.base import overhead_pct, run_local
-
-    if args.against:
-        # Pure file-vs-file comparison: no suites run, no writes.
-        from repro.obs.health import compare_bench, render_compare
-
-        baseline = _load_json(args.against)
-        current = _load_json(args.out)
-        if baseline is None or current is None:
-            missing = args.against if baseline is None else args.out
-            print(f"bench: cannot compare; missing {missing!r}",
-                  file=sys.stderr)
-            return 2
-        report = compare_bench(baseline, current,
-                               tolerance=args.tolerance)
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(render_compare(report))
-        return 0 if report["ok"] else 1
-
-    if args.suite:
-        # Snapshot the baseline before the suites overwrite --out.
-        baseline = _load_json(args.compare) if args.compare else None
-        code = _run_bench_suites(args)
-        if code or not args.compare:
-            return code
-        if args.out == "-":
-            print("bench: --compare needs --out to point at a results "
-                  "file", file=sys.stderr)
-            return 2
-        return _compare_bench_files(args, baseline)
 
     workloads = {}
     print(f"{'Benchmark':22s}{'Ext3':>10s}{'PASSv2':>10s}{'Overhead':>10s}")
@@ -646,7 +517,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "index_bytes": passv2.index_bytes,
             "layers": passv2.layer_counters(),
         }
-    if args.out != "-":
+    if args.out:
         payload = {"schema": BENCH_SCHEMA, "scale": args.scale,
                    "workloads": workloads}
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -771,30 +642,10 @@ def main(argv: list[str] | None = None) -> int:
     lint.set_defaults(func=cmd_lint)
 
     bench = sub.add_parser(
-        "bench", help="quick Table 2 (left) run, or registered suites")
+        "bench", help="quick Table 2 (left) run")
     bench.add_argument("--scale", type=float, default=0.2)
-    bench.add_argument("--suite", action="append", metavar="NAME",
-                       default=[],
-                       help="run a registered benchmark suite instead "
-                            "(repeatable; 'all' runs every one) and "
-                            "merge its payload into --out")
-    bench.add_argument("--quick", action="store_true",
-                       help="suite mode: small-scale smoke run")
-    bench.add_argument("--out", metavar="FILE", default="BENCH_results.json",
-                       help="where to write the JSON results "
-                            "('-' to skip; default %(default)s)")
-    bench.add_argument("--compare", metavar="BASELINE",
-                       help="suite mode: after running, gate the fresh "
-                            "results against this baseline document "
-                            "(may be the same file as --out)")
-    bench.add_argument("--against", metavar="BASELINE",
-                       help="run no suites; just compare --out against "
-                            "this baseline document")
-    bench.add_argument("--tolerance", type=float, default=0.25,
-                       help="allowed relative drop in gated ratios "
-                            "(default %(default)s)")
-    bench.add_argument("--json", action="store_true",
-                       help="machine-readable comparison report")
+    bench.add_argument("--out", metavar="FILE",
+                       help="also write the results as JSON to FILE")
     bench.set_defaults(func=cmd_bench)
 
     stats = sub.add_parser(
@@ -902,14 +753,6 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="N",
                         help="span ring drops allowed "
                              "(default %(default)s)")
-    health.add_argument("--min-pql-speedup", type=float, default=5.0,
-                        metavar="X",
-                        help="query-planner speedup floor (pql_perf "
-                             "suite), checked against --bench "
-                             "(default %(default)s)")
-    health.add_argument("--bench", metavar="FILE",
-                        help="BENCH_results.json to fold into the "
-                             "verdict")
     health.add_argument("--crashtest", metavar="FILE",
                         help="'repro crashtest --json' report to fold "
                              "into the verdict")

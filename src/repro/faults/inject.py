@@ -6,8 +6,8 @@ guard every site with one branch::
     if self._faults is not None:
         self._faults.fire("disk.write", nbytes=nbytes)
 
-so a disarmed system pays nothing (the paper's hot paths stay free; see
-``benchmarks/bench_pipeline_perf.py``).  When armed, :meth:`fire`:
+so a disarmed system pays nothing (the paper's hot paths stay free).
+When armed, :meth:`fire`:
 
 1. counts the hit (per-site, 1-based -- the coordinate system crash
    points are named in);

@@ -1,26 +1,25 @@
 """Dataflow rules over the whole-program call graph (PL3xx): passflow.
 
-The PL2xx pass answers "who imports whom".  These rules answer the
-questions the **sharded storage tier** actually depends on: who *reaches*
-whom at run time, who touches state that is about to be split across
-shard writers, and which couplings would turn into races the moment
-Waldo/ProvenanceDatabase/OEMGraph go per-shard:
+The PL2xx pass answers "who imports whom".  These rules answer what
+imports cannot show: who *reaches* whom at run time, who touches state
+its owning layer cannot change behind, and who writes state that every
+machine, test and simulated kernel in the process shares:
 
 * **PL301** -- layer discipline over calls and attribute chains, not
   just imports: a resolved reach into a layer outside the accessor's
   allow-list is a violation even when no import names that layer.
 * **PL302** -- cross-layer private-state reach: touching another
-  layer's ``_underscore`` attributes.  These are exactly the couplings
-  that break when the touched state becomes per-shard.
+  layer's ``_underscore`` attributes, a coupling the owning layer
+  cannot change behind.
 * **PL303** -- batch escape/mutation: ``submit_batch`` / ``append_batch``
   / ``apply_batch``-style entry points receive a :class:`RecordBatch`
   (or record sequence) that crossed a layer boundary; the callee must
   not mutate it, nor retain it and mutate it later.
-* **PL304** -- concurrency readiness: module-level mutable state
+* **PL304** -- shared mutable state: module-level mutable state
   written from function bodies, class-level shared state written from
   methods, and writes into storage-tier instances from outside the
-  storage layer.  Each finding is a race precondition for the sharded
-  tier; the sanctioned write paths are the tier's own entry points
+  storage layer.  The first two are state every machine in the process
+  shares; the sanctioned write paths are the tier's own entry points
   (``Waldo.drain*``, ``ProvenanceLog.append*``, recovery) behind the
   layer boundary, and module-scope constants or ``itertools.count``
   id mints elsewhere.
@@ -65,25 +64,25 @@ PL301 = rule(
 PL302 = rule(
     "PL302", ERROR, "cross-layer private-state reach",
     "A module touches another layer's _underscore attribute.  Private "
-    "state is exactly what becomes per-shard when the storage tier is "
-    "sharded (Waldo, ProvenanceDatabase, OEMGraph), so every "
-    "cross-layer reach into it is a coupling that breaks under the "
-    "refactor.  Reach it through a public method on the owning class "
-    "instead.")
+    "state is what the owning layer (Waldo, ProvenanceDatabase, "
+    "OEMGraph) is free to change, so every cross-layer reach into it "
+    "is a coupling that layer cannot change behind.  Reach it through "
+    "a public method on the owning class instead.")
 PL303 = rule(
     "PL303", ERROR, "batch mutated after crossing a layer boundary",
     "A submit_batch/append_batch/apply_batch-style entry point mutates "
     "its batch argument, or retains it and mutates it later.  Batches "
     "are shared, not transferred: the producer may still hold the "
-    "object, and under sharded ingest another writer may be iterating "
-    "it.  Copy before mutating, or build a new batch.")
+    "object, and a subscriber may be handed the same one.  Copy "
+    "before mutating, or build a new batch.")
 PL304 = rule(
-    "PL304", ERROR, "shared mutable state is not shard-ready",
+    "PL304", ERROR, "mutable state shared by every machine in the process",
     "Module-level mutable state written from a function body, "
     "class-level shared state written from a method, or storage-tier "
-    "instance state written from outside the storage layer.  Each is a "
-    "race precondition once parallel shard writers exist; the "
-    "sanctioned storage write paths are the tier's own entry points "
+    "instance state written from outside the storage layer.  The first "
+    "two are shared by every machine, test and simulated kernel in the "
+    "process; the sanctioned storage write paths are the tier's own "
+    "entry points "
     "(Waldo.drain*, ProvenanceLog.append*, recovery), and elsewhere "
     "module-scope constants or an itertools.count id mint.")
 PL305 = rule(
@@ -254,7 +253,7 @@ class _FlowChecker(pyast.NodeVisitor):
         written = [name for name in node.names if name in self._locals]
         if written:
             self._emit(PL304, "module-level state written via 'global "
-                       f"{', '.join(written)}'; a shard-ready module "
+                       f"{', '.join(written)}'; a module "
                        "keeps no rebindable globals (use an instance, "
                        "or an itertools.count id mint)", node)
 
@@ -296,8 +295,8 @@ class _FlowChecker(pyast.NodeVisitor):
                     and _component(owner) != self.component):
                 self._emit(PL302, f"{self.info.name} reaches private "
                            f"state {attr!r} of {owner}; cross-layer "
-                           "_underscore access breaks when that state "
-                           "goes per-shard", node)
+                           "_underscore access is a coupling the "
+                           "owner cannot change behind", node)
                 return True
             return False
         owners = self.program.private_owners.get(attr)
@@ -307,8 +306,8 @@ class _FlowChecker(pyast.NodeVisitor):
             self._emit(PL302, f"{self.info.name} reaches private state "
                        f"{attr!r}, defined only in "
                        f"{', '.join(sorted(owners))}; cross-layer "
-                       "_underscore access breaks when that state goes "
-                       "per-shard", node)
+                       "_underscore access is a coupling the owner "
+                       "cannot change behind", node)
             return True
         return False
 
@@ -402,8 +401,8 @@ class _FlowChecker(pyast.NodeVisitor):
                 and name not in self._locals
                 and self._fn is not None):
             self._emit(PL304, f"module-level mutable {name!r} written "
-                       f"from a function body ({name}{verb}); under "
-                       "parallel shard writers this is a data race -- "
+                       f"from a function body ({name}{verb}); every "
+                       "machine in the process shares it -- "
                        "make it instance state or justify with "
                        "# lint: disable=PL304", node)
 
@@ -430,7 +429,8 @@ class _FlowChecker(pyast.NodeVisitor):
         if kind == "class":
             self._emit(PL304, f"class-level state of {payload} written "
                        f"from a function body ({verb}); class "
-                       "attributes are process-global under sharding -- "
+                       "attributes are shared by every machine in the "
+                       "process -- "
                        "use instance state or an itertools.count id "
                        "mint", node)
             return
@@ -439,8 +439,8 @@ class _FlowChecker(pyast.NodeVisitor):
             self._emit(PL304, f"{self.info.name} writes storage-tier "
                        f"state ({owner}{verb}); only the storage "
                        "layer's own entry points (Waldo.drain*, "
-                       "ProvenanceLog.append*, recovery) may write it "
-                       "once the tier is sharded", node)
+                       "ProvenanceLog.append*, recovery) may write it",
+                       node)
 
     # -- PL303: batch entry points -------------------------------------------
 

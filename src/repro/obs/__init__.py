@@ -17,7 +17,7 @@
 The export-and-analysis half (passview) sits beside them, still inside
 the leaf: :mod:`repro.obs.export` (Chrome trace / Prometheus text /
 collapsed stacks), :mod:`repro.obs.rollup` (dimension rollups), and
-:mod:`repro.obs.health` (SLO verdicts and benchmark comparison).
+:mod:`repro.obs.health` (SLO verdicts).
 
 Components that are wired without an explicit handle fall back to
 :data:`NULL_OBS`, a shared disabled instance, so instrumentation sites

@@ -111,7 +111,7 @@ class CompiledPlan:
     compiled from (``source``), the vocabulary epoch at which it last
     passed the lint pre-pass, and the latest execution's view of it --
     the caller's ``text``, the ``query`` bound to that text's literals
-    and, after an optimized run, the planner's per-binding access
+    and, after a run, the planner's per-binding access
     choices (:class:`~repro.pql.planner.BindingPlan` list, the EXPLAIN
     payload), which are re-made per execution against current graph
     statistics."""
@@ -141,8 +141,7 @@ class QueryEngine:
     ``check=False`` (construction-time or per call) to opt out.
     """
 
-    def __init__(self, graph: OEMGraph, check: bool = True, obs=NULL_OBS,
-                 optimize: bool = True):
+    def __init__(self, graph: OEMGraph, check: bool = True, obs=NULL_OBS):
         self.graph = graph
         self.obs = obs
         #: shape -> plan, least recently used first.
@@ -152,50 +151,25 @@ class QueryEngine:
         self._vocabulary = None
         self._vocab_epoch = _NEVER
         self._last_plan_cache_hit = False
-        #: Sources whose push feed delivers to :meth:`_apply_batch`.
-        self._subscriptions: list = []
-        #: Default execution mode; per-call ``optimize=`` overrides.
-        #: Optimized engines share one IndexCatalog per graph; the
-        #: naive evaluator (no catalog) is the pre-planner baseline.
-        self._optimize = optimize and isinstance(graph, OEMGraph)
-        self._opt_evaluator = None
-        self._naive_evaluator = None
-        self._evaluator = self._evaluator_for(self._optimize)
-
-    def _evaluator_for(self, optimize: bool) -> Evaluator:
-        if optimize:
-            if self._opt_evaluator is None:
-                catalog = IndexCatalog.attach(self.graph)
-                if (self.obs is not NULL_OBS
-                        and id(self.obs) not in catalog.collector_obs):
-                    catalog.collector_obs.add(id(self.obs))
-                    self.obs.add_collector("pql", catalog.counters)
-                self._opt_evaluator = Evaluator(self.graph, catalog)
-            return self._opt_evaluator
-        if self._naive_evaluator is None:
-            self._naive_evaluator = Evaluator(self.graph)
-        return self._naive_evaluator
-
-    @property
-    def catalog(self):
-        """The graph's index catalogue when this engine optimizes."""
-        return (self._opt_evaluator.catalog
-                if self._opt_evaluator is not None else None)
+        #: The graph's index catalogue, shared by every engine over it.
+        self.catalog = catalog = IndexCatalog.attach(graph)
+        if obs is not NULL_OBS and id(obs) not in catalog.collector_obs:
+            catalog.collector_obs.add(id(obs))
+            obs.add_collector("pql", catalog.counters)
+        self._evaluator = Evaluator(graph, catalog)
 
     # -- construction -----------------------------------------------------------
 
     @classmethod
-    def live(cls, sources, obs=NULL_OBS, check: bool = True,
-             optimize: bool = True) -> "QueryEngine":
+    def live(cls, sources, obs=NULL_OBS,
+             check: bool = True) -> "QueryEngine":
         """The one real construction path: a live engine over sources.
 
         Batch-builds the graph from each source's ``all_rows()`` (or,
         for a source without one, ``all_records()``), then
         subscribes to every source that supports it so later
         inserts flow straight into the graph.  Callers own exactly one
-        live engine per source set and reuse it across syncs;
-        short-lived engines (benchmark arms) should :meth:`detach`
-        when done so sources stop feeding them.
+        live engine per source set and reuse it across syncs.
         """
         rows: list = []
         for source in sources:
@@ -205,26 +179,13 @@ class QueryEngine:
         with obs.span("oem.build", layer="pql") as span:
             graph = OEMGraph.build(RecordBatch.of_rows(rows))
             span.tag("nodes", len(graph))
-        engine = cls(graph, check=check, obs=obs, optimize=optimize)
+        engine = cls(graph, check=check, obs=obs)
         for source in sources:
             # One graph splice per drained group.
             subscribe_batch = getattr(source, "subscribe_batch", None)
             if subscribe_batch is not None:
                 subscribe_batch(engine._apply_batch)
-                engine._subscriptions.append(source)
         return engine
-
-    def detach(self) -> int:
-        """Unhook this engine's push-feed subscriptions from its
-        sources (see :meth:`ProvenanceDatabase.unsubscribe_batch`); the
-        graph freezes at its current state.  Returns feeds detached."""
-        detached = 0
-        for source in self._subscriptions:
-            unhook = getattr(source, "unsubscribe_batch", None)
-            if unhook is not None and unhook(self._apply_batch):
-                detached += 1
-        self._subscriptions = []
-        return detached
 
     @classmethod
     def from_records(cls, records: Iterable[ProvenanceRecord],
@@ -239,15 +200,6 @@ class QueryEngine:
         """Subscription callback: splice one record group in."""
         count = self.graph.apply_batch(records)
         self.obs.inc("pql", "oem_records_applied", count)
-
-    def apply_records(self, records: Iterable[ProvenanceRecord]) -> int:
-        """Feed a batch of records into the live graph directly (for
-        callers holding a stream rather than a subscribable source)."""
-        with self.obs.span("oem.apply", layer="pql") as span:
-            count = self.graph.apply_batch(records)
-            span.tag("records", count)
-        self.obs.inc("pql", "oem_records_applied", count)
-        return count
 
     # -- compilation ------------------------------------------------------------
 
@@ -311,33 +263,21 @@ class QueryEngine:
 
     # -- execution -----------------------------------------------------------
 
-    def execute(self, text: str, check: bool | None = None,
-                optimize: bool | None = None) -> list:
-        """Run a PQL query; returns rows (see Evaluator.execute).
-
-        ``optimize=False`` forces the naive pre-planner path for this
-        call (benchmark baselines, planned-vs-naive ground truth);
-        ``optimize=True`` forces the planner.  Default: the engine's
-        construction-time mode.
-        """
+    def execute(self, text: str, check: bool | None = None) -> list:
+        """Run a PQL query; returns rows (see Evaluator.execute)."""
         started = time.perf_counter()
-        if optimize is None:
-            use_opt = self._optimize
-        else:
-            use_opt = optimize and isinstance(self.graph, OEMGraph)
-        evaluator = self._evaluator_for(use_opt)
         checking = self._check if check is None else check
         with self.obs.span("pql.execute", layer="pql") as span:
             plan = self.plan(text)
             try:
-                rows = self._run(plan, evaluator, use_opt, checking)
+                rows = self._run(plan, checking)
             except PQLError:
                 if plan.source == text:
                     raise
                 # The cached AST carries another text's positions:
                 # fail again from this one's.
                 plan = self._compile(text, plan.shape)
-                rows = self._run(plan, evaluator, use_opt, checking)
+                rows = self._run(plan, checking)
             span.tag("rows", len(rows))
         self.obs.inc("pql", "queries_executed")
         self.obs.inc("pql", "rows_returned", len(rows))
@@ -354,8 +294,7 @@ class QueryEngine:
                                 shape=plan.shape)
         return rows
 
-    def _run(self, plan: CompiledPlan, evaluator: Evaluator,
-             use_opt: bool, check: bool) -> list:
+    def _run(self, plan: CompiledPlan, check: bool) -> list:
         """Check (once per shape and vocabulary epoch) and evaluate."""
         if check:
             vocabulary = self.vocabulary()          # refreshes epoch
@@ -368,8 +307,7 @@ class QueryEngine:
             else:
                 self.obs.inc("pql", "check_cache_hits")
         with self.obs.span("pql.eval", layer="pql"):
-            if not use_opt:
-                return evaluator.execute(plan.query)
+            evaluator = self._evaluator
             evaluator.plan_log = log = []
             try:
                 rows = evaluator.execute(plan.query)
@@ -381,7 +319,7 @@ class QueryEngine:
     def explain(self, text: str, check: bool | None = None) -> dict:
         """Run a query and report the planner's access-path choices.
 
-        Returns ``{"query", "shape", "rows", "optimize", "bindings"}``
+        Returns ``{"query", "shape", "rows", "bindings"}``
         where each binding entry carries the chosen access path (index /
         scan / traversal), its detail, and estimated vs actual rows.
         EXPLAIN *executes* -- actual row counts are measured, not
@@ -395,7 +333,6 @@ class QueryEngine:
             "query": plan.text,
             "shape": plan.shape,
             "rows": len(rows),
-            "optimize": self._optimize,
             "bindings": bindings,
         }
         self.obs.event("pql.plan_explain", layer="pql", always=True,

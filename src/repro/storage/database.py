@@ -73,24 +73,6 @@ class ProvenanceDatabase:
         """
         self._batch_listeners.append(listener)
 
-    def unsubscribe_batch(self, listener) -> bool:
-        """Remove one listener; True if it was registered.
-
-        Query engines with bounded lifetimes (benchmark arms, EXPLAIN
-        scratch engines) detach instead of riding the feed forever --
-        otherwise every insert keeps paying for graphs nobody queries.
-        """
-        try:
-            self._batch_listeners.remove(listener)
-            return True
-        except ValueError:
-            return False
-
-    @property
-    def has_subscribers(self) -> bool:
-        """Whether any push-feed listener is registered."""
-        return bool(self._batch_listeners)
-
     def insert_many(self, records: Iterable[ProvenanceRecord]) -> int:
         """Insert a :class:`RecordBatch`, or any iterable of records
         (flattened once); returns how many records were added.

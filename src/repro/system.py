@@ -60,11 +60,6 @@ class BootConfig:
     #: repro.storage.tier; None = the default CompactionPolicy).
     compaction: Optional[CompactionPolicy] = None
 
-    def with_overrides(self, **overrides) -> "BootConfig":
-        """A copy with the named fields replaced (an explicit ``None``
-        overrides too; an unknown name is a ``TypeError``)."""
-        return dataclasses.replace(self, **overrides)
-
 
 class System:
     """A booted machine: kernel + storage + provenance pipeline."""
@@ -91,8 +86,8 @@ class System:
 
         ``config`` supplies every knob at once (defaults to
         ``BootConfig()``); each keyword argument names a
-        :class:`BootConfig` field and overrides it
-        (:meth:`BootConfig.with_overrides`), so both
+        :class:`BootConfig` field and overrides it (an explicit
+        ``None`` too; an unknown name is a ``TypeError``), so both
         ``System.boot(tracing=True)`` and
         ``System.boot(config=shared, tracing=True)`` work.
 
@@ -111,7 +106,7 @@ class System:
         injection site in the stack (disk, WAP log, Lasagna, Waldo,
         distributor); None -- the default -- keeps the hot paths bare.
         """
-        cfg = (config or BootConfig()).with_overrides(**overrides)
+        cfg = dataclasses.replace(config or BootConfig(), **overrides)
         obs = Observability(metrics_enabled=cfg.observability,
                             trace_enabled=cfg.tracing,
                             journal_enabled=cfg.journal)

@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.kernel.params import SimParams
+from repro.pql.evaluator import Evaluator
+from repro.pql.oem import OEMNode
+from repro.pql.parser import parse
 from repro.system import System
 
 
@@ -52,6 +55,27 @@ def read_file(system: System, path: str) -> bytes:
         data = proc.read(fd)
         proc.close(fd)
     return data
+
+
+def reference_rows(engine, text: str) -> list:
+    """``text`` answered over ``engine``'s graph by the evaluator the
+    planner is tested against: no catalog, so member scans and plain
+    traversals only -- and a fresh parse, no plan cache, no lint
+    pre-pass, no engine state."""
+    return Evaluator(engine.graph).execute(parse(text))
+
+
+def reference_refs(engine, text: str) -> list:
+    """:func:`reference_rows` with nodes as ObjectRefs, the form
+    ``QueryEngine.execute_refs`` returns."""
+    return [as_refs(row) for row in reference_rows(engine, text)]
+
+
+def as_refs(row):
+    """One result row with every node replaced by its ObjectRef."""
+    if isinstance(row, tuple):
+        return tuple(as_refs(cell) for cell in row)
+    return row.ref if isinstance(row, OEMNode) else row
 
 
 def graph_fingerprint(graph) -> dict:

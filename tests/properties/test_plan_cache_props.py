@@ -24,8 +24,9 @@ from repro.core.records import Attr, ProvenanceRecord
 from repro.pql import ast
 from repro.pql.engine import QueryEngine
 from repro.pql.lexer import number_value, parameterize, tokenize
-from repro.pql.oem import OEMGraph, OEMNode
+from repro.pql.oem import OEMGraph
 from repro.pql.parser import parse
+from tests.conftest import as_refs, reference_refs
 
 # -- generators ---------------------------------------------------------------
 
@@ -113,19 +114,21 @@ records = st.one_of(
 streams = st.lists(records, min_size=5, max_size=40)
 
 
-def outcome(engine: QueryEngine, text: str, **options):
+def outcome(engine: QueryEngine, text: str):
     """Sorted rows (nodes as refs), or the error the query ends in."""
     try:
-        rows = engine.execute(text, **options)
+        rows = engine.execute(text)
     except ReproError as error:
         return type(error).__name__, str(error)
-    return sorted(repr(_refs(row)) for row in rows)
+    return sorted(repr(as_refs(row)) for row in rows)
 
 
-def _refs(row):
-    if isinstance(row, tuple):
-        return tuple(_refs(cell) for cell in row)
-    return row.ref if isinstance(row, OEMNode) else row
+def assert_reference_agrees(engine: QueryEngine, text: str, expected):
+    """The reference evaluator, on a fresh parse of ``text``, answers
+    as ``expected``.  A query that ended in an error (the pre-pass
+    rejected it before any evaluator ran) has nothing to compare."""
+    if isinstance(expected, list):
+        assert sorted(map(repr, reference_refs(engine, text))) == expected
 
 
 def literals_of(node) -> list:
@@ -159,7 +162,7 @@ def test_every_template_but_the_last_runs():
 @given(streams, st.integers(0, 40), sibling_queries())
 @settings(max_examples=300, deadline=None)
 def test_rebound_plan_equals_fresh_compile(stream, cut, siblings):
-    """B after A on one engine == B on a fresh engine == the naive arm,
+    """B after A on one engine == B on a fresh engine == the reference,
     before and after an ``apply_batch`` that bumps ``vocab_epoch``."""
     (first, _), (second, _), _ = siblings
     cut = min(cut, len(stream))
@@ -168,7 +171,7 @@ def test_rebound_plan_equals_fresh_compile(stream, cut, siblings):
     compiles = len(engine._plans)
     expected = outcome(QueryEngine(OEMGraph.build(stream[:cut])), second)
     assert outcome(engine, second) == expected
-    assert outcome(engine, second, optimize=False) == expected
+    assert_reference_agrees(engine, second, expected)
     assert len(engine._plans) == compiles           # one shape
 
     grown = stream[cut:] + [
@@ -179,9 +182,8 @@ def test_rebound_plan_equals_fresh_compile(stream, cut, siblings):
     expected = outcome(QueryEngine(OEMGraph.build(stream[:cut] + grown)),
                        first)
     assert outcome(engine, first) == expected
-    assert outcome(engine, first, optimize=False) == expected
-    assert outcome(engine, second) == outcome(engine, second,
-                                              optimize=False)
+    assert_reference_agrees(engine, first, expected)
+    assert_reference_agrees(engine, second, outcome(engine, second))
 
 
 @given(sibling_queries())

@@ -2,9 +2,10 @@
 
 The optimizer is only allowed to change *where candidate rows come
 from*, never which rows come back.  These properties drive random
-record streams and generated queries through both arms of the same
-engine (and through a sharded, federated engine) and require identical
-answers; separately, indexes and the ancestry view maintained
+record streams and generated queries through an engine (and a
+federated one) and through the catalog-less reference evaluator over
+the same graph (``tests.conftest.reference_rows``) and require
+identical answers; separately, indexes and the ancestry view maintained
 incrementally through ``apply``/``apply_batch`` must match structures
 rebuilt from scratch over the final graph -- including after a
 crash/recover replay through the storage tier.
@@ -21,6 +22,7 @@ from repro.pql.indexes import EqualityIndex, IndexCatalog, RangeIndex
 from repro.pql.lexer import KEYWORDS
 from repro.pql.oem import OEMGraph
 from repro.storage.database import ProvenanceDatabase
+from tests.conftest import reference_refs
 
 # -- generators (mirroring test_oem_incremental_props / test_pql_props) -------
 
@@ -149,12 +151,7 @@ def assert_arms_agree(engine: QueryEngine, query: str) -> None:
         planned = engine.execute_refs(query)
     except ReproError:
         return
-    saved = engine._optimize
-    engine._optimize = False
-    try:
-        naive = engine.execute_refs(query)
-    finally:
-        engine._optimize = saved
+    naive = reference_refs(engine, query)
     assert canonical(planned) == canonical(naive), query
 
 
@@ -361,14 +358,7 @@ def test_crash_recover_replay_keeps_planner_sound():
     assert report.committed_records
 
     for query in queries:
-        planned = engine.execute_refs(query)
-        saved = engine._optimize
-        engine._optimize = False
-        try:
-            naive = engine.execute_refs(query)
-        finally:
-            engine._optimize = saved
-        assert canonical(planned) == canonical(naive), query
+        assert_arms_agree(engine, query)
     assert engine.execute_refs(q_name)      # the replay really arrived
     for query in (q_closure, q_across):
         names = {getattr(row, "name", None)

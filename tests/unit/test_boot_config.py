@@ -19,10 +19,12 @@ class TestBootConfig:
 
     def test_with_overrides_replaces_only_given_fields(self):
         quiet = BootConfig(observability=False)
-        traced = quiet.with_overrides(tracing=True)
-        assert traced.tracing is True
-        assert traced.observability is False
+        system = System.boot(config=quiet, tracing=True, provenance=False)
+        assert system.obs.tracer.enabled
+        assert not system.obs.metrics.enabled
+        assert not system.provenance
         assert quiet.tracing is False           # original untouched
+        assert quiet.provenance is True
 
     def test_boot_from_config(self):
         system = System.boot(config=BootConfig(

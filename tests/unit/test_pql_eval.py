@@ -16,6 +16,7 @@ from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ObjType, ProvenanceRecord
 from repro.pql.engine import QueryEngine
 from repro.pql.oem import OEMNode
+from tests.conftest import reference_rows
 
 
 def R(pnode, version, attr, value):
@@ -287,7 +288,7 @@ class TestBareVariableProjection:
     def test_rows_are_the_bound_nodes_in_binding_order(self, engine):
         rows = engine.execute(self.FILES)
         assert all(isinstance(row, OEMNode) for row in rows)
-        assert rows == engine.execute(self.FILES, optimize=False)
+        assert rows == reference_rows(engine, self.FILES)
         assert rows == [row for row, _ in engine.execute(
             "select F, F.name from Provenance.file as F")]
 
@@ -308,10 +309,11 @@ class TestBareVariableProjection:
 
     def test_unbound_variable_raises_positioned(self, engine):
         text = "select  G from Provenance.file as F"
-        for optimize in (True, False):
+        for run in (lambda: engine.execute(text, check=False),
+                    lambda: reference_rows(engine, text)):
             with pytest.raises(PQLNameError, match="unbound variable 'G'") \
                     as info:
-                engine.execute(text, check=False, optimize=optimize)
+                run()
             assert (info.value.line, info.value.column) == (1, 8)
         # No tuple, no evaluation: an empty join raises nothing.
         assert engine.execute("select G from Provenance.martian as F",

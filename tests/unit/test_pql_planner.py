@@ -23,6 +23,7 @@ from repro.pql.indexes import (AncestryView, CSRSnapshot, EqualityIndex,
 from repro.pql.oem import OEMGraph
 from repro.pql.planner import extract_filters, place_conjuncts
 from repro.storage.database import ProvenanceDatabase
+from tests.conftest import reference_refs, reference_rows
 
 
 def R(pnode, attr, value, version=0):
@@ -363,10 +364,17 @@ class TestPlannerChoices:
             'where F.md5 = "bbb"',
         ):
             planned = engine.execute_refs(query)
-            naive_rows = engine.execute(query, optimize=False)
-            naive = [row.ref if hasattr(row, "ref") else row
-                     for row in naive_rows]
+            naive = reference_refs(engine, query)
             assert sorted(map(repr, planned)) == sorted(map(repr, naive))
+
+    def test_no_evaluator_knob(self, engine):
+        """One evaluator per engine: the option that selected the
+        reference is a TypeError, at construction and per call."""
+        knob = {"optimize": False}
+        with pytest.raises(TypeError):
+            QueryEngine(engine.graph, **knob)
+        with pytest.raises(TypeError):
+            engine.execute("select F from Provenance.file as F", **knob)
 
 
 class TestIntervalMerging:
@@ -492,10 +500,10 @@ class TestConjunctPlacement:
         text = ("select A from Provenance.file as F, F.input* as A where "
                 + where)
         outcomes = []
-        for optimize in (True, False):
+        for run in (lambda: engine.execute(text, check=False),
+                    lambda: reference_rows(engine, text)):
             try:
-                outcomes.append([row.ref for row in engine.execute(
-                    text, check=False, optimize=optimize)])
+                outcomes.append([row.ref for row in run()])
             except PQLTypeError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
@@ -516,7 +524,7 @@ class TestFootprintRegression:
             "select F.missing from Provenance.file as F",
         ):
             engine.execute(query, check=False)
-            engine.execute(query, check=False, optimize=False)
+            reference_rows(engine, query)
         after = {id(n): (sorted(n.atoms), sorted(n.edges),
                          sorted(n.redges)) for n in graph.nodes()}
         assert before == after
@@ -539,7 +547,7 @@ class TestExplain:
         report = engine.explain(
             'select F from Provenance.file as F where F.md5 = "aaa"')
         assert report["rows"] == 1
-        assert report["optimize"] is True
+        assert set(report) == {"query", "shape", "rows", "bindings"}
         (binding,) = report["bindings"]
         assert binding["variable"] == "F"
         assert binding["access"] == "equality_index"
@@ -605,21 +613,6 @@ class TestCounters:
             'select F from Provenance.file as F where F.md5 = "bbb"')
         counters = obs.metrics.snapshot()["pql"]["counters"]
         assert counters["index_hits"] == first.catalog.index_hits == 2
-
-
-class TestDetach:
-    def test_detach_unsubscribes_live_engine(self):
-        database = ProvenanceDatabase("t")
-        database.insert_many(build_records())
-        engine = QueryEngine.live([database])
-        assert database.has_subscribers
-        assert engine.detach() == 1
-        assert not database.has_subscribers
-        assert engine.detach() == 0
-
-    def test_database_unsubscribe_unknown_listener(self):
-        database = ProvenanceDatabase("t")
-        assert database.unsubscribe_batch(lambda batch: None) is False
 
 
 class TestCLIExplain:
