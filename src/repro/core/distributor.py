@@ -188,9 +188,28 @@ class Distributor:
 
         Returns the number of records written.  A no-op for objects with
         no cached records (persistent objects, already-flushed objects).
+        Ancestors first (write-ahead provenance across objects), in the
+        order their refs appear in the rows: a post-order walk on an
+        explicit stack, so a chain of any depth flushes whole.
         """
         if pnode not in self._cache:
             return 0
+        taken, volume = self._take(pnode, volume)
+        stack = [(taken, iter(taken[2::3]))]
+        while stack:
+            rows, values = stack[-1]
+            for value in values:
+                if isinstance(value, ObjectRef) and value.pnode in self._cache:
+                    ancestor, _ = self._take(value.pnode, volume)
+                    stack.append((ancestor, iter(ancestor[2::3])))
+                    break
+            else:
+                stack.pop()
+                self._emit(rows, volume)
+        return len(taken) // 3
+
+    def _take(self, pnode: int, volume: Optional[str]) -> tuple[list, str]:
+        """Pop one object's cached rows and bind it to a volume."""
         if self._faults is not None:
             # Cached transient records are about to become durable.
             self._faults.fire("distributor.flush", pnode=pnode,
@@ -202,12 +221,10 @@ class Distributor:
             raise VolumeError(
                 f"no PASS volume available to hold provenance of pnode {pnode}"
             )
-        rows = self._cache.pop(pnode)
         self._assigned[pnode] = volume
-        # Ancestors first: write-ahead provenance across objects.
-        for value in rows[2::3]:
-            if isinstance(value, ObjectRef):
-                self.flush(value.pnode, volume)
+        return self._cache.pop(pnode), volume
+
+    def _emit(self, rows: list, volume: str) -> None:
         pending = self._pending
         if pending is not None:
             # Inside flush_batch: join the per-volume batch in order.
@@ -217,7 +234,6 @@ class Distributor:
             # explicit flush commits these, never a threshold.
             self._flush_sink(volume, Bundle.of_rows(rows))
         self.records_flushed += len(rows) // 3
-        return len(rows) // 3
 
     def sync(self, pnode: int, volume: Optional[str] = None) -> int:
         """``pass_sync``: force an object's provenance to disk."""

@@ -26,11 +26,11 @@ from __future__ import annotations
 import abc
 from typing import Optional
 
-from repro.core.pnode import ObjectRef
+from repro.core.pnode import Versioned
 from repro.core.records import Bundle
 
 
-class PassObject:
+class PassObject(Versioned):
     """An application-defined provenanced object (``pass_mkobj``).
 
     Referenced like a file (through a descriptor) but with no data; it
@@ -46,9 +46,6 @@ class PassObject:
         #: Name of the PASS volume the creator wants the provenance on,
         #: or None to inherit from a persistent descendant / the default.
         self.volume_hint = volume_hint
-
-    def ref(self) -> ObjectRef:
-        return ObjectRef(self.pnode, self.version)
 
     def __repr__(self) -> str:
         return f"<PassObject pnode={self.pnode} v{self.version}>"

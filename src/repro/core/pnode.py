@@ -46,6 +46,27 @@ class ObjectRef(NamedTuple):
         return volume_of(self.pnode)
 
 
+class Versioned:
+    """Base of every object with a ``pnode`` and a ``version``: the one
+    place an object's :class:`ObjectRef` is minted.
+
+    ``ref()`` returns the instance it minted last while ``(pnode,
+    version)`` still match and mints a new one otherwise, so assigning
+    either field (adopt, freeze, a PA-NFS version bump) needs no hook
+    and a stale ref is never returned.  A version's records then share
+    one ref, which the collector tracks once, not once per record.
+    """
+
+    _ref: ObjectRef = ObjectRef(0, -1)      # matches no (pnode, version)
+
+    def ref(self) -> ObjectRef:
+        """Current (pnode, version) identity."""
+        ref = self._ref
+        if ref.version != self.version or ref.pnode != self.pnode:
+            ref = self._ref = ObjectRef(self.pnode, self.version)
+        return ref
+
+
 def make_pnode(volume_id: int, local: int) -> int:
     """Compose a pnode number from a volume id and a local counter."""
     if volume_id < 0 or local < 0:

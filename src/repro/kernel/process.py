@@ -17,7 +17,7 @@ import itertools
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.errors import BadFileDescriptor, KernelError
-from repro.core.pnode import ObjectRef
+from repro.core.pnode import Versioned
 from repro.kernel.vfs import Inode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,7 +40,7 @@ class DeadlockError(KernelError):
 _PIPE_IDS = itertools.count(1)
 
 
-class Pipe:
+class Pipe(Versioned):
     """An unbounded in-kernel byte channel; a provenanced object."""
 
     def __init__(self, pnode: int):
@@ -51,9 +51,6 @@ class Pipe:
         self.readers = 0
         self.writers = 0
         self.bytes_through = 0
-
-    def ref(self) -> ObjectRef:
-        return ObjectRef(self.pnode, self.version)
 
     def write(self, data: bytes) -> int:
         self._buffer.extend(data)
@@ -110,7 +107,7 @@ class FileDescriptor:
         return f"<FD {self.kind} {self.target()!r}>"
 
 
-class Process:
+class Process(Versioned):
     """A simulated process: identity, descriptor table, program state."""
 
     def __init__(self, kernel: "Kernel", pid: int, ppid: int, pnode: int,
@@ -134,9 +131,6 @@ class Process:
         #: Program body: callable or the generator it returned.
         self.program: Optional[Callable] = None
         self.generator = None
-
-    def ref(self) -> ObjectRef:
-        return ObjectRef(self.pnode, self.version)
 
     # -- descriptor table ----------------------------------------------------
 

@@ -23,7 +23,7 @@ from repro.core.errors import (
     IsADirectory,
     NotADirectory,
 )
-from repro.core.pnode import ObjectRef
+from repro.core.pnode import Versioned
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.kernel.volume import Volume
@@ -161,8 +161,9 @@ class SparseFile:
                 break
 
 
-class Inode:
-    """One file-system object on one volume."""
+class Inode(Versioned):
+    """One file-system object on one volume (``ref()`` is meaningful on
+    PASS volumes only)."""
 
     FILE = "file"
     DIR = "dir"
@@ -186,10 +187,6 @@ class Inode:
     @property
     def size(self) -> int:
         return self.data.size if self.data is not None else 0
-
-    def ref(self) -> ObjectRef:
-        """Current (pnode, version) identity; PASS volumes only."""
-        return ObjectRef(self.pnode, self.version)
 
     def block_for(self, offset: int) -> int:
         """Absolute disk block holding byte ``offset`` (for cost model)."""

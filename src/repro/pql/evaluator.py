@@ -433,7 +433,7 @@ class Evaluator:
             label = _single_forward_label(last)
             if label is not None:
                 for node in frontier:
-                    values.extend(node.atom(label))
+                    values.extend(node.atoms.get(label, ()))
         values.extend(self._apply_step(frontier, last))
         return values
 

@@ -78,7 +78,7 @@ class EqualityIndex:
         self.label = label
         self._buckets: dict = {}
         for node in nodes:
-            for value in node.atom(label):
+            for value in node.atoms.get(label, ()):
                 self.add(value, node)
 
     def add(self, value, node: OEMNode) -> None:
@@ -134,7 +134,7 @@ class RangeIndex:
         self._seq = 0
         self._multi: dict[OEMNode, None] = {}       # insertion-ordered set
         for node in nodes:
-            values = node.atom(label)
+            values = node.atoms.get(label, ())
             for value in values:
                 if _is_number(value):
                     self._seq += 1
@@ -154,7 +154,7 @@ class RangeIndex:
         self._note_multi(node)
 
     def _note_multi(self, node: OEMNode) -> None:
-        values = node.atom(self.label)
+        values = node.atoms.get(self.label, ())
         if len(values) > 1 and sum(map(_is_number, values)) > 1:
             self._multi[node] = None
 

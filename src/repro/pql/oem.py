@@ -57,17 +57,22 @@ class OEMNode:
         # Plain dicts, not defaultdicts: readers hit these directly
         # during traversal, and a defaultdict would materialize an
         # empty list per missing label probed -- queries would bloat
-        # node footprints.  Writers go through ``setdefault``.
-        #: atom label -> list of values.
-        self.atoms: dict[str, list] = {}
+        # node footprints.  Edge writers go through ``setdefault``.
+        #: atom label -> its values: a tuple while it holds one value,
+        #: a list from the second on (the rule ``EqualityIndex`` buckets
+        #: follow), so a node whose atoms are single plain values holds
+        #: nothing the cycle collector must keep walking.  Written only
+        #: through :func:`_add_atom`.
+        self.atoms: dict[str, tuple | list] = {}
         #: edge label -> list of target nodes.
         self.edges: dict[str, list["OEMNode"]] = {}
         #: edge label -> list of source nodes (reverse traversal).
         self.redges: dict[str, list["OEMNode"]] = {}
 
     def atom(self, label: str) -> list:
-        """Values of one atom attribute (possibly empty)."""
-        return self.atoms.get(label, [])
+        """Values of one atom attribute (possibly empty), always as a
+        new list the caller owns (:attr:`atoms` has the stored shape)."""
+        return list(self.atoms.get(label, ()))
 
     def out(self, label: str) -> list["OEMNode"]:
         """Forward edge targets."""
@@ -79,17 +84,28 @@ class OEMNode:
 
     @property
     def type(self) -> Optional[str]:
-        values = self.atom("type")
+        values = self.atoms.get("type")
         return values[0] if values else None
 
     @property
     def name(self) -> Optional[str]:
-        values = self.atom("name")
+        values = self.atoms.get("name")
         return values[0] if values else None
 
     def __repr__(self) -> str:
         label = self.name or self.type or "?"
         return f"<OEMNode {self.ref} {label}>"
+
+
+def _add_atom(atoms: dict, label: str, value) -> None:
+    """Append one value to one atom of a node's :attr:`OEMNode.atoms`."""
+    values = atoms.get(label)
+    if values is None:
+        atoms[label] = (value,)
+    elif values.__class__ is tuple:
+        atoms[label] = [values[0], value]
+    else:
+        values.append(value)
 
 
 class OEMGraph:
@@ -112,6 +128,9 @@ class OEMGraph:
         #: vocabularies and plan checks key off it.
         self.vocab_epoch = 0
         self.records_applied = 0
+        #: Attribute -> its label, lowered once per graph so every
+        #: node's dicts share one key string per label.
+        self._labels: dict[str, str] = {}
         #: Attachment point for the secondary-index catalogue
         #: (:class:`repro.pql.indexes.IndexCatalog`).  None until an
         #: optimizing query engine attaches one; afterwards every
@@ -141,12 +160,14 @@ class OEMGraph:
         collecting = gc.isenabled()
         gc.disable()
         try:
+            labels = graph._labels
             row = iter(rows_of(records))
             for subject, attr, value in zip(row, row, row):
                 if attr in _FRAMING:
                     continue
                 node = graph._node(subject)
-                label = attr.lower()
+                label = (labels.get(attr)
+                         or labels.setdefault(attr, attr.lower()))
                 graph.records_applied += 1
                 if isinstance(value, ObjectRef):
                     target = graph._node(value)
@@ -157,7 +178,7 @@ class OEMGraph:
                     graph._identity[subject.pnode].append((label, value))
                     graph._atom_labels.add(label)
                 else:
-                    node.atoms.setdefault(label, []).append(value)
+                    _add_atom(node.atoms, label, value)
                     graph._atom_labels.add(label)
             graph._apply_identity(graph._identity)
             graph._classify()
@@ -194,13 +215,14 @@ class OEMGraph:
         add_identity = self._add_identity_atom
         note_label = self._note_atom_label
         catalog = self.indexes
+        labels = self._labels
         row = iter(rows_of(records))
         for subject, attr, value in zip(row, row, row):
             if attr in _FRAMING:
                 continue
             count += 1
             node = live_node(subject)
-            label = attr.lower()
+            label = labels.get(attr) or labels.setdefault(attr, attr.lower())
             if isinstance(value, ObjectRef):
                 target = live_node(value)
                 node.edges.setdefault(label, []).append(target)
@@ -217,7 +239,7 @@ class OEMGraph:
                 for version in by_pnode[subject.pnode]:
                     add_identity(version, label, value)
             else:
-                node.atoms.setdefault(label, []).append(value)
+                _add_atom(node.atoms, label, value)
                 note_label(label)
                 if catalog is not None:
                     catalog.note_atom(node, label, value)
@@ -252,11 +274,11 @@ class OEMGraph:
         """Share one identity atom onto one version node, maintaining
         the member classification, name index, and (when attached) the
         secondary-index catalogue it feeds."""
-        values = node.atoms.setdefault(label, [])
+        values = node.atoms.get(label, ())
         if value in values:
             return
-        values.append(value)
-        if label == "type" and len(values) == 1 \
+        _add_atom(node.atoms, label, value)
+        if label == "type" and not values \
                 and isinstance(value, str) and value:
             member = value.lower()
             if member not in self._members:
@@ -276,10 +298,10 @@ class OEMGraph:
         """Share identity atoms across every version of each object."""
         for pnode, pairs in identity.items():
             for node in self._by_pnode[pnode]:
+                atoms = node.atoms
                 for label, value in pairs:
-                    values = node.atoms.setdefault(label, [])
-                    if value not in values:
-                        values.append(value)
+                    if value not in atoms.get(label, ()):
+                        _add_atom(atoms, label, value)
 
     def _classify(self) -> None:
         """Populate the Provenance root members from TYPE atoms, and the
@@ -291,7 +313,7 @@ class OEMGraph:
             node_type = node.type
             if isinstance(node_type, str) and node_type:
                 self._members[node_type.lower()].append(node)
-            for name in node.atom("name"):
+            for name in node.atoms.get("name", ()):
                 if isinstance(name, str):
                     self._by_name[name].append(node)
 

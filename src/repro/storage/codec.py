@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 from repro.core.errors import InvalidRecord, LogCorruption
 from repro.core.pnode import ObjectRef
-from repro.core.records import ProvenanceRecord, Value
+from repro.core.records import ProvenanceRecord, Value, make_record
 
 TAG_INT = 0x01
 TAG_FLOAT = 0x02
@@ -135,15 +135,22 @@ def decode_stream(buf: bytes) -> Iterable[ProvenanceRecord]:
 
     Yields records up to the first undecodable point; a trailing partial
     record (a crash mid-flush) is silently dropped, which is exactly the
-    semantics recovery wants.
+    semantics recovery wants.  Refs are memoised per stream: records
+    naming one (pnode, version) share one :class:`ObjectRef`, as they
+    did before encoding.
     """
+    refs: dict[ObjectRef, ObjectRef] = {}
+    intern = refs.setdefault
     offset = 0
     while offset < len(buf):
         try:
             record, offset = decode_record(buf, offset)
         except LogCorruption:
             return
-        yield record
+        subject, value = record.subject, record.value
+        if value.__class__ is ObjectRef:
+            value = intern(value, value)
+        yield make_record(intern(subject, subject), record.attr, value)
 
 
 def encoded_size(record: ProvenanceRecord) -> int:

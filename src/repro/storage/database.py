@@ -42,8 +42,9 @@ class ProvenanceDatabase:
         self._records: dict[int, list] = defaultdict(list)
         self._by_attr: dict[str, list[ObjectRef]] = defaultdict(list)
         self._by_name: dict[str, list[ObjectRef]] = defaultdict(list)
-        self._by_xref: dict[ObjectRef, list[tuple[ObjectRef, str]]] = (
-            defaultdict(list))
+        #: referenced version -> flat ``subject, attr, subject, attr,
+        #: ...`` pairs: no tuple per reverse edge for the collector.
+        self._by_xref: dict[ObjectRef, list] = defaultdict(list)
         self._max_version: dict[int, int] = {}
         self.record_count = 0
         self._main_bytes = 0
@@ -113,7 +114,7 @@ class ProvenanceDatabase:
                 by_name[value].append(subject)
                 index_bytes += NAME_INDEX_BASE_BYTES + len(value)
             if isinstance(value, ObjectRef):
-                by_xref[value].append((subject, attr))
+                by_xref[value] += (subject, attr)
                 index_bytes += XREF_INDEX_ENTRY_BYTES
         self.record_count += len(records)
         # Main-store size accounting is deferred: sizes are pure
@@ -186,12 +187,14 @@ class ProvenanceDatabase:
                     attrs: frozenset = Attr.ANCESTRY_ATTRS
                     ) -> list[ObjectRef]:
         """Direct descendants of one version (cross-reference index)."""
-        return [subject for subject, attr in self._by_xref.get(ref, ())
+        pair = iter(self._by_xref.get(ref, ()))
+        return [subject for subject, attr in zip(pair, pair)
                 if attr in attrs]
 
     def referencing(self, ref: ObjectRef) -> list[tuple[ObjectRef, str]]:
         """Every (subject, attr) pair whose value references ``ref``."""
-        return list(self._by_xref.get(ref, ()))
+        pair = iter(self._by_xref.get(ref, ()))
+        return list(zip(pair, pair))
 
     def all_records(self) -> Iterator[ProvenanceRecord]:
         """Stream every record, grouped by pnode, each in insertion

@@ -82,16 +82,21 @@ def graph_fingerprint(graph) -> dict:
     """Everything a PQL query can observe of one OEM graph, in a form
     comparable across construction paths (incremental vs batch).
 
-    Atom lists and edge lists compare exactly -- both paths append in
-    arrival order with identical dedup.  Member and name-index lists
-    compare as sorted ref lists, because ``build()`` classifies in node
-    insertion order while ``apply()`` classifies at arrival time.
+    Atom values and edge lists compare exactly -- both paths append in
+    arrival order with identical dedup.  Atom values compare raw, so
+    the representation is part of it: a tuple for one value, a list
+    from the second on, never a one-element list (asserted here).
+    Member and name-index lists compare as sorted ref lists, because
+    ``build()`` classifies in node insertion order while ``apply()``
+    classifies at arrival time.
     """
     nodes = {}
     for node in graph.nodes():
+        assert all(type(values) is tuple and len(values) == 1
+                   or type(values) is list and len(values) > 1
+                   for values in node.atoms.values()), node.atoms
         nodes[node.ref] = {
-            "atoms": {label: list(values)
-                      for label, values in node.atoms.items() if values},
+            "atoms": dict(node.atoms),
             "edges": {label: [t.ref for t in targets]
                       for label, targets in node.edges.items() if targets},
             "redges": {label: [s.ref for s in sources]

@@ -200,6 +200,29 @@ class TestProvenanceOverTheWire:
         freezes = [r for r in db.all_records() if r.attr == Attr.FREEZE]
         assert freezes
 
+    def test_version_bump_mints_a_new_ref(self):
+        """Another client's write bumps the version a proxy revalidates
+        to (``max(...)`` on the field): the next ``ref()`` is a new
+        instance, and reused from then on."""
+        server_sys, server, clients = make_env(clients=2)
+        (writer_sys, _), (reader_sys, reader) = clients
+        with writer_sys.process() as proc:
+            fd = proc.open("/nfs/v", "w")
+            proc.write(fd, b"v0")
+            proc.close(fd)
+        proxy = reader_sys.kernel.vfs.resolve("/nfs/v")
+        before = proxy.ref()
+        assert proxy.ref() is before
+        with writer_sys.process() as proc:
+            fd = proc.open("/nfs/v", "r+")
+            proc.read(fd)
+            proc.write(fd, b"v1")
+            proc.close(fd)
+        reader.revalidate("/nfs/v")
+        after = proxy.ref()
+        assert after.version > before.version
+        assert after is not before and proxy.ref() is after
+
     def test_cross_server_ancestry(self):
         """The Figure 1 shape: read input from one server, write output
         to another; merged databases answer the full ancestry."""

@@ -22,7 +22,7 @@ from repro.pql.indexes import EqualityIndex, IndexCatalog, RangeIndex
 from repro.pql.lexer import KEYWORDS
 from repro.pql.oem import OEMGraph
 from repro.storage.database import ProvenanceDatabase
-from tests.conftest import reference_refs
+from tests.conftest import graph_fingerprint, reference_refs
 
 # -- generators (mirroring test_oem_incremental_props / test_pql_props) -------
 
@@ -276,6 +276,10 @@ def test_maintained_indexes_equal_rebuilt(stream, cut):
         eq_fingerprint(EqualityIndex("md5", graph.nodes()), graph)
     assert rng_fingerprint(maintained_rng) == \
         rng_fingerprint(RangeIndex("time", graph.nodes()))
+    # The atoms the indexes read, raw: the same values in the same
+    # representation as a graph built in one pass.
+    assert graph_fingerprint(graph) == \
+        graph_fingerprint(OEMGraph.build(stream))
 
 
 def assert_closures_well_formed(view) -> None:

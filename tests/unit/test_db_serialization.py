@@ -41,6 +41,20 @@ class TestRoundtrip:
             == set(db.descendants(ObjectRef(1, 0)))
         assert clone.max_version(1) == 1
 
+    def test_one_ref_instance_per_version(self, db):
+        """The decoder memoises refs per stream: every record about, or
+        pointing at, one version shares one ObjectRef."""
+        clone = ProvenanceDatabase.from_bytes(db.to_bytes())
+        rows = list(clone.all_rows())
+        refs = rows[0::3] + [value for value in rows[2::3]
+                             if isinstance(value, ObjectRef)]
+        instances = {}
+        for ref in refs:
+            instances.setdefault(ref, set()).add(id(ref))
+        assert set(instances) == {ObjectRef(1, 0), ObjectRef(1, 1),
+                                  ObjectRef(2, 0)}
+        assert all(len(ids) == 1 for ids in instances.values()), instances
+
     def test_sizes_preserved(self, db):
         clone = ProvenanceDatabase.from_bytes(db.to_bytes())
         assert clone.main_bytes == db.main_bytes

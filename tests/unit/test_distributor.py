@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.distributor import Distributor
 from repro.core.errors import UnknownPnode, VolumeError
-from repro.core.pnode import ObjectRef, make_pnode
-from repro.core.records import Attr, ProvenanceRecord
+from repro.core.pnode import ObjectRef, local_of, make_pnode
+from repro.core.records import Attr, ObjType, ProvenanceRecord, RecordBatch
+from repro.system import System
 
 PASS_VOL_ID = 3
 VOLUME_NAMES = {PASS_VOL_ID: "pass"}
@@ -123,3 +124,98 @@ class TestDiscard:
     def test_discard_unknown_is_noop(self):
         dist, _ = make_distributor()
         assert dist.discard(12345) == 0
+
+
+class TestDeepChains:
+    """A transient ancestry chain of any depth flushes whole: the walk
+    keeps its own stack, not Python's."""
+
+    DEPTH = 5_000
+
+    def disclose_chain(self, proc) -> int:
+        """``DEPTH`` pass_mkobj objects, each an INPUT of the next;
+        returns the tail's descriptor."""
+        dpapi = proc.dpapi
+        previous = None
+        for index in range(self.DEPTH):
+            fd = dpapi.pass_mkobj()
+            records = [dpapi.record(fd, Attr.TYPE, ObjType.DATASET),
+                       dpapi.record(fd, Attr.NAME, f"link{index}")]
+            if previous is not None:
+                records.append(dpapi.record(fd, Attr.INPUT,
+                                            dpapi.ref_of(previous)))
+            dpapi.pass_write(fd, records=records)
+            previous = fd
+        return previous
+
+    def assert_whole_chain_stored(self, system) -> None:
+        system.sync()
+        database = system.database()
+        assert all(database.find_by_name(f"link{index}")
+                   for index in range(self.DEPTH))
+        assert len(database.subjects_with_attr(Attr.INPUT)) >= self.DEPTH - 1
+        assert system.fsck().clean
+
+    def test_pass_sync_on_the_tail(self):
+        system = System.boot()
+        with system.process() as proc:
+            tail = self.disclose_chain(proc)
+            assert proc.dpapi.pass_sync(tail) == 3
+        self.assert_whole_chain_stored(system)
+
+    def test_data_write_naming_the_tail(self):
+        system = System.boot()
+        with system.process() as proc:
+            tail = self.disclose_chain(proc)
+            fd = proc.open("/pass/chain.out", "w")
+            proc.dpapi.pass_write(fd, data=b"out", records=[
+                proc.dpapi.record(fd, Attr.INPUT, proc.dpapi.ref_of(tail))])
+            proc.close(fd)
+        self.assert_whole_chain_stored(system)
+
+
+class TestFlushOrder:
+    """Ancestors first, in the order their refs appear in the rows: the
+    order the recursive walk produced, recorded on it and pinned here."""
+
+    #: (local pnode, attr) in sink order for the diamond below.
+    EXPECTED = [(5, Attr.TYPE), (1, Attr.TYPE), (3, Attr.INPUT),
+                (3, Attr.INPUT), (2, Attr.INPUT), (2, Attr.NAME),
+                (4, Attr.INPUT), (4, Attr.INPUT)]
+
+    def diamond(self, dist) -> ObjectRef:
+        """d <- {c, b}, c <- {e, a}, b <- a: cached, nothing flushed."""
+        a, b, c, d, e = (transient_ref(local=i) for i in range(1, 6))
+        for record in (ProvenanceRecord(a, Attr.TYPE, "DATASET"),
+                       ProvenanceRecord(b, Attr.INPUT, a),
+                       ProvenanceRecord(b, Attr.NAME, "b"),
+                       ProvenanceRecord(c, Attr.INPUT, e),
+                       ProvenanceRecord(c, Attr.INPUT, a),
+                       ProvenanceRecord(e, Attr.TYPE, "DATASET"),
+                       ProvenanceRecord(d, Attr.INPUT, c),
+                       ProvenanceRecord(d, Attr.INPUT, b)):
+            dist.dispatch(record)
+        return d
+
+    @staticmethod
+    def order(flushed) -> list:
+        return [(local_of(record.subject.pnode), record.attr)
+                for _, record in flushed]
+
+    def test_sync(self):
+        dist, flushed = make_distributor()
+        dist.sync(self.diamond(dist).pnode)
+        assert self.order(flushed) == self.EXPECTED
+
+    def test_descendant_record(self):
+        dist, flushed = make_distributor()
+        tail = self.diamond(dist)
+        dist.dispatch(ProvenanceRecord(persistent_ref(), Attr.INPUT, tail))
+        assert self.order(flushed[:-1]) == self.EXPECTED
+
+    def test_descendant_batch(self):
+        dist, flushed = make_distributor()
+        tail = self.diamond(dist)
+        dist.flush_batch(RecordBatch(
+            [ProvenanceRecord(persistent_ref(), Attr.INPUT, tail)]))
+        assert self.order(flushed[:-1]) == self.EXPECTED

@@ -1,7 +1,10 @@
 """Unit tests for pnode numbers and object identity."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
+from repro.core.dpapi import PassObject
 from repro.core.pnode import (
     TRANSIENT_VOLUME,
     ObjectRef,
@@ -10,6 +13,9 @@ from repro.core.pnode import (
     make_pnode,
     volume_of,
 )
+from repro.kernel.process import Pipe, Process
+from repro.kernel.vfs import Inode
+from repro.system import System
 
 
 class TestMakePnode:
@@ -79,3 +85,65 @@ class TestObjectRef:
 
     def test_hashable_and_distinct_by_version(self):
         assert len({ObjectRef(1, 0), ObjectRef(1, 1)}) == 2
+
+
+class TestRefIdentity:
+    """One ObjectRef per object version: ``ref()`` hands back the
+    instance it minted while (pnode, version) still match, and a new
+    one the moment either field moves."""
+
+    @staticmethod
+    def objects():
+        return [Inode(None, 1, Inode.FILE, pnode=11),
+                Pipe(12),
+                Process(None, 1, 0, 13, ["sh"], {}),
+                PassObject(14)]
+
+    def test_same_version_same_instance(self):
+        for obj in self.objects():
+            ref = obj.ref()
+            assert ref is obj.ref(), type(obj).__name__
+            assert ref == (obj.pnode, obj.version)
+
+    def test_new_instance_after_freeze(self):
+        system = System.boot()
+        with system.process() as proc:
+            fd = proc.dpapi.pass_mkobj()
+            before = proc.dpapi.ref_of(fd)
+            proc.dpapi.pass_freeze(fd)
+            after = proc.dpapi.ref_of(fd)
+            assert after is not before
+            assert after == (before.pnode, before.version + 1)
+            assert proc.dpapi.ref_of(fd) is after
+
+    def test_new_instance_after_adopt(self):
+        system = System.boot()
+        inode = Inode(None, 1, Inode.FILE)          # pnode 0: not adopted
+        unassigned = inode.ref()
+        assert unassigned == (0, 0)
+        system.kernel.observer.adopt(inode)
+        adopted = inode.ref()
+        assert adopted is not unassigned
+        assert adopted.pnode == inode.pnode != 0
+        assert volume_of(adopted.pnode) == TRANSIENT_VOLUME
+        assert inode.ref() is adopted
+
+
+@given(st.lists(st.one_of(st.just("ref"),
+                          st.tuples(st.sampled_from(["pnode", "version"]),
+                                    st.integers(0, 3))),
+                max_size=40))
+def test_interleaved_bumps_never_see_a_stale_ref(steps):
+    """Assign pnode/version in any order, call ``ref()`` in between:
+    every ref names the fields as they are now, and a ref survives
+    exactly as long as the fields it names."""
+    for obj in TestRefIdentity.objects():
+        last = None
+        for step in steps:
+            if step == "ref":
+                ref = obj.ref()
+                assert ref == (obj.pnode, obj.version)
+                assert (ref is last) == (last is not None and last == ref)
+                last = ref
+            else:
+                setattr(obj, *step)

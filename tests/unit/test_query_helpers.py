@@ -116,6 +116,39 @@ class TestDatabaseIndexes:
         backrefs = db.referencing(ObjectRef(3, 0))
         assert (ObjectRef(4, 0), Attr.INPUT) in backrefs
 
+    def test_reverse_edges_under_several_attributes(self):
+        """One target referenced five ways, one subject twice: worked
+        by hand, in insertion order, duplicates kept."""
+        target = ObjectRef(10, 2)
+        database = ProvenanceDatabase()
+        database.insert_many([
+            R(11, 0, Attr.INPUT, target),
+            R(12, 0, Attr.FORKPARENT, target),
+            R(10, 3, Attr.PREV_VERSION, target),
+            R(11, 0, Attr.BRANCH_OF, target),
+            R(13, 1, Attr.EXEC, target),
+            R(11, 0, Attr.INPUT, ObjectRef(10, 1)),
+            R(12, 0, Attr.NAME, "not-a-reference"),
+            R(11, 0, Attr.INPUT, target),
+        ])
+        assert database.referencing(target) == [
+            (ObjectRef(11, 0), Attr.INPUT),
+            (ObjectRef(12, 0), Attr.FORKPARENT),
+            (ObjectRef(10, 3), Attr.PREV_VERSION),
+            (ObjectRef(11, 0), Attr.BRANCH_OF),
+            (ObjectRef(13, 1), Attr.EXEC),
+            (ObjectRef(11, 0), Attr.INPUT)]
+        assert database.descendants(target) == [
+            ObjectRef(11, 0), ObjectRef(12, 0), ObjectRef(10, 3),
+            ObjectRef(13, 1), ObjectRef(11, 0)]
+        assert database.descendants(
+            target, frozenset({Attr.EXEC, Attr.BRANCH_OF})) == [
+            ObjectRef(11, 0), ObjectRef(13, 1)]
+        assert database.referencing(ObjectRef(10, 1)) == [
+            (ObjectRef(11, 0), Attr.INPUT)]
+        assert database.referencing(ObjectRef(10, 0)) == []
+        assert database.descendants(ObjectRef(10, 0)) == []
+
     def test_sizes_accumulate(self, db):
         sizes = db.sizes()
         assert sizes["database"] > 0

@@ -169,6 +169,52 @@ class TestHeapShape:
         growth = len(gc.get_objects()) - before
         assert growth / stored <= 0.25, (growth, stored)
 
+    STEPS = 1_000
+
+    def test_tracked_objects_per_version_of_a_build_dag(self):
+        """A disclosed build DAG (source, process, output per step, the
+        process reading its source and the two previous outputs) costs
+        the collector a bounded number of objects per stored version:
+        one ObjectRef per version, no tuple per reverse reference, no
+        one-element list per atom.  Each of the three used to add
+        objects per record, which put this near 21 per version."""
+        system = System.boot()
+        gc.collect()
+        before = len(gc.get_objects())
+        with system.process(argv=["builder"]) as proc:
+            dpapi = proc.dpapi
+            record, ref_of = dpapi.record, dpapi.ref_of
+            outputs: list[int] = []
+            for step in range(self.STEPS):
+                src, prc, out = (dpapi.pass_mkobj() for _ in range(3))
+                records = [record(src, Attr.TYPE, "FILE"),
+                           record(src, Attr.NAME, f"/src/{step}.c"),
+                           record(src, Attr.MD5, f"s{step}"),
+                           record(prc, Attr.TYPE, "PROCESS"),
+                           record(prc, Attr.NAME, f"cc#{step}"),
+                           record(prc, Attr.INPUT, ref_of(src))]
+                records += [record(prc, Attr.INPUT, ref_of(earlier))
+                            for earlier in outputs[-2:]]
+                records += [record(out, Attr.TYPE, "FILE"),
+                            record(out, Attr.NAME, f"/out/{step}.o"),
+                            record(out, Attr.MD5, f"o{step}"),
+                            record(out, Attr.INPUT, ref_of(prc))]
+                dpapi.pass_write(out, records=records)
+                dpapi.pass_sync(out)
+                outputs.append(out)
+        system.sync()
+        engine = system.query_engine()
+        rows = engine.execute(
+            "select A from Provenance.file as F, F.input* as A "
+            f'where F.md5 = "o{self.STEPS - 1}"')
+        assert len(rows) == 3 * self.STEPS          # input* from zero hops
+        del rows
+        gc.collect()
+        growth = len(gc.get_objects()) - before
+        versions = len(engine.graph)
+        assert versions == 3 * self.STEPS
+        assert growth / versions <= 15, (growth, versions)
+
 
 class TestBundle:
     def test_iteration_preserves_order(self):
