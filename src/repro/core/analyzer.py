@@ -34,11 +34,10 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Optional, Union
 
-from collections import OrderedDict
-
 from repro.core.errors import InvalidRecord
 from repro.core.pnode import ObjectRef
-from repro.core.records import Attr, ProvenanceRecord, RecordBatch, Value
+from repro.core.records import (Attr, ProvenanceRecord, RecordBatch, Value,
+                                attr_too_long)
 
 #: Plain value classes a record may carry (the batch path validates with
 #: one frozenset membership test instead of three isinstance calls).
@@ -93,12 +92,21 @@ def _run_class(values: list):
     return classes.pop() if len(classes) == 1 else None
 
 
-def _dedup_key(attr: str, value: Value) -> tuple:
-    """A ``_seen`` entry, type-disambiguated (``1 == True``, and an
-    ObjectRef is itself a tuple): one flat tuple per admitted record."""
+def _dedup_key(subject: ObjectRef, attr: str, value: Value) -> tuple:
+    """A ``_seen`` entry: one tuple of atoms per record, which the
+    collector untracks at first look.  The subject version as one int
+    (``pnode << 32 | version``: the log frames a version in 32 bits),
+    the attribute, then a ``str`` value as itself, a cross-reference as
+    its target's pnode and version, any other value after its class
+    name (``1 == True == 1.0``); slot three's type and the length keep
+    them apart.  A ``str`` key is three slots, 64 bytes."""
+    cls = value.__class__
+    version = subject.pnode << 32 | subject.version
+    if cls is str:
+        return (version, attr, value)
     if isinstance(value, ObjectRef):
-        return (attr, "ref", value.pnode, value.version)
-    return (attr, value.__class__.__name__, value)
+        return (version, attr, value.pnode, value.version)
+    return (version, attr, cls.__name__, value)
 
 
 #: Object the analyzer can freeze: has pnode, version, ref().
@@ -117,9 +125,6 @@ class Analyzer:
     structures.
     """
 
-    #: Capacity of the hot-triple duplicate cache (see submit_batch).
-    HOT_TRIPLES = 4096
-
     def __init__(self, emit: Callable[[ProvenanceRecord], None],
                  emit_batch: Callable[[RecordBatch], None],
                  clock=None, record_cost: float = 0.0):
@@ -131,15 +136,11 @@ class Analyzer:
         #: flat rows (so freeze-emitted PREV_VERSION rows keep their
         #: position in the batch) instead of going straight to ``emit``.
         self._batch_out: Optional[list] = None
-        #: LRU of (pnode, version, dedup-key) triples already
-        #: processed: block-sized I/O re-submits the same few triples
-        #: hundreds of times, and a hit here classifies the record as a
-        #: duplicate without constructing anything.
-        self._hot: OrderedDict[tuple, None] = OrderedDict()
         #: Versions some object depends on: immutable from then on.
         self._observed: set[ObjectRef] = set()
-        #: Dedup keys already recorded, per (pnode, version).
-        self._seen: dict[ObjectRef, set[tuple]] = {}
+        #: Dedup keys of every record already recorded (``_dedup_key``):
+        #: one set, no container per version.
+        self._seen: set[tuple] = set()
         #: pnode -> live object, so freezes can bump versions.
         self._registry: dict[int, Freezable] = {}
         self.on_freeze: Optional[Callable[[Freezable, int], None]] = None
@@ -222,29 +223,27 @@ class Analyzer:
         per-record constants are amortized:
 
         * one clock advance for the whole batch;
-        * duplicate elimination runs on the dedup key alone -- one
-          ``_seen``-set membership test per proto, with subject refs
-          resolved once per run of protos about the same object;
-        * a capped LRU of hot (subject, dedup-key) triples
-          short-circuits the duplicate storms block-sized I/O produces;
-          it is consulted (and fed) only at run boundaries -- inside a
-          run the ``_seen`` set is already at hand, so LRU maintenance
-          there would be pure overhead;
+        * duplicate elimination is one ``_seen`` membership test per
+          proto on a key built from the subject's ``pnode``/``version``,
+          so a duplicate (block-sized I/O re-submits the same few
+          records hundreds of times) is dropped without resolving a ref
+          or building anything else; the subject's ref is resolved once
+          per run of admitted protos about the same object;
         * a :class:`ProtoRun` whose values share one exact plain class
           is admitted with set operations instead of a loop body per
-          value.  It does not consult the LRU: every key in ``_hot`` is
-          also in ``_seen`` of its version (added in the same iteration,
-          and ``_seen`` is never pruned), so a hit could only drop what
-          the ``_seen`` test drops.  Any other run (cross-references,
-          which cycle avoidance must see one by one; mixed classes such
-          as ``1``/``True``/``1.0``; subclasses) travels as its
+          value.  Any other run (cross-references, which cycle
+          avoidance must see one by one; mixed classes such as
+          ``1``/``True``/``1.0``; subclasses) travels as its
           proto-records;
-        * field validation happens here with per-class tests, and no
+        * field validation happens here with per-class tests (an
+          attribute once per run of one attribute string), and no
           record object is built: admitted records leave as the flat
           rows of one :class:`RecordBatch` through ``emit_batch``
           (freeze-emitted PREV_VERSION rows are spliced into the batch
           at their admission position, so record order is exactly
-          :meth:`submit`'s).
+          :meth:`submit`'s).  A proto that fails validation raises
+          :class:`InvalidRecord` after the records admitted before it
+          are emitted, as :meth:`submit` per record would leave them.
         """
         if not isinstance(protos, (list, tuple)):
             protos = list(protos)
@@ -269,13 +268,12 @@ class Analyzer:
         dropped = 0
         self._batch_out = out
         try:
-            seen_map = self._seen
-            hot = self._hot
-            hot_cap = self.HOT_TRIPLES
+            seen = self._seen
             dedup = self.dedup_enabled
             ancestry = Attr.ANCESTRY_ATTRS
             observe = self._observed.add
-            last_subject = last_ref = last_seen = None
+            last_subject = ref = None
+            last_attr = Attr.TYPE           # any attribute known valid
             for proto in protos:
                 if proto.__class__ is not ProtoRecord:
                     if proto.__class__ is ProtoRun:
@@ -294,62 +292,52 @@ class Analyzer:
                     if attr in ancestry:
                         self._avoid_cycle(subject, value)
                         # A freeze bumps the subject's version; drop the
-                        # run cache so the ref is re-resolved.
+                        # run cache so the version is read again.
                         last_subject = None
                     is_ref = True
-                    dkey = (attr, "ref", value.pnode, value.version)
-                else:
-                    if cls not in plain_types and not isinstance(
-                            value, (int, float, str, bytes, bool)):
-                        raise InvalidRecord(
-                            f"unsupported value type: {cls.__name__}")
-                    is_ref = False
-                    dkey = (attr, cls.__name__, value)
-                if not attr or (attr.__class__ is not str
-                                and not isinstance(attr, str)):
+                elif cls not in plain_types and not isinstance(
+                        value, (int, float, str, bytes, bool)):
                     raise InvalidRecord(
-                        f"attribute must be a non-empty string: {attr!r}")
-                if subject is last_subject:
-                    ref = last_ref
-                    seen = last_seen
-                    hkey = None
+                        f"unsupported value type: {cls.__name__}")
                 else:
-                    if dedup:
-                        hkey = (subject.pnode, subject.version, dkey)
-                        if hkey in hot:
-                            hot.move_to_end(hkey)
-                            dropped += 1
-                            continue
-                    else:
-                        hkey = None
+                    is_ref = False
+                if attr is not last_attr:
+                    if not attr or (attr.__class__ is not str
+                                    and not isinstance(attr, str)
+                                    ) or attr_too_long(attr):
+                        raise InvalidRecord(
+                            f"attribute must be a non-empty string of at "
+                            f"most 255 UTF-8 bytes: {attr!r}")
+                    last_attr = attr
+                if subject is not last_subject:
+                    last_subject = subject
+                    version = subject.pnode << 32 | subject.version
+                    ref = None
+                if cls is str:                  # keys as _dedup_key's
+                    key = (version, attr, value)
+                elif is_ref:
+                    key = (version, attr, value.pnode, value.version)
+                else:
+                    key = (version, attr, cls.__name__, value)
+                if dedup and key in seen:
+                    dropped += 1
+                    continue
+                if ref is None:
                     ref = subject.ref()
                     if not isinstance(ref, ObjectRef):
                         raise InvalidRecord(
                             f"subject must be an ObjectRef: {ref!r}")
-                    seen = seen_map.get(ref)
-                    if seen is None:
-                        seen = set()
-                        seen_map[ref] = seen
-                    last_subject, last_ref, last_seen = subject, ref, seen
-                if hkey is not None:
-                    hot[hkey] = None
-                    if len(hot) > hot_cap:
-                        hot.popitem(last=False)
-                if dkey in seen:
-                    if dedup:
-                        dropped += 1
-                        continue
-                else:
-                    seen.add(dkey)
+                seen.add(key)
                 if is_ref and attr in ancestry:
                     observe(value)      # immutable from now on
                 out += (ref, attr, value)
         finally:
+            # Emitted even on an invalid proto: the prefix is in _seen.
             self._batch_out = None
             self.records_out += len(out) // 3
             self.duplicates_dropped += dropped
-        if out:
-            self._emit_batch(RecordBatch.of_rows(out))
+            if out:
+                self._emit_batch(RecordBatch.of_rows(out))
         return len(out) // 3
 
     def _admit_run(self, run: ProtoRun, out: list) -> int:
@@ -359,15 +347,17 @@ class Analyzer:
         attr = run.attr
         values = run.values
         ProvenanceRecord(ref, attr, values[0])  # subject, attr: validated once
-        seen = self._seen.setdefault(ref, set())
-        name = values[0].__class__.__name__
-        keys = [(attr, name, value) for value in values]
+        seen = self._seen
+        version = ref.pnode << 32 | ref.version
+        cls = values[0].__class__
+        keys = ([(version, attr, value) for value in values] if cls is str
+                else [(version, attr, cls.__name__, value) for value in values])
         fresh = set(keys)
         if self.dedup_enabled and (len(fresh) != len(keys)
                                    or not seen.isdisjoint(fresh)):
             # First occurrences not seen before, in order.
             fresh = dict.fromkeys(key for key in keys if key not in seen)
-            values = [key[2] for key in fresh]
+            values = [key[-1] for key in fresh]
         seen.update(fresh)
         block = [attr] * (3 * len(values))
         block[0::3] = [ref] * len(values)
@@ -377,8 +367,8 @@ class Analyzer:
 
     def _admit(self, subject_ref: ObjectRef, attr: str, value: Value) -> None:
         record = ProvenanceRecord(subject_ref, attr, value)
-        seen = self._seen.setdefault(subject_ref, set())
-        dedup_key = _dedup_key(attr, value)
+        seen = self._seen
+        dedup_key = _dedup_key(subject_ref, attr, value)
         if dedup_key in seen:
             if self.dedup_enabled:
                 self.duplicates_dropped += 1
@@ -426,7 +416,6 @@ class Analyzer:
         subject.version += 1
         new_ref = subject.ref()
         self.freezes += 1
-        self._seen.setdefault(new_ref, set())
         if self.on_freeze is not None:
             self.on_freeze(subject, subject.version)
         self._admit(new_ref, Attr.PREV_VERSION, old_ref)

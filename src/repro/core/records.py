@@ -109,8 +109,10 @@ class ProvenanceRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.subject, ObjectRef):
             raise InvalidRecord(f"subject must be an ObjectRef: {self.subject!r}")
-        if not self.attr or not isinstance(self.attr, str):
-            raise InvalidRecord(f"attribute must be a non-empty string: {self.attr!r}")
+        if (not self.attr or not isinstance(self.attr, str)
+                or attr_too_long(self.attr)):
+            raise InvalidRecord("attribute must be a non-empty string of at "
+                                f"most 255 UTF-8 bytes: {self.attr!r}")
         if not isinstance(self.value, (int, float, str, bytes, bool, ObjectRef)):
             raise InvalidRecord(f"unsupported value type: {type(self.value).__name__}")
 
@@ -130,6 +132,12 @@ class ProvenanceRecord:
 
     def __str__(self) -> str:
         return f"{self.subject} {self.attr}={self.value!r}"
+
+
+def attr_too_long(attr: str) -> bool:
+    """True past the 255 UTF-8 bytes the log's length byte can frame
+    (63 characters never are: at most four bytes per character)."""
+    return len(attr) > 63 and len(attr.encode("utf-8")) > 255
 
 
 def make_record(subject: ObjectRef, attr: str, value: Value) -> "ProvenanceRecord":

@@ -44,7 +44,7 @@ from operator import itemgetter
 from typing import Iterable, Optional
 
 from repro.core.records import Attr
-from repro.pql.oem import OEMGraph, OEMNode
+from repro.pql.oem import OEMGraph, OEMNode, bucket_add, bucket_nodes
 
 #: Lowercased ancestry edge labels: the "input-class" edges the
 #: materialized ancestry view covers.
@@ -84,25 +84,16 @@ class EqualityIndex:
     def add(self, value, node: OEMNode) -> None:
         """O(1) maintenance: one new atom value on one node."""
         try:
-            bucket = self._buckets.get(value)
+            bucket_add(self._buckets, value, node)
         except TypeError:           # unhashable value: not indexable
-            return
-        if bucket is None:
-            self._buckets[value] = node
-        elif bucket.__class__ is list:
-            bucket.append(node)
-        else:
-            self._buckets[value] = [bucket, node]
+            pass
 
     def lookup(self, value) -> list[OEMNode]:
         """Nodes holding ``value``, as a list the caller owns."""
         try:
-            bucket = self._buckets.get(value)
+            return bucket_nodes(self._buckets.get(value))
         except TypeError:
             return []
-        if bucket.__class__ is list:
-            return bucket[:]
-        return [] if bucket is None else [bucket]
 
     def estimate(self, value) -> int:
         return len(self.lookup(value))

@@ -43,6 +43,9 @@ from repro.core.records import Attr, ProvenanceRecord, rows_of
 IDENTITY_ATTRS = frozenset({Attr.NAME, Attr.TYPE, Attr.ARGV, Attr.ENV,
                             Attr.PID})
 
+#: The labels of :data:`IDENTITY_ATTRS`.
+_IDENTITY_LABELS = frozenset(attr.lower() for attr in IDENTITY_ATTRS)
+
 #: Log-framing attributes that never appear in the graph.
 _FRAMING = frozenset({Attr.BEGINTXN, Attr.ENDTXN})
 
@@ -108,6 +111,26 @@ def _add_atom(atoms: dict, label: str, value) -> None:
         values.append(value)
 
 
+def bucket_add(buckets: dict, key, node: OEMNode) -> None:
+    """File ``node`` under ``key`` in a node-or-list index: the bucket
+    is the node itself while it is the only one, a list from the second
+    on (``EqualityIndex`` and the graph's name/version indexes)."""
+    bucket = buckets.get(key)
+    if bucket is None:
+        buckets[key] = node
+    elif bucket.__class__ is list:
+        bucket.append(node)
+    else:
+        buckets[key] = [bucket, node]
+
+
+def bucket_nodes(bucket) -> list:
+    """The nodes of one node-or-list bucket, as a list the caller owns."""
+    if bucket.__class__ is list:
+        return bucket[:]
+    return [] if bucket is None else [bucket]
+
+
 class OEMGraph:
     """The whole graph plus the Provenance root."""
 
@@ -116,11 +139,9 @@ class OEMGraph:
     def __init__(self) -> None:
         self._nodes: dict[ObjectRef, OEMNode] = {}
         self._members: dict[str, list[OEMNode]] = defaultdict(list)
-        self._by_pnode: dict[int, list[OEMNode]] = defaultdict(list)
-        self._by_name: dict[str, list[OEMNode]] = defaultdict(list)
-        #: Identity atoms seen per pnode, arrival-ordered (label, value):
-        #: replayed onto versions created after the atom arrived.
-        self._identity: dict[int, list[tuple[str, object]]] = defaultdict(list)
+        #: Node-or-list buckets: pnode -> versions, NAME -> nodes.
+        self._by_pnode: dict[int, OEMNode | list[OEMNode]] = {}
+        self._by_name: dict[str, OEMNode | list[OEMNode]] = {}
         #: Every atom / edge label the graph holds (lint vocabulary).
         self._atom_labels: set[str] = set()
         self._edge_labels: set[str] = set()
@@ -161,6 +182,8 @@ class OEMGraph:
         gc.disable()
         try:
             labels = graph._labels
+            #: pnode -> its identity atoms, arrival-ordered (label, value).
+            identity: dict[int, list] = defaultdict(list)
             row = iter(rows_of(records))
             for subject, attr, value in zip(row, row, row):
                 if attr in _FRAMING:
@@ -175,12 +198,12 @@ class OEMGraph:
                     target.redges.setdefault(label, []).append(node)
                     graph._edge_labels.add(label)
                 elif attr in IDENTITY_ATTRS:
-                    graph._identity[subject.pnode].append((label, value))
+                    identity[subject.pnode].append((label, value))
                     graph._atom_labels.add(label)
                 else:
                     _add_atom(node.atoms, label, value)
                     graph._atom_labels.add(label)
-            graph._apply_identity(graph._identity)
+            graph._apply_identity(identity)
             graph._classify()
         finally:
             if collecting:
@@ -210,7 +233,6 @@ class OEMGraph:
         count = 0
         live_node = self._live_node
         edge_labels = self._edge_labels
-        identity = self._identity
         by_pnode = self._by_pnode
         add_identity = self._add_identity_atom
         note_label = self._note_atom_label
@@ -233,10 +255,10 @@ class OEMGraph:
                 if catalog is not None:
                     catalog.note_edge(label, node, target)
             elif attr in IDENTITY_ATTRS:
-                # Shared by every version, present and future.
-                identity[subject.pnode].append((label, value))
+                # Shared by every version, present and future (a new
+                # version copies it from a sibling: see _live_node).
                 note_label(label)
-                for version in by_pnode[subject.pnode]:
+                for version in bucket_nodes(by_pnode[subject.pnode]):
                     add_identity(version, label, value)
             else:
                 _add_atom(node.atoms, label, value)
@@ -254,20 +276,26 @@ class OEMGraph:
         if node is None:
             node = OEMNode(ref)
             self._nodes[ref] = node
-            self._by_pnode[ref.pnode].append(node)
+            bucket_add(self._by_pnode, ref.pnode, node)
         return node
 
     def _live_node(self, ref: ObjectRef) -> OEMNode:
         """Get-or-create with eager classification (the apply path):
         a new node joins ``Provenance.node`` immediately and inherits
-        every identity atom already seen for its pnode."""
+        every identity atom already seen for its pnode, copied from a
+        sibling version: each version holds them all, in arrival order."""
         node = self._nodes.get(ref)
         if node is not None:
             return node
+        sibling = self._by_pnode.get(ref.pnode)
+        if sibling.__class__ is list:
+            sibling = sibling[0]
         node = self._node(ref)
         self._members["node"].append(node)
-        for label, value in self._identity.get(ref.pnode, ()):
-            self._add_identity_atom(node, label, value)
+        for label, values in sibling.atoms.items() if sibling else ():
+            if label in _IDENTITY_LABELS:
+                for value in values:
+                    self._add_identity_atom(node, label, value)
         return node
 
     def _add_identity_atom(self, node: OEMNode, label: str, value) -> None:
@@ -285,7 +313,7 @@ class OEMGraph:
                 self.vocab_epoch += 1
             self._members[member].append(node)
         elif label == "name" and isinstance(value, str):
-            self._by_name[value].append(node)
+            bucket_add(self._by_name, value, node)
         if self.indexes is not None:
             self.indexes.note_atom(node, label, value)
 
@@ -297,7 +325,7 @@ class OEMGraph:
     def _apply_identity(self, identity) -> None:
         """Share identity atoms across every version of each object."""
         for pnode, pairs in identity.items():
-            for node in self._by_pnode[pnode]:
+            for node in bucket_nodes(self._by_pnode[pnode]):
                 atoms = node.atoms
                 for label, value in pairs:
                     if value not in atoms.get(label, ()):
@@ -315,7 +343,7 @@ class OEMGraph:
                 self._members[node_type.lower()].append(node)
             for name in node.atoms.get("name", ()):
                 if isinstance(name, str):
-                    self._by_name[name].append(node)
+                    bucket_add(self._by_name, name, node)
 
     # -- lookups -----------------------------------------------------------------------
 
@@ -346,11 +374,11 @@ class OEMGraph:
 
     def named(self, name: str) -> list[OEMNode]:
         """Nodes whose NAME equals ``name`` (the name index)."""
-        return list(self._by_name.get(name, ()))
+        return bucket_nodes(self._by_name.get(name))
 
     def versions_of(self, pnode: int) -> list[OEMNode]:
         """All version nodes of one object, oldest first."""
-        return sorted(self._by_pnode.get(pnode, ()),
+        return sorted(bucket_nodes(self._by_pnode.get(pnode)),
                       key=lambda node: node.ref.version)
 
     def nodes(self) -> list[OEMNode]:

@@ -135,22 +135,23 @@ def decode_stream(buf: bytes) -> Iterable[ProvenanceRecord]:
 
     Yields records up to the first undecodable point; a trailing partial
     record (a crash mid-flush) is silently dropped, which is exactly the
-    semantics recovery wants.  Refs are memoised per stream: records
-    naming one (pnode, version) share one :class:`ObjectRef`, as they
-    did before encoding.
+    semantics recovery wants.  Refs and attribute names are memoised
+    per stream (in one dict: an ObjectRef never equals a str): records
+    naming one (pnode, version) share one :class:`ObjectRef`, and
+    records of one attribute one ``str``.
     """
-    refs: dict[ObjectRef, ObjectRef] = {}
-    intern = refs.setdefault
+    memo: dict = {}
+    intern = memo.setdefault
     offset = 0
     while offset < len(buf):
         try:
             record, offset = decode_record(buf, offset)
         except LogCorruption:
             return
-        subject, value = record.subject, record.value
+        subject, attr, value = record.subject, record.attr, record.value
         if value.__class__ is ObjectRef:
             value = intern(value, value)
-        yield make_record(intern(subject, subject), record.attr, value)
+        yield make_record(intern(subject, subject), intern(attr, attr), value)
 
 
 def encoded_size(record: ProvenanceRecord) -> int:

@@ -9,10 +9,12 @@ per-entry cost to the index size.
 
 Indexes maintained (mirroring what the PQL evaluator needs):
 
-* **attribute index** -- attribute name -> subject refs;
 * **name index**      -- NAME value -> subject refs (file name lookup);
 * **cross-reference index** -- referenced object -> (subject, attr)
   pairs, i.e. the reverse edges used by descendant traversals.
+
+Table 3 also prices an attribute index (attribute -> subjects) per
+record in ``index_bytes``; it is not kept: ``subjects_with_attr`` scans.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ class ProvenanceDatabase:
         self.name = name
         #: pnode -> its records, as flat (subject, attr, value) rows.
         self._records: dict[int, list] = defaultdict(list)
-        self._by_attr: dict[str, list[ObjectRef]] = defaultdict(list)
         self._by_name: dict[str, list[ObjectRef]] = defaultdict(list)
         #: referenced version -> flat ``subject, attr, subject, attr,
         #: ...`` pairs: no tuple per reverse edge for the collector.
@@ -86,12 +87,11 @@ class ProvenanceDatabase:
             records = RecordBatch(records)
         rows = records.rows
         by_pnode = self._records
-        by_attr = self._by_attr
         by_name = self._by_name
         by_xref = self._by_xref
         max_version = self._max_version
         name_attr = Attr.NAME
-        index_bytes = 0
+        index_bytes = ATTR_INDEX_ENTRY_BYTES * len(records)
         # Drained batches arrive as runs of records about one subject
         # (the analyzer resolves refs per run); the pnode list and the
         # version high-water check are re-derived only when the subject
@@ -108,8 +108,6 @@ class ProvenanceDatabase:
                 if subject.version > max_version.get(pnode, -1):
                     max_version[pnode] = subject.version
             plist += (subject, attr, value)
-            by_attr[attr].append(subject)
-            index_bytes += ATTR_INDEX_ENTRY_BYTES
             if attr == name_attr and isinstance(value, str):
                 by_name[value].append(subject)
                 index_bytes += NAME_INDEX_BASE_BYTES + len(value)
@@ -170,8 +168,11 @@ class ProvenanceDatabase:
                 if subject.version == ref.version and name == attr]
 
     def subjects_with_attr(self, attr: str) -> list[ObjectRef]:
-        """Subject refs carrying an attribute (attribute index)."""
-        return list(self._by_attr.get(attr, ()))
+        """Subject refs carrying an attribute, one per record, a scan
+        grouped by object as :meth:`all_rows` is (first-insertion order)."""
+        row = iter(self.all_rows())
+        return [subject for subject, name, _ in zip(row, row, row)
+                if name == attr]
 
     def find_by_name(self, name: str) -> list[ObjectRef]:
         """Subject refs whose NAME equals ``name`` (name index)."""

@@ -86,10 +86,19 @@ def graph_fingerprint(graph) -> dict:
     arrival order with identical dedup.  Atom values compare raw, so
     the representation is part of it: a tuple for one value, a list
     from the second on, never a one-element list (asserted here).
-    Member and name-index lists compare as sorted ref lists, because
-    ``build()`` classifies in node insertion order while ``apply()``
-    classifies at arrival time.
+    Member lists compare as sorted ref lists, because ``build()``
+    classifies in node insertion order while ``apply()`` classifies at
+    arrival time.  The name and version indexes compare raw under the
+    node-or-list rule (a node's ref for one entry, sorted refs from two
+    on, never a one-element list: asserted here).
     """
+    def index_shape(index: dict) -> dict:
+        assert all(type(entry) is not list or len(entry) > 1
+                   for entry in index.values()), index
+        return {key: sorted(node.ref for node in entry)
+                if type(entry) is list else entry.ref
+                for key, entry in index.items()}
+
     nodes = {}
     for node in graph.nodes():
         assert all(type(values) is tuple and len(values) == 1
@@ -106,6 +115,8 @@ def graph_fingerprint(graph) -> dict:
         "nodes": nodes,
         "members": {name: sorted(n.ref for n in graph.members(name))
                     for name in graph.member_names()},
+        "by_pnode": index_shape(graph._by_pnode),
+        "by_name": index_shape(graph._by_name),
         "atom_labels": graph.atom_labels(),
         "edge_labels": graph.edge_labels(),
     }

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.core.analyzer import Analyzer, ProtoRecord, ProtoRun
+from repro.core.errors import InvalidRecord
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ProvenanceRecord
 
@@ -179,6 +180,15 @@ items = st.one_of(
 )
 
 
+#: A proto no path may admit: a value of no record type, or an
+#: attribute name past the 255 UTF-8 bytes the log can frame.
+invalid = st.one_of(
+    st.tuples(st.just("proto"), subject_indexes, attr_names,
+              st.just(object())),
+    st.tuples(st.just("proto"), subject_indexes,
+              st.sampled_from(["A" * 256, "é" * 128]), plain_values))
+
+
 def _shaped(item, objects, expand):
     kind, subject, attr, value = item
     if kind == "final":
@@ -192,40 +202,56 @@ def _shaped(item, objects, expand):
 def _admit_stream(stream, chunk, dedup):
     """``chunk`` None: ``submit`` per record, runs expanded (the
     reference).  Otherwise ``submit_batch`` per ``chunk`` items, runs
-    riding as one item each."""
+    riding as one item each.  Stops at the first ``InvalidRecord``;
+    returns whether one was raised too."""
     out = []
     analyzer = Analyzer(emit=out.append, emit_batch=out.extend)
     analyzer.dedup_enabled = dedup
     objects = [Obj(pnode) for pnode in range(1, N_OBJECTS + 1)]
-    if chunk is None:
-        for item in stream:
-            for proto in _shaped(item, objects, expand=True):
-                analyzer.submit(proto)
-    else:
-        for start in range(0, len(stream), chunk):
-            analyzer.submit_batch([
-                proto for item in stream[start:start + chunk]
-                for proto in _shaped(item, objects, expand=False)])
-    return analyzer, objects, out
+    try:
+        if chunk is None:
+            for item in stream:
+                for proto in _shaped(item, objects, expand=True):
+                    analyzer.submit(proto)
+        else:
+            for start in range(0, len(stream), chunk):
+                analyzer.submit_batch([
+                    proto for item in stream[start:start + chunk]
+                    for proto in _shaped(item, objects, expand=False)])
+    except InvalidRecord:
+        return analyzer, objects, out, True
+    return analyzer, objects, out, False
 
 
 @given(st.lists(items, max_size=30), st.sampled_from([1, 2, 7, 30]),
-       st.booleans())
+       st.booleans(), st.none() | st.tuples(st.integers(0, 30), invalid))
 @settings(max_examples=500)
-def test_mixed_batches_admit_what_submit_admits(stream, chunk, dedup):
+def test_mixed_batches_admit_what_submit_admits(stream, chunk, dedup, bad):
     """ProtoRecords, finalized records and ProtoRuns in one batch: the
-    emitted rows, their order, every counter and the versions the
-    objects end on equal ``submit`` over the expanded stream -- with
-    duplicates inside a run, against earlier batches (the ``_seen``
-    sets) and against one-record batches (the hot LRU), with dedup on
-    and off, and with freezes landing in the middle of a run."""
-    reference, ref_objects, expected = _admit_stream(stream, None, dedup)
-    analyzer, objects, out = _admit_stream(stream, chunk, dedup)
+    emitted rows, their order, every counter, the dedup state and the
+    versions the objects end on equal ``submit`` over the expanded
+    stream -- with duplicates inside a run, against earlier batches and
+    against one-record batches, with dedup on and off, and with freezes
+    landing in the middle of a run.  ``bad`` puts an invalid proto at a
+    random position: both paths raise there, having emitted the same
+    prefix and kept nothing of the invalid proto."""
+    if bad is not None:
+        position, proto = bad
+        stream = stream[:position] + [proto] + stream[position:]
+    reference, ref_objects, expected, raised = _admit_stream(
+        stream, None, dedup)
+    analyzer, objects, out, batch_raised = _admit_stream(stream, chunk, dedup)
+    assert raised == batch_raised == (bad is not None)
     assert out == expected
     assert ([obj.version for obj in objects]
             == [obj.version for obj in ref_objects])
-    for counter in ("records_in", "records_out", "duplicates_dropped",
-                    "freezes", "cycle_breaks"):
+    assert analyzer._seen == reference._seen
+    assert analyzer._observed == reference._observed
+    counters = ["records_out", "duplicates_dropped", "freezes",
+                "cycle_breaks"]
+    if not raised:          # a batch counts its protos in up front
+        counters.append("records_in")
+    for counter in counters:
         assert getattr(analyzer, counter) == getattr(reference, counter), \
             counter
     assert analyzer.records_out == len(out)

@@ -4,8 +4,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.core.errors import InvalidRecord
 from repro.core.pnode import ObjectRef
-from repro.core.records import ProvenanceRecord
+from repro.core.records import ProvenanceRecord, make_record
 from repro.storage import codec
 
 refs = st.builds(ObjectRef,
@@ -231,8 +232,11 @@ def test_encoder_caches_clear_past_their_cap():
 
 def test_encoder_rejects_overlong_attribute():
     """An attribute name past 255 UTF-8 bytes (here 128 two-byte
-    characters) cannot be framed; neither entry point may write it."""
-    record = ProvenanceRecord(ObjectRef(1, 0), "é" * 128, "v")
+    characters) cannot be framed; neither entry point may write it.
+    Validation rejects one first, so only the trusted mint makes it."""
+    with pytest.raises(InvalidRecord):
+        ProvenanceRecord(ObjectRef(1, 0), "é" * 128, "v")
+    record = make_record(ObjectRef(1, 0), "é" * 128, "v")
     encoder = codec.RecordEncoder()
     for encode in (codec.encode_record, encoder.encode,
                    lambda r: encoder.encode_rows(_rows([r]))):

@@ -276,8 +276,9 @@ def test_maintained_indexes_equal_rebuilt(stream, cut):
         eq_fingerprint(EqualityIndex("md5", graph.nodes()), graph)
     assert rng_fingerprint(maintained_rng) == \
         rng_fingerprint(RangeIndex("time", graph.nodes()))
-    # The atoms the indexes read, raw: the same values in the same
-    # representation as a graph built in one pass.
+    # The atoms the indexes read and the graph's name and version
+    # indexes, raw: the same values in the same representation as a
+    # graph built in one pass.
     assert graph_fingerprint(graph) == \
         graph_fingerprint(OEMGraph.build(stream))
 

@@ -10,6 +10,8 @@ property lives in ``tests/properties/test_batch_equivalence.py``; these
 tests pin stage-local contracts (validation, thresholds, framing, laziness).
 """
 
+import gc
+
 import pytest
 
 from repro.core.analyzer import Analyzer, ProtoRecord, ProtoRun
@@ -83,15 +85,41 @@ class TestSubmitBatch:
         assert analyzer.duplicates_dropped == reference.duplicates_dropped
         assert analyzer.freezes == reference.freezes == 1
 
-    def test_hot_triple_lru_drops_cross_batch_duplicates(self):
+    def test_one_record_batches_drop_cross_batch_duplicates(self):
         analyzer, batches, _ = batch_analyzer()
         file_ = FakeObject(2)
         for _ in range(4):
             # One-record batches: every record sits at a run boundary,
-            # so the LRU (not the run cache) must classify the repeats.
+            # so ``_seen`` (not the run cache) must classify the repeats.
             analyzer.submit_batch([ProtoRecord(file_, Attr.TYPE, "file")])
         assert sum(len(list(b)) for b in batches) == 1
         assert analyzer.duplicates_dropped == 3
+
+    def test_seen_is_one_set_of_untracked_keys(self):
+        """Dedup state is one set of tuples of atoms, which the cycle
+        collector stops tracking at its first look: nothing per version
+        or per record for it to walk."""
+        analyzer, _, _ = batch_analyzer()
+        file_, other = FakeObject(2), FakeObject(3)
+        analyzer.submit_batch([
+            ProtoRecord(file_, Attr.TYPE, "file"),
+            ProtoRecord(file_, Attr.INPUT, other.ref()),
+            ProtoRun(file_, Attr.ANNOTATION, ["a", "b"]),
+            ProtoRecord(other, Attr.PID, 7),
+            ProtoRecord(file_, Attr.INPUT, file_.ref()),     # a freeze
+        ])
+        analyzer.submit(ProtoRecord(other, Attr.MD5, b"x"))
+        gc.collect()
+        assert type(analyzer._seen) is set
+        assert not any(gc.is_tracked(key) for key in analyzer._seen)
+        # The version as one int, the attribute, then a str as itself, a
+        # cross-reference as its target, any other value after its class.
+        v20, v21, v30 = 2 << 32, 2 << 32 | 1, 3 << 32
+        assert analyzer._seen == {
+            (v20, Attr.TYPE, "file"), (v20, Attr.INPUT, 3, 0),
+            (v20, Attr.ANNOTATION, "a"), (v20, Attr.ANNOTATION, "b"),
+            (v30, Attr.PID, "int", 7), (v21, Attr.PREV_VERSION, 2, 0),
+            (v21, Attr.INPUT, 2, 0), (v30, Attr.MD5, "bytes", b"x")}
 
     def test_dedup_disabled_keeps_duplicates(self):
         analyzer, batches, _ = batch_analyzer()
@@ -124,6 +152,53 @@ class TestSubmitBatch:
         ])
         assert [r.attr for r in batches[0]] == [Attr.NAME, Attr.TYPE,
                                                 Attr.ANNOTATION]
+
+
+class TestRejectedRecords:
+    """A record that fails validation is refused before anything is
+    kept of it, and the records its call admitted before it are emitted
+    (as ``submit`` per record leaves them), never dropped."""
+
+    def test_a_rejected_record_does_not_poison_dedup(self):
+        system = System.boot()
+        with system.process(argv=["annotator"]) as proc:
+            dpapi = proc.dpapi
+            obj = dpapi.pass_mkobj()
+            with pytest.raises(InvalidRecord):
+                dpapi.pass_write(obj, records=[
+                    dpapi.record(obj, Attr.ANNOTATION, "a"),
+                    dpapi.record(obj, Attr.ANNOTATION, object())])
+            # The retry is a duplicate of what was admitted and emitted.
+            dpapi.pass_write(obj, records=[
+                dpapi.record(obj, Attr.ANNOTATION, "a")])
+            dpapi.pass_sync(obj)
+            pnode = dpapi.ref_of(obj).pnode
+        system.sync()
+        assert [record.value for record in system.database().records_of(pnode)
+                if record.attr == Attr.ANNOTATION] == ["a"]
+
+    def test_overlong_attribute_is_rejected_before_the_log(self):
+        """255 UTF-8 bytes is what the log can frame; a longer name is an
+        ``InvalidRecord`` at admission, and the valid records of the same
+        call reach the database."""
+        system = System.boot()
+        with system.process(argv=["annotator"]) as proc:
+            dpapi = proc.dpapi
+            fd = proc.open("/pass/f.dat", "w")
+            with pytest.raises(InvalidRecord):
+                dpapi.pass_write(fd, records=[
+                    dpapi.record(fd, Attr.ANNOTATION, "kept"),
+                    dpapi.record(fd, "é" * 128, "v")])
+            proc.write(fd, b"data")
+            proc.close(fd)
+        system.sync()
+        # Every record the analyzer emitted is stored (MD5 is Lasagna's,
+        # recorded below the analyzer for the data write).
+        stored = [record for record in system.database().all_records()
+                  if record.attr != Attr.MD5]
+        assert len(stored) == system.kernel.analyzer.records_out
+        assert "kept" in [record.value for record in stored]
+        assert system.fsck().clean
 
 
 class TestRunAdmission:
@@ -234,10 +309,17 @@ class TestRunAdmission:
                  Attr.NAME, ["x"]),
     ])
     def test_invalid_run_raises(self, run):
+        """... after emitting what ``submit`` per value emits before the
+        invalid one (a valid first value of a mixed run)."""
         analyzer, batches, _ = batch_analyzer()
         with pytest.raises(InvalidRecord):
             analyzer.submit_batch([run])
-        assert batches == []
+        expected = []
+        reference = Analyzer(emit=expected.append, emit_batch=expected.extend)
+        with pytest.raises(InvalidRecord):
+            reference.submit_many(run)
+        assert [record for batch in batches for record in batch] == expected
+        assert analyzer._seen == reference._seen
 
 
 class TestDisclosedRuns:
@@ -524,6 +606,24 @@ class TestInsertMany:
                 codec.encoded_size(record) for record in records)
             # 5 attribute entries, 2 seven-character names, 1 xref.
             assert database.index_bytes == 5 * 20 + 2 * (16 + 7) + 28
+
+    def test_subjects_with_attr_is_grouped_by_object(self):
+        """One subject per record carrying the attribute, grouped by
+        object (objects in first-insertion order), each object's in
+        insertion order."""
+        a0, b0, a1 = ObjectRef(1, 0), ObjectRef(2, 0), ObjectRef(1, 1)
+        database = ProvenanceDatabase()
+        database.insert_many([
+            ProvenanceRecord(a0, Attr.TYPE, "file"),
+            ProvenanceRecord(b0, Attr.TYPE, "process"),
+            ProvenanceRecord(a1, Attr.TYPE, "file"),
+            ProvenanceRecord(b0, Attr.NAME, "/b"),
+            ProvenanceRecord(a1, Attr.NAME, "/a"),
+            ProvenanceRecord(a1, Attr.NAME, "/a2"),
+        ])
+        assert database.subjects_with_attr(Attr.TYPE) == [a0, a1, b0]
+        assert database.subjects_with_attr(Attr.NAME) == [a1, a1, b0]
+        assert database.subjects_with_attr(Attr.PID) == []
 
     def test_main_bytes_accounting_is_lazy_but_exact(self):
         database = ProvenanceDatabase()

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.errors import LogCorruption
+from repro.core.errors import InvalidRecord, LogCorruption
 from repro.core.pnode import ObjectRef
-from repro.core.records import Attr, ProvenanceRecord
+from repro.core.records import Attr, ProvenanceRecord, make_record
 from repro.storage import codec
 
 
@@ -98,6 +98,8 @@ class TestStream:
         assert codec.encoded_size(record) == len(codec.encode_record(record))
 
     def test_long_attribute_rejected(self):
-        record = ProvenanceRecord(ObjectRef(1, 0), "A" * 300, "x")
+        with pytest.raises(InvalidRecord):
+            ProvenanceRecord(ObjectRef(1, 0), "A" * 300, "x")
+        record = make_record(ObjectRef(1, 0), "A" * 300, "x")
         with pytest.raises(ValueError):
             codec.encode_record(record)

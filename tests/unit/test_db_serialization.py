@@ -55,6 +55,14 @@ class TestRoundtrip:
                                   ObjectRef(2, 0)}
         assert all(len(ids) == 1 for ids in instances.values()), instances
 
+    def test_one_attribute_object_per_name(self, db):
+        """Attribute names are memoised per stream the same way: the
+        clone's rows hold one ``str`` per distinct attribute."""
+        clone = ProvenanceDatabase.from_bytes(db.to_bytes())
+        attrs = list(clone.all_rows())[1::3]
+        assert len(attrs) == 7
+        assert len({id(attr) for attr in attrs}) == len(set(attrs)) == 6
+
     def test_sizes_preserved(self, db):
         clone = ProvenanceDatabase.from_bytes(db.to_bytes())
         assert clone.main_bytes == db.main_bytes

@@ -140,6 +140,41 @@ class TestIncrementalApply:
         graph.apply(R(1, 0, Attr.NAME, "/f"))
         assert graph.node(ObjectRef(1, 2)).name == "/f"
 
+    def test_late_identity_reaches_every_version_in_arrival_order(self):
+        """A second NAME after two versions exist, then a third version:
+        all three hold both names, in arrival order, whether the stream
+        is applied (a new version copies a sibling's identity atoms) or
+        built in one pass; the name and version indexes agree."""
+        from tests.conftest import graph_fingerprint
+
+        stream = [R(1, 0, Attr.NAME, "/a"),
+                  R(1, 1, Attr.PREV_VERSION, ObjectRef(1, 0)),
+                  R(1, 0, Attr.NAME, "/b"),
+                  R(1, 2, Attr.PREV_VERSION, ObjectRef(1, 1))]
+        applied = OEMGraph()
+        for record in stream:
+            applied.apply(record)
+        built = OEMGraph.build(stream)
+        for graph in (applied, built):
+            assert [node.atom("name") for node in graph.versions_of(1)] \
+                == [["/a", "/b"]] * 3
+            for name in ("/a", "/b"):
+                assert sorted(node.ref.version
+                              for node in graph.named(name)) == [0, 1, 2]
+        assert graph_fingerprint(applied) == graph_fingerprint(built)
+
+    def test_name_and_version_indexes_hold_a_lone_node_bare(self):
+        graph = OEMGraph()
+        graph.apply_batch([R(1, 0, Attr.NAME, "/a"), R(2, 0, Attr.NAME, "/b"),
+                           R(2, 1, Attr.PID, 7)])
+        one, two, three = (graph.node(ref) for ref in (
+            ObjectRef(1, 0), ObjectRef(2, 0), ObjectRef(2, 1)))
+        assert graph._by_pnode == {1: one, 2: [two, three]}
+        assert graph._by_name == {"/a": one, "/b": [two, three]}
+        assert graph.named("/a") == [one] and graph.named("/c") == []
+        assert graph.versions_of(2) == [two, three]
+        assert graph.versions_of(3) == []
+
     def test_type_classifies_member_eagerly(self):
         graph = OEMGraph()
         graph.apply(R(1, 0, Attr.TYPE, ObjType.FILE))
