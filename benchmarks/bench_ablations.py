@@ -107,23 +107,24 @@ def test_stackable_cache_share_of_postmark(benchmark):
 def test_wap_ordering_matters(benchmark):
     """With WAP, a crash between provenance and data is *detected*;
     losing the ordering would mean silently unprovenanced data."""
-    from repro.storage.lasagna import CrashPoint
+    from repro.faults import CrashFault, FaultInjector, FaultPlan
     from repro.storage.recovery import recover
 
     def experiment():
-        system = System.boot()
+        # The second data write dies in the WAP window.
+        plan = FaultPlan().add("lasagna.write.pre_data", "crash", nth=2)
+        system = System.boot(faults=FaultInjector(plan))
         with system.process() as proc:
             fd = proc.open("/pass/f", "w")
             proc.write(fd, b"safe")
             proc.close(fd)
         lasagna = system.kernel.volume("pass").lasagna
-        lasagna.fail_before_data_write = True
         try:
             with system.process() as proc:
                 fd = proc.open("/pass/f", "w")
                 proc.write(fd, b"doomed-write")
                 proc.close(fd)
-        except CrashPoint:
+        except CrashFault:
             pass
         lasagna.crash()
         return recover(lasagna)

@@ -578,7 +578,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     print(f"  lasagna       [{log.volume_name}] flushes={log.flushes} "
           f"log-bytes={log.bytes_logged}")
     print(f"  waldo         [{waldo.name}] "
-          f"records={len(waldo.database)} sizes={waldo.sizes()}")
+          f"records={len(waldo.database)} sizes={waldo.database.sizes()}")
     print(f"  tier          {len(tier.volumes())} volume(s) "
           f"total={tier.sizes()['total']}")
     return 0

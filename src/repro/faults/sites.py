@@ -65,8 +65,8 @@ SITES: tuple[SiteSpec, ...] = (
     SiteSpec("waldo.drain.segment", "storage",
              (),
              "Waldo is about to ingest one closed segment; crashing "
-             "here leaves the segment un-ingested (Waldo.crash requeues "
-             "it for recovery)"),
+             "here leaves it, and every later one, on the log's "
+             "closed_segments for recovery"),
     SiteSpec("federate.merge", "storage",
              (),
              "the tier is assembling the federated source list (every "

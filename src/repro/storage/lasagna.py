@@ -18,19 +18,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.errors import KernelError
 from repro.core.records import Attr, Bundle, ProvenanceRecord, RecordBatch
 from repro.kernel.params import SimParams
 from repro.kernel.vfs import Inode
 from repro.kernel.volume import Volume
 from repro.obs import NULL_OBS
 from repro.storage.log import ProvenanceLog, data_digest, md5_value
-
-
-class CrashPoint(KernelError):
-    """Raised by the fault-injection hook to simulate a crash mid-write."""
-
-    errno_name = "EIO"
 
 
 class Lasagna:
@@ -56,9 +49,6 @@ class Lasagna:
         )
         volume.lasagna = self
         volume.fs_top = self
-        #: Fault injection: crash after the WAP flush, before this many
-        #: further data writes complete (None = off).
-        self.fail_before_data_write = False
         self._waive_barrier = False
         #: Ablation switch: write provenance PASSv1-style -- synchronous,
         #: indexed-database-like writes (full seek per flush) instead of
@@ -166,10 +156,6 @@ class Lasagna:
             self.log.flush(txn_subject=inode.ref())
         finally:
             self._waive_barrier = False
-        if self.fail_before_data_write:
-            raise CrashPoint(
-                f"injected crash before data write to inode {inode.ino}"
-            )
         if self._faults is not None:
             # The canonical WAP window: provenance durable, data not.
             self._faults.fire("lasagna.write.pre_data",
@@ -202,7 +188,6 @@ class Lasagna:
         """Machine crash: unflushed provenance is lost, and an
         optional torn tail comes off the log.  Returns lost record
         count."""
-        self.fail_before_data_write = False
         return self.log.crash(drop_tail_bytes)
 
     def __repr__(self) -> str:

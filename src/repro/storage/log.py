@@ -12,9 +12,9 @@ later drains into the database.  The log guarantees:
   record, so recovery can discard orphaned provenance and identify data
   that was in flight during a crash;
 * **rotation** -- when the log exceeds a maximum size or has been
-  dormant too long, the kernel closes it and starts a new one; Waldo
-  notices (the paper uses inotify; we use a callback) and processes the
-  closed segment.
+  dormant too long, the kernel closes it and starts a new one; the
+  closed segment waits on ``closed_segments`` until Waldo has processed
+  it (the paper's Waldo learns of it through inotify).
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ class LogSegment:
         self.raw = bytearray()
         #: What ``raw`` decodes to, as flat (subject, attr, value) rows.
         self.rows: list = []
-        self.closed = False
 
     @property
     def nbytes(self) -> int:
@@ -154,10 +153,10 @@ class ProvenanceLog:
         self._next_txn = 1
         self._segment_index = 0
         self.current = LogSegment(self._segment_index)
+        #: Closed segments not yet drained, oldest first: the one queue
+        #: Waldo consumes and recovery replays.
         self.closed_segments: list[LogSegment] = []
         self._last_activity = clock.now
-        #: Called with each closed segment (Waldo's inotify stand-in).
-        self.on_segment_closed: Optional[Callable[[LogSegment], None]] = None
         # Statistics.
         self.records_logged = 0
         self.bytes_logged = 0
@@ -307,19 +306,11 @@ class ProvenanceLog:
         if not self.current.nbytes:
             return None
         segment = self.current
-        segment.closed = True
         self.closed_segments.append(segment)
         self.rotations += 1
         self._segment_index += 1
         self.current = LogSegment(self._segment_index)
-        if self.on_segment_closed is not None:
-            self.on_segment_closed(segment)
         return segment
-
-    def take_closed(self) -> list[LogSegment]:
-        """Hand all closed segments to the caller (Waldo), removing them."""
-        segments, self.closed_segments = self.closed_segments, []
-        return segments
 
     # -- crash simulation --------------------------------------------------------------
 

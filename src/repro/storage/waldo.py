@@ -1,15 +1,14 @@
 """Waldo: the user-level daemon draining logs into the database.
 
-Waldo watches for closed log segments (the paper uses Linux inotify;
-here the log calls us back), validates the transactional framing, and
-inserts committed records into the provenance database.  Records inside
-a transaction that never saw its ENDTXN are *orphaned* -- a client or
+Waldo processes closed log segments (the paper watches for them with
+Linux inotify; here they wait, oldest first, on the log's
+``closed_segments``), validates the transactional framing, and inserts
+committed records into the provenance database.  Records inside a
+transaction that never saw its ENDTXN are *orphaned* -- a client or
 machine died mid-write -- and are kept aside rather than entering the
 database, exactly the recovery behaviour the NFS transaction design was
-built for (section 6.1.2).
-
-Waldo also serves reads: the query engine goes through Waldo rather
-than touching the database directly.
+built for (section 6.1.2).  A drained segment is gone: the database is
+what remains of it.
 """
 
 from __future__ import annotations
@@ -28,25 +27,18 @@ class Waldo:
 
     def __init__(self, log: ProvenanceLog,
                  database: Optional[ProvenanceDatabase] = None,
-                 name: str = "waldo", obs=NULL_OBS, faults=None,
-                 archive=None):
+                 name: str = "waldo", obs=NULL_OBS, faults=None):
         self.log = log
         self.database = database or ProvenanceDatabase(name)
         self.name = name
         self.obs = obs
         #: Fault injector (repro.faults); None keeps drain() bare.
         self._faults = faults
-        #: Optional :class:`repro.storage.tier.SegmentArchive` that
-        #: retains drained segments (bounded by its compaction policy).
-        self.archive = archive
         #: Records discarded because their transaction never committed.
         self.orphaned: list[ProvenanceRecord] = []
         self.segments_processed = 0
         self.records_inserted = 0
         self.drains = 0
-        log.on_segment_closed = self._segment_closed
-        self._pending_segments: list[LogSegment] = []
-        self._engine = None
         obs.add_collector("waldo", self._obs_counters, volume=name)
 
     def _obs_counters(self) -> dict:
@@ -58,19 +50,9 @@ class Waldo:
             "database_records": len(self.database),
         }
 
-    # -- log watching -------------------------------------------------------------
-
-    def _segment_closed(self, segment: LogSegment) -> None:
-        """inotify stand-in: queue the segment for processing."""
-        self._pending_segments.append(segment)
-
-    @property
-    def pending_segment_count(self) -> int:
-        """Closed segments queued but not yet drained."""
-        return len(self._pending_segments)
-
     def drain(self) -> int:
-        """Process every queued closed segment; returns records inserted.
+        """Process every closed segment on the log; returns records
+        inserted.
 
         Call :meth:`ProvenanceLog.rotate` (or Lasagna.sync) first if the
         current segment should be included.
@@ -79,23 +61,21 @@ class Waldo:
         segments = 0
         with self.obs.span("waldo.drain", layer="waldo",
                            volume=self.name) as span:
-            self.log.take_closed()      # clear the log's own list
-            while self._pending_segments:
+            closed = self.log.closed_segments
+            while closed:
                 # Peek, process, then pop: a crash at the injection
-                # site leaves the segment queued, so crash() can hand
-                # it back to the log for recovery (no records lost,
-                # none double-inserted -- _process is atomic).
-                segment = self._pending_segments[0]
+                # site leaves the segment on the log for recovery (no
+                # records lost, none double-inserted -- _process is
+                # atomic).
+                segment = closed[0]
                 if self._faults is not None:
                     self._faults.fire("waldo.drain.segment",
                                       segment=segment.index,
                                       records=len(segment.records))
                 inserted += self._process(segment)
-                self._pending_segments.pop(0)
+                del closed[0]
                 self.segments_processed += 1
                 segments += 1
-                if self.archive is not None:
-                    self.archive.add(segment)
             span.tag("records", inserted)
             self.obs.event("waldo.drain", layer="waldo", volume=self.name,
                            records=inserted, segments=segments,
@@ -160,41 +140,6 @@ class Waldo:
             span.tag("records", len(ready) // 3)
             self.database.insert_many(RecordBatch.of_rows(ready))
         return len(ready) // 3
-
-    # -- crash simulation --------------------------------------------------------------
-
-    def crash(self) -> int:
-        """The daemon died: requeue undrained segments onto the log.
-
-        Segments Waldo took (via ``take_closed``) but had not yet
-        ingested go back to ``log.closed_segments`` so recovery sees
-        them; already-ingested segments are safely in the database.
-        Returns the number of segments handed back.
-        """
-        pending, self._pending_segments = self._pending_segments, []
-        merged = {id(seg): seg for seg in [*pending,
-                                           *self.log.closed_segments]}
-        self.log.closed_segments = sorted(merged.values(),
-                                          key=lambda seg: seg.index)
-        return len(pending)
-
-    # -- query service -----------------------------------------------------------------
-
-    def _live_engine(self):
-        """The single live engine over this volume's database -- built
-        once, then kept current by the database's push feed."""
-        if self._engine is None:
-            from repro.pql.engine import QueryEngine
-            self._engine = QueryEngine.live([self.database], obs=self.obs)
-        return self._engine
-
-    def query(self, text: str) -> list:
-        """Run one PQL query against this volume's provenance."""
-        return self._live_engine().execute(text)
-
-    def sizes(self) -> dict[str, int]:
-        """Database / index byte sizes (Table 3)."""
-        return self.database.sizes()
 
     def __repr__(self) -> str:
         return (f"<Waldo {self.name}: {len(self.database)} records, "

@@ -29,7 +29,7 @@ from repro.kernel.params import SimParams
 from repro.kernel.syscalls import Syscalls
 from repro.obs import Observability
 from repro.storage.database import ProvenanceDatabase
-from repro.storage.tier import CompactionPolicy, StorageTier
+from repro.storage.tier import StorageTier
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,9 +56,6 @@ class BootConfig:
     #: export half of observability is opt-in like tracing.
     journal: bool = False
     faults: object = None
-    #: Bounds each volume's drained-segment archive (see
-    #: repro.storage.tier; None = the default CompactionPolicy).
-    compaction: Optional[CompactionPolicy] = None
 
 
 class System:
@@ -114,8 +111,7 @@ class System:
                         obs=obs, faults=cfg.faults)
         if cfg.faults is not None:
             cfg.faults.bind_obs(obs)
-        tier = StorageTier(compaction=cfg.compaction, obs=kernel.obs,
-                           faults=cfg.faults)
+        tier = StorageTier(obs=kernel.obs, faults=cfg.faults)
         for name in cfg.pass_volumes:
             volume = kernel.add_volume(name, f"/{name}", pass_capable=True)
             if cfg.provenance:

@@ -97,7 +97,6 @@ class TestLiveEngineAcrossCrash:
             churn(system)
         waldo = system.tier.waldo("pass")
         lasagna = system.kernel.volume("pass").lasagna
-        waldo.crash()
         lasagna.crash()
         recover(lasagna, database=waldo.database, consume=True)
         assert system.fsck().clean

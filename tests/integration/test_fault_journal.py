@@ -84,7 +84,6 @@ class TestRecoveryIsJournaled:
 
         waldo = system.tier.waldo("pass")
         lasagna = system.kernel.volume("pass").lasagna
-        waldo.crash()
         lasagna.crash()
         report = recover(lasagna, database=waldo.database, consume=True)
         assert report.committed_records

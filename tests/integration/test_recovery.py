@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.records import Attr
-from repro.storage.lasagna import CrashPoint
+from repro.faults import CrashFault, FaultInjector, FaultPlan
 from repro.storage.recovery import recover
 from repro.system import System
 from tests.conftest import write_file
@@ -39,13 +39,15 @@ class TestCleanRecovery:
 
 
 class TestCrashBeforeDataWrite:
-    def test_inflight_data_flagged_inconsistent(self, system):
+    def test_inflight_data_flagged_inconsistent(self):
         """Crash between the WAP flush and the data write: provenance is
         durable, the data is not -- recovery must flag that file."""
+        # The second data write dies in the WAP window.
+        plan = FaultPlan().add("lasagna.write.pre_data", "crash", nth=2)
+        system = System.boot(faults=FaultInjector(plan))
         write_file(system, "/pass/victim", b"original")
         lasagna = system.kernel.volume("pass").lasagna
-        lasagna.fail_before_data_write = True
-        with pytest.raises(CrashPoint):
+        with pytest.raises(CrashFault):
             write_file(system, "/pass/victim", b"NEW CONTENT")
         lasagna.crash()
         report = recover(lasagna)

@@ -58,8 +58,8 @@ class TestBootConfig:
         assert {field.name for field in dataclasses.fields(BootConfig)} == {
             "params", "pass_volumes", "plain_volumes", "provenance",
             "hostname", "clock", "observability", "tracing", "journal",
-            "faults", "compaction"}
+            "faults"}
         for gone in ({"batching": False}, {"shards": 4},
-                     {"shard_key": "volume"}):
+                     {"shard_key": "volume"}, {"compaction": None}):
             with pytest.raises(TypeError):
                 System.boot(**gone)

@@ -67,13 +67,13 @@ class TestLogBuffering:
 class TestRotation:
     def test_size_based_rotation(self):
         log, _, _ = make_log(max_size=200)
-        closed = []
-        log.on_segment_closed = closed.append
         for i in range(50):
             log.append(rec(value=f"name-{i}"))
             log.flush()
-        assert closed
-        assert all(segment.closed for segment in closed)
+        closed = log.closed_segments
+        assert closed and len(closed) == log.rotations
+        assert [s.index for s in closed] == list(range(len(closed)))
+        assert log.current.index == len(closed)
 
     def test_dormancy_rotation(self):
         log, clock, _ = make_log(dormancy=5.0)
@@ -182,8 +182,7 @@ class TestWaldo:
             orphan,
         ):
             segment.append(record, b"")
-        segment.closed = True
-        waldo._pending_segments.append(segment)
+        log.closed_segments.append(segment)
         waldo.drain()
         assert len(waldo.database) == 0
         assert waldo.orphaned == [orphan]
@@ -194,8 +193,7 @@ class TestWaldo:
         segment = LogSegment(0)
         for record in records:
             segment.append(record, b"")
-        segment.closed = True
-        waldo._pending_segments.append(segment)
+        log.closed_segments.append(segment)
         return waldo, waldo.drain()
 
     def test_frames_are_attributes_not_values(self):

@@ -223,23 +223,6 @@ class TestLiveEngine:
         engine = QueryEngine.from_records([R(1, 0, Attr.NAME, "/x")])
         assert engine.graph.named("/x")
 
-    def test_waldo_returns_the_same_live_engine(self):
-        from repro.kernel.clock import SimClock
-        from repro.kernel.params import LogParams
-        from repro.storage.log import ProvenanceLog
-        from repro.storage.waldo import Waldo
-        log = ProvenanceLog(SimClock(), LogParams(max_size=1 << 30))
-        waldo = Waldo(log)
-        names = "select N.name from Provenance.node as N"
-        assert waldo.query(names) == []
-        engine = waldo._engine
-        log.append(R(1, 0, Attr.NAME, "/via-drain"))
-        log.flush()
-        log.rotate()
-        waldo.drain()
-        assert waldo.query(names) == ["/via-drain"]
-        assert waldo._engine is engine
-
     def test_vocabulary_refreshes_when_graph_grows(self):
         from repro.storage.database import ProvenanceDatabase
         db = ProvenanceDatabase("a")

@@ -72,12 +72,15 @@ class TestScalarFunctions:
 
 
 class TestWaldoQueryService:
+    """Queries over what Waldo drained: a live engine over its database
+    (``System.query_engine()`` is the one the system hands out)."""
+
     def test_waldo_answers_queries(self, system):
         from tests.conftest import write_file
         write_file(system, "/pass/through-waldo", b"x")
         system.sync()
-        waldo = system.tier.waldo("pass")
-        rows = waldo.query(
+        engine = QueryEngine.live([system.tier.waldo("pass").database])
+        rows = engine.execute(
             'select F.name from Provenance.file as F '
             'where F.name = "/pass/through-waldo"')
         assert rows == ["/pass/through-waldo"]
@@ -86,9 +89,8 @@ class TestWaldoQueryService:
         from tests.conftest import write_file
         write_file(system, "/pass/a", b"1")
         system.sync()
-        waldo = system.tier.waldo("pass")
-        assert waldo.query("select count(F) from Provenance.file as F")
+        assert system.query("select count(F) from Provenance.file as F")
         write_file(system, "/pass/b", b"2")
         system.sync()
-        counts = waldo.query("select count(F) from Provenance.file as F")
+        counts = system.query("select count(F) from Provenance.file as F")
         assert counts[0] >= 2

@@ -1,16 +1,16 @@
-"""StorageTier facade unit tests: layout, accessors, rollups, archive.
+"""StorageTier facade unit tests: layout, accessors, rollups, one queue.
 
-The facade contract: one Lasagna (one log), one Waldo, one database and
-one archive per PASS volume; ``sizes()`` sums over the volumes; every
-accessor raises ``NotPassVolume`` for a volume without provenance
-storage; the drained-segment archive stays within its compaction
-policy; crash and recovery walk every volume.
+The facade contract: one Lasagna (one log), one Waldo and one database
+per PASS volume; ``sizes()`` sums over the volumes; every accessor
+raises ``NotPassVolume`` for a volume without provenance storage; a
+closed segment sits on its log until Waldo drains it and nowhere
+after; crash and recovery walk every volume.
 """
 
 import pytest
 
 from repro.core.errors import NotPassVolume
-from repro.storage.tier import CompactionPolicy, SegmentArchive
+from repro.storage.recovery import recover
 from repro.system import System
 
 VOLUMES = ("pass", "pass2")
@@ -35,7 +35,6 @@ class TestSingleShardIdentity:
         assert tier.volumes() == ["pass"]
         assert tier.waldo("pass").name == "pass"
         assert tier.waldo("pass").log is tier.lasagna("pass").log
-        assert tier.waldo("pass").archive is tier.archive("pass")
         assert system.databases() == [tier.database("pass")]
         assert system.database() is tier.waldo("pass").database
 
@@ -50,7 +49,7 @@ class TestAccessorErrors:
         assert baseline.databases() == []
 
     @pytest.mark.parametrize("accessor", [
-        "database", "lasagna", "waldo", "archive", "sizes"])
+        "database", "lasagna", "waldo", "sizes"])
     @pytest.mark.parametrize("volume", ["scratch", "nope"])
     def test_plain_and_unknown_volumes_are_named(self, system, accessor,
                                                  volume):
@@ -93,7 +92,7 @@ class TestSizesRollup:
         system = two_volume_system
         _write_files(system)
         for name in VOLUMES:
-            waldo_sizes = system.tier.waldo(name).sizes()
+            waldo_sizes = system.tier.waldo(name).database.sizes()
             rollup = system.tier.sizes(name)
             assert list(rollup["per_volume"]) == [name]
             for key in ("database", "indexes", "total"):
@@ -111,65 +110,23 @@ class TestObservability:
         assert counters["volumes"] == 2
         assert counters["drains"] > 0
         assert counters["federations"] == 1
-        assert counters["segments_archived"] >= 2
-        assert "shards" not in counters
-        assert "parallel_drains" not in counters
+        assert set(counters) == {"volumes", "drains", "federations"}
 
 
-class TestArchiveCompaction:
-    def _segment(self, index, records=3, nbytes=100):
-        class FakeSegment:
-            pass
-
-        segment = FakeSegment()
-        segment.index = index
-        segment.records = [None] * records
-        segment.nbytes = nbytes
-        return segment
-
-    def test_add_keeps_archive_within_policy(self):
-        archive = SegmentArchive(CompactionPolicy(max_segments=3,
-                                                  max_bytes=10_000))
-        for index in range(10):
-            archive.add(self._segment(index))
-        assert len(archive.segments) <= 3
-        assert archive.segments_archived == 10
-        assert archive.segments_compacted == 7
-        assert archive.bytes_reclaimed == 700
-        # Folded history stays summarized, oldest-first, contiguous.
-        assert archive.extents[0].first_index == 0
-        assert archive.extents[-1].last_index == 6
-        assert sum(extent.records for extent in archive.extents) == 21
-
-    def test_byte_bound_triggers_compaction(self):
-        archive = SegmentArchive(CompactionPolicy(max_segments=100,
-                                                  max_bytes=250))
-        for index in range(4):
-            archive.add(self._segment(index, nbytes=100))
-        assert archive.archived_bytes <= 250
-
-    def test_force_compact_reclaims_everything(self):
-        archive = SegmentArchive(CompactionPolicy())
-        for index in range(5):
-            archive.add(self._segment(index))
-        reclaimed = archive.compact(force=True)
-        assert not archive.segments
-        assert reclaimed == 500
-        assert archive.stats()["segments_compacted"] == 5
-
-    def test_drained_segments_reach_the_tier_archives(
-            self, two_volume_system):
+class TestOneQueue:
+    def test_drained_segments_leave_the_logs(self, two_volume_system):
+        """A closed segment waits on its log until Waldo ingests it;
+        after the drain the database is all that remains of it."""
         system = two_volume_system
-        _write_files(system, count=8)
-        archives = [system.tier.archive(name) for name in VOLUMES]
-        assert archives[0] is not archives[1]
-        assert all(archive.segments_archived > 0 for archive in archives)
-        rollup = system.tier.compact()
-        assert rollup["segments_compacted"] == sum(
-            archive.segments_compacted for archive in archives)
-        assert rollup["bytes_reclaimed"] > 0
-        assert all(not archive.segments for archive in archives)
-
+        _write_files(system, count=8, sync=False)
+        for name in VOLUMES:
+            system.tier.lasagna(name).sync()
+            assert system.tier.lasagna(name).log.closed_segments
+        assert system.tier.drain() > 0
+        for name in VOLUMES:
+            assert not system.tier.lasagna(name).log.closed_segments
+            assert system.tier.waldo(name).segments_processed > 0
+            assert len(system.database(name)) > 0
 
 class TestCrashRecover:
     def test_tier_crash_and_recover_round_trip(self, two_volume_system):
@@ -191,3 +148,24 @@ class TestCrashRecover:
         second = system.tier.recover(consume=True)
         assert second.clean and not second.committed_records
         assert sum(len(db) for db in system.databases()) == after
+
+    def test_sync_after_crash_drains_the_undrained_segments(
+            self, two_volume_system):
+        """Segments closed but not drained when the machine dies stay
+        on the log; the next sync ingests them and recovery finds the
+        log already consumed -- every committed record ends up in the
+        databases, none in neither place."""
+        system = two_volume_system
+        _write_files(system, sync=False)
+        committed = 0
+        for name in VOLUMES:
+            lasagna = system.tier.lasagna(name)
+            lasagna.sync()                  # flush + rotate, no drain
+            committed += len(recover(lasagna).committed_records)
+        assert committed and not any(len(db) for db in system.databases())
+        requeued, _ = system.tier.crash()
+        assert requeued == len(VOLUMES)
+        system.sync()
+        report = system.tier.recover(consume=True)
+        assert not report.committed_records
+        assert sum(len(db) for db in system.databases()) == committed

@@ -140,5 +140,4 @@ class TestLogRotationPolicy:
         log = system.kernel.volume("pass").lasagna.log
         system.kernel.clock.advance(60.0)
         log.tick()
-        assert (log.closed_segments
-                or system.tier.waldo("pass").pending_segment_count)
+        assert log.closed_segments
