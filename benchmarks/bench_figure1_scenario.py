@@ -19,9 +19,9 @@ import pytest
 
 from repro.apps.kepler.challenge import build_challenge, generate_inputs
 from repro.apps.kepler.director import run_workflow
-from repro.core.records import Attr
 from repro.kernel.clock import SimClock
 from repro.nfs import NFSClient, NFSServer
+from repro.pql.engine import QueryEngine
 from repro.query.helpers import ancestry_refs, newest_ref_by_name, provenance_diff
 from repro.system import System
 
@@ -76,10 +76,12 @@ def test_figure1_anomaly_detection(benchmark):
         workstation.sync()
         in_sys.sync()
         out_sys.sync()
-        # The integrated view: all three machines' provenance merged.
-        dbs = (workstation.databases() + in_sys.databases()
-               + out_sys.databases())
-        monday_ref = newest_ref_by_name(dbs, "/outputs/atlas-x.gif")
+        # The integrated view: one live graph over all three machines'
+        # provenance, kept current by their later syncs.
+        graph = QueryEngine.live(workstation.databases()
+                                 + in_sys.databases()
+                                 + out_sys.databases()).graph
+        monday_ref = newest_ref_by_name(graph, "/outputs/atlas-x.gif")
 
         # Tuesday: a colleague silently modifies an input on the server.
         with in_sys.process(argv=["colleague"]) as proc:
@@ -100,13 +102,11 @@ def test_figure1_anomaly_detection(benchmark):
         workstation.sync()
         in_sys.sync()
         out_sys.sync()
-        dbs = (workstation.databases() + in_sys.databases()
-               + out_sys.databases())
-        wednesday_ref = newest_ref_by_name(dbs, "/outputs/atlas-x.gif")
-        diff = provenance_diff(dbs, monday_ref, wednesday_ref)
-        return monday_output, wednesday_output, dbs, diff
+        wednesday_ref = newest_ref_by_name(graph, "/outputs/atlas-x.gif")
+        diff = provenance_diff(graph, monday_ref, wednesday_ref)
+        return monday_output, wednesday_output, graph, diff
 
-    monday_output, wednesday_output, dbs, diff = benchmark.pedantic(
+    monday_output, wednesday_output, graph, diff = benchmark.pedantic(
         scenario, rounds=1, iterations=1)
 
     # The outputs differ -- the user notices the anomaly.
@@ -117,10 +117,8 @@ def test_figure1_anomaly_detection(benchmark):
     def names_of(refs):
         out = {}
         for ref in refs:
-            for db in dbs:
-                for record in db.records_of(ref.pnode):
-                    if record.attr == Attr.NAME:
-                        out.setdefault(record.value, set()).add(ref.version)
+            for name in graph.node(ref).atom("name"):
+                out.setdefault(name, set()).add(ref.version)
         return out
 
     only_wednesday = names_of(diff["only_right"])
@@ -132,7 +130,8 @@ def test_figure1_anomaly_detection(benchmark):
     # And the workflow internals (operators) are visible in the
     # integrated ancestry -- the part Kepler contributes.
     wednesday_names = names_of(
-        ancestry_refs(dbs, newest_ref_by_name(dbs, "/outputs/atlas-x.gif")))
+        ancestry_refs(graph,
+                      newest_ref_by_name(graph, "/outputs/atlas-x.gif")))
     assert "softmean" in wednesday_names
     print(f"\nFigure 1 scenario: output changed; ancestry diff names "
           f"{sorted(only_wednesday)} as Wednesday-only ancestors")

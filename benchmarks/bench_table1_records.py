@@ -117,7 +117,7 @@ def _run_links():
     system.sync()
     db = system.database("pass")
     session_attrs = _attrs_for_type(db, ObjType.SESSION)
-    file_ref = db.find_by_name("/pass/file.bin")[0]
+    file_ref = system.find_by_name("/pass/file.bin")[0]
     file_attrs = {r.attr for r in db.records_of(file_ref.pnode)}
     return session_attrs, file_attrs
 

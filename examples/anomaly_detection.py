@@ -22,9 +22,9 @@ from repro.apps.kepler.challenge import (
     generate_inputs,
 )
 from repro.apps.kepler.director import run_workflow
-from repro.core.records import Attr
 from repro.kernel.clock import SimClock
 from repro.nfs import NFSClient, NFSServer
+from repro.pql.engine import QueryEngine
 from repro.query.helpers import newest_ref_by_name, provenance_diff
 from repro.system import System
 
@@ -80,9 +80,12 @@ def main() -> None:
     run_challenge(workstation, "monday")
     monday_atlas = read_atlas(workstation)
     sync_everything(workstation, clients, servers)
-    dbs = (workstation.databases() + input_server_sys.databases()
-           + output_server_sys.databases())
-    monday_ref = newest_ref_by_name(dbs, "/outputs/atlas-x.gif")
+    # One live graph over all three machines' databases: later syncs
+    # splice Wednesday's records into it.
+    graph = QueryEngine.live(workstation.databases()
+                             + input_server_sys.databases()
+                             + output_server_sys.databases()).graph
+    monday_ref = newest_ref_by_name(graph, "/outputs/atlas-x.gif")
 
     print("Tuesday: a colleague quietly modifies anatomy2.img on the "
           "input server...")
@@ -97,23 +100,18 @@ def main() -> None:
     run_challenge(workstation, "wednesday")
     wednesday_atlas = read_atlas(workstation)
     sync_everything(workstation, clients, servers)
-    dbs = (workstation.databases() + input_server_sys.databases()
-           + output_server_sys.databases())
-    wednesday_ref = newest_ref_by_name(dbs, "/outputs/atlas-x.gif")
+    wednesday_ref = newest_ref_by_name(graph, "/outputs/atlas-x.gif")
 
     assert monday_atlas != wednesday_atlas
     print("\nThe outputs differ!  Why?\n")
 
-    diff = provenance_diff(dbs, monday_ref, wednesday_ref)
+    diff = provenance_diff(graph, monday_ref, wednesday_ref)
 
     def names(refs):
         found = {}
         for ref in refs:
-            for db in dbs:
-                for record in db.records_of(ref.pnode):
-                    if record.attr == Attr.NAME:
-                        found.setdefault(str(record.value),
-                                         set()).add(ref.version)
+            for name in graph.node(ref).atom("name"):
+                found.setdefault(str(name), set()).add(ref.version)
         return found
 
     print("Ancestors only in Wednesday's run:")

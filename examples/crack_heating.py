@@ -18,7 +18,6 @@ calculation routine (a PA-Python-layer fact).
 Run:  python examples/crack_heating.py
 """
 
-from repro.core.records import Attr, ObjType
 from repro.query.helpers import ancestry_refs
 from repro.system import System
 from repro.workloads.thermography import (
@@ -42,15 +41,12 @@ def write_file(system: System, path: str, data: bytes) -> None:
         proc.close(fd)
 
 
-def names_types(dbs, refs):
+def names_types(graph, refs):
     names, types = set(), set()
-    for db in dbs:
-        for ref in refs:
-            for record in db.records_of(ref.pnode):
-                if record.attr == Attr.NAME:
-                    names.add(str(record.value))
-                elif record.attr == Attr.TYPE:
-                    types.add(str(record.value))
+    for ref in refs:
+        node = graph.node(ref)
+        names.update(map(str, node.atom("name")))
+        types.update(map(str, node.atom("type")))
     return names, types
 
 
@@ -67,11 +63,9 @@ def main() -> None:
     print(f"  the script read {stats['total']} XML files, "
           f"used {stats['used']}")
 
-    dbs = system.databases()
-    db = system.database("pass")
-    plot = db.find_by_name("/pass/plot-high.dat")[0]
-    ancestors = ancestry_refs(dbs, plot)
-    names, types = names_types(dbs, ancestors)
+    graph = system.query_engine().graph
+    plot = system.find_by_name("/pass/plot-high.dat")[0]
+    names, types = names_types(graph, ancestry_refs(graph, plot))
 
     xml_ancestors = sorted(name for name in names
                            if name.endswith(".xml"))
@@ -108,13 +102,11 @@ def main() -> None:
                  calc=buggy_crack_heating_curve,
                  library_path="/pass/lib/calcroutines-2.0.py")
     system.sync()
-    db = system.database("pass")
 
     suspects = []
     for plot_name in ("/pass/plot-before.dat", "/pass/plot-after.dat"):
-        ref = db.find_by_name(plot_name)[0]
-        names, types = names_types(system.databases(),
-                                   ancestry_refs(system.databases(), ref))
+        ref = system.find_by_name(plot_name)[0]
+        names, types = names_types(graph, ancestry_refs(graph, ref))
         from_new_library = "/pass/lib/calcroutines-2.0.py" in names
         through_calc_routine = "crack_heating" in names
         verdict = (from_new_library and through_calc_routine)

@@ -56,14 +56,10 @@ def vignette_collaboration(server_sys, server, clients):
     alice.sync()
     bob.sync()
     server_sys.sync()
-    dbs = server_sys.databases()
-    out_ref = newest_ref_by_name(dbs, "/shared/model-output.dat")
-    names = set()
-    for db in dbs:
-        for ref in ancestry_refs(dbs, out_ref):
-            for record in db.records_of(ref.pnode):
-                if record.attr == Attr.NAME:
-                    names.add(str(record.value))
+    graph = server_sys.query_engine().graph
+    out_ref = newest_ref_by_name(graph, "/shared/model-output.dat")
+    names = {str(name) for ref in ancestry_refs(graph, out_ref)
+             for name in graph.node(ref).atom("name")}
     print(f"  server-side ancestry of model-output.dat: {sorted(names)}")
     assert "alice-simulator" in names
     assert "bob-runner" in names

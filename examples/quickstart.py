@@ -66,15 +66,15 @@ def main() -> None:
         print(f"  {node.ref}  type={node.type}  name={node.name}")
 
     # 5. The same via the helper API, plus a descendant (taint) query.
-    dbs = system.databases()
+    graph = system.query_engine().graph
     report_ref = system.find_by_name("/pass/report.txt")[0]
     csv_ref = system.find_by_name("/pass/measurements.csv")[0]
-    print(f"\nancestors of report: {len(ancestry_refs(dbs, report_ref))}")
+    print(f"\nancestors of report: {len(ancestry_refs(graph, report_ref))}")
     print(f"descendants of measurements.csv: "
-          f"{len(descendant_refs(dbs, csv_ref))}")
+          f"{len(descendant_refs(graph, csv_ref))}")
 
-    # 6. Describe one object: every record Waldo holds about it.
-    info = describe(dbs, report_ref)
+    # 6. Describe one object: everything the graph holds about it.
+    info = describe(graph, report_ref)
     print("\nrecords describing the report:")
     for attr, values in sorted(info["attrs"].items()):
         if attr != Attr.MD5:

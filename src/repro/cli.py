@@ -120,12 +120,13 @@ def cmd_demo(args: argparse.Namespace) -> int:
         for row in system.query(args.query):
             print(_render_row(row))
     if args.tree:
-        ref = newest_ref_by_name(system.databases(), args.tree)
-        print(ancestry_tree(system.databases(), ref))
+        graph = system.query_engine().graph
+        print(ancestry_tree(graph, newest_ref_by_name(graph, args.tree)))
     if args.dot:
-        roots = [ref for name in _interesting_outputs(system)
-                 for ref in [newest_ref_by_name(system.databases(), name)]]
-        text = to_dot(system.databases(), roots)
+        graph = system.query_engine().graph
+        roots = [newest_ref_by_name(graph, name)
+                 for name in _interesting_outputs(system)]
+        text = to_dot(graph, roots)
         if args.dot == "-":
             print(text)
         else:

@@ -376,6 +376,10 @@ class OEMGraph:
         """Nodes whose NAME equals ``name`` (the name index)."""
         return bucket_nodes(self._by_name.get(name))
 
+    def attr_names(self) -> dict[str, str]:
+        """Atom/edge label -> the record attribute it was lowered from."""
+        return {label: attr for attr, label in self._labels.items()}
+
     def versions_of(self, pnode: int) -> list[OEMNode]:
         """All version nodes of one object, oldest first."""
         return sorted(bucket_nodes(self._by_pnode.get(pnode)),

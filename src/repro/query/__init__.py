@@ -1,4 +1,5 @@
-"""High-level query helpers layered over PQL and the databases."""
+"""High-level query helpers over the OEM graph PQL queries (in a
+running system, the live one: ``System.query_engine().graph``)."""
 
 from repro.query.helpers import (
     ancestry_of_name,

@@ -4,41 +4,68 @@ These wrap the common questions from the paper's use cases -- "what is
 the complete ancestry of this output?", "what descended from this
 download?", "how does the ancestry of Monday's output differ from
 Wednesday's?" -- so applications don't have to write PQL for them.
+
+Every helper walks an :class:`~repro.pql.oem.OEMGraph` -- in a running
+system the live one, ``System.query_engine().graph``, which already
+federates every volume: forward edges from ``node.edges``, reverse
+edges from ``node.redges``, names from :meth:`OEMGraph.named`, versions
+from :meth:`OEMGraph.versions_of`.  A node's neighbours come grouped by
+edge label, each label's in record order.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.storage.database import ProvenanceDatabase
-    from repro.system import System
+    from repro.pql.oem import OEMGraph
 
 
-def _merged_dbs(system: "System") -> list:
-    return system.databases()
+def _labels(attrs: frozenset) -> frozenset:
+    """The graph's edge labels for record attributes."""
+    return frozenset(attr.lower() for attr in attrs)
 
 
-def ancestry_refs(databases: Iterable, ref: ObjectRef,
-                  attrs: frozenset = Attr.ANCESTRY_ATTRS) -> set[ObjectRef]:
-    """Every ref transitively reachable over ancestry edges."""
-    databases = list(databases)
+#: Edge labels of :data:`Attr.ANCESTRY_ATTRS`.
+ANCESTRY_LABELS = _labels(Attr.ANCESTRY_ATTRS)
+
+
+def neighbours(graph: "OEMGraph", ref: ObjectRef, labels: frozenset,
+               reverse: bool = False) -> list[ObjectRef]:
+    """Refs one edge away from ``ref`` over ``labels``: forward edges
+    (its dependencies), or with ``reverse`` the versions pointing at it.
+    Grouped by label; a ref reached twice is listed twice."""
+    node = graph.node(ref)
+    if node is None:
+        return []
+    edges = node.redges if reverse else node.edges
+    return [target.ref for label, targets in edges.items()
+            if label in labels for target in targets]
+
+
+def _closure(graph: "OEMGraph", ref: ObjectRef, attrs: frozenset,
+             reverse: bool) -> set[ObjectRef]:
+    labels = _labels(attrs)
     seen: set[ObjectRef] = set()
     frontier = [ref]
     while frontier:
-        node = frontier.pop()
-        for database in databases:
-            for parent in database.ancestors(node, attrs):
-                if parent not in seen:
-                    seen.add(parent)
-                    frontier.append(parent)
+        for found in neighbours(graph, frontier.pop(), labels, reverse):
+            if found not in seen:
+                seen.add(found)
+                frontier.append(found)
     return seen
 
 
-def descendant_refs(databases: Iterable, ref: ObjectRef,
+def ancestry_refs(graph: "OEMGraph", ref: ObjectRef,
+                  attrs: frozenset = Attr.ANCESTRY_ATTRS) -> set[ObjectRef]:
+    """Every ref transitively reachable over ancestry edges."""
+    return _closure(graph, ref, attrs, reverse=False)
+
+
+def descendant_refs(graph: "OEMGraph", ref: ObjectRef,
                     attrs: frozenset = Attr.ANCESTRY_ATTRS
                     ) -> set[ObjectRef]:
     """Every ref that transitively depends on ``ref``.
@@ -46,57 +73,40 @@ def descendant_refs(databases: Iterable, ref: ObjectRef,
     Later versions of an object implicitly contain its earlier versions
     (PREV_VERSION edges), so taint naturally flows across freezes.
     """
-    databases = list(databases)
-    seen: set[ObjectRef] = set()
-    frontier = [ref]
-    while frontier:
-        node = frontier.pop()
-        for database in databases:
-            for child in database.descendants(node, attrs):
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-    return seen
+    return _closure(graph, ref, attrs, reverse=True)
 
 
-def newest_ref_by_name(databases: Iterable, name: str) -> ObjectRef:
+def newest_ref_by_name(graph: "OEMGraph", name: str) -> ObjectRef:
     """The newest version of the newest object carrying NAME == name."""
-    best: ObjectRef | None = None
-    for database in databases:
-        for ref in database.find_by_name(name):
-            latest = database.max_version(ref.pnode)
-            candidate = ObjectRef(ref.pnode, latest if latest is not None
-                                  else ref.version)
-            if best is None or candidate > best:
-                best = candidate
-    if best is None:
+    pnodes = {node.ref.pnode for node in graph.named(name)}
+    if not pnodes:
         from repro.core.errors import UnknownPnode
-        raise UnknownPnode(f"no object named {name!r} in any database")
-    return best
+        raise UnknownPnode(f"no object named {name!r} in the graph")
+    return max(graph.versions_of(pnode)[-1].ref for pnode in pnodes)
 
 
-def ancestry_of_name(system: "System", name: str) -> set[ObjectRef]:
+def ancestry_of_name(graph: "OEMGraph", name: str) -> set[ObjectRef]:
     """Complete ancestry of the newest object with the given NAME."""
-    databases = _merged_dbs(system)
-    return ancestry_refs(databases, newest_ref_by_name(databases, name))
+    return ancestry_refs(graph, newest_ref_by_name(graph, name))
 
 
-def describe(databases: Iterable, ref: ObjectRef) -> dict:
-    """Human-oriented summary of one object version."""
+def describe(graph: "OEMGraph", ref: ObjectRef) -> dict:
+    """Human-oriented summary of one object version: ``attrs`` maps
+    each record attribute to its values (refs for edges).  Identity
+    atoms (NAME, TYPE, ...) are the object's, shared by every version."""
     info: dict = {"ref": ref, "attrs": {}}
-    for database in databases:
-        for record in database.records_of_version(ref):
-            info["attrs"].setdefault(record.attr, []).append(record.value)
-        # Identity lives on whichever version recorded it.
-        for record in database.records_of(ref.pnode):
-            if record.attr in (Attr.NAME, Attr.TYPE):
-                info["attrs"].setdefault(record.attr, [])
-                if record.value not in info["attrs"][record.attr]:
-                    info["attrs"][record.attr].append(record.value)
+    node = graph.node(ref)
+    if node is None:
+        return info
+    attr_of = graph.attr_names()
+    for label, values in node.atoms.items():
+        info["attrs"][attr_of[label]] = list(values)
+    for label, targets in node.edges.items():
+        info["attrs"][attr_of[label]] = [target.ref for target in targets]
     return info
 
 
-def explain_dependency(databases: Iterable, descendant: ObjectRef,
+def explain_dependency(graph: "OEMGraph", descendant: ObjectRef,
                        ancestor: ObjectRef,
                        max_paths: int = 5) -> list[list[ObjectRef]]:
     """*Why* does ``descendant`` depend on ``ancestor``?
@@ -106,7 +116,6 @@ def explain_dependency(databases: Iterable, descendant: ObjectRef,
     evidence behind answers like "your presentation is tainted by the
     codec because presentation <- malware-process <- codec.bin".
     """
-    databases = list(databases)
     if max_paths <= 0:
         return []
     # BFS from the descendant, keeping predecessor lists so several
@@ -117,26 +126,24 @@ def explain_dependency(databases: Iterable, descendant: ObjectRef,
     while frontier and len(paths) < max_paths:
         next_frontier: list[list[ObjectRef]] = []
         for path in frontier:
-            node = path[-1]
-            for database in databases:
-                for parent in database.ancestors(node):
-                    if parent == ancestor:
-                        candidate = path + [parent]
-                        if candidate not in paths:
-                            paths.append(candidate)
-                            if len(paths) >= max_paths:
-                                return paths
-                        continue
-                    depth = visited_depth.get(parent)
-                    if depth is not None and depth < len(path):
-                        continue
-                    visited_depth[parent] = len(path)
-                    next_frontier.append(path + [parent])
+            for parent in neighbours(graph, path[-1], ANCESTRY_LABELS):
+                if parent == ancestor:
+                    candidate = path + [parent]
+                    if candidate not in paths:
+                        paths.append(candidate)
+                        if len(paths) >= max_paths:
+                            return paths
+                    continue
+                depth = visited_depth.get(parent)
+                if depth is not None and depth < len(path):
+                    continue
+                visited_depth[parent] = len(path)
+                next_frontier.append(path + [parent])
         frontier = next_frontier
     return paths
 
 
-def provenance_diff(databases: Iterable, left: ObjectRef,
+def provenance_diff(graph: "OEMGraph", left: ObjectRef,
                     right: ObjectRef) -> dict:
     """How do two objects' ancestries differ?
 
@@ -144,9 +151,8 @@ def provenance_diff(databases: Iterable, left: ObjectRef,
     shared -- the primitive behind the paper's "why is Wednesday's
     output different from Monday's?" use case.
     """
-    databases = list(databases)
-    left_set = ancestry_refs(databases, left)
-    right_set = ancestry_refs(databases, right)
+    left_set = ancestry_refs(graph, left)
+    right_set = ancestry_refs(graph, right)
     return {
         "only_left": left_set - right_set,
         "only_right": right_set - left_set,

@@ -4,26 +4,27 @@ The paper notes that "PQL queries, if not posed carefully, can result in
 information overload" (section 5.7).  These helpers render bounded,
 readable views of the graph: an indented ancestry tree with cycles
 impossible (the store is a DAG) and repetition folded, and a Graphviz
-DOT rendering for figures.
+DOT rendering for figures.  Like the helpers, they walk an
+:class:`~repro.pql.oem.OEMGraph`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr
+from repro.query.helpers import ANCESTRY_LABELS, describe, neighbours
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.pql.oem import OEMGraph
 
 
-def _label(databases, ref: ObjectRef) -> str:
-    name = obj_type = None
-    for db in databases:
-        for record in db.records_of(ref.pnode):
-            if record.attr == Attr.NAME and name is None:
-                name = str(record.value)
-            elif record.attr == Attr.TYPE and obj_type is None:
-                obj_type = str(record.value)
-    label = name or f"pnode {ref.pnode}"
+def _label(graph: "OEMGraph", ref: ObjectRef) -> str:
+    node = graph.node(ref)
+    name = node.name if node is not None else None
+    obj_type = node.type if node is not None else None
+    label = str(name) if name else f"pnode {ref.pnode}"
     if obj_type:
         label = f"{label} [{obj_type}]"
     if ref.version:
@@ -31,48 +32,42 @@ def _label(databases, ref: ObjectRef) -> str:
     return label
 
 
-def _parents(databases, ref: ObjectRef) -> list[ObjectRef]:
-    out: list[ObjectRef] = []
-    for db in databases:
-        for parent in db.ancestors(ref):
-            if parent not in out:
-                out.append(parent)
-    return out
+def _parents(graph: "OEMGraph", ref: ObjectRef) -> list[ObjectRef]:
+    return list(dict.fromkeys(neighbours(graph, ref, ANCESTRY_LABELS)))
 
 
-def ancestry_tree(databases: Iterable, ref: ObjectRef,
+def ancestry_tree(graph: "OEMGraph", ref: ObjectRef,
                   max_depth: int = 8) -> str:
     """An indented ancestry tree rooted at ``ref``.
 
     Objects reached more than once are printed once and referenced as
     ``(see above)`` afterwards; depth is bounded to keep output usable.
     """
-    databases = list(databases)
     lines: list[str] = []
     seen: set[ObjectRef] = set()
 
     def walk(node: ObjectRef, depth: int) -> None:
         indent = "  " * depth
-        label = _label(databases, node)
+        label = _label(graph, node)
         if node in seen:
             lines.append(f"{indent}{label} (see above)")
             return
         seen.add(node)
         lines.append(f"{indent}{label}")
         if depth >= max_depth:
-            parents = _parents(databases, node)
+            parents = _parents(graph, node)
             if parents:
                 lines.append(f"{indent}  ... ({len(parents)} ancestors "
                              f"beyond depth limit)")
             return
-        for parent in _parents(databases, node):
+        for parent in _parents(graph, node):
             walk(parent, depth + 1)
 
     walk(ref, 0)
     return "\n".join(lines)
 
 
-def to_dot(databases: Iterable, roots: Iterable[ObjectRef],
+def to_dot(graph: "OEMGraph", roots: Iterable[ObjectRef],
            max_nodes: int = 200,
            direction: str = "ancestors") -> str:
     """Graphviz DOT for the provenance reachable from ``roots``.
@@ -82,7 +77,6 @@ def to_dot(databases: Iterable, roots: Iterable[ObjectRef],
     """
     if direction not in ("ancestors", "descendants"):
         raise ValueError(f"unknown direction {direction!r}")
-    databases = list(databases)
     nodes: dict[ObjectRef, str] = {}
     edges: list[tuple[ObjectRef, ObjectRef, str]] = []
     frontier = list(roots)
@@ -90,18 +84,22 @@ def to_dot(databases: Iterable, roots: Iterable[ObjectRef],
         ref = frontier.pop(0)
         if ref in nodes:
             continue
-        nodes[ref] = _label(databases, ref)
-        for db in databases:
-            for record in db.records_of_version(ref):
-                if record.is_ancestry:
-                    edges.append((ref, record.value, record.attr.lower()))
+        nodes[ref] = _label(graph, ref)
+        node = graph.node(ref)
+        if node is None:
+            continue
+        for label, targets in node.edges.items():
+            if label in ANCESTRY_LABELS:
+                for target in targets:
+                    edges.append((ref, target.ref, label))
                     if direction == "ancestors":
-                        frontier.append(record.value)
-            if direction == "descendants":
-                for child, attr in db.referencing(ref):
-                    if attr in Attr.ANCESTRY_ATTRS:
-                        edges.append((child, ref, attr.lower()))
-                        frontier.append(child)
+                        frontier.append(target.ref)
+        if direction == "descendants":
+            for label, sources in node.redges.items():
+                if label in ANCESTRY_LABELS:
+                    for source in sources:
+                        edges.append((source.ref, ref, label))
+                        frontier.append(source.ref)
 
     def node_id(ref: ObjectRef) -> str:
         return f"n{ref.pnode}_{ref.version}"
@@ -119,17 +117,16 @@ def to_dot(databases: Iterable, roots: Iterable[ObjectRef],
     return "\n".join(lines)
 
 
-def summarize_object(databases: Iterable, ref: ObjectRef) -> str:
-    """One object's record sheet, formatted for humans."""
-    databases = list(databases)
+def summarize_object(graph: "OEMGraph", ref: ObjectRef) -> str:
+    """One object's record sheet, formatted for humans: its atoms, then
+    its edges, each attribute's values in record order."""
     lines = [f"object {ref.pnode} version {ref.version}",
-             f"  {_label(databases, ref)}"]
-    for db in databases:
-        for record in db.records_of_version(ref):
-            if record.attr == Attr.MD5:
-                continue
-            value = record.value
+             f"  {_label(graph, ref)}"]
+    for attr, values in describe(graph, ref)["attrs"].items():
+        if attr == Attr.MD5:
+            continue
+        for value in values:
             if isinstance(value, ObjectRef):
-                value = _label(databases, value)
-            lines.append(f"  {record.attr:14s} {value}")
+                value = _label(graph, value)
+            lines.append(f"  {attr:14s} {value}")
     return "\n".join(lines)

@@ -1,27 +1,29 @@
-"""The indexed provenance database Waldo maintains.
+"""The provenance database Waldo maintains.
 
 The paper stores provenance in (Berkeley-DB style) databases with
 indexes; the space-overhead evaluation (Table 3) reports the database
 size and the database-plus-indexes size separately.  This implementation
 keeps the same accounting: every inserted record adds its encoded length
-to the main-store size, and every index entry adds a documented
-per-entry cost to the index size.
+to the main-store size, and the index entries it would need add a
+documented per-entry cost to the index size:
 
-Indexes maintained (mirroring what the PQL evaluator needs):
+* an **attribute index** entry per record (attribute -> subjects);
+* a **name index** entry per string NAME (name -> subjects);
+* a **cross-reference index** entry per reference value (referenced
+  version -> referencing subjects, the reverse edges).
 
-* **name index**      -- NAME value -> subject refs (file name lookup);
-* **cross-reference index** -- referenced object -> (subject, attr)
-  pairs, i.e. the reverse edges used by descendant traversals.
-
-Table 3 also prices an attribute index (attribute -> subjects) per
-record in ``index_bytes``; it is not kept: ``subjects_with_attr`` scans.
+Both sizes are pure functions of the rows, folded in on first read.
+The database keeps only the rows, grouped by pnode; the in-memory
+indexes that answer questions (name lookup, versions, reverse edges)
+are the live OEM graph's (:mod:`repro.pql.oem`), fed by
+:meth:`ProvenanceDatabase.subscribe_batch`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import chain
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from repro.core.pnode import ObjectRef
 from repro.core.records import (Attr, ProvenanceRecord, RecordBatch,
@@ -35,30 +37,36 @@ NAME_INDEX_BASE_BYTES = 16          # plus the key string itself
 XREF_INDEX_ENTRY_BYTES = 28
 
 
+def _index_bytes_of(attrs: list, values: list) -> int:
+    """Index bytes the rows with these attributes and values cost."""
+    name_attr = Attr.NAME
+    return (ATTR_INDEX_ENTRY_BYTES * len(attrs)
+            + sum(NAME_INDEX_BASE_BYTES + len(value)
+                  for attr, value in zip(attrs, values)
+                  if attr == name_attr and isinstance(value, str))
+            + XREF_INDEX_ENTRY_BYTES * sum(
+                isinstance(value, ObjectRef) for value in values))
+
+
 class ProvenanceDatabase:
-    """In-memory indexed record store with honest size accounting."""
+    """In-memory record store with honest size accounting."""
 
     def __init__(self, name: str = "provenance"):
         self.name = name
         #: pnode -> its records, as flat (subject, attr, value) rows.
         self._records: dict[int, list] = defaultdict(list)
-        self._by_name: dict[str, list[ObjectRef]] = defaultdict(list)
-        #: referenced version -> flat ``subject, attr, subject, attr,
-        #: ...`` pairs: no tuple per reverse edge for the collector.
-        self._by_xref: dict[ObjectRef, list] = defaultdict(list)
-        self._max_version: dict[int, int] = {}
         self.record_count = 0
         self._main_bytes = 0
-        #: Rows inserted by bulk drains whose encoded size has not
-        #: been folded into ``_main_bytes`` yet (see ``main_bytes``).
+        self._index_bytes = 0
+        #: Rows inserted whose sizes have not been folded into
+        #: ``_main_bytes`` and ``_index_bytes`` yet (see ``_fold``).
         self._unsized: list = []
-        self.index_bytes = 0
         self._batch_listeners: list = []
 
     # -- writes ------------------------------------------------------------------
 
     def insert(self, record: ProvenanceRecord) -> None:
-        """Add one record and maintain every index (a batch of one)."""
+        """Add one record (a batch of one)."""
         self.insert_many((record,))
 
     def subscribe_batch(self, listener) -> None:
@@ -79,47 +87,28 @@ class ProvenanceDatabase:
         """Insert a :class:`RecordBatch`, or any iterable of records
         (flattened once); returns how many records were added.
 
-        The one indexing pass: every instance lookup hoisted, the size
-        counters accumulated locally, subscribers notified once with
-        the whole group.
+        The one pass groups the rows by pnode and notifies subscribers
+        once with the whole group.
         """
         if not isinstance(records, RecordBatch):
             records = RecordBatch(records)
         rows = records.rows
         by_pnode = self._records
-        by_name = self._by_name
-        by_xref = self._by_xref
-        max_version = self._max_version
-        name_attr = Attr.NAME
-        index_bytes = ATTR_INDEX_ENTRY_BYTES * len(records)
         # Drained batches arrive as runs of records about one subject
-        # (the analyzer resolves refs per run); the pnode list and the
-        # version high-water check are re-derived only when the subject
-        # *instance* changes -- a same-pnode version change always comes
-        # as a different ObjectRef instance.
-        last_subject = None
-        plist: Optional[list] = None
+        # (the analyzer resolves refs per run); the pnode list is
+        # re-derived only when the subject *instance* changes.
+        last_subject = plist = None
         row = iter(rows)
         for subject, attr, value in zip(row, row, row):
             if subject is not last_subject:
                 last_subject = subject
-                pnode = subject.pnode
-                plist = by_pnode[pnode]
-                if subject.version > max_version.get(pnode, -1):
-                    max_version[pnode] = subject.version
+                plist = by_pnode[subject.pnode]
             plist += (subject, attr, value)
-            if attr == name_attr and isinstance(value, str):
-                by_name[value].append(subject)
-                index_bytes += NAME_INDEX_BASE_BYTES + len(value)
-            if isinstance(value, ObjectRef):
-                by_xref[value] += (subject, attr)
-                index_bytes += XREF_INDEX_ENTRY_BYTES
         self.record_count += len(records)
-        # Main-store size accounting is deferred: sizes are pure
-        # functions of the rows, so the ``main_bytes`` read folds
-        # them in later instead of this loop paying per record.
+        # Size accounting is deferred: sizes are pure functions of the
+        # rows, so the first read folds them in instead of this loop
+        # paying per record.
         self._unsized += rows
-        self.index_bytes += index_bytes
         if rows:
             for listener in self._batch_listeners:
                 listener(records)
@@ -127,20 +116,28 @@ class ProvenanceDatabase:
 
     # -- reads ---------------------------------------------------------------------
 
-    @property
-    def main_bytes(self) -> int:
-        """Encoded bytes of the main store.
-
-        Bulk drains defer per-record size accounting (the hot path adds
-        nothing); the first read folds the deferred records in, so the
-        value is always exact when observed.
-        """
+    def _fold(self) -> None:
+        """Fold the deferred rows into both byte counters, so either
+        value is exact whenever it is observed."""
         pending = self._unsized
         if pending:
-            self._main_bytes += sum(map(codec.encoded_size_of,
-                                        pending[1::3], pending[2::3]))
+            attrs, values = pending[1::3], pending[2::3]
+            self._main_bytes += sum(map(codec.encoded_size_of, attrs,
+                                        values))
+            self._index_bytes += _index_bytes_of(attrs, values)
             self._unsized = []
+
+    @property
+    def main_bytes(self) -> int:
+        """Encoded bytes of the main store."""
+        self._fold()
         return self._main_bytes
+
+    @property
+    def index_bytes(self) -> int:
+        """Bytes the documented index entries of every row cost."""
+        self._fold()
+        return self._index_bytes
 
     def pnodes(self) -> list[int]:
         """Every pnode with at least one record."""
@@ -157,10 +154,6 @@ class ProvenanceDatabase:
                 for subject, attr, value in zip(row, row, row)
                 if subject.version == ref.version]
 
-    def max_version(self, pnode: int) -> Optional[int]:
-        """Latest version number seen for an object, or None."""
-        return self._max_version.get(pnode)
-
     def attribute_values(self, ref: ObjectRef, attr: str) -> list:
         """Values of one attribute on one version (possibly several)."""
         row = iter(self._records.get(ref.pnode, ()))
@@ -173,29 +166,6 @@ class ProvenanceDatabase:
         row = iter(self.all_rows())
         return [subject for subject, name, _ in zip(row, row, row)
                 if name == attr]
-
-    def find_by_name(self, name: str) -> list[ObjectRef]:
-        """Subject refs whose NAME equals ``name`` (name index)."""
-        return list(self._by_name.get(name, ()))
-
-    def ancestors(self, ref: ObjectRef,
-                  attrs: frozenset = Attr.ANCESTRY_ATTRS) -> list[ObjectRef]:
-        """Direct ancestors of one version (forward edges)."""
-        return [record.value for record in self.records_of_version(ref)
-                if record.attr in attrs and isinstance(record.value, ObjectRef)]
-
-    def descendants(self, ref: ObjectRef,
-                    attrs: frozenset = Attr.ANCESTRY_ATTRS
-                    ) -> list[ObjectRef]:
-        """Direct descendants of one version (cross-reference index)."""
-        pair = iter(self._by_xref.get(ref, ()))
-        return [subject for subject, attr in zip(pair, pair)
-                if attr in attrs]
-
-    def referencing(self, ref: ObjectRef) -> list[tuple[ObjectRef, str]]:
-        """Every (subject, attr) pair whose value references ``ref``."""
-        pair = iter(self._by_xref.get(ref, ()))
-        return list(zip(pair, pair))
 
     def all_records(self) -> Iterator[ProvenanceRecord]:
         """Stream every record, grouped by pnode, each in insertion
@@ -213,15 +183,15 @@ class ProvenanceDatabase:
     MAGIC = b"PASSDB1\n"
 
     def to_bytes(self) -> bytes:
-        """Serialize the whole database (indexes are derived state and
-        are rebuilt on load)."""
+        """Serialize the whole database (the byte accounting is derived
+        state and is recomputed on load)."""
         return self.MAGIC + b"".join(
             codec.RecordEncoder().encode_rows(self.all_rows()))
 
     @classmethod
     def from_bytes(cls, blob: bytes,
                    name: str = "provenance") -> "ProvenanceDatabase":
-        """Rebuild a database (and all indexes) from :meth:`to_bytes`."""
+        """Rebuild a database from :meth:`to_bytes`."""
         if not blob.startswith(cls.MAGIC):
             from repro.core.errors import LogCorruption
             raise LogCorruption("not a PASS provenance database export")

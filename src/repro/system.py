@@ -175,11 +175,9 @@ class System:
     # -- queries --------------------------------------------------------------------------
 
     def find_by_name(self, name: str) -> list[ObjectRef]:
-        """Refs of objects whose NAME attribute equals ``name``."""
-        refs: list[ObjectRef] = []
-        for database in self.databases():
-            refs.extend(database.find_by_name(name))
-        return refs
+        """Refs of every version of every object whose NAME equals
+        ``name``, from the live graph's name index (:meth:`sync` first)."""
+        return [node.ref for node in self.query_engine().graph.named(name)]
 
     def query(self, text: str):
         """Run a PQL query against the merged provenance graph."""
@@ -203,7 +201,7 @@ class System:
     def ancestry(self, name: str):
         """All ancestor refs of the newest object named ``name``."""
         from repro.query.helpers import ancestry_of_name
-        return ancestry_of_name(self, name)
+        return ancestry_of_name(self.query_engine().graph, name)
 
     def fsck(self):
         """Integrity-check every volume's database (see storage.fsck)."""

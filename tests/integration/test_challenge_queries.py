@@ -130,8 +130,9 @@ class TestChallengeQueries:
 
     def test_time_atoms_present_and_ordered(self, challenge_system):
         db = challenge_system.database("pass")
-        ref_in = db.find_by_name("/pass/inputs/anatomy1.img")[0]
-        ref_out = db.find_by_name("/pass/out/atlas-x.gif")[0]
+        find = challenge_system.find_by_name
+        ref_in = find("/pass/inputs/anatomy1.img")[0]
+        ref_out = find("/pass/out/atlas-x.gif")[0]
         t_in = [r.value for r in db.records_of(ref_in.pnode)
                 if r.attr == Attr.TIME]
         t_out = [r.value for r in db.records_of(ref_out.pnode)

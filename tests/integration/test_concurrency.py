@@ -7,6 +7,7 @@ database graph stays acyclic and versions record the interleaving.
 """
 
 from repro.core.records import Attr
+from repro.query.helpers import ancestry_refs, newest_ref_by_name
 from tests.conftest import write_file
 
 
@@ -69,9 +70,9 @@ class TestInterleavedReadersWriters:
         db = system.database("pass")
         assert_acyclic(db)
         # Both files must have been versioned by the back-and-forth.
+        graph = system.query_engine().graph
         for name in ("/pass/A", "/pass/B"):
-            ref = db.find_by_name(name)[0]
-            assert db.max_version(ref.pnode) >= 1
+            assert newest_ref_by_name(graph, name).version >= 1
 
     def test_many_writers_single_file(self, system):
         write_file(system, "/pass/shared", b"v0")
@@ -97,9 +98,9 @@ class TestInterleavedReadersWriters:
         system.sync()
         db = system.database("pass")
         assert_acyclic(db)
-        ref = db.find_by_name("/pass/shared")[0]
         # Multiple writers + read-modify-write cycles force versioning.
-        assert db.max_version(ref.pnode) >= 4
+        assert newest_ref_by_name(system.query_engine().graph,
+                                  "/pass/shared").version >= 4
 
     def test_version_history_chain_complete(self, system):
         """Every version > 0 in the database links to its predecessor."""
@@ -112,8 +113,8 @@ class TestInterleavedReadersWriters:
                 proc.close(fd)
         system.sync()
         db = system.database("pass")
-        ref = db.find_by_name("/pass/f")[0]
-        top = db.max_version(ref.pnode)
+        ref = newest_ref_by_name(system.query_engine().graph, "/pass/f")
+        top = ref.version
         assert top >= 3
         for version in range(1, top + 1):
             from repro.core.pnode import ObjectRef
@@ -168,9 +169,8 @@ class TestInterleavedReadersWriters:
         system.sync()
         db = system.database("pass")
         assert_acyclic(db)
-        out_ref = db.find_by_name("/pass/collected")[0]
-        from tests.integration.test_pipeline import transitive_ancestors
+        out_ref = system.find_by_name("/pass/collected")[0]
         types = set()
-        for ref in transitive_ancestors(db, out_ref):
+        for ref in ancestry_refs(system.query_engine().graph, out_ref):
             types.update(db.attribute_values(ref, Attr.TYPE))
         assert "PIPE" in types

@@ -12,6 +12,7 @@ from repro.apps.papython import ProvenanceTracker
 from repro.core.records import Attr, ObjType
 from repro.kernel.clock import SimClock
 from repro.nfs import NFSClient, NFSServer
+from repro.pql.engine import QueryEngine
 from repro.query.helpers import ancestry_refs, newest_ref_by_name
 from repro.system import System
 
@@ -54,19 +55,15 @@ def test_five_layer_stack():
     client.sync()
     workstation.sync()
     server_sys.sync()
-    dbs = workstation.databases() + server_sys.databases()
+    graph = QueryEngine.live(workstation.databases()
+                             + server_sys.databases()).graph
 
-    summary_ref = newest_ref_by_name(dbs, "/nfs/summary.txt")
-    ancestry = ancestry_refs(dbs, summary_ref)
-
+    summary_ref = newest_ref_by_name(graph, "/nfs/summary.txt")
     names, types = set(), set()
-    for db in dbs:
-        for ref in ancestry:
-            for record in db.records_of(ref.pnode):
-                if record.attr == Attr.NAME:
-                    names.add(str(record.value))
-                elif record.attr == Attr.TYPE:
-                    types.add(str(record.value))
+    for ref in ancestry_refs(graph, summary_ref):
+        node = graph.node(ref)
+        names.update(map(str, node.atom("name")))
+        types.update(map(str, node.atom("type")))
 
     # Layer 1: application objects (the tracked values).
     assert ObjType.PYOBJECT in types
@@ -109,8 +106,8 @@ def test_layers_accept_and_issue_dpapi():
     system.run("/pass/bin/app")
     system.sync()
     db = system.database("pass")
-    out_ref = db.find_by_name("/pass/result")[0]
-    ancestry = ancestry_refs([db], out_ref)
+    out_ref = system.find_by_name("/pass/result")[0]
+    ancestry = ancestry_refs(system.query_engine().graph, out_ref)
     names = set()
     for ref in ancestry:
         names.update(str(v) for v in db.attribute_values(ref, Attr.NAME))

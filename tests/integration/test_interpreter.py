@@ -31,9 +31,9 @@ def run_interp(system, body):
 def ancestry_labels(system, path):
     system.sync()
     db = system.database("pass")
-    ref = db.find_by_name(path)[0]
+    ref = system.find_by_name(path)[0]
     names = set()
-    for anc in ancestry_refs([db], ref):
+    for anc in ancestry_refs(system.query_engine().graph, ref):
         names.update(str(v) for v in db.attribute_values(anc, Attr.NAME))
     return names
 

@@ -19,7 +19,7 @@ from repro.apps.kepler.challenge import (
 from repro.core.errors import WorkflowError
 from repro.core.records import Attr, ObjType
 from tests.conftest import read_file, write_file
-from tests.integration.test_pipeline import transitive_ancestors
+from repro.query.helpers import ancestry_refs
 
 
 def simple_workflow(in_path, out_path):
@@ -155,8 +155,8 @@ class TestRecordingBackends:
         run_workflow(system, wf, recording="pass")
         system.sync()
         db = system.database("pass")
-        out_ref = db.find_by_name("/pass/out")[0]
-        ancestors = transitive_ancestors(db, out_ref)
+        out_ref = system.find_by_name("/pass/out")[0]
+        ancestors = ancestry_refs(system.query_engine().graph, out_ref)
         names = set()
         types = set()
         for ref in ancestors:

@@ -13,7 +13,7 @@ from repro.apps.kepler.composite import Collector, CompositeActor, Injector
 from repro.core.errors import WorkflowError
 from repro.core.records import Attr, ObjType
 from tests.conftest import read_file, write_file
-from tests.integration.test_pipeline import transitive_ancestors
+from repro.query.helpers import ancestry_refs
 
 
 def make_normalizer() -> Workflow:
@@ -95,9 +95,9 @@ class TestCompositeProvenance:
                      recording="pass")
         system.sync()
         db = system.database("pass")
-        out_ref = db.find_by_name("/pass/out")[0]
+        out_ref = system.find_by_name("/pass/out")[0]
         names = set()
-        for ref in transitive_ancestors(db, out_ref):
+        for ref in ancestry_refs(system.query_engine().graph, out_ref):
             names.update(db.attribute_values(ref, Attr.NAME))
         assert "normalize" in names          # the composite operator
         assert "src" in names                # outer neighbors

@@ -5,8 +5,7 @@ import pytest
 from repro.apps.links import Browser, Web
 from repro.core.errors import BrowserError
 from repro.core.records import Attr, ObjType
-from repro.query.helpers import descendant_refs
-from tests.integration.test_pipeline import transitive_ancestors
+from repro.query.helpers import ancestry_refs, descendant_refs
 
 
 def make_web():
@@ -97,7 +96,7 @@ class TestSessions:
         run_browser(system, body)
         system.sync()
         db = system.database("pass")
-        file_ref = db.find_by_name("/pass/codec.bin")[0]
+        file_ref = system.find_by_name("/pass/codec.bin")[0]
         records = db.records_of(file_ref.pnode)
         attrs = {r.attr for r in records}
         assert Attr.FILE_URL in attrs
@@ -129,7 +128,7 @@ class TestAttributionUseCase:
         web.take_down("http://graphs.example/q3.png")
         system.sync()
         db = system.database("pass")
-        refs = db.find_by_name("/pass/talk/q3.png")
+        refs = system.find_by_name("/pass/talk/q3.png")
         assert refs
         urls = [r.value for r in db.records_of(refs[0].pnode)
                 if r.attr == Attr.FILE_URL]
@@ -174,9 +173,9 @@ class TestMalwareUseCase:
         system.run("/pass/bin/codec")
         system.sync()
         db = system.database("pass")
-        codec_ref = db.find_by_name("/pass/codec.bin")[0]
+        codec_ref = system.find_by_name("/pass/codec.bin")[0]
         # Layer 1 (browser): which site?  The session's history.
-        ancestors = transitive_ancestors(db, codec_ref)
+        ancestors = ancestry_refs(system.query_engine().graph, codec_ref)
         session_refs = [ref for ref in ancestors
                         if ObjType.SESSION in db.attribute_values(
                             ref, Attr.TYPE)]
@@ -185,7 +184,7 @@ class TestMalwareUseCase:
         assert "http://trusted.example/" in visited
         assert "http://codecs.example/downloads" in visited
         # Layer 2 (PASS): what did the malware touch?
-        tainted = descendant_refs([db], codec_ref)
+        tainted = descendant_refs(system.query_engine().graph, codec_ref)
         names = set()
         for ref in tainted:
             for record in db.records_of(ref.pnode):

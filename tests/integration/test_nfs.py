@@ -6,8 +6,9 @@ from repro.core.errors import StalePnodeVersion
 from repro.core.records import Attr, ObjType
 from repro.kernel.clock import SimClock
 from repro.nfs import NFSClient, NFSServer, Network
+from repro.pql.engine import QueryEngine
+from repro.query.helpers import ancestry_refs, newest_ref_by_name
 from repro.system import System
-from tests.integration.test_pipeline import transitive_ancestors
 
 
 def make_env(provenance=True, clients=1, export="export",
@@ -139,9 +140,9 @@ class TestProvenanceOverTheWire:
             proc.close(fd)
         sync_all(server_sys, clients)
         db = server_sys.database("export")
-        refs = db.find_by_name("/nfs/out")
+        refs = server_sys.find_by_name("/nfs/out")
         assert refs
-        ancestors = transitive_ancestors(db, refs[0])
+        ancestors = ancestry_refs(server_sys.query_engine().graph, refs[0])
         names = set()
         for ref in ancestors:
             names.update(db.attribute_values(ref, Attr.NAME))
@@ -257,16 +258,11 @@ class TestProvenanceOverTheWire:
         clientB.sync()
         serverA_sys.sync()
         serverB_sys.sync()
-        dbs = serverA_sys.databases() + serverB_sys.databases()
-        from repro.query.helpers import ancestry_refs, newest_ref_by_name
-        out_ref = newest_ref_by_name(dbs, "/outputs/result")
-        ancestry = ancestry_refs(dbs, out_ref)
-        names = set()
-        for db in dbs:
-            for ref in ancestry:
-                for record in db.records_of(ref.pnode):
-                    if record.attr == Attr.NAME:
-                        names.add(record.value)
+        graph = QueryEngine.live(serverA_sys.databases()
+                                 + serverB_sys.databases()).graph
+        out_ref = newest_ref_by_name(graph, "/outputs/result")
+        names = {name for ref in ancestry_refs(graph, out_ref)
+                 for name in graph.node(ref).atom("name")}
         assert "/inputs/raw" in names
         assert "transform" in names
 

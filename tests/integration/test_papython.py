@@ -7,7 +7,7 @@ from repro.workloads.thermography import (
     run_analysis,
 )
 from tests.conftest import read_file, write_file
-from tests.integration.test_pipeline import transitive_ancestors
+from repro.query.helpers import ancestry_refs
 
 
 def names_and_types(db, refs):
@@ -35,8 +35,8 @@ class TestWrapperBasics:
         system.run("/pass/bin/app")
         system.sync()
         db = system.database("pass")
-        out_ref = db.find_by_name("/pass/result.txt")[0]
-        ancestors = transitive_ancestors(db, out_ref)
+        out_ref = system.find_by_name("/pass/result.txt")[0]
+        ancestors = ancestry_refs(system.query_engine().graph, out_ref)
         names, types = names_and_types(db, ancestors)
         assert ObjType.FUNCTION in types
         assert ObjType.INVOCATION in types
@@ -84,8 +84,8 @@ class TestDataOriginUseCase:
         assert 0 < stats["used"] < stats["total"]
         system.sync()
         db = system.database("pass")
-        plot_ref = db.find_by_name("/pass/plot.dat")[0]
-        ancestors = transitive_ancestors(db, plot_ref)
+        plot_ref = system.find_by_name("/pass/plot.dat")[0]
+        ancestors = ancestry_refs(system.query_engine().graph, plot_ref)
         names, types = names_and_types(db, ancestors)
         assert ObjType.INVOCATION in types
         assert "crack_heating" in names
@@ -140,8 +140,8 @@ class TestProcessValidationUseCase:
         db = system.database("pass")
         suspect = []
         for plot in ("/pass/plot-old.dat", "/pass/plot-new.dat"):
-            ref = db.find_by_name(plot)[0]
-            ancestors = transitive_ancestors(db, ref)
+            ref = system.find_by_name(plot)[0]
+            ancestors = ancestry_refs(system.query_engine().graph, ref)
             names, types = names_and_types(db, ancestors)
             used_buggy_lib = "/pass/lib/calc-v2.py" in names
             used_calc_routine = "crack_heating" in names

@@ -3,8 +3,8 @@ Lasagna -> Waldo -> database."""
 
 import pytest
 
-from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ObjType
+from repro.query.helpers import ancestry_refs, newest_ref_by_name
 from repro.system import System
 from tests.conftest import read_file, write_file
 
@@ -14,7 +14,7 @@ class TestBasicFlow:
         write_file(system, "/pass/out.txt", b"payload")
         system.sync()
         db = system.database("pass")
-        refs = db.find_by_name("/pass/out.txt")
+        refs = system.find_by_name("/pass/out.txt")
         assert refs
         records = db.records_of(refs[0].pnode)
         attrs = {r.attr for r in records}
@@ -28,8 +28,9 @@ class TestBasicFlow:
             proc.close(fd)
         system.sync()
         db = system.database("pass")
-        file_ref = db.find_by_name("/pass/x")[0]
-        parents = db.ancestors(file_ref)
+        file_ref = system.find_by_name("/pass/x")[0]
+        graph = system.query_engine().graph
+        parents = [node.ref for node in graph.node(file_ref).out("input")]
         assert parents
         # The ancestor process carries NAME=writer-prog.
         names = []
@@ -47,10 +48,9 @@ class TestBasicFlow:
             proc.write(out, data.upper())
             proc.close(out)
         system.sync()
-        db = system.database("pass")
-        out_ref = db.find_by_name("/pass/out.txt")[0]
-        in_ref = db.find_by_name("/pass/in.txt")[0]
-        assert in_ref in transitive_ancestors(db, out_ref)
+        out_ref = system.find_by_name("/pass/out.txt")[0]
+        in_ref = system.find_by_name("/pass/in.txt")[0]
+        assert in_ref in ancestry_refs(system.query_engine().graph, out_ref)
 
     def test_data_round_trips(self, system):
         write_file(system, "/pass/data.bin", b"\x01\x02\x03")
@@ -90,9 +90,9 @@ class TestPipelineProvenance:
             shell.close(rfd)
         system.sync()
         db = system.database("pass")
-        out_ref = db.find_by_name("/pass/out")[0]
-        ancestors = transitive_ancestors(db, out_ref)
-        source_ref = db.find_by_name("/pass/source")[0]
+        out_ref = system.find_by_name("/pass/out")[0]
+        ancestors = ancestry_refs(system.query_engine().graph, out_ref)
+        source_ref = system.find_by_name("/pass/source")[0]
         assert source_ref in ancestors
         types = set()
         for ref in ancestors:
@@ -109,10 +109,9 @@ class TestPipelineProvenance:
         system.register_program("/pass/bin/tool", prog)
         system.run("/pass/bin/tool")
         system.sync()
-        db = system.database("pass")
-        out_ref = db.find_by_name("/pass/result")[0]
-        ancestors = transitive_ancestors(db, out_ref)
-        binary_ref = db.find_by_name("/pass/bin/tool")[0]
+        out_ref = system.find_by_name("/pass/result")[0]
+        ancestors = ancestry_refs(system.query_engine().graph, out_ref)
+        binary_ref = system.find_by_name("/pass/bin/tool")[0]
         assert binary_ref in ancestors
 
 
@@ -125,9 +124,8 @@ class TestVersioning:
             proc.write(fd, b"v1")
             proc.close(fd)
         system.sync()
-        db = system.database("pass")
-        ref = db.find_by_name("/pass/f")[0]
-        assert db.max_version(ref.pnode) >= 1
+        graph = system.query_engine().graph
+        assert newest_ref_by_name(graph, "/pass/f").version >= 1
 
     def test_same_process_rewrite_does_not_freeze(self, system):
         with system.process() as proc:
@@ -151,9 +149,8 @@ class TestVersioning:
         with system.process() as proc:
             proc.rename("/pass/a", "/pass/b")
         system.sync()
-        db = system.database("pass")
-        refs_b = db.find_by_name("/pass/b")
-        refs_a = db.find_by_name("/pass/a")
+        refs_b = system.find_by_name("/pass/b")
+        refs_a = system.find_by_name("/pass/a")
         assert refs_b
         assert refs_a and refs_a[0].pnode == refs_b[0].pnode
 
@@ -188,8 +185,8 @@ class TestDistributorIntegration:
             proc.close(out)
         system.sync()
         db = system.database("pass")
-        out_ref = db.find_by_name("/pass/output")[0]
-        ancestors = transitive_ancestors(db, out_ref)
+        out_ref = system.find_by_name("/pass/output")[0]
+        ancestors = ancestry_refs(system.query_engine().graph, out_ref)
         names = set()
         for ref in ancestors:
             names.update(db.attribute_values(ref, Attr.NAME))
@@ -199,8 +196,8 @@ class TestDistributorIntegration:
         system = two_volume_system
         write_file(system, "/pass2/on-second", b"hello")
         system.sync()
-        db2 = system.database("pass2")
-        assert db2.find_by_name("/pass2/on-second")
+        ref = system.find_by_name("/pass2/on-second")[0]
+        assert system.database("pass2").records_of(ref.pnode)
 
 
 class TestWapInvariant:
@@ -214,22 +211,9 @@ class TestWapInvariant:
         write_file(system, "/pass/sums", b"payload")
         system.sync()
         db = system.database("pass")
-        ref = db.find_by_name("/pass/sums")[0]
+        ref = system.find_by_name("/pass/sums")[0]
         md5s = [r for r in db.records_of(ref.pnode) if r.attr == Attr.MD5]
         assert md5s
-
-
-def transitive_ancestors(db, ref: ObjectRef) -> set[ObjectRef]:
-    """All ancestors reachable over ancestry edges."""
-    seen: set[ObjectRef] = set()
-    frontier = [ref]
-    while frontier:
-        node = frontier.pop()
-        for parent in db.ancestors(node):
-            if parent not in seen:
-                seen.add(parent)
-                frontier.append(parent)
-    return seen
 
 
 def _find_process_by_name(db, name):

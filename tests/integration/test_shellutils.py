@@ -5,7 +5,7 @@ import pytest
 from repro.apps.shellutils import UsageError, install
 from repro.core.records import Attr
 from tests.conftest import read_file, write_file
-from tests.integration.test_pipeline import transitive_ancestors
+from repro.query.helpers import ancestry_refs
 
 
 @pytest.fixture
@@ -16,9 +16,9 @@ def tools(system):
 def ancestors_names(system, path):
     system.sync()
     db = system.database("pass")
-    ref = db.find_by_name(path)[0]
+    ref = system.find_by_name(path)[0]
     names = set()
-    for anc in transitive_ancestors(db, ref):
+    for anc in ancestry_refs(system.query_engine().graph, ref):
         names.update(str(v) for v in db.attribute_values(anc, Attr.NAME))
     return names
 

@@ -13,6 +13,7 @@ from repro.apps.kepler.challenge import (
     generate_inputs,
 )
 from repro.core.records import Attr
+from repro.query.helpers import ancestry_refs
 from tests.conftest import read_file, write_file
 
 
@@ -68,7 +69,7 @@ class TestPassOnlyMissesTheUrl:
         system.run("/pass/bin/browser", argv=["browser"])
         system.sync()
         db = system.database("pass")
-        ref = db.find_by_name("/pass/downloaded.png")[0]
+        ref = system.find_by_name("/pass/downloaded.png")[0]
         records = db.records_of(ref.pnode)
         attrs = {r.attr for r in records}
         # The process dependency is there; the URL is simply absent.
@@ -103,10 +104,9 @@ class TestPassOnlyBlamesEveryXmlFile:
         system.run("/pass/bin/analyze", argv=["python", "analyze.py"])
         system.sync()
         db = system.database("pass")
-        plot = db.find_by_name("/pass/plot.dat")[0]
-        from tests.integration.test_pipeline import transitive_ancestors
+        plot = system.find_by_name("/pass/plot.dat")[0]
         xml_ancestors = {
-            name for ref in transitive_ancestors(db, plot)
+            name for ref in ancestry_refs(system.query_engine().graph, plot)
             for name in db.attribute_values(ref, Attr.NAME)
             if str(name).endswith(".xml")
         }

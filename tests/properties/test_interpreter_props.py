@@ -76,11 +76,11 @@ def test_interpreter_ancestry_covers_used_names(source):
     system.run("/pass/bin/app")
     system.sync()
     db = system.database("pass")
-    ref = db.find_by_name("/pass/result")[0]
+    ref = system.find_by_name("/pass/result")[0]
     from repro.core.records import Attr
     from repro.query.helpers import ancestry_refs
     labels = set()
-    for anc in ancestry_refs([db], ref):
+    for anc in ancestry_refs(system.query_engine().graph, ref):
         labels.update(str(v) for v in db.attribute_values(anc, Attr.NAME))
     for name in NAMES:
         mentioned = name in source

@@ -19,6 +19,7 @@ from repro.core.distributor import Distributor
 from repro.core.errors import InvalidRecord
 from repro.core.pnode import ObjectRef, make_pnode
 from repro.core.records import Attr, Bundle, ProvenanceRecord, RecordBatch
+from repro.pql.oem import OEMGraph
 from repro.kernel.clock import SimClock
 from repro.kernel.params import LogParams, SimParams
 from repro.storage import codec
@@ -584,28 +585,61 @@ class TestInsertMany:
         ]
 
     def test_matches_per_record_inserts(self):
-        """Every index against the answer worked out by hand, whether
-        the records arrive as one group or one ``insert`` at a time."""
+        """Every read against the answer worked out by hand, whether
+        the records arrive as one group, one ``insert`` at a time, or
+        as two groups with the sizes read in between."""
         records = self.records()
         a0, b3, a2 = ObjectRef(1, 0), ObjectRef(2, 3), ObjectRef(1, 2)
         loop, bulk = ProvenanceDatabase("loop"), ProvenanceDatabase("bulk")
+        split = ProvenanceDatabase("split")
         for record in records:
             loop.insert(record)
         assert bulk.insert_many(records) == 5
-        for database in (loop, bulk):
+        split.insert_many(records[:2])
+        assert split.sizes() == {"database": sum(
+            codec.encoded_size(record) for record in records[:2]),
+            "indexes": 2 * 20 + (16 + 7) + 28,
+            "total": split.main_bytes + split.index_bytes}
+        split.insert_many(records[2:])
+        for database in (loop, bulk, split):
             # all_records() groups by pnode, each in insertion order.
             assert list(database.all_records()) == [
                 records[0], records[1], records[4], records[2], records[3]]
             assert database.record_count == len(database) == 5
-            assert (database.max_version(1), database.max_version(2)) == (2, 3)
             assert database.subjects_with_attr(Attr.NAME) == [a0, b3]
-            assert database.find_by_name("/pass/a") == [a0]
-            assert database.referencing(b3) == [(a0, Attr.INPUT)]
             assert database.records_of_version(a2) == [records[4]]
             assert database.main_bytes == sum(
                 codec.encoded_size(record) for record in records)
             # 5 attribute entries, 2 seven-character names, 1 xref.
             assert database.index_bytes == 5 * 20 + 2 * (16 + 7) + 28
+            assert database.sizes() == bulk.sizes()
+            # Versions, names and reverse edges are the graph's.
+            graph = OEMGraph.build(database.all_records())
+            assert [node.ref for node in graph.versions_of(1)] == [a0, a2]
+            assert [node.ref for node in graph.versions_of(2)] == [b3]
+            assert [node.ref for node in graph.named("/pass/a")] == [a0, a2]
+            assert [node.ref for node in graph.node(b3).rin("input")] == [a0]
+
+    def test_rows_are_the_only_containers(self):
+        """NAME and cross-reference rows about k pnodes leave the
+        database holding k per-pnode row lists and nothing else: no
+        dict keyed by a name or an ObjectRef, no version map."""
+        database = ProvenanceDatabase()
+        database.insert_many(self.records())
+        database.sizes()                   # folds the deferred rows
+        containers, stack, seen = [], list(vars(database).values()), set()
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or not isinstance(obj, (dict, list, set)):
+                continue
+            seen.add(id(obj))
+            containers.append(obj)
+            stack.extend(gc.get_referents(obj))
+        dicts = [obj for obj in containers if isinstance(obj, dict)]
+        assert dicts == [database._records]
+        assert sorted(database._records) == [1, 2]
+        assert sorted(len(obj) for obj in containers if obj) == [
+            2, 6, 9]                        # _records, pnode 2, pnode 1
 
     def test_subjects_with_attr_is_grouped_by_object(self):
         """One subject per record carrying the attribute, grouped by
@@ -626,14 +660,19 @@ class TestInsertMany:
         assert database.subjects_with_attr(Attr.PID) == []
 
     def test_main_bytes_accounting_is_lazy_but_exact(self):
+        """Both byte counters are folded from the deferred rows on the
+        first read of either."""
         database = ProvenanceDatabase()
         records = self.records()
         database.insert_many(records)
         assert database._unsized          # deferred until first read
+        assert database._index_bytes == 0
         expected = sum(codec.encoded_size(record) for record in records)
         assert database.main_bytes == expected
         assert not database._unsized      # folded exactly once
+        assert database._index_bytes == 5 * 20 + 2 * (16 + 7) + 28
         assert database.main_bytes == expected
+        assert database.index_bytes == 5 * 20 + 2 * (16 + 7) + 28
 
     def test_batch_listener_sees_each_record_once_via_both_paths(self):
         database = ProvenanceDatabase()
@@ -651,7 +690,6 @@ class TestInsertMany:
 
 class TestApplyBatch:
     def test_matches_per_record_apply(self):
-        from repro.pql.oem import OEMGraph
         from tests.conftest import graph_fingerprint
 
         records = [

@@ -5,6 +5,7 @@ import pytest
 from repro.core.errors import LogCorruption
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ObjType, ProvenanceRecord
+from repro.pql.oem import OEMGraph
 from repro.storage.database import ProvenanceDatabase
 
 
@@ -34,12 +35,21 @@ class TestRoundtrip:
             == sorted(r.key() for r in db.all_records())
 
     def test_indexes_rebuilt(self, db):
-        clone = ProvenanceDatabase.from_bytes(db.to_bytes())
-        assert clone.find_by_name("/data") == db.find_by_name("/data")
-        # Reload groups records by pnode, so index *order* may differ.
-        assert set(clone.descendants(ObjectRef(1, 0))) \
-            == set(db.descendants(ObjectRef(1, 0)))
-        assert clone.max_version(1) == 1
+        """A graph over the reloaded rows has the original's name index,
+        reverse edges and versions."""
+        clone = OEMGraph.build(
+            ProvenanceDatabase.from_bytes(db.to_bytes()).all_records())
+        original = OEMGraph.build(db.all_records())
+
+        def readers(graph):
+            return {node.ref for node in graph.node(ObjectRef(1, 0)).rin(
+                "input")}
+
+        assert [node.ref for node in clone.named("/data")] \
+            == [node.ref for node in original.named("/data")]
+        # Reload groups records by pnode, so edge *order* may differ.
+        assert readers(clone) == readers(original) == {ObjectRef(2, 0)}
+        assert clone.versions_of(1)[-1].ref == ObjectRef(1, 1)
 
     def test_one_ref_instance_per_version(self, db):
         """The decoder memoises refs per stream: every record about, or

@@ -151,7 +151,7 @@ class TestDeepChains:
     def assert_whole_chain_stored(self, system) -> None:
         system.sync()
         database = system.database()
-        assert all(database.find_by_name(f"link{index}")
+        assert all(system.find_by_name(f"link{index}")
                    for index in range(self.DEPTH))
         assert len(database.subjects_with_attr(Attr.INPUT)) >= self.DEPTH - 1
         assert system.fsck().clean

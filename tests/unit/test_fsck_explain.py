@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ObjType, ProvenanceRecord
+from repro.pql.oem import OEMGraph
 from repro.query.helpers import explain_dependency
 from repro.storage.database import ProvenanceDatabase
 from repro.storage.fsck import fsck
@@ -113,7 +114,8 @@ class TestFsckFindings:
 class TestExplainDependency:
     def test_single_path(self):
         db = healthy_db()
-        paths = explain_dependency([db], ObjectRef(3, 0), ObjectRef(1, 0))
+        graph = OEMGraph.build(db.all_records())
+        paths = explain_dependency(graph, ObjectRef(3, 0), ObjectRef(1, 0))
         assert paths == [[ObjectRef(3, 0), ObjectRef(2, 0),
                           ObjectRef(1, 0)]]
 
@@ -121,13 +123,15 @@ class TestExplainDependency:
         db = healthy_db()
         # Add a direct shortcut 3 -> 1.
         db.insert(R(3, 0, Attr.INPUT, ObjectRef(1, 0)))
-        paths = explain_dependency([db], ObjectRef(3, 0), ObjectRef(1, 0))
+        graph = OEMGraph.build(db.all_records())
+        paths = explain_dependency(graph, ObjectRef(3, 0), ObjectRef(1, 0))
         assert paths[0] == [ObjectRef(3, 0), ObjectRef(1, 0)]
         assert len(paths) >= 2
 
     def test_no_dependency(self):
         db = healthy_db()
-        paths = explain_dependency([db], ObjectRef(1, 0), ObjectRef(3, 0))
+        graph = OEMGraph.build(db.all_records())
+        paths = explain_dependency(graph, ObjectRef(1, 0), ObjectRef(3, 0))
         assert paths == []
 
     def test_max_paths_respected(self):
@@ -137,7 +141,8 @@ class TestExplainDependency:
         for middle in range(10, 20):
             db.insert(R(100, 0, Attr.INPUT, ObjectRef(middle, 0)))
             db.insert(R(middle, 0, Attr.INPUT, ObjectRef(1, 0)))
-        paths = explain_dependency([db], ObjectRef(100, 0),
+        graph = OEMGraph.build(db.all_records())
+        paths = explain_dependency(graph, ObjectRef(100, 0),
                                    ObjectRef(1, 0), max_paths=3)
         assert len(paths) == 3
 
@@ -154,9 +159,9 @@ class TestExplainDependency:
             proc.close(out)
         system.sync()
         db = system.database("pass")
-        doc = db.find_by_name("/pass/infected.doc")[0]
-        codec = db.find_by_name("/pass/codec.bin")[0]
-        paths = explain_dependency([db], doc, codec)
+        doc = system.find_by_name("/pass/infected.doc")[0]
+        codec = system.find_by_name("/pass/codec.bin")[0]
+        paths = explain_dependency(system.query_engine().graph, doc, codec)
         assert paths
         middle_names = set()
         for path in paths:

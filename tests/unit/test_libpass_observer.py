@@ -10,6 +10,7 @@ from repro.core.errors import (
 )
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ObjType
+from repro.query.helpers import ancestry_refs
 from repro.system import System
 
 
@@ -52,7 +53,7 @@ class TestPassReadWrite:
         shell.close(fd)
         system.sync()
         db = system.database("pass")
-        ref = db.find_by_name("/pass/out")[0]
+        ref = system.find_by_name("/pass/out")[0]
         notes = [r.value for r in db.records_of(ref.pnode)
                  if r.attr == Attr.ANNOTATION]
         assert notes == ["from-app"]
@@ -65,7 +66,7 @@ class TestPassReadWrite:
         shell.close(fd)
         system.sync()
         db = system.database("pass")
-        ref = db.find_by_name("/pass/out")[0]
+        ref = system.find_by_name("/pass/out")[0]
         inputs = [r.value for r in db.records_of(ref.pnode)
                   if r.attr == Attr.INPUT]
         assert ObjectRef(shell.proc.pnode, 0) in inputs
@@ -164,7 +165,7 @@ class TestObserverDetails:
                 proc.close(fd)
         system.sync()
         db = system.database("pass")
-        ref = db.find_by_name("/pass/same")[0]
+        ref = system.find_by_name("/pass/same")[0]
         type_records = [r for r in db.records_of(ref.pnode)
                         if r.attr == Attr.TYPE]
         assert len(type_records) == 1
@@ -198,10 +199,9 @@ class TestObserverDetails:
             proc.close(out)
         system.sync()
         db = system.database("pass")
-        out_ref = db.find_by_name("/pass/out")[0]
-        from tests.integration.test_pipeline import transitive_ancestors
+        out_ref = system.find_by_name("/pass/out")[0]
         names = set()
-        for ref in transitive_ancestors(db, out_ref):
+        for ref in ancestry_refs(system.query_engine().graph, out_ref):
             names.update(db.attribute_values(ref, Attr.NAME))
         assert "/pass/mapped" in names
 
@@ -214,7 +214,7 @@ class TestObserverDetails:
             proc.close(fd)
         system.sync()
         db = system.database("pass")
-        ref = db.find_by_name("/pass/shared")[0]
+        ref = system.find_by_name("/pass/shared")[0]
         all_inputs = [r for r in db.records_of(ref.pnode)
                       if r.attr == Attr.INPUT]
         assert len(all_inputs) >= 2     # writer process + mapper process

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import CrossDeviceLink, FileExists, IsADirectory
 from repro.core.records import Attr
+from repro.query.helpers import ancestry_refs
 from tests.conftest import write_file
 
 
@@ -83,9 +84,8 @@ class TestLinkProvenance:
             proc.mkdir("/pass/talk")
             proc.link("/pass/downloaded", "/pass/talk/figure")
         system.sync()
-        db = system.database("pass")
-        via_old = db.find_by_name("/pass/downloaded")
-        via_new = db.find_by_name("/pass/talk/figure")
+        via_old = system.find_by_name("/pass/downloaded")
+        via_new = system.find_by_name("/pass/talk/figure")
         assert via_old and via_new
         assert via_old[0].pnode == via_new[0].pnode
 
@@ -101,10 +101,9 @@ class TestLinkProvenance:
             proc.link("/pass/built", "/pass/release")
         system.sync()
         db = system.database("pass")
-        ref = db.find_by_name("/pass/release")[0]
-        from tests.integration.test_pipeline import transitive_ancestors
+        ref = system.find_by_name("/pass/release")[0]
         names = set()
-        for anc in transitive_ancestors(db, ref):
+        for anc in ancestry_refs(system.query_engine().graph, ref):
             names.update(db.attribute_values(anc, Attr.NAME))
         assert "/pass/src" in names
         assert "builder" in names

@@ -34,66 +34,90 @@ def db():
     return database
 
 
+@pytest.fixture
+def graph(db):
+    """The live graph over ``db``: later inserts reach it."""
+    return QueryEngine.live([db]).graph
+
+
 class TestAncestryTree:
-    def test_tree_structure(self, db):
-        tree = ancestry_tree([db], ObjectRef(3, 0))
+    def test_tree_structure(self, graph):
+        tree = ancestry_tree(graph, ObjectRef(3, 0))
         lines = tree.splitlines()
         assert lines[0] == "/out [FILE]"
         assert "  cc [PROCESS]" in lines
         assert "    /in [FILE]" in lines
 
-    def test_repeated_nodes_folded(self, db):
-        tree = ancestry_tree([db], ObjectRef(3, 0))
+    def test_repeated_nodes_folded(self, graph):
+        tree = ancestry_tree(graph, ObjectRef(3, 0))
         assert tree.count("/in [FILE]") == 2
         assert "(see above)" in tree
 
-    def test_depth_limit(self, db):
+    def test_depth_limit(self, db, graph):
         # Build a deep chain: 10 <- 11 <- 12 ...
         for index in range(10, 30):
             db.insert(R(index, 0, Attr.INPUT, ObjectRef(index + 1, 0)))
-        tree = ancestry_tree([db], ObjectRef(10, 0), max_depth=3)
+        tree = ancestry_tree(graph, ObjectRef(10, 0), max_depth=3)
         assert "beyond depth limit" in tree
 
-    def test_unnamed_objects_fall_back_to_pnode(self, db):
+    def test_unnamed_objects_fall_back_to_pnode(self, db, graph):
         db.insert(R(99, 0, Attr.PID, 7))
-        tree = ancestry_tree([db], ObjectRef(99, 0))
+        tree = ancestry_tree(graph, ObjectRef(99, 0))
         assert "pnode 99" in tree
 
-    def test_version_shown(self, db):
+    def test_version_shown(self, db, graph):
         db.insert(R(3, 2, Attr.PREV_VERSION, ObjectRef(3, 0)))
-        tree = ancestry_tree([db], ObjectRef(3, 2))
+        tree = ancestry_tree(graph, ObjectRef(3, 2))
         assert "v2" in tree
+
+    def test_parents_grouped_by_edge_label(self, db, graph):
+        """A version's parents come grouped by edge label (labels in
+        first-arrival order), each label's in record order: records
+        INPUT /in, PREV_VERSION /out, INPUT cc list as /in, cc, /out."""
+        db.insert_many([
+            R(3, 1, Attr.INPUT, ObjectRef(1, 0)),
+            R(3, 1, Attr.PREV_VERSION, ObjectRef(3, 0)),
+            R(3, 1, Attr.INPUT, ObjectRef(2, 0)),
+        ])
+        tree = ancestry_tree(graph, ObjectRef(3, 1), max_depth=1)
+        assert tree.splitlines() == [
+            "/out [FILE] v1",
+            "  /in [FILE]",
+            "  cc [PROCESS]",
+            "    ... (1 ancestors beyond depth limit)",
+            "  /out [FILE]",
+            "    ... (2 ancestors beyond depth limit)"]
 
 
 class TestDot:
-    def test_dot_contains_nodes_and_edges(self, db):
-        dot = to_dot([db], [ObjectRef(3, 0)])
+    def test_dot_contains_nodes_and_edges(self, graph):
+        dot = to_dot(graph, [ObjectRef(3, 0)])
         assert dot.startswith("digraph provenance")
         assert 'label="/out [FILE]"' in dot
         assert "n3_0 -> n2_0" in dot
         assert 'label="input"' in dot
 
-    def test_dot_descendants_direction(self, db):
-        dot = to_dot([db], [ObjectRef(1, 0)], direction="descendants")
+    def test_dot_descendants_direction(self, graph):
+        dot = to_dot(graph, [ObjectRef(1, 0)], direction="descendants")
         assert "n2_0 -> n1_0" in dot
 
-    def test_dot_node_cap(self, db):
+    def test_dot_node_cap(self, db, graph):
         for index in range(100, 160):
             db.insert(R(index, 0, Attr.INPUT, ObjectRef(index + 1, 0)))
-        dot = to_dot([db], [ObjectRef(100, 0)], max_nodes=5)
+        dot = to_dot(graph, [ObjectRef(100, 0)], max_nodes=5)
         import re
         node_lines = [line for line in dot.splitlines()
                       if re.match(r"^  n\d+_\d+ \[label=", line)]
         assert len(node_lines) == 5
 
-    def test_bad_direction(self, db):
+    def test_bad_direction(self, graph):
         with pytest.raises(ValueError):
-            to_dot([db], [ObjectRef(1, 0)], direction="sideways")
+            to_dot(graph, [ObjectRef(1, 0)], direction="sideways")
 
 
 class TestSummarize:
-    def test_summary_lists_records(self, db):
-        text = summarize_object([db], ObjectRef(3, 0))
+    def test_summary_lists_records(self, graph):
+        text = summarize_object(graph, ObjectRef(3, 0))
         assert "/out" in text
         assert Attr.INPUT in text
         assert "cc [PROCESS]" in text

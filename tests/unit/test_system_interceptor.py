@@ -107,14 +107,14 @@ class TestSystemAssembly:
             proc.write(fd, b"x")
             proc.close(fd)
         system.sync()
-        assert not system.database("pass").find_by_name("/pass/quiet")
+        assert not system.find_by_name("/pass/quiet")
         system.kernel.interceptor.enabled = True
         with system.process() as proc:
             fd = proc.open("/pass/loud", "w")
             proc.write(fd, b"x")
             proc.close(fd)
         system.sync()
-        assert system.database("pass").find_by_name("/pass/loud")
+        assert system.find_by_name("/pass/loud")
 
 
 class TestLogRotationPolicy:
