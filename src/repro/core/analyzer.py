@@ -25,7 +25,11 @@ what lets the same analyzer run unmodified on NFS clients and servers.
 Duplicate elimination: programs do I/O in small blocks, so a single
 logical read/write produces many identical records; a record whose
 (subject, attribute, value) triple was already recorded for the same
-subject version is dropped.
+subject version is dropped.  A version this analyzer has superseded
+(or forgotten) is never the subject of a proto-record again, so the
+keys it holds for such versions are dropped in place once the key set
+has doubled since the last such sweep: the state is proportional to
+the live versions, plus at most one doubling.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ from repro.core.records import (Attr, ProvenanceRecord, RecordBatch, Value,
 #: Plain value classes a record may carry (the batch path validates with
 #: one frozenset membership test instead of three isinstance calls).
 _PLAIN_VALUE_TYPES = frozenset((int, float, str, bytes, bool))
+
+#: ``_seen`` size below which dead versions' keys are never swept.
+_SWEEP_FLOOR = 1 << 16
 
 
 @dataclass(slots=True)
@@ -136,11 +143,18 @@ class Analyzer:
         #: flat rows (so freeze-emitted PREV_VERSION rows keep their
         #: position in the batch) instead of going straight to ``emit``.
         self._batch_out: Optional[list] = None
-        #: Versions some object depends on: immutable from then on.
+        #: Versions some object depends on: immutable from then on.  A
+        #: freeze drops the version it supersedes.
         self._observed: set[ObjectRef] = set()
-        #: Dedup keys of every record already recorded (``_dedup_key``):
-        #: one set, no container per version.
+        #: Dedup keys of the records recorded about every version not
+        #: swept yet (``_dedup_key``): one set, no container per version.
         self._seen: set[tuple] = set()
+        #: Versions (``pnode << 32 | version``, a key's first slot) this
+        #: analyzer superseded or forgot since the last sweep.
+        self._dead: set[int] = set()
+        #: ``_seen`` size at which the next version death sweeps: twice
+        #: what the last sweep left (a load factor, not a setting).
+        self._sweep_at = _SWEEP_FLOOR
         #: pnode -> live object, so freezes can bump versions.
         self._registry: dict[int, Freezable] = {}
         self.on_freeze: Optional[Callable[[Freezable, int], None]] = None
@@ -153,6 +167,7 @@ class Analyzer:
         self.duplicates_dropped = 0
         self.freezes = 0
         self.cycle_breaks = 0
+        self.dedup_sweeps = 0
 
     def bind_obs(self, obs) -> None:
         """Expose this analyzer's totals to the observability layer.
@@ -171,6 +186,9 @@ class Analyzer:
             "cycle_breaks": self.cycle_breaks,
             "observed_versions": len(self._observed),
             "registered_objects": len(self._registry),
+            "seen_keys": len(self._seen),
+            "dead_versions_pending": len(self._dead),
+            "dedup_sweeps": self.dedup_sweeps,
         }
 
     # -- object registry ------------------------------------------------------
@@ -184,14 +202,43 @@ class Analyzer:
         return self._registry.get(pnode)
 
     def forget(self, pnode: int) -> None:
-        """Drop a dead object from the registry; its versions stay in
-        ``_observed``/``_seen`` (finalized records may still name them)."""
-        self._registry.pop(pnode, None)
+        """Drop a dead object from the registry.  The keys of its
+        current version go at the next sweep; a record about it that
+        follows the sweep is admitted afresh.  Its ``_observed`` entry
+        stays: an unlinked file still open can be written, and cycle
+        avoidance must still see that version observed."""
+        obj = self._registry.pop(pnode, None)
+        if obj is not None:
+            self._bury(pnode << 32 | obj.version)
+
+    def _bury(self, version: int) -> None:
+        """Mark ``version`` dead; sweep if ``_seen`` has doubled.
+
+        :meth:`freeze` and :meth:`forget` are the only callers, so both
+        admission paths sweep at the same point of a stream."""
+        self._dead.add(version)
+        if len(self._seen) >= self._sweep_at:
+            seen = self._seen
+            dead = self._dead
+            seen.difference_update([key for key in seen if key[0] in dead])
+            dead.clear()
+            self._sweep_at = max(_SWEEP_FLOOR, 2 * len(seen))
+            self.dedup_sweeps += 1
 
     # -- record admission -----------------------------------------------------
 
     def submit(self, proto: Union[ProtoRecord, ProvenanceRecord]) -> None:
-        """Admit one record: version-pin, cycle-avoid, dedup, emit."""
+        """Admit one record: version-pin, cycle-avoid, dedup, emit.
+
+        A finalized :class:`ProvenanceRecord` (the NFS wire) may name
+        any version, also one this analyzer superseded: it is dropped
+        as a duplicate while that version's keys are held, and admitted
+        again once a sweep has dropped them.  The
+        repeat is the identical row ``dedup_enabled = False`` would
+        store: no statement is lost or changed, and what the graph
+        reaches is the same.  Keeping every key a wire record could
+        name would keep every key ever seen.
+        """
         self.records_in += 1
         if self._clock is not None and self._record_cost:
             self._clock.advance(self._record_cost, "provenance_cpu")
@@ -408,9 +455,11 @@ class Analyzer:
     def freeze(self, subject: Freezable) -> int:
         """Create a new version of ``subject``; returns the new version.
 
-        The new version depends on the old one (the PREV_VERSION edge,
-        which also pins the old version as observed) and its
-        duplicate-elimination state starts fresh.
+        The new version depends on the old one (the PREV_VERSION edge)
+        and its duplicate-elimination state starts fresh.  No
+        proto-record is about the old version again: it leaves
+        ``_observed`` (cycle avoidance only asks about current versions)
+        and its ``_seen`` keys are dropped at the next sweep.
         """
         old_ref = subject.ref()
         subject.version += 1
@@ -419,4 +468,6 @@ class Analyzer:
         if self.on_freeze is not None:
             self.on_freeze(subject, subject.version)
         self._admit(new_ref, Attr.PREV_VERSION, old_ref)
+        self._observed.discard(old_ref)
+        self._bury(old_ref.pnode << 32 | old_ref.version)
         return subject.version

@@ -1,5 +1,7 @@
 """PA-NFS fault injection through the real client path."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.errors import (
@@ -8,8 +10,9 @@ from repro.core.errors import (
     NotADirectory,
     StaleHandle,
 )
-from repro.core.records import Attr
-from tests.integration.test_nfs import make_env
+from repro.core.pnode import ObjectRef
+from repro.core.records import Attr, ObjType
+from tests.integration.test_nfs import make_env, sync_all
 
 
 class TestPartition:
@@ -194,3 +197,65 @@ class TestPartitionDuringPassSync:
         server_sys.sync()
         names = {r.value for r in db.all_records() if r.attr == Attr.NAME}
         assert "/nfs/after" in names
+
+
+class TestLateRecordsForFrozenVersion:
+    """Close-to-open lets a client write a version the server has since
+    frozen locally.  The client's records for it arrive finalized: the
+    server analyzer drops a repeat while it holds that version's keys,
+    and admits it once more after a sweep dropped them (the rule in
+    ``Analyzer.submit``)."""
+
+    @staticmethod
+    def version_zero_rows(sweep):
+        """How often each TYPE/NAME/INPUT statement about the shared
+        file's version 0 is stored on the server."""
+        server_sys, _, clients = make_env(clients=2)
+        (sys_a, _), (sys_b, _) = clients
+        with sys_a.process(argv=["writer-a"]) as proc:
+            fd = proc.open("/nfs/shared", "w")
+            proc.write(fd, b"base")
+            proc.close(fd)
+        # B opens version 0; then a second server-local writer freezes
+        # the file 0 -> 1 on the server.
+        proc_b = sys_b.kernel.spawn_shell(["editor-b"])
+        fd_b = proc_b.open("/nfs/shared", "r+")
+        for name in ("local-1", "local-2"):
+            with server_sys.process(argv=[name]) as proc:
+                fd = proc.open("/export/shared", "a")
+                proc.write(fd, name.encode())
+                proc.close(fd)
+        if sweep:
+            # Past the sweep floor: the next freeze sweeps, taking the
+            # keys of the frozen version 0 with it.
+            with server_sys.process(argv=["pump"]) as proc:
+                fd = proc.open("/export/pump", "w")
+                proc.dpapi.pass_write(fd, records=proc.dpapi.record_many(
+                    fd, Attr.ANNOTATION, list(map(str, range(1 << 16)))))
+                proc.dpapi.pass_freeze(fd)
+                proc.close(fd)
+            assert server_sys.kernel.analyzer.dedup_sweeps == 1
+        proc_b.write(fd_b, b"late")
+        proc_b.close(fd_b)
+        sys_b.kernel.reap(proc_b.proc, 0)
+        sync_all(server_sys, clients)
+        shared = ObjectRef(
+            server_sys.kernel.vfs.resolve("/export/shared").pnode, 0)
+        return Counter(
+            (record.attr, record.value)
+            for record in server_sys.database("export").all_records()
+            if record.subject == shared
+            and record.attr in (Attr.TYPE, Attr.NAME, Attr.INPUT))
+
+    def test_repeat_dropped_while_keys_are_held(self):
+        rows = self.version_zero_rows(sweep=False)
+        assert rows[(Attr.TYPE, ObjType.FILE)] == 1
+        assert set(rows.values()) == {1}
+
+    def test_repeat_admitted_once_more_after_a_sweep(self):
+        held = self.version_zero_rows(sweep=False)
+        swept = self.version_zero_rows(sweep=True)
+        assert swept.keys() == held.keys()
+        assert swept[(Attr.TYPE, ObjType.FILE)] == 2
+        assert swept[(Attr.NAME, "/nfs/shared")] == 2
+        assert max(swept.values()) == 2

@@ -1,8 +1,11 @@
 """Unit tests for the analyzer: dedup and cycle avoidance."""
 
-from repro.core.analyzer import Analyzer, ProtoRecord
+import math
+
+from repro.core.analyzer import Analyzer, ProtoRecord, ProtoRun
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ProvenanceRecord
+from repro.system import System
 
 
 class FakeObject:
@@ -216,6 +219,189 @@ class TestStateGrowth:
         assert held_entries(shallow) <= 4 * shallow.records_in
         assert held_entries(deep) <= 4 * deep.records_in
         assert held_entries(deep) <= 2 * held_entries(shallow) + 4
+
+    def test_dedup_state_flat_under_freeze_churn(self):
+        """Keys of versions a freeze superseded are swept: after warm-up
+        ``_seen`` stays within twice the live versions' keys plus the
+        sweep floor and one round, at N rounds and at 2N, while a
+        reference that never sweeps grows with the records.  Sweeping
+        changes no admitted record and no counter."""
+        rounds = 400
+        analyzer, out, sizes = soak(2 * rounds)
+        reference, expected, _ = soak(2 * rounds, sweeps=False)
+        live = live_versions(analyzer)
+        live_keys = sum(key[0] in live for key in analyzer._seen)
+        bound = 2 * live_keys + SWEEP_FLOOR + 200
+        assert sizes[rounds - 1] <= bound and sizes[-1] <= bound
+        assert len(reference._seen) > bound
+        assert analyzer.dedup_sweeps >= 1
+        assert len(analyzer._observed) <= len(analyzer._registry)
+        assert analyzer.duplicates_dropped == reference.duplicates_dropped
+        assert analyzer.duplicates_dropped > 0
+        assert analyzer.freezes == reference.freezes == 4 * rounds - 1
+        assert canonical(out) == canonical(expected)
+
+    def test_both_admission_paths_sweep_alike(self):
+        """Past the sweep floor, with freezes inside batches and late
+        finalized records about superseded versions: ``submit`` per
+        record and ``submit_batch`` emit the same stream and end with
+        the same ``_seen`` and ``_observed``."""
+        stream = sweep_stream(rounds=300)
+        reference, expected = admit(stream, chunk=None)
+        analyzer, out = admit(stream, chunk=7)
+        assert reference.dedup_sweeps >= 1
+        assert analyzer.dedup_sweeps == reference.dedup_sweeps
+        assert out == expected
+        assert analyzer._seen == reference._seen
+        assert analyzer._observed == reference._observed
+        assert len(analyzer._seen) < analyzer.records_out
+        for counter in ("records_in", "records_out", "duplicates_dropped",
+                        "freezes", "cycle_breaks"):
+            assert getattr(analyzer, counter) == getattr(reference, counter)
+
+    def test_forget_sweeps_keys_and_keeps_observed(self):
+        """A forgotten object's keys go at the next sweep; its version
+        stays observed, so writing an unlinked file that is still open
+        freezes it first."""
+        analyzer, out = make_analyzer()
+        gone, reader, churn = FakeObject(1), FakeObject(2), FakeObject(3)
+        for obj in (gone, reader, churn):
+            analyzer.register(obj)
+        analyzer.submit(ProtoRecord(gone, Attr.NAME, "tmp"))
+        analyzer.submit(ProtoRecord(reader, Attr.INPUT, gone.ref()))
+        analyzer.forget(gone.pnode)
+        analyzer.submit_batch([ProtoRun(churn, Attr.ANNOTATION,
+                                        list(map(str, range(SWEEP_FLOOR))))])
+        analyzer.freeze(churn)
+        assert analyzer.dedup_sweeps == 1
+        assert not any(key[0] in (1 << 32, 3 << 32) for key in analyzer._seen)
+        admitted = analyzer.records_out
+        analyzer.submit(ProtoRecord(gone, Attr.NAME, "tmp"))
+        assert analyzer.records_out == admitted + 1
+        analyzer.submit(ProtoRecord(gone, Attr.INPUT, reader.ref()))
+        assert gone.version == 1
+        assert_acyclic(out)
+
+    def test_counters_report_sweep_state(self):
+        analyzer, _ = make_analyzer()
+        obj = FakeObject(1)
+        analyzer.submit(ProtoRecord(obj, Attr.NAME, "a"))
+        analyzer.freeze(obj)
+        counters = analyzer._obs_counters()
+        assert counters["seen_keys"] == 2
+        assert counters["dead_versions_pending"] == 1
+        assert counters["dedup_sweeps"] == 0
+
+
+#: ``_seen`` size below which the analyzer never sweeps.
+SWEEP_FLOOR = 1 << 16
+
+
+def live_versions(analyzer):
+    """Version ints (a key's first slot) current for a registered object."""
+    return {obj.pnode << 32 | obj.version
+            for obj in analyzer._registry.values()}
+
+
+def canonical(records):
+    """``(subject, attr, value)`` with pnodes renumbered by first
+    appearance: two systems booted in one process allocate different
+    volume ids."""
+    ids = {}
+
+    def plain(value):
+        if isinstance(value, ObjectRef):
+            return ids.setdefault(value.pnode, len(ids)), value.version
+        return value
+
+    return [(plain(record.subject), record.attr, plain(record.value))
+            for record in records]
+
+
+def soak(rounds, sweeps=True):
+    """``rounds`` rounds of churn through a booted system: a writer
+    writes a file twice and discloses 100 annotations (10 of them a
+    second time), then a second process overwrites the file, which
+    freezes it.  Returns the analyzer, what it emitted and ``len(_seen)``
+    after each round; ``sweeps=False`` is a reference that keeps every
+    key."""
+    system = System.boot()
+    analyzer = system.kernel.analyzer
+    if not sweeps:
+        analyzer._sweep_at = math.inf
+    out = []
+    emit, emit_batch = analyzer._emit, analyzer._emit_batch
+
+    def tap(record):
+        out.append(record)
+        emit(record)
+
+    def tap_batch(batch):
+        out.extend(batch)
+        emit_batch(batch)
+
+    analyzer._emit, analyzer._emit_batch = tap, tap_batch
+    sizes = []
+    with system.process(argv=["writer"]) as writer, \
+            system.process(argv=["rewriter"]) as rewriter:
+        for index in range(rounds):
+            fd = writer.open("/pass/soak", "w")
+            writer.write(fd, b"a" * 64)
+            writer.write(fd, b"a" * 64)
+            values = [f"r{index}.k{key}" for key in range(100)]
+            for disclosed in (values, values[:10]):
+                writer.dpapi.pass_write(fd, records=writer.dpapi.record_many(
+                    fd, Attr.ANNOTATION, disclosed))
+            writer.close(fd)
+            fd = rewriter.open("/pass/soak", "w")
+            rewriter.write(fd, b"over")
+            rewriter.close(fd)
+            sizes.append(len(analyzer._seen))
+    return analyzer, out, sizes
+
+
+def sweep_stream(rounds):
+    """Items about 8 objects, ~250 keys a round: a run of annotations
+    (then ten of them again), an int NAME, a self-reference that
+    freezes the subject, a cross-reference, and a finalized record
+    about the subject's first version."""
+    stream = []
+    for index in range(rounds):
+        pnode = index % 8 + 1
+        values = [f"r{index}.k{key}" for key in range(240)]
+        stream += [("run", pnode, Attr.ANNOTATION, values),
+                   ("run", pnode, Attr.ANNOTATION, values[::24]),
+                   ("proto", pnode, Attr.NAME, index % 5),
+                   ("proto", pnode, Attr.INPUT, ObjectRef(pnode, 1 << 20)),
+                   ("proto", pnode, Attr.INPUT, ObjectRef(pnode % 8 + 1, 0)),
+                   ("final", ObjectRef(pnode, 0), Attr.NAME,
+                    f"late{index % 3}")]
+    return stream
+
+
+def admit(stream, chunk):
+    """``chunk`` None: ``submit`` per record, runs expanded.  Otherwise
+    ``submit_batch`` per ``chunk`` items, runs riding whole."""
+    analyzer, out = make_analyzer()
+    objects = {pnode: FakeObject(pnode) for pnode in range(1, 9)}
+
+    def shaped(kind, subject, attr, value):
+        if kind == "final":
+            return [ProvenanceRecord(subject, attr, value)]
+        if kind == "proto":
+            return [ProtoRecord(objects[subject], attr, value)]
+        run = ProtoRun(objects[subject], attr, value)
+        return [run] if chunk else list(run)
+
+    if chunk is None:
+        for item in stream:
+            analyzer.submit_many(shaped(*item))
+    else:
+        for start in range(0, len(stream), chunk):
+            analyzer.submit_batch([
+                proto for item in stream[start:start + chunk]
+                for proto in shaped(*item)])
+    return analyzer, out
 
 
 def assert_acyclic(records):
