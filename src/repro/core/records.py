@@ -14,6 +14,8 @@ shell pipeline, for example).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 from repro.core.errors import InvalidRecord
@@ -191,6 +193,17 @@ def rows_of(records) -> list:
     for record in records:
         rows += (record.subject, record.attr, record.value)
     return rows
+
+
+_SLOTS = attrgetter("subject", "attr", "value")
+
+
+def slots_of(records) -> Iterator:
+    """:func:`rows_of` as a stream: a carrier's own rows, or any
+    iterable of records flattened as it is read."""
+    if isinstance(records, _Rows):
+        return iter(records.rows)
+    return chain.from_iterable(map(_SLOTS, records))
 
 
 class _Rows:

@@ -61,7 +61,7 @@ from collections import OrderedDict
 from typing import Iterable
 
 from repro.core.errors import PQLError
-from repro.core.records import ProvenanceRecord, RecordBatch, rows_of
+from repro.core.records import ProvenanceRecord, slots_of
 from repro.obs import NULL_OBS
 from repro.pql.ast import Literal, Query
 from repro.pql.evaluator import Evaluator
@@ -171,13 +171,14 @@ class QueryEngine:
         inserts flow straight into the graph.  Callers own exactly one
         live engine per source set and reuse it across syncs.
         """
-        rows: list = []
+        streams = []
         for source in sources:
             all_rows = getattr(source, "all_rows", None)
-            rows += (all_rows() if all_rows is not None
-                     else rows_of(source.all_records()))
+            streams.append(all_rows() if all_rows is not None
+                           else slots_of(source.all_records()))
         with obs.span("oem.build", layer="pql") as span:
-            graph = OEMGraph.build(RecordBatch.of_rows(rows))
+            # The sources' own rows, streamed: no copy in between.
+            graph = OEMGraph.build(streams=streams)
             span.tag("nodes", len(graph))
         engine = cls(graph, check=check, obs=obs)
         for source in sources:

@@ -77,9 +77,21 @@ class EqualityIndex:
     def __init__(self, label: str, nodes: Iterable[OEMNode]):
         self.label = label
         self._buckets: dict = {}
+        buckets = self._buckets
+        # One pass over locals: :meth:`add`, inline, per value.
+        get = buckets.get
         for node in nodes:
             for value in node.atoms.get(label, ()):
-                self.add(value, node)
+                try:
+                    bucket = get(value)
+                except TypeError:   # unhashable value: not indexable
+                    continue
+                if bucket is None:
+                    buckets[value] = node
+                elif bucket.__class__ is list:
+                    bucket.append(node)
+                else:
+                    buckets[value] = [bucket, node]
 
     def add(self, value, node: OEMNode) -> None:
         """O(1) maintenance: one new atom value on one node."""
@@ -122,18 +134,25 @@ class RangeIndex:
     def __init__(self, label: str, nodes: Iterable[OEMNode]):
         self.label = label
         self._pairs: list[tuple] = []
-        self._seq = 0
         self._multi: dict[OEMNode, None] = {}       # insertion-ordered set
+        # One pass over locals: :meth:`add` and :meth:`_note_multi`,
+        # inline, per node.
+        pairs = self._pairs
+        multi = self._multi
+        seq = 0
         for node in nodes:
-            values = node.atoms.get(label, ())
-            for value in values:
-                if _is_number(value):
-                    self._seq += 1
-                    self._pairs.append((value, self._seq, node))
-            if len(values) > 1:
-                self._note_multi(node)
+            numbers = 0
+            for value in node.atoms.get(label, ()):
+                if isinstance(value, (int, float)) \
+                        and value.__class__ is not bool:
+                    seq += 1
+                    pairs.append((value, seq, node))
+                    numbers += 1
+            if numbers > 1:
+                multi[node] = None
+        self._seq = seq
         # One stable sort by value: seq order within a value survives.
-        self._pairs.sort(key=itemgetter(0))
+        pairs.sort(key=itemgetter(0))
 
     def add(self, value, node: OEMNode) -> None:
         """O(log n) maintenance: one new atom value on one node (already

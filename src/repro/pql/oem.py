@@ -18,8 +18,9 @@ objects" (section 5.7).  Here:
   everything.
 
 The graph is *maintainable*: :meth:`OEMGraph.build` constructs it from a
-record stream in one batch pass, and :meth:`OEMGraph.apply_batch` splices
-a record group into an existing graph -- new nodes, edge wiring,
+record stream, or from the databases' row streams, in one batch pass,
+and :meth:`OEMGraph.apply_batch` splices a record group into an
+existing graph -- new nodes, edge wiring,
 identity-atom sharing, member classification, and the name index are all
 updated in O(delta).  A live query engine applies records as Waldo
 drains them instead of rebuilding the world per sync; the two paths are
@@ -34,10 +35,12 @@ from __future__ import annotations
 
 import gc
 from collections import defaultdict
+from itertools import chain
 from typing import Iterable, Optional
 
 from repro.core.pnode import ObjectRef
-from repro.core.records import Attr, ProvenanceRecord, rows_of
+from repro.core.records import (Attr, ProvenanceRecord, RecordBatch,
+                                rows_of, slots_of)
 
 #: Attributes whose atoms are shared by every version of an object.
 IDENTITY_ATTRS = frozenset({Attr.NAME, Attr.TYPE, Attr.ARGV, Attr.ENV,
@@ -60,12 +63,13 @@ class OEMNode:
         # Plain dicts, not defaultdicts: readers hit these directly
         # during traversal, and a defaultdict would materialize an
         # empty list per missing label probed -- queries would bloat
-        # node footprints.  Edge writers go through ``setdefault``.
+        # node footprints.  Edge writers create a label's list with its
+        # first edge.
         #: atom label -> its values: a tuple while it holds one value,
         #: a list from the second on (the rule ``EqualityIndex`` buckets
         #: follow), so a node whose atoms are single plain values holds
         #: nothing the cycle collector must keep walking.  Written only
-        #: through :func:`_add_atom`.
+        #: through :func:`_add_atom` (inlined in ``OEMGraph.load_rows``).
         self.atoms: dict[str, tuple | list] = {}
         #: edge label -> list of target nodes.
         self.edges: dict[str, list["OEMNode"]] = {}
@@ -163,53 +167,112 @@ class OEMGraph:
     # -- construction --------------------------------------------------------------
 
     @classmethod
-    def build(cls, records: Iterable[ProvenanceRecord]) -> "OEMGraph":
-        """Build a graph from a :class:`~repro.core.records.RecordBatch`
-        (read as rows, no record minted) or any stream of records, in
-        one batch pass.
-
-        Identity-atom sharing and member classification are deferred to
-        the end of the stream (cheaper than doing them per record); the
-        finished graph is indistinguishable from one grown with
-        :meth:`apply_batch`, and can keep growing incrementally
-        afterwards.
-        """
+    def build(cls, records: Iterable[ProvenanceRecord] = (),
+              streams: Iterable[Iterable] = ()) -> "OEMGraph":
+        """Build a graph in one batch pass (:meth:`load_rows` on an
+        empty graph) from a :class:`~repro.core.records.RecordBatch`
+        (read as rows, no record minted) or any stream of ``records``,
+        then from each of ``streams``: flat slot streams such as the
+        databases' ``all_rows()``, read as they stream."""
         graph = cls()
+        graph.load_rows(slots_of(records), *streams)
+        return graph
+
+    def load_rows(self, *streams: Iterable) -> int:
+        """Splice flat slot streams, three slots per record (subject,
+        attr, value), into the graph in one batch pass; returns how many
+        records were applied.
+
+        The pass memoises runs: the subject's node is resolved once per
+        run of rows about one subject *instance* (a database yields each
+        object's rows together, with one ref per run as the analyzer
+        resolved it), and the label, framing test and identity test once
+        per run of one attribute string.  Identity-atom sharing and
+        member classification are deferred to the end of the streams
+        (cheaper than doing them per record).  The graph may already
+        hold nodes -- a new version still inherits the identity atoms
+        its siblings hold -- and the result is indistinguishable from
+        :meth:`apply_batch` over the same records.  A graph with an
+        index catalog attached takes that path instead, so the catalog
+        sees every delta.
+        """
+        if self.indexes is not None:
+            rows = list(chain.from_iterable(streams))
+            return self.apply_batch(RecordBatch.of_rows(rows))
         # Everything allocated here stays alive in the graph, so the
         # cyclic collector is paused for the pass: left on, it re-scans
         # the growing heap hundreds of times, once in full, for nothing.
         collecting = gc.isenabled()
         gc.disable()
         try:
-            labels = graph._labels
+            nodes = self._nodes
+            live_node = self._live_node
+            labels = self._labels
+            atom_labels = self._atom_labels
+            edge_labels = self._edge_labels
             #: pnode -> its identity atoms, arrival-ordered (label, value).
             identity: dict[int, list] = defaultdict(list)
-            row = iter(rows_of(records))
-            for subject, attr, value in zip(row, row, row):
-                if attr in _FRAMING:
-                    continue
-                node = graph._node(subject)
-                label = (labels.get(attr)
-                         or labels.setdefault(attr, attr.lower()))
-                graph.records_applied += 1
-                if isinstance(value, ObjectRef):
-                    target = graph._node(value)
-                    node.edges.setdefault(label, []).append(target)
-                    target.redges.setdefault(label, []).append(node)
-                    graph._edge_labels.add(label)
-                elif attr in IDENTITY_ATTRS:
-                    identity[subject.pnode].append((label, value))
-                    graph._atom_labels.add(label)
-                else:
-                    _add_atom(node.atoms, label, value)
-                    graph._atom_labels.add(label)
-            graph._apply_identity(identity)
-            graph._classify()
+            count = 0
+            # The run memo: the last subject instance with its node's
+            # dicts, and the last attribute string with what it decides
+            # (``noted``: its label is in the atom vocabulary already).
+            subject = attr = label = atoms = edges = node = None
+            framing = shared = noted = False
+            for stream in streams:
+                row = iter(stream)
+                for ref, name, value in zip(row, row, row):
+                    if name is not attr:
+                        attr = name
+                        framing = name in _FRAMING
+                        if not framing:
+                            label = (labels.get(name)
+                                     or labels.setdefault(name, name.lower()))
+                            shared = name in IDENTITY_ATTRS
+                            noted = False
+                    if framing:
+                        continue
+                    count += 1
+                    if ref is not subject:
+                        subject = ref
+                        node = live_node(ref)
+                        atoms = node.atoms
+                        edges = node.edges
+                    if isinstance(value, ObjectRef):
+                        target = nodes.get(value) or live_node(value)
+                        targets = edges.get(label)
+                        if targets is None:
+                            edges[label] = [target]
+                        else:
+                            targets.append(target)
+                        sources = target.redges.get(label)
+                        if sources is None:
+                            target.redges[label] = [node]
+                        else:
+                            sources.append(node)
+                        edge_labels.add(label)
+                        continue
+                    if shared:
+                        identity[ref.pnode].append((label, value))
+                    else:
+                        # _add_atom, inline.
+                        values = atoms.get(label)
+                        if values is None:
+                            atoms[label] = (value,)
+                        elif values.__class__ is tuple:
+                            atoms[label] = [values[0], value]
+                        else:
+                            values.append(value)
+                    if not noted:
+                        atom_labels.add(label)
+                        noted = True
+            self.records_applied += count
+            self._apply_identity(identity)
+            self._classify()
         finally:
             if collecting:
                 gc.enable()
-        graph.vocab_epoch += 1
-        return graph
+        self.vocab_epoch += 1
+        return count
 
     def apply(self, record: ProvenanceRecord) -> None:
         """Splice one record into the graph (a batch of one)."""

@@ -12,7 +12,8 @@ documented per-entry cost to the index size:
 * a **cross-reference index** entry per reference value (referenced
   version -> referencing subjects, the reverse edges).
 
-Both sizes are pure functions of the rows, folded in on first read.
+Both sizes are pure functions of the rows, computed from them when read
+(and remembered until the next insert).
 The database keeps only the rows, grouped by pnode; the in-memory
 indexes that answer questions (name lookup, versions, reverse edges)
 are the live OEM graph's (:mod:`repro.pql.oem`), fed by
@@ -56,11 +57,9 @@ class ProvenanceDatabase:
         #: pnode -> its records, as flat (subject, attr, value) rows.
         self._records: dict[int, list] = defaultdict(list)
         self.record_count = 0
-        self._main_bytes = 0
-        self._index_bytes = 0
-        #: Rows inserted whose sizes have not been folded into
-        #: ``_main_bytes`` and ``_index_bytes`` yet (see ``_fold``).
-        self._unsized: list = []
+        #: (record_count, main bytes, index bytes) as last computed:
+        #: rows are only ever added, so the count dates the sizes.
+        self._sized = (0, 0, 0)
         self._batch_listeners: list = []
 
     # -- writes ------------------------------------------------------------------
@@ -106,9 +105,8 @@ class ProvenanceDatabase:
             plist += (subject, attr, value)
         self.record_count += len(records)
         # Size accounting is deferred: sizes are pure functions of the
-        # rows, so the first read folds them in instead of this loop
-        # paying per record.
-        self._unsized += rows
+        # rows, so a read computes them instead of this loop paying per
+        # record.
         if rows:
             for listener in self._batch_listeners:
                 listener(records)
@@ -116,28 +114,29 @@ class ProvenanceDatabase:
 
     # -- reads ---------------------------------------------------------------------
 
-    def _fold(self) -> None:
-        """Fold the deferred rows into both byte counters, so either
+    def _sizes(self) -> tuple:
+        """(main bytes, index bytes) of every row, computed from the
+        per-pnode groups when first read after an insert, so either
         value is exact whenever it is observed."""
-        pending = self._unsized
-        if pending:
-            attrs, values = pending[1::3], pending[2::3]
-            self._main_bytes += sum(map(codec.encoded_size_of, attrs,
-                                        values))
-            self._index_bytes += _index_bytes_of(attrs, values)
-            self._unsized = []
+        count, main, index = self._sized
+        if count != self.record_count:
+            main = index = 0
+            for group in self._records.values():
+                attrs, values = group[1::3], group[2::3]
+                main += sum(map(codec.encoded_size_of, attrs, values))
+                index += _index_bytes_of(attrs, values)
+            self._sized = (self.record_count, main, index)
+        return main, index
 
     @property
     def main_bytes(self) -> int:
         """Encoded bytes of the main store."""
-        self._fold()
-        return self._main_bytes
+        return self._sizes()[0]
 
     @property
     def index_bytes(self) -> int:
         """Bytes the documented index entries of every row cost."""
-        self._fold()
-        return self._index_bytes
+        return self._sizes()[1]
 
     def pnodes(self) -> list[int]:
         """Every pnode with at least one record."""

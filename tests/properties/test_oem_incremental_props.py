@@ -13,9 +13,11 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.core.pnode import ObjectRef
-from repro.core.records import Attr, ProvenanceRecord
+from repro.core.records import Attr, ProvenanceRecord, RecordBatch
 from repro.pql.engine import QueryEngine
+from repro.pql.indexes import IndexCatalog
 from repro.pql.oem import OEMGraph
+from repro.storage.database import ProvenanceDatabase
 from tests.conftest import graph_fingerprint
 
 refs = st.builds(ObjectRef,
@@ -26,8 +28,8 @@ refs = st.builds(ObjectRef,
 attrs = st.sampled_from([Attr.NAME, Attr.TYPE, Attr.ARGV, Attr.PID,
                          Attr.MD5, Attr.TIME, Attr.ANNOTATION,
                          Attr.BEGINTXN, Attr.ENDTXN])
-edge_attrs = st.sampled_from([Attr.INPUT, Attr.PREV_VERSION,
-                              Attr.FORKPARENT, Attr.EXEC])
+EDGE_ATTRS = (Attr.INPUT, Attr.PREV_VERSION, Attr.FORKPARENT, Attr.EXEC)
+edge_attrs = st.sampled_from(EDGE_ATTRS)
 
 plain_values = st.one_of(
     st.sampled_from(["/pass/a", "/pass/b", "file", "process", "sh"]),
@@ -42,6 +44,29 @@ records = st.one_of(
               value=refs))
 
 streams = st.lists(records, max_size=60)
+
+
+@st.composite
+def run_rows(draw):
+    """Flat rows in runs, the way ``all_rows()`` delivers them: each run
+    repeats one subject ref *instance* and one attribute string
+    instance, but a slot may instead carry an equal ref or string that
+    is another instance, and framing rows land in the middle of runs.
+    Build's run memo keys on instances; this is what it must survive."""
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        ref = draw(refs)
+        attr = draw(st.one_of(attrs, edge_attrs))
+        for _ in range(draw(st.integers(1, 5))):
+            subject = (ref if draw(st.booleans())
+                       else ObjectRef(ref.pnode, ref.version))
+            if draw(st.integers(0, 4)) == 0:
+                rows += (subject, draw(st.sampled_from(
+                    [Attr.BEGINTXN, Attr.ENDTXN])), draw(st.integers(0, 9)))
+            name = attr if draw(st.booleans()) else attr.encode().decode()
+            value = draw(refs if attr in EDGE_ATTRS else plain_values)
+            rows += (subject, name, value)
+    return rows
 
 
 def fingerprint(graph: OEMGraph) -> dict:
@@ -109,3 +134,42 @@ def test_vocab_epoch_monotonic_and_label_complete(stream):
         seen_edges.update(l for l, t in node.edges.items() if t)
     assert seen_atoms <= graph.atom_labels()
     assert seen_edges <= graph.edge_labels()
+
+
+@given(run_rows())
+@settings(max_examples=200)
+def test_run_memo_build_equals_apply(rows):
+    """Rows in shared-instance runs: the one-pass build and the apply
+    path give the same graph, straight or regrouped by a database and
+    streamed from its ``all_rows()`` into a live engine."""
+    applied = OEMGraph()
+    applied.apply_batch(RecordBatch.of_rows(rows))
+    assert fingerprint(OEMGraph.build(RecordBatch.of_rows(rows))) == \
+        fingerprint(applied)
+    database = ProvenanceDatabase()
+    database.insert_many(RecordBatch.of_rows(rows))
+    regrouped = OEMGraph()
+    regrouped.apply_batch(database.all_records())
+    live = QueryEngine.live([database], check=False)
+    assert fingerprint(live.graph) == fingerprint(regrouped)
+
+
+@given(run_rows(), st.integers(0, 40))
+@settings(max_examples=200)
+def test_load_rows_into_a_grown_graph_equals_apply(rows, cut):
+    """The one pass spliced into a graph that already holds nodes --
+    new versions of old objects, identity atoms both old and new --
+    gives the graph the apply path gives, with or without an index
+    catalog attached."""
+    cut = 3 * min(cut, len(rows) // 3)
+    applied = OEMGraph()
+    applied.apply_batch(RecordBatch.of_rows(rows))
+    for attach in (False, True):
+        graph = OEMGraph.build(RecordBatch.of_rows(rows[:cut]))
+        if attach:
+            IndexCatalog.attach(graph)
+        count = sum(attr not in (Attr.BEGINTXN, Attr.ENDTXN)
+                    for attr in rows[cut + 1::3])
+        assert graph.load_rows(iter(rows[cut:])) == count
+        assert fingerprint(graph) == fingerprint(applied)
+        assert graph.records_applied == applied.records_applied

@@ -626,7 +626,7 @@ class TestInsertMany:
         dict keyed by a name or an ObjectRef, no version map."""
         database = ProvenanceDatabase()
         database.insert_many(self.records())
-        database.sizes()                   # folds the deferred rows
+        database.sizes()                   # sizes read, none kept
         containers, stack, seen = [], list(vars(database).values()), set()
         while stack:
             obj = stack.pop()
@@ -660,19 +660,29 @@ class TestInsertMany:
         assert database.subjects_with_attr(Attr.PID) == []
 
     def test_main_bytes_accounting_is_lazy_but_exact(self):
-        """Both byte counters are folded from the deferred rows on the
-        first read of either."""
+        """Both byte counters are computed from the rows the database
+        holds on the first read of either after an insert, remembered
+        until the next insert, and exact at every read; no row is kept
+        anywhere but its pnode's group."""
         database = ProvenanceDatabase()
         records = self.records()
-        database.insert_many(records)
-        assert database._unsized          # deferred until first read
-        assert database._index_bytes == 0
+        database.insert_many(records[:2])
+        assert database._sized == (0, 0, 0)     # an insert computes nothing
+        assert database.sizes() == {
+            "database": sum(map(codec.encoded_size, records[:2])),
+            "indexes": 2 * 20 + (16 + 7) + 28,
+            "total": sum(map(codec.encoded_size, records[:2]))
+            + 2 * 20 + (16 + 7) + 28}
+        sized = database._sized
+        assert database.main_bytes and database._sized is sized  # memo
+        database.insert_many(records[2:])
+        assert database._sized is sized         # stale until read
         expected = sum(codec.encoded_size(record) for record in records)
         assert database.main_bytes == expected
-        assert not database._unsized      # folded exactly once
-        assert database._index_bytes == 5 * 20 + 2 * (16 + 7) + 28
-        assert database.main_bytes == expected
+        assert database._sized == (5, expected, 5 * 20 + 2 * (16 + 7) + 28)
         assert database.index_bytes == 5 * 20 + 2 * (16 + 7) + 28
+        assert [name for name, value in vars(database).items()
+                if isinstance(value, list) and value] == []
 
     def test_batch_listener_sees_each_record_once_via_both_paths(self):
         database = ProvenanceDatabase()

@@ -10,7 +10,9 @@ footprint).
 
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.cli import main
 from repro.core.errors import PQLTypeError
@@ -53,6 +55,19 @@ def engine():
     return QueryEngine.from_records(build_records())
 
 
+def _replayed(graph, label: str) -> IndexCatalog:
+    """A catalog over an empty graph whose ``label`` indexes (built on
+    demand, empty) are then fed every ``label`` atom of ``graph`` through
+    ``note_atom``, node by node in the graph's order."""
+    catalog = IndexCatalog(OEMGraph())
+    catalog.equality(label)
+    catalog.range(label)
+    for node in graph.nodes():
+        for value in node.atoms.get(label, ()):
+            catalog.note_atom(node, label, value)
+    return catalog
+
+
 class TestEqualityIndex:
     def test_build_and_lookup(self, graph):
         index = EqualityIndex("md5", graph.nodes())
@@ -60,16 +75,29 @@ class TestEqualityIndex:
         assert index.lookup("zzz") == []
         assert index.estimate("bbb") == 1
 
-    def test_incremental_add_matches_rebuild(self, graph):
+    @given(st.lists(st.tuples(st.integers(1, 9), st.integers(0, 2),
+                              st.sampled_from(["aaa", "ccc", "ddd", 7])),
+                    max_size=30))
+    @settings(max_examples=100)
+    def test_incremental_add_matches_rebuild(self, atoms):
+        """Maintained through the graph's notifications, the index holds
+        what a rebuild finds; and the one-pass build has exactly the
+        shape -- buckets node-or-list, entries in order -- that
+        ``note_atom`` gives replayed over the same nodes in order."""
+        graph = OEMGraph.build(build_records())
         catalog = IndexCatalog.attach(graph)
         index = catalog.equality("md5")
-        graph.apply(R(9, "MD5", "ccc"))
+        for pnode, version, value in atoms:
+            graph.apply(R(pnode, "MD5", value, version))
         graph.apply(R(9, Attr.TYPE, ObjType.FILE))
         rebuilt = EqualityIndex("md5", graph.nodes())
+        values = ("aaa", "bbb", "ccc", "ddd", 7)
         assert {v: sorted(n.ref for n in index.lookup(v))
-                for v in ("aaa", "bbb", "ccc")} == \
+                for v in values} == \
                {v: sorted(n.ref for n in rebuilt.lookup(v))
-                for v in ("aaa", "bbb", "ccc")}
+                for v in values}
+        assert rebuilt._buckets == _replayed(graph, "md5").equality(
+            "md5")._buckets
 
     def test_unhashable_values_skipped(self, graph):
         index = EqualityIndex("md5", graph.nodes())
@@ -152,6 +180,32 @@ class TestRangeIndex:
         assert built._pairs == grown._pairs
         assert [pair[0] for pair in built._pairs] == \
             sorted(pair[0] for pair in built._pairs)
+
+    @given(st.lists(st.tuples(st.integers(1, 9), st.integers(0, 2),
+                              st.one_of(st.integers(0, 40),
+                                        st.floats(0, 40),
+                                        st.sampled_from([True, "later"]))),
+                    max_size=30))
+    @settings(max_examples=100)
+    def test_incremental_add_matches_rebuild(self, atoms):
+        """The one-pass build has exactly the pairs (value, seq, node)
+        and the multi-valued nodes, in order, that ``note_atom`` gives
+        replayed over the same nodes in order; maintained through the
+        graph's notifications, it answers what a rebuild answers."""
+        graph = OEMGraph.build(build_records())
+        catalog = IndexCatalog.attach(graph)
+        index = catalog.range("mtime")
+        for pnode, version, value in atoms:
+            graph.apply(R(pnode, "MTIME", value, version))
+        rebuilt = RangeIndex("mtime", graph.nodes())
+        replayed = _replayed(graph, "mtime").range("mtime")
+        assert rebuilt._pairs == replayed._pairs
+        assert rebuilt._seq == replayed._seq == index._seq
+        assert list(rebuilt._multi) == list(replayed._multi)
+        for bounds in ((None, False, 20, True), (10, True, 30, False)):
+            assert sorted(n.ref for n in index.lookup(*bounds)) == \
+                sorted(n.ref for n in rebuilt.lookup(*bounds))
+        assert set(index._multi) == set(rebuilt._multi)
 
     def test_multi_valued_nodes_join_two_sided_lookups_only(self, graph):
         catalog = IndexCatalog.attach(graph)
