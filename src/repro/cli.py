@@ -220,17 +220,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """Static analysis: PQL queries and source-tree layer discipline."""
     import os
 
-    from repro.lint import (
-        LintReport,
-        all_rules,
-        analyze_tree,
+    from repro.lint import LintReport, all_rules, render_json, render_text
+    from repro.lint.callgraph import (
         build_program,
-        check_query_text,
         graph_payload,
         render_graph_dot,
-        render_json,
-        render_text,
     )
+    from repro.lint.flowcheck import analyze_tree
+    from repro.lint.pqlcheck import check_query_text
 
     if args.rules:
         for registered in all_rules():

@@ -24,14 +24,11 @@ Diagnostics carry ``PL###`` codes (PL1xx = PQL, PL2xx = layering,
 PL3xx = dataflow) and come in two severities; reporters render them as
 text or JSON.  ``lint: disable=PL###`` trailing comments suppress a
 diagnostic on their line; unused suppressions are themselves reported.
+The package re-exports only the diagnostics; each analyzer is imported
+from its own module, so a PQL query loads :mod:`~repro.lint.pqlcheck`
+and none of the whole-program analyzers.
 """
 
-from repro.lint.callgraph import (
-    Program,
-    build_program,
-    graph_payload,
-    render_graph_dot,
-)
 from repro.lint.diagnostics import (
     ERROR,
     WARNING,
@@ -43,28 +40,14 @@ from repro.lint.diagnostics import (
     render_text,
     rule,
 )
-from repro.lint.flowcheck import analyze_tree, check_program
-from repro.lint.layercheck import check_source, check_tree
-from repro.lint.pqlcheck import Vocabulary, check_query, check_query_text
 
 __all__ = [
     "ERROR",
     "WARNING",
     "Diagnostic",
     "LintReport",
-    "Program",
     "Rule",
-    "Vocabulary",
     "all_rules",
-    "analyze_tree",
-    "build_program",
-    "check_program",
-    "check_query",
-    "check_query_text",
-    "check_source",
-    "check_tree",
-    "graph_payload",
-    "render_graph_dot",
     "render_json",
     "render_text",
     "rule",

@@ -33,14 +33,16 @@ a parameter tuple (:func:`repro.pql.lexer.parameterize`).  Whitespace,
 comments, keyword case, quote style and the literals' values are not
 part of the key; identifiers, operators, ``true``/``false``, ``limit
 N`` and quantifier bounds are, and so is each literal's type category
-(``?s``/``?n``).  Lexing, parsing and the lint pre-pass run once per
-shape; every other execution is one pass of the lexer's pattern over
-the text plus a *bind* that rebuilds only the frozen AST nodes on the
-way down to each literal, so the checker, the planner and the evaluator
-keep seeing plain ``ast.Literal`` nodes and a cached node is never
-mutated.
+(``?s``/``?n``).  Lexing, parsing, the lint pre-pass and compilation
+(:meth:`~repro.pql.evaluator.Evaluator.compile`: closures in which the
+n-th literal reads slot n of the parameter tuple) run once per shape.
+Every other execution is one pass of the lexer's pattern over the
+text, a cache lookup and a run of the closures with the caller's
+parameters -- no AST is rebuilt or walked.  The closures read the graph
+and its index catalog as they run, so only the check depends on the
+graph's vocabulary.
 
-Each cached plan also remembers the graph vocabulary epoch at which it
+Each cached plan remembers the graph vocabulary epoch at which it
 last passed the lint pre-pass: repeat executions skip the check until
 the graph's vocabulary grows (a new atom/edge label or Provenance
 member), at which point the plan is re-checked once against the widened
@@ -54,8 +56,6 @@ The cache is an LRU of at most :data:`PLAN_CACHE_SHAPES` shapes.
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 import time
 from collections import OrderedDict
 from typing import Iterable
@@ -63,7 +63,7 @@ from typing import Iterable
 from repro.core.errors import PQLError
 from repro.core.records import ProvenanceRecord, slots_of
 from repro.obs import NULL_OBS
-from repro.pql.ast import Literal, Query
+from repro.pql.ast import Query
 from repro.pql.evaluator import Evaluator
 from repro.pql.indexes import IndexCatalog
 from repro.pql.lexer import parameterize
@@ -78,57 +78,29 @@ _NEVER = object()
 PLAN_CACHE_SHAPES = 256
 
 
-def _binder(node, slots):
-    """``params -> node`` rebuilt around its parameters, or None when
-    nothing below ``node`` is one.  Walks dataclass fields in order,
-    which is token order, so the n-th string or number literal met takes
-    the n-th slot -- the order :func:`parameterize` lifted them in."""
-    if type(node) is Literal:
-        if isinstance(node.value, bool):
-            return None                     # true/false are structure
-        slot = next(slots)
-        return lambda params: Literal(params[slot])
-    if isinstance(node, tuple):
-        parts = node
-    elif dataclasses.is_dataclass(node):
-        parts = [getattr(node, field.name)
-                 for field in dataclasses.fields(node)]
-    else:
-        return None
-    pairs = [(_binder(part, slots), part) for part in parts]
-    if not any(bind for bind, _ in pairs):
-        return None
-    if parts is node:
-        return lambda params: tuple([bind(params) if bind else part
-                                     for bind, part in pairs])
-    rebuild = type(node)
-    return lambda params: rebuild(*[bind(params) if bind else part
-                                    for bind, part in pairs])
-
-
 class CompiledPlan:
-    """One cached query shape: the parsed AST of the text it was
-    compiled from (``source``), the vocabulary epoch at which it last
-    passed the lint pre-pass, and the latest execution's view of it --
-    the caller's ``text``, the ``query`` bound to that text's literals
-    and, after a run, the planner's per-binding access
+    """One cached query shape: the AST of the text it was compiled from
+    (``source``, ``query``), its closures (``run``), the vocabulary
+    epoch at which it last passed the lint pre-pass, and the latest
+    execution's caller ``text``, its literals (``params``) and access
     choices (:class:`~repro.pql.planner.BindingPlan` list, the EXPLAIN
-    payload), which are re-made per execution against current graph
-    statistics."""
+    payload, re-made per execution against current graph sizes)."""
 
-    __slots__ = ("shape", "source", "text", "query", "bind",
+    __slots__ = ("shape", "source", "text", "params", "query", "run",
                  "checked_epoch", "binding_plans")
 
-    def __init__(self, shape: str, text: str, query: Query):
+    def __init__(self, shape: str, text: str, params: tuple, query: Query,
+                 run):
         self.shape = shape
         self.source = self.text = text
+        self.params = params
         self.query = query
-        self.bind = _binder(query, itertools.count())
+        self.run = run
         self.checked_epoch = _NEVER
         self.binding_plans = None
 
     def __repr__(self) -> str:
-        return f"<CompiledPlan {self.text!r}>"
+        return f"<CompiledPlan {self.shape!r} {self.params!r}>"
 
 
 class QueryEngine:
@@ -205,7 +177,7 @@ class QueryEngine:
     # -- compilation ------------------------------------------------------------
 
     def plan(self, text: str) -> CompiledPlan:
-        """The plan of ``text``'s shape, bound to ``text``'s literals
+        """The plan of ``text``'s shape, holding ``text``'s literals
         (compiled and cached on first sight of the shape).
 
         Sets :attr:`_last_plan_cache_hit` so :meth:`execute` can report
@@ -217,21 +189,21 @@ class QueryEngine:
             plan = self._plans.get(shape)
             if plan is None:
                 self._last_plan_cache_hit = False
-                return self._compile(text, shape)
+                return self._compile(text, shape, params)
             self._plans.move_to_end(shape)
-            if plan.text != text:
-                plan.text = text
-                if plan.bind is not None:
-                    plan.query = plan.bind(params)
+            plan.text, plan.params = text, params
             self._last_plan = plan
         self._last_plan_cache_hit = True
         self.obs.inc("pql", "parse_cache_hits")
         return plan
 
-    def _compile(self, text: str, shape: str) -> CompiledPlan:
-        """Lex and parse ``text`` and make it its shape's cached plan."""
+    def _compile(self, text: str, shape: str, params: tuple
+                 ) -> CompiledPlan:
+        """Parse and compile ``text`` as its shape's cached plan."""
         with self.obs.span("pql.parse", layer="pql"):
-            plan = CompiledPlan(shape, text, parse(text))
+            query = parse(text)
+            plan = CompiledPlan(shape, text, params, query,
+                                self._evaluator.compile(query))
         self._plans[shape] = self._last_plan = plan
         if len(self._plans) > PLAN_CACHE_SHAPES:
             self._plans.popitem(last=False)
@@ -241,10 +213,6 @@ class QueryEngine:
         self.obs.event("pql.plan_compile", layer="pql", query=text,
                        shape=shape)
         return plan
-
-    def parse(self, text: str) -> Query:
-        """Parse (and cache) one query string."""
-        return self.plan(text).query
 
     def vocabulary(self):
         """The lint vocabulary for this graph: the static ``Attr``
@@ -277,7 +245,7 @@ class QueryEngine:
                     raise
                 # The cached AST carries another text's positions:
                 # fail again from this one's.
-                plan = self._compile(text, plan.shape)
+                plan = self._compile(text, plan.shape, plan.params)
                 rows = self._run(plan, checking)
             span.tag("rows", len(rows))
         self.obs.inc("pql", "queries_executed")
@@ -291,7 +259,7 @@ class QueryEngine:
             # can actually record it.
             self.obs.slow_query(text, elapsed,
                                 cache_hit=self._last_plan_cache_hit,
-                                rows=len(rows), plan=repr(plan.query),
+                                rows=len(rows), plan=repr(plan),
                                 shape=plan.shape)
         return rows
 
@@ -308,12 +276,8 @@ class QueryEngine:
             else:
                 self.obs.inc("pql", "check_cache_hits")
         with self.obs.span("pql.eval", layer="pql"):
-            evaluator = self._evaluator
-            evaluator.plan_log = log = []
-            try:
-                rows = evaluator.execute(plan.query)
-            finally:
-                evaluator.plan_log = None
+            log: list = []
+            rows = plan.run(plan.params, log)
             plan.binding_plans = log
             return rows
 
@@ -327,9 +291,9 @@ class QueryEngine:
         guessed -- and journals a ``pql.plan_explain`` event.
         """
         rows = self.execute(text, check=check)
-        plan = self.plan(text)                      # cache hit
+        plan = self._last_plan                      # the plan just run
         bindings = [binding.as_dict()
-                    for binding in (plan.binding_plans or [])]
+                    for binding in plan.binding_plans]
         report = {
             "query": plan.text,
             "shape": plan.shape,

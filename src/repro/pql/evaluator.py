@@ -15,12 +15,22 @@ Semantics follow Lorel where the paper does not override them:
   aggregate over the whole binding set (``select count(F) from ...``);
 * subqueries (IN / EXISTS) see the enclosing tuple's variables
   (correlated subqueries).
+
+:meth:`Evaluator.compile` turns a query into closures ``fn(env,
+params)`` once, so a run dispatches no AST node per row: the n-th
+string or number literal (:func:`repro.pql.lexer.parameterize` order)
+reads slot n of ``params``, and each binding's index templates, the
+conjunct placement and the select form are fixed; only the access path
+is chosen per run (:mod:`repro.pql.planner`).  Errors are raised when
+a closure meets them at run time, never at compile time.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import re
+from collections import Counter
 from typing import Iterable, Optional
 
 from repro.core.errors import PQLError, PQLNameError, PQLTypeError
@@ -34,17 +44,19 @@ from repro.pql.oem import OEMGraph, OEMNode
 #: closure caching only pays off for few roots).
 _VIEW_FRONTIER_MAX = 8
 
-#: Environment: variable name -> OEMNode.
-Env = dict
-
-#: The quantifier of a plain step (exactly one hop).
-_ONCE = ast.Quantifier()
-
 
 def _pos(node) -> tuple:
     """(line, column) of an AST node, or (None, None) when unknown."""
     line = getattr(node, "line", 0)
     return (line, getattr(node, "column", 0)) if line else (None, None)
+
+
+def _failing(error, message: str, node):
+    """A closure that raises ``error(message)`` at ``node`` when run."""
+    def fail(*_):
+        raise error(message, *_pos(node))
+    return fail
+
 
 _AGGREGATES = frozenset({"count", "sum", "avg", "min", "max"})
 
@@ -58,8 +70,19 @@ _SCALARS = {
 }
 
 
+def slot_literals(node) -> list:
+    """The string and number ``Literal`` nodes below ``node``, in
+    parameter order: dataclass fields in order, which is token order."""
+    if type(node) is ast.Literal:
+        return [] if isinstance(node.value, bool) else [node]
+    parts = node if isinstance(node, tuple) else [
+        getattr(node, name)
+        for name in getattr(node, "__dataclass_fields__", ())]
+    return [literal for part in parts for literal in slot_literals(part)]
+
+
 class Evaluator:
-    """Executes parsed queries against one OEM graph.
+    """Compiles and runs parsed queries against one OEM graph.
 
     With a :class:`~repro.pql.indexes.IndexCatalog` attached
     (``catalog``), FROM bindings go through the cost-based planner
@@ -67,223 +90,249 @@ class Evaluator:
     that completes them) and closure steps pick the materialized
     ancestry view or the CSR arrays over the live dicts; without one,
     evaluation is the pre-planner naive path (member scans plus the
-    name-only pushdown) -- the ground truth the planned path is
-    property-tested against.
+    name-only pushdown, WHERE after the join) -- the ground truth the
+    planned path is property-tested against.  Both compile the same
+    closures; they differ only in access paths and placement.
     """
 
     def __init__(self, graph: OEMGraph, catalog=None):
         self.graph = graph
         self.catalog = catalog
-        #: When set (by the engine, around a top-level execute), the
-        #: planner appends one BindingPlan per top-level binding here.
-        self.plan_log: Optional[list] = None
-        self._depth = 0
+        #: The EXPLAIN step counters of the recorded binding expanding
+        #: now (set by a top-level run, None otherwise).
         self._notes: Optional[dict] = None
 
-    # -- entry point -------------------------------------------------------------------
-
-    def execute(self, query: ast.Query,
-                outer: Optional[Env] = None) -> list:
-        """Run a query; returns a list of rows.
+    def execute(self, query: ast.Query) -> list:
+        """Run a query with its own literals; returns a list of rows.
 
         Single-item selects return a flat list of values; multi-item
         selects return tuples.  Node values come back as
         :class:`OEMNode`.
         """
-        self._depth += 1
-        try:
-            return self._execute(query, outer)
-        finally:
-            self._depth -= 1
+        return self.compile(query)(tuple(
+            literal.value for literal in slot_literals(query)))
 
-    def _execute(self, query: ast.Query,
-                 outer: Optional[Env] = None) -> list:
-        envs, residual = self._expand_bindings(query.bindings, outer or {},
-                                               query.where)
-        if residual:
-            envs = [env for env in envs
-                    if all(self._truth(conjunct, env)
-                           for conjunct in residual)]
+    def compile(self, query: ast.Query):
+        """``run(params, log=None) -> rows`` for ``query``'s shape.
 
-        if query.select and all(isinstance(item.expr, ast.Call)
-                                and item.expr.name in _AGGREGATES
-                                for item in query.select):
-            row = tuple(self._aggregate_over(item.expr, envs)
-                        for item in query.select)
-            return [row[0]] if len(row) == 1 else [row]
+        ``log``, when a list, receives the top-level bindings'
+        :class:`~repro.pql.planner.BindingPlan` entries of that run."""
+        slots = {id(literal): slot
+                 for slot, literal in enumerate(slot_literals(query))}
+        program = self._query(query, slots, frozenset())
+        return lambda params, log=None: program({}, params, log)
 
-        rows: list = []
-        if query.limit == 0:
+    # -- queries ---------------------------------------------------------------
+
+    def _query(self, query: ast.Query, slots: dict, scope: frozenset):
+        """``fn(env, params, log) -> rows`` for one (sub)query seeing
+        the variables in ``scope``."""
+        bindings = list(query.bindings)
+        inner = scope.union(binding.name for binding in bindings)
+        steps, residual = self._join(query.where, bindings, slots, scope,
+                                     inner)
+        residual = [self._truth_fn(test, slots, inner) for test in residual]
+        items = [item.expr for item in query.select]
+        distinct, limit, order = query.distinct, query.limit, query.order
+        if (len(items) == 1 and type(items[0]) is ast.PathValue
+                and not items[0].path.steps and bindings
+                and items[0].path.root == bindings[-1].name
+                and not residual and limit is None and order is None):
+            # ``select V`` of the last binding with nothing after the
+            # join: the join hands its nodes straight to the rows.  A
+            # graph holds one node per ref, so nodes dedup by identity.
+            def streamed(env, params, log):
+                rows: list = []
+                self._expand(steps, [env], params, log, rows.append)
+                return list(dict.fromkeys(rows)) if distinct else rows
+            return streamed
+
+        def tuples(env, params, log):
+            envs = self._expand(steps, [env], params, log)
+            return [env for env in envs
+                    if all(test(env, params) for test in residual)]
+
+        if items and all(type(expr) is ast.Call
+                         and expr.name in _AGGREGATES for expr in items):
+            totals = [self._aggregate_fn(expr, slots, inner)
+                      for expr in items]
+
+            def aggregate(env, params, log):
+                envs = tuples(env, params, log)
+                row = tuple(total(envs, params) for total in totals)
+                return [row[0]] if len(row) == 1 else [row]
+            return aggregate
+        cells = [self._value_fn(expr, slots, inner) for expr in items]
+        if order is not None:
+            order_values = self._value_fn(order.expr, slots, inner)
+
+        def run(env, params, log):
+            envs = tuples(env, params, log)
+            rows: list = []
+            if limit == 0:
+                return rows
+            seen: set = set()
+            keyed: list[tuple] = []
+            for env in envs:
+                if order is not None:
+                    keys = order_values(env, params)
+                    # Empty sorts last (ascending).
+                    sort_key = _sort_token(keys[0]) if keys else (3, 0)
+                if len(cells) == 1:
+                    values = cells[0](env, params)
+                else:
+                    values = _cartesian([cell(env, params)
+                                         for cell in cells])
+                for value in values:
+                    if distinct:
+                        key = _dedup_key(value)
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                    if order is not None:
+                        keyed.append((sort_key, len(keyed), value))
+                        continue
+                    rows.append(value)
+                    if limit is not None and len(rows) >= limit:
+                        return rows
+            if order is not None:
+                # Python's sort is stable even with reverse=True, so ties
+                # keep their discovery order.
+                keyed.sort(key=operator.itemgetter(0),
+                           reverse=order.descending)
+                rows = [value for _, _, value in keyed][:limit]
             return rows
-        # ``select V``: the row is the bound node itself.
-        bare = None
-        if len(query.select) == 1:
-            expr = query.select[0].expr
-            if isinstance(expr, ast.PathValue) and not expr.path.steps:
-                bare = expr.path.root
-        seen: set = set()
-        keyed: list[tuple] = []
-        for env in envs:
-            sort_key = (self._order_key(query.order, env)
-                        if query.order is not None else None)
-            if bare is not None:
-                if bare not in env:
-                    raise PQLNameError(f"unbound variable {bare!r}",
-                                       *_pos(expr.path))
-                values = (env[bare],)
-            else:
-                values = [row[0] if len(row) == 1 else row
-                          for row in _cartesian(
-                              [self._select_values(item.expr, env)
-                               for item in query.select])]
-            for value in values:
-                key = _dedup_key(value)
-                if query.distinct and key in seen:
-                    continue
-                seen.add(key)
-                if query.order is not None:
-                    keyed.append((sort_key, len(keyed), value))
-                    continue
-                rows.append(value)
-                if query.limit is not None and len(rows) >= query.limit:
-                    return rows
-        if query.order is not None:
-            # Python's sort is stable even with reverse=True, so ties
-            # keep their discovery order.
-            keyed.sort(key=lambda item: item[0],
-                       reverse=query.order.descending)
-            rows = [value for _, _, value in keyed]
-            if query.limit is not None:
-                rows = rows[:query.limit]
-        return rows
+        return run
 
-    def _order_key(self, order: ast.OrderBy, env: Env) -> tuple:
-        """A type-ranked, totally ordered sort key for one tuple."""
-        values = self._values(order.expr, env)
-        if not values:
-            return (3, 0)                      # empty sorts last (asc)
-        return _sort_token(values[0])
+    # -- FROM -----------------------------------------------------------------
 
-    # -- FROM ---------------------------------------------------------------------------
-
-    def _expand_bindings(self, bindings: Iterable[ast.Binding],
-                         outer: Env,
-                         where: Optional[ast.Expr] = None
-                         ) -> tuple[list[Env], list]:
-        """The nested-loop join: the joined tuples plus the WHERE
-        conjuncts still to run on them -- with a catalog the join
-        filters as it binds (planner-placed conjuncts), without one the
-        whole clause comes back."""
-        bindings = list(bindings)
+    def _join(self, where, bindings: list, slots: dict, scope: frozenset,
+              inner: frozenset) -> tuple[list, list]:
+        """The join's steps -- ``(name, access, expand, checks)`` per
+        binding -- and the WHERE conjuncts left for after it: with a
+        catalog the join filters as it binds (planner-placed conjuncts),
+        without one the whole clause is left."""
         # A variable bound more than once is rebound (shadowed); pruning
         # its earlier binding by the WHERE literal would be unsound.
-        counts: dict = {}
-        for binding in bindings:
-            counts[binding.name] = counts.get(binding.name, 0) + 1
+        counts = Counter(binding.name for binding in bindings)
+        filters = {name: preds for name, preds
+                   in _planner.extract_filters(where).items()
+                   if counts.get(name) == 1}
         catalog = self.catalog
         if catalog is not None:
-            filters = {name: preds for name, preds
-                       in _planner.extract_filters(where).items()
-                       if counts.get(name, 0) == 1}
             placed, residual = _planner.place_conjuncts(where, bindings,
-                                                        outer)
+                                                        scope)
         else:
-            name_filters = {name: literal for name, literal
-                            in _equality_name_filters(where).items()
-                            if counts.get(name, 0) == 1}
             placed = [()] * len(bindings)
             residual = [] if where is None else [where]
-        record = self.plan_log is not None and self._depth == 1
-        truth = self._truth
-        envs = [dict(outer)]
-        for index, binding in enumerate(bindings):
-            plan = None
+
+        def getter(literal):
+            slot = slots.get(id(literal))
+            if slot is None:
+                return lambda params, value=literal.value: value
+            return operator.itemgetter(slot)
+
+        steps = []
+        for binding, checks in zip(bindings, placed):
+            preds = filters.get(binding.name, ())
             if catalog is not None:
-                pushdown, plan = _planner.plan_binding(self, binding,
-                                                       filters)
-                if record:
-                    self.plan_log.append(plan)
-                    self._notes = plan.notes
+                access = _planner.compile_access(self.graph, catalog,
+                                                 binding, preds, getter)
             else:
-                pushdown = self._pushdown_candidates(binding, name_filters)
-            checks = placed[index]
-            expanded: list[Env] = []
+                access = self._name_pushdown(binding, preds, getter)
+            steps.append((binding.name, access, self._nodes(binding.path),
+                          [self._truth_fn(test, slots, inner)
+                           for test in checks]))
+        return steps, residual
+
+    def _expand(self, steps: list, envs: list, params: tuple,
+                log: Optional[list], emit=None) -> list:
+        """Run the nested-loop join over ``steps`` from ``envs``; with
+        ``emit``, the last step's surviving nodes go to it instead of
+        into new tuples."""
+        last = steps[-1] if steps else None
+        for step in steps:
+            name, access, expand, checks = step
+            nodes, plan = access(params) if access else (None, None)
+            if log is not None and plan is not None:
+                log.append(plan)
+                self._notes = plan.notes
+            streaming = emit is not None and step is last
+            expanded: list = []
+            kept = 0
             for env in envs:
-                nodes = (pushdown if pushdown is not None
-                         else self._path_nodes(binding.path, env))
+                found = nodes if nodes is not None else expand(env)
                 if plan is not None:
-                    plan.actual_rows += len(nodes)
-                for node in nodes:
-                    child = dict(env)
-                    child[binding.name] = node
-                    for conjunct in checks:
-                        if not truth(conjunct, child):
+                    plan.actual_rows += len(found)
+                child = dict(env)
+                for node in found:
+                    child[name] = node
+                    for check in checks:
+                        if not check(child, params):
                             break
                     else:
-                        expanded.append(child)
+                        kept += 1
+                        if streaming:
+                            emit(node)
+                        else:
+                            expanded.append(dict(child))
             if plan is not None:
-                plan.kept_rows = len(expanded)
+                plan.kept_rows = kept
             envs = expanded
             self._notes = None
-        return envs, residual
+        return envs
 
-    def _pushdown_candidates(self, binding: ast.Binding,
-                             name_filters: dict) -> Optional[list[OEMNode]]:
-        """Selection pushdown: ``Provenance.member as V`` with a
-        top-level ``V.name = "literal"`` conjunct uses the name index
-        instead of scanning the whole member class.  The WHERE clause
-        still runs afterwards, so this is purely a pruning step."""
-        literal = name_filters.get(binding.name)
-        if literal is None:
+    def _name_pushdown(self, binding: ast.Binding, preds, getter):
+        """Selection pushdown without a catalog: ``Provenance.member as
+        V`` with a top-level ``V.name = "literal"`` conjunct takes the
+        graph's name index instead of the whole member class.  The
+        WHERE clause still runs afterwards, so this only prunes."""
+        member = _planner.member_of(binding.path)
+        names = [literal for kind, label, literal in preds
+                 if kind == "eq" and label == "name"
+                 and isinstance(literal.value, str)]
+        if member is None or not names:
             return None
-        path = binding.path
-        if path.root != OEMGraph.ROOT or len(path.steps) != 1:
-            return None
-        member = _single_forward_label(path.steps[0])
-        if member is None or path.steps[0].quantifier != ast.Quantifier():
-            return None
-        if member == "node":
-            return self.graph.named(literal)
-        return [node for node in self.graph.named(literal)
-                if isinstance(node.type, str)
-                and node.type.lower() == member]
+        value, named = getter(names[-1]), self.graph.named
+        return lambda params: (
+            _planner.of_member(named(value(params)), member), None)
 
-    def _path_nodes(self, path: ast.Path, env: Env,
-                    stop: Optional[int] = None) -> list[OEMNode]:
-        """Nodes reachable over a FROM path (its first ``stop`` steps
-        when given)."""
-        steps = path.steps
-        if stop is None:
-            stop = len(steps)
-        start = 0
+    def _nodes(self, path: ast.Path, stop: Optional[int] = None):
+        """``fn(env) -> nodes`` reachable over a path (its first
+        ``stop`` steps when given)."""
+        steps = path.steps[:stop]
         if path.root == OEMGraph.ROOT:
-            if not stop:
-                raise PQLError("'Provenance' needs a member, e.g. "
-                               "Provenance.file", *_pos(path))
-            first = steps[0]
-            member = _single_forward_label(first)
-            if member is None or first.quantifier != _ONCE:
-                raise PQLError("the first step after 'Provenance' must be "
-                               "a plain member name", *_pos(path))
-            frontier = self.graph.members(member)
-            start = 1
-        elif path.root in env:
-            value = env[path.root]
-            if not isinstance(value, OEMNode):
-                raise PQLTypeError(
-                    f"variable {path.root!r} is not an object", *_pos(path)
-                )
-            frontier = [value]
-        else:
-            raise PQLNameError(f"unbound variable {path.root!r}",
-                               *_pos(path))
-        for index in range(start, stop):
-            frontier = self._apply_step(frontier, steps[index])
-        return frontier
+            if not steps:
+                return _failing(PQLError, "'Provenance' needs a member, "
+                                "e.g. Provenance.file", path)
+            member = _planner.plain_label(steps[0])
+            if member is None:
+                return _failing(PQLError, "the first step after "
+                                "'Provenance' must be a plain member "
+                                "name", path)
+            members = self.graph.members
 
-    def _apply_step(self, frontier: list[OEMNode],
-                    step: ast.Step) -> list[OEMNode]:
-        """Apply one edge step with its quantifier to a node frontier.
+            def source(env):
+                return members(member)
+            steps = steps[1:]
+        else:
+            root = path.root
+            unbound = _failing(PQLNameError, f"unbound variable {root!r}",
+                               path)
+
+            def source(env):
+                return [env[root]] if root in env else unbound()
+        walks = [self._step(step) for step in steps]
+
+        def nodes(env):
+            frontier = source(env)
+            for walk in walks:
+                frontier = walk(frontier)
+            return frontier
+        return nodes if walks else source
+
+    def _step(self, step: ast.Step):
+        """``fn(frontier) -> nodes``: one edge step with its quantifier.
 
         Single hops always walk the live dicts (cheapest).  Multi-hop
         and unbounded closures consult the index catalogue when one is
@@ -292,272 +341,260 @@ class Evaluator:
         arrays when the snapshot is fresh, and everything falls back to
         the dict walk mid-burst.  All three produce the same node set.
         """
-        if self.catalog is not None and frontier:
-            fast = self._apply_step_fast(frontier, step)
-            if fast is not None:
-                return fast
         minimum = step.quantifier.minimum
         maximum = step.quantifier.maximum
-        result: dict[int, OEMNode] = {}
-        # BFS over repetition depth; visited prevents cycles from looping
-        # (the provenance graph is a DAG, but ^edges make walks revisit).
-        visited: dict[int, int] = {}
-        layer = list(frontier)
-        depth = 0
-        while layer:
-            if depth >= minimum:
-                for node in layer:
-                    result.setdefault(id(node), node)
-            if maximum is not None and depth >= maximum:
-                break
-            next_layer: list[OEMNode] = []
-            for node in layer:
-                for target in self._follow(node, step.edge):
-                    if visited.get(id(target), -1) < depth + 1:
-                        if id(target) not in visited:
-                            visited[id(target)] = depth + 1
-                            next_layer.append(target)
-            layer = next_layer
-            depth += 1
-        return list(result.values())
+        follow = _follower(step.edge)
+        if minimum == maximum == 1:
+            # Each target once, in discovery order (nodes hash by
+            # identity).
+            return lambda frontier: list(dict.fromkeys(
+                target for node in frontier for target in follow(node)))
+        fast = self._fast_step(step) if self.catalog is not None else None
 
-    def _apply_step_fast(self, frontier: list[OEMNode],
-                         step: ast.Step) -> Optional[list[OEMNode]]:
-        """Serve a closure step from the ancestry view or the CSR
-        snapshot; None means "use the live dict walk"."""
+        def walk(frontier):
+            if fast is not None and frontier:
+                found = fast(frontier)
+                if found is not None:
+                    return found
+            # BFS over repetition depth; visited prevents cycles from
+            # looping (the provenance graph is a DAG, but ^edges make
+            # walks revisit).  Nodes hash by identity.
+            found: dict = {}
+            visited: set = set()
+            layer, depth = list(frontier), 0
+            while layer:
+                if depth >= minimum:
+                    found.update(dict.fromkeys(layer))
+                if maximum is not None and depth >= maximum:
+                    break
+                next_layer: list[OEMNode] = []
+                for node in layer:
+                    for target in follow(node):
+                        if target not in visited:
+                            visited.add(target)
+                            next_layer.append(target)
+                layer, depth = next_layer, depth + 1
+            return list(found)
+        return walk
+
+    def _fast_step(self, step: ast.Step):
+        """``fn(frontier) -> nodes or None`` serving a closure step from
+        the ancestry view or the CSR snapshot (None: walk the live
+        dicts), or None for a step neither can serve."""
         minimum = step.quantifier.minimum
         maximum = step.quantifier.maximum
-        if maximum is not None and maximum <= 1:
-            return None
         edges = _flat_edges(step.edge)
-        if not edges:
+        if (maximum is not None and maximum <= 1) or not edges:
             return None
         catalog = self.catalog
-        notes = self._notes
         labels = {name for name, _ in edges}
         directions = {reverse for _, reverse in edges}
-        if (maximum is None and minimum <= 1 and len(directions) == 1
-                and len(frontier) <= _VIEW_FRONTIER_MAX
-                and labels <= ANCESTRY_LABELS):
-            # Materialized ancestry closure, cached per root.
-            reverse = next(iter(directions))
-            key = tuple(sorted(labels))
-            if notes is not None:
-                notes["ancestry_view"] = notes.get("ancestry_view", 0) + 1
-            result: dict[int, OEMNode] = {}
-            if minimum == 0:
+        viewable = (maximum is None and minimum <= 1
+                    and len(directions) == 1 and labels <= ANCESTRY_LABELS)
+        key, reverse = tuple(sorted(labels)), next(iter(directions))
+
+        def fast(frontier):
+            notes = self._notes
+            if viewable and len(frontier) <= _VIEW_FRONTIER_MAX:
+                # Materialized ancestry closure, cached per root.
+                _note(notes, "ancestry_view")
+                # Nodes hash by identity: each once, in discovery order.
+                found = dict.fromkeys(frontier) if minimum == 0 else {}
                 for node in frontier:
-                    result.setdefault(id(node), node)
-            for node in frontier:
-                for reached in catalog.view.closure(node, key, reverse):
-                    result.setdefault(id(reached), reached)
-            return list(result.values())
-        csr = catalog.csr()
-        if csr is None:
-            # Mid-burst: the snapshot is stale, walk the live dicts.
-            if notes is not None:
-                notes["dict_walk"] = notes.get("dict_walk", 0) + 1
-            return None
-        node_id = csr.node_id
-        roots = []
-        for node in frontier:
-            nid = node_id.get(id(node))
-            if nid is None:
+                    found.update(dict.fromkeys(
+                        catalog.view.closure(node, key, reverse)))
+                return list(found)
+            csr = catalog.csr()
+            if csr is None:
+                # Mid-burst: the snapshot is stale, walk the live dicts.
+                _note(notes, "dict_walk")
                 return None
-            roots.append(nid)
-        if notes is not None:
-            notes["csr_bfs"] = notes.get("csr_bfs", 0) + 1
-        found = csr.bfs(roots, edges, minimum, maximum)
-        nodes = csr.nodes
-        return [nodes[index] for index in found]
+            node_id = csr.node_id
+            roots = [node_id.get(id(node)) for node in frontier]
+            if None in roots:
+                return None
+            _note(notes, "csr_bfs")
+            nodes = csr.nodes
+            return [nodes[index]
+                    for index in csr.bfs(roots, edges, minimum, maximum)]
+        return fast
 
-    def _follow(self, node: OEMNode, edge: ast.EdgeExpr) -> list[OEMNode]:
-        if isinstance(edge, ast.EdgeAlt):
-            out: list[OEMNode] = []
-            for option in edge.options:
-                out.extend(self._follow(node, option))
-            return out
-        if edge.reverse:
-            return node.rin(edge.name)
-        return node.out(edge.name)
+    # -- expressions ----------------------------------------------------------
 
-    # -- expression evaluation ------------------------------------------------------------
+    def _value_fn(self, expr: ast.Expr, slots: dict, scope: frozenset):
+        """``fn(env, params) -> list``: the expression's value set."""
+        kind = type(expr)
+        if kind is ast.Literal:
+            slot = slots.get(id(expr))
+            if slot is None:
+                return lambda env, params, value=expr.value: [value]
+            return lambda env, params: [params[slot]]
+        if kind is ast.PathValue:
+            return self._path_value(expr.path)
+        if kind in (ast.Compare, ast.BoolOp, ast.Not, ast.InQuery,
+                    ast.ExistsQuery):
+            truth = self._truth_fn(expr, slots, scope)
+            return lambda env, params: [truth(env, params)]
+        if kind is ast.Arith:
+            left = self._value_fn(expr.left, slots, scope)
+            right = self._value_fn(expr.right, slots, scope)
+            return functools.partial(_arith_values, expr.op, left, right)
+        if kind is ast.Neg:
+            operand = self._value_fn(expr.operand, slots, scope)
+            return lambda env, params: [
+                -value for value in operand(env, params) if _is_number(value)]
+        if kind is not ast.Call:
+            return _failing(PQLError, f"unhandled expression node: "
+                            f"{expr!r}", expr)
+        name = expr.name
+        if name not in _SCALARS and name not in _AGGREGATES:
+            return _failing(PQLNameError, f"unknown function {name!r}",
+                            expr)
+        if len(expr.args) != 1:
+            return _failing(PQLError, f"{name}() takes one argument"
+                            if name in _SCALARS else f"{name}() takes "
+                            "exactly one argument", expr)
+        arg = self._value_fn(expr.args[0], slots, scope)
+        if name in _AGGREGATES:
+            return lambda env, params: [_aggregate(name, arg(env, params))]
+        scalar = _SCALARS[name]
+        return lambda env, params: [out for value in arg(env, params)
+                                    if (out := scalar(value)) is not None]
 
-    def _values(self, expr: ast.Expr, env: Env) -> list:
-        """Evaluate an expression to its value set (list, ordered)."""
-        if isinstance(expr, ast.Literal):
-            return [expr.value]
-        if isinstance(expr, ast.PathValue):
-            return self._path_values(expr.path, env)
-        if isinstance(expr, ast.Compare):
-            return [self._compare(expr, env)]
-        if isinstance(expr, (ast.BoolOp, ast.Not)):
-            return [self._truth(expr, env)]
-        if isinstance(expr, ast.Arith):
-            return self._arith(expr, env)
-        if isinstance(expr, ast.Neg):
-            return [_numeric(-value) for value in
-                    self._values(expr.operand, env)
-                    if isinstance(value, (int, float))
-                    and not isinstance(value, bool)]
-        if isinstance(expr, ast.Call):
-            if expr.name in _SCALARS:
-                if len(expr.args) != 1:
-                    raise PQLError(f"{expr.name}() takes one argument",
-                                   *_pos(expr))
-                fn = _SCALARS[expr.name]
-                return [out for value in self._values(expr.args[0], env)
-                        if (out := fn(value)) is not None]
-            return [self._call(expr, env)]
-        if isinstance(expr, ast.InQuery):
-            return [self._in_query(expr, env)]
-        if isinstance(expr, ast.ExistsQuery):
-            return [bool(self.execute(expr.query, env))]
-        raise PQLError(f"unhandled expression node: {expr!r}")
-
-    def _path_values(self, path: ast.Path, env: Env) -> list:
+    def _path_value(self, path: ast.Path):
         """A path in expression position: nodes *and* atoms it reaches.
 
         All but the last step must traverse edges; the last step also
         collects atom values of its label from the frontier.
         """
         if not path.steps:
-            if path.root not in env:
-                raise PQLNameError(f"unbound variable {path.root!r}",
-                                   *_pos(path))
-            return [env[path.root]]
-        frontier = self._path_nodes(path, env, len(path.steps) - 1)
-        last = path.steps[-1]
-        values: list = []
-        if last.quantifier == _ONCE:
-            label = _single_forward_label(last)
-            if label is not None:
-                for node in frontier:
-                    values.extend(node.atoms.get(label, ()))
-        values.extend(self._apply_step(frontier, last))
+            root = path.root
+            unbound = _failing(PQLNameError, f"unbound variable {root!r}",
+                               path)
+            return lambda env, params: [env[root] if root in env
+                                        else unbound()]
+        label = _planner.plain_label(path.steps[-1])
+        walk = self._step(path.steps[-1])
+        nodes = self._nodes(path, -1)
+        if label is None:
+            return lambda env, params: walk(nodes(env))
+
+        def values(env, params):
+            frontier = nodes(env)
+            out = [value for node in frontier
+                   for value in node.atoms.get(label, ())]
+            if len(frontier) != 1 or label in frontier[0].edges:
+                out += walk(frontier)           # edges under the label
+            return out
         return values
 
-    def _truth(self, expr: ast.Expr, env: Env) -> bool:
-        """Evaluate an expression as a predicate."""
-        if isinstance(expr, ast.BoolOp):
+    def _truth_fn(self, expr: ast.Expr, slots: dict, scope: frozenset):
+        """``fn(env, params) -> bool``: the expression as a predicate."""
+        kind = type(expr)
+        if kind is ast.BoolOp:
+            tests = [self._truth_fn(operand, slots, scope)
+                     for operand in expr.operands]
             if expr.op == "and":
-                return all(self._truth(op, env) for op in expr.operands)
-            return any(self._truth(op, env) for op in expr.operands)
-        if isinstance(expr, ast.Not):
-            return not self._truth(expr.operand, env)
-        if isinstance(expr, ast.Compare):
-            return self._compare(expr, env)
-        if isinstance(expr, ast.InQuery):
-            return self._in_query(expr, env)
-        if isinstance(expr, ast.ExistsQuery):
-            return bool(self.execute(expr.query, env))
-        if isinstance(expr, ast.PathValue):
-            return bool(self._values(expr, env))     # existence test
-        values = self._values(expr, env)
-        return any(bool(value) for value in values)
+                return lambda env, params: all(test(env, params)
+                                               for test in tests)
+            return lambda env, params: any(test(env, params)
+                                           for test in tests)
+        if kind is ast.Not:
+            test = self._truth_fn(expr.operand, slots, scope)
+            return lambda env, params: not test(env, params)
+        if kind is ast.Compare:
+            left = self._value_fn(expr.left, slots, scope)
+            right = self._value_fn(expr.right, slots, scope)
+            pair = (_like if expr.op == "like" else
+                    functools.partial(_compare_pair, _ORDERING[expr.op]))
+            return lambda env, params: _some(pair, left(env, params),
+                                             right(env, params))
+        if kind is ast.InQuery:
+            needle = self._value_fn(expr.needle, slots, scope)
+            query = self._query(expr.query, slots, scope)
 
-    def _compare(self, expr: ast.Compare, env: Env) -> bool:
-        left = self._values(expr.left, env)
-        right = self._values(expr.right, env)
-        for lhs in left:
-            for rhs in right:
-                if _compare_pair(expr.op, lhs, rhs):
-                    return True
-        return False
+            def contains(env, params):
+                needles = needle(env, params)
+                hay_keys = {_dedup_key(value)
+                            for value in query(env, params, None)}
+                return any(_dedup_key(value) in hay_keys
+                           for value in needles)
+            return contains
+        if kind is ast.ExistsQuery:
+            query = self._query(expr.query, slots, scope)
+            return lambda env, params: bool(query(env, params, None))
+        values = self._value_fn(expr, slots, scope)
+        if kind is ast.PathValue:
+            return lambda env, params: bool(values(env, params))
+        return lambda env, params: any(map(bool, values(env, params)))
 
-    def _arith(self, expr: ast.Arith, env: Env) -> list:
-        out: list = []
-        for lhs in self._values(expr.left, env):
-            for rhs in self._values(expr.right, env):
-                if not _is_number(lhs) or not _is_number(rhs):
-                    continue
-                out.append(_apply_arith(expr.op, lhs, rhs))
-        return out
-
-    # -- functions / aggregates ---------------------------------------------------------------
-
-    def _call(self, expr: ast.Call, env: Env):
-        if expr.name in _AGGREGATES:
-            if len(expr.args) != 1:
-                raise PQLError(f"{expr.name}() takes exactly one argument",
-                               *_pos(expr))
-            return _aggregate(expr.name, self._values(expr.args[0], env))
-        raise PQLNameError(f"unknown function {expr.name!r}", *_pos(expr))
-
-    def _aggregate_over(self, expr: ast.Call, envs: list[Env]):
-        """Aggregate across the whole binding set (aggregate-only select)."""
+    def _aggregate_fn(self, expr: ast.Call, slots: dict, scope):
+        """``fn(envs, params)``: aggregate across the whole binding set
+        (aggregate-only select)."""
         if len(expr.args) != 1:
-            raise PQLError(f"{expr.name}() takes exactly one argument",
-                           *_pos(expr))
-        values: list = []
-        seen: set = set()
-        for env in envs:
-            for value in self._values(expr.args[0], env):
-                key = _dedup_key(value)
-                if key in seen:
-                    continue
-                seen.add(key)
-                values.append(value)
-        return _aggregate(expr.name, values)
+            return _failing(PQLError, f"{expr.name}() takes exactly one "
+                            "argument", expr)
+        arg = self._value_fn(expr.args[0], slots, scope)
 
-    def _in_query(self, expr: ast.InQuery, env: Env) -> bool:
-        needles = self._values(expr.needle, env)
-        haystack = self.execute(expr.query, env)
-        hay_keys = {_dedup_key(value) for value in haystack}
-        return any(_dedup_key(needle) in hay_keys for needle in needles)
-
-    def _select_values(self, expr: ast.Expr, env: Env) -> list:
-        values = self._values(expr, env)
-        return values if values else []
+        def total(envs, params):
+            values: dict = {}
+            for env in envs:
+                for value in arg(env, params):
+                    values.setdefault(_dedup_key(value), value)
+            return _aggregate(expr.name, list(values.values()))
+        return total
 
 
 # -- helpers ------------------------------------------------------------------------------
 
 
-def _single_forward_label(step: ast.Step) -> Optional[str]:
-    if isinstance(step.edge, ast.EdgeName) and not step.edge.reverse:
-        return step.edge.name
-    return None
+def _note(notes: Optional[dict], mechanism: str) -> None:
+    """Count one traversal mechanism in an EXPLAIN binding's notes."""
+    if notes is not None:
+        notes[mechanism] = notes.get(mechanism, 0) + 1
 
 
-def _flat_edges(edge: ast.EdgeExpr) -> Optional[list[tuple[str, bool]]]:
-    """Flatten an edge expression to [(label, reverse), ...], or None
-    if it holds anything other than names/alternations."""
-    if isinstance(edge, ast.EdgeName):
-        return [(edge.name, edge.reverse)]
+def _some(pair, lefts: list, rights: list) -> bool:
+    """Existential comparison: some left value relates to some right."""
+    for lhs in lefts:
+        for rhs in rights:
+            if pair(lhs, rhs):
+                return True
+    return False
+
+
+def _arith_values(op: str, left, right, env, params) -> list:
+    """Arithmetic over every pair of numbers of the operands' value
+    sets (the right operand evaluated once, if the left has values)."""
+    out: list = []
+    rights = None
+    for lhs in left(env, params):
+        if rights is None:
+            rights = right(env, params)
+        for rhs in rights:
+            if _is_number(lhs) and _is_number(rhs):
+                out.append(_apply_arith(op, lhs, rhs))
+    return out
+
+
+def _follower(edge: ast.EdgeExpr):
+    """``fn(node) -> nodes`` one hop over an edge expression."""
     if isinstance(edge, ast.EdgeAlt):
-        out: list[tuple[str, bool]] = []
-        for option in edge.options:
-            flat = _flat_edges(option)
-            if flat is None:
-                return None
-            out.extend(flat)
-        return out
-    return None
+        options = [_follower(option) for option in edge.options]
+        return lambda node: [target for follow in options
+                             for target in follow(node)]
+    name = edge.name
+    if edge.reverse:
+        return lambda node: node.redges.get(name, ())
+    return lambda node: node.edges.get(name, ())
 
 
-def _equality_name_filters(where: Optional[ast.Expr]) -> dict:
-    """Map of variable -> string literal for top-level conjuncts of the
-    form ``Var.name = "literal"`` (either operand order)."""
-    filters: dict = {}
-    if where is None:
-        return filters
-    conjuncts = (list(where.operands)
-                 if isinstance(where, ast.BoolOp) and where.op == "and"
-                 else [where])
-    for conjunct in conjuncts:
-        if not isinstance(conjunct, ast.Compare) or conjunct.op != "=":
-            continue
-        for lhs, rhs in ((conjunct.left, conjunct.right),
-                         (conjunct.right, conjunct.left)):
-            if (isinstance(lhs, ast.PathValue)
-                    and len(lhs.path.steps) == 1
-                    and _single_forward_label(lhs.path.steps[0]) == "name"
-                    and lhs.path.steps[0].quantifier == ast.Quantifier()
-                    and isinstance(rhs, ast.Literal)
-                    and isinstance(rhs.value, str)):
-                filters[lhs.path.root] = rhs.value
-    return filters
+def _flat_edges(edge: ast.EdgeExpr) -> list[tuple[str, bool]]:
+    """Flatten an edge expression to [(label, reverse), ...]."""
+    if isinstance(edge, ast.EdgeAlt):
+        return [flat for option in edge.options
+                for flat in _flat_edges(option)]
+    return [(edge.name, edge.reverse)]
 
 
 def _sort_token(value) -> tuple:
@@ -584,10 +621,6 @@ def _dedup_key(value):
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _numeric(value):
-    return value
 
 
 def _apply_arith(op: str, lhs, rhs):
@@ -623,38 +656,30 @@ def _like_regex(pattern: str) -> "re.Pattern":
     ))
 
 
-def _compare_pair(op: str, lhs, rhs) -> bool:
-    if op == "like":
-        return _like(lhs, rhs)
+#: Comparison operator -> its test on two comparable values.
+_ORDERING = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+#: Classes whose values compare with values of the same class.
+_PLAIN = frozenset({int, float, str, bytes, bool})
+
+
+def _compare_pair(test, lhs, rhs) -> bool:
+    cls = lhs.__class__
+    if cls is rhs.__class__ and cls in _PLAIN:
+        return test(lhs, rhs)
     if isinstance(lhs, OEMNode) or isinstance(rhs, OEMNode):
-        if op == "=":
-            return (isinstance(lhs, OEMNode) and isinstance(rhs, OEMNode)
-                    and lhs.ref == rhs.ref)
-        if op == "!=":
-            return not (isinstance(lhs, OEMNode) and isinstance(rhs, OEMNode)
-                        and lhs.ref == rhs.ref)
-        return False
+        same = (isinstance(lhs, OEMNode) and isinstance(rhs, OEMNode)
+                and lhs.ref == rhs.ref)
+        return (same if test is operator.eq
+                else not same if test is operator.ne else False)
     comparable = (
         (_is_number(lhs) and _is_number(rhs))
         or (isinstance(lhs, str) and isinstance(rhs, str))
         or (isinstance(lhs, bytes) and isinstance(rhs, bytes))
         or (isinstance(lhs, bool) and isinstance(rhs, bool))
     )
-    if not comparable:
-        return False
-    if op == "=":
-        return lhs == rhs
-    if op == "!=":
-        return lhs != rhs
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == ">":
-        return lhs > rhs
-    if op == ">=":
-        return lhs >= rhs
-    raise PQLError(f"unknown comparison operator {op!r}")
+    return comparable and test(lhs, rhs)
 
 
 def _aggregate(name: str, values: list):

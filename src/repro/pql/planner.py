@@ -25,6 +25,13 @@ sizes and taking the smallest.  Every choice is recorded as a
 the engine hangs off the :class:`~repro.pql.engine.CompiledPlan` and
 serves through EXPLAIN.
 
+A query *shape* compiles its bindings' member classes, filter
+templates (:func:`extract_filters`) and conjunct placement once; the
+access choice is remade per execution (:func:`compile_access`): the
+sizes it compares move with the literal -- a rare ``md5`` takes its
+index, a ``name`` every file shares the scan -- and cost a few
+dictionary reads and a bisect to get.
+
 The planner also decides *where each WHERE conjunct runs*
 (:func:`place_conjuncts`): every side-effect-free top-level AND
 conjunct is evaluated exactly once per tuple, at the last binding that
@@ -49,7 +56,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.pql import ast
-from repro.pql.oem import OEMGraph, OEMNode
+from repro.pql.oem import OEMGraph
 
 #: Operator flip for ``literal op V.label`` orientation.
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -61,7 +68,7 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _plain_label(step: ast.Step) -> Optional[str]:
+def plain_label(step: ast.Step) -> Optional[str]:
     """The forward edge label of an unquantified plain step, if any."""
     if (isinstance(step.edge, ast.EdgeName) and not step.edge.reverse
             and step.quantifier == ast.Quantifier()):
@@ -184,29 +191,16 @@ def place_conjuncts(where: Optional[ast.Expr], bindings: list,
     return placed, []
 
 
-def _intersect(first: tuple, second: tuple) -> tuple:
-    """Intersection of two ``(low, low_inc, high, high_inc)`` intervals
-    (None = unbounded); on an equal bound the exclusive side wins."""
-    low, low_inc, high, high_inc = first
-    low2, low2_inc, high2, high2_inc = second
-    if low2 is not None and (
-            low is None or (low2, not low2_inc) > (low, not low_inc)):
-        low, low_inc = low2, low2_inc
-    if high2 is not None and (
-            high is None or (high2, high2_inc) < (high, high_inc)):
-        high, high_inc = high2, high2_inc
-    return low, low_inc, high, high_inc
-
-
 def extract_filters(where: Optional[ast.Expr]) -> dict:
-    """Indexable predicates per variable from top-level AND conjuncts.
+    """Indexable predicate templates per variable from top-level AND
+    conjuncts: ``{variable: [template, ...]}``.
 
-    Returns ``{variable: [predicate, ...]}`` where a predicate is
-    ``("eq", label, value)`` for ``V.label = literal`` or
-    ``("range", label, low, low_inc, high, high_inc)`` for numeric
-    inequalities, either operand order; every inequality on one
-    ``(variable, label)`` is intersected into a single interval, listed
-    where the first of them stood.  OR branches, negations, and
+    A template is ``("eq", label, literal)`` for ``V.label = literal``
+    or ``("range", label, bounds)`` for numeric inequalities on one
+    ``(variable, label)``, listed where the first stood, with one
+    ``(op, literal)`` per inequality read as ``V.label op literal``;
+    either operand order.  Literals stay AST nodes, resolved (and the
+    bounds intersected) per execution.  OR branches, negations, and
     anything else stay un-extracted (their conjuncts still run).
     """
     filters: dict[str, list[tuple]] = {}
@@ -223,95 +217,110 @@ def extract_filters(where: Optional[ast.Expr]) -> dict:
                     and len(lhs.path.steps) == 1
                     and isinstance(rhs, ast.Literal)):
                 continue
-            label = _plain_label(lhs.path.steps[0])
+            label = plain_label(lhs.path.steps[0])
             if label is None:
                 continue
             variable = lhs.path.root
-            value = rhs.value
-            if op != "=" and not _is_number(value):
+            # A literal's type category is part of the query shape.
+            if op != "=" and not _is_number(rhs.value):
                 break
             preds = filters.setdefault(variable, [])
             if op == "=":
-                preds.append(("eq", label, value))
+                preds.append(("eq", label, rhs))
+                break
+            bound = (_FLIP[op] if flipped else op, rhs)
+            slot = slots.setdefault((variable, label), len(preds))
+            if slot == len(preds):
+                preds.append(("range", label, (bound,)))
             else:
-                effective = _FLIP[op] if flipped else op
-                if effective in ("<", "<="):
-                    interval = (None, False, value, effective == "<=")
-                else:
-                    interval = (value, effective == ">=", None, False)
-                slot = slots.setdefault((variable, label), len(preds))
-                if slot == len(preds):
-                    preds.append(("range", label) + interval)
-                else:
-                    preds[slot] = ("range", label) + _intersect(
-                        preds[slot][2:], interval)
+                preds[slot] = ("range", label, preds[slot][2] + (bound,))
             break
     return filters
+
+
+def _interval(bounds, params: tuple) -> tuple:
+    """The ``(low, low_inc, high, high_inc)`` interval (None =
+    unbounded) one range template's bounds intersect to with this
+    execution's literals; on an equal bound the exclusive side wins."""
+    low = high = None
+    low_inc = high_inc = False
+    for op, literal in bounds:
+        value = literal(params)
+        if op in ("<", "<="):
+            if high is None or (value, op == "<=") < (high, high_inc):
+                high, high_inc = value, op == "<="
+        elif low is None or (value, op == ">") > (low, not low_inc):
+            low, low_inc = value, op == ">="
+    return low, low_inc, high, high_inc
 
 
 def member_of(path: ast.Path) -> Optional[str]:
     """The member name of a pure ``Provenance.member`` binding path."""
     if path.root != OEMGraph.ROOT or len(path.steps) != 1:
         return None
-    return _plain_label(path.steps[0])
+    return plain_label(path.steps[0])
 
 
-def plan_binding(evaluator, binding: ast.Binding, filters: dict
-                 ) -> tuple[Optional[list[OEMNode]], BindingPlan]:
-    """Choose the access path for one binding.
+def of_member(nodes: list, member: str) -> list:
+    """``nodes`` restricted to the ``Provenance.member`` class."""
+    if member == "node":
+        return nodes
+    return [node for node in nodes
+            if isinstance(node.type, str) and node.type.lower() == member]
 
-    Returns ``(candidates, plan)``: ``candidates`` is the pruned node
-    list when an index serves the binding, or None when the evaluator
-    should expand the path itself (member scan / traversal).
+
+def compile_access(graph, catalog, binding: ast.Binding, preds: list,
+                   value):
+    """``choose(params) -> (candidates, plan)``: one binding's access
+    path, chosen per execution from its filter templates (``value``
+    maps a template literal to ``fn(params)``).
+
+    ``candidates`` is the pruned node list when an index serves the
+    binding, or None when the evaluator should expand the path itself
+    (member scan / traversal).
     """
-    graph = evaluator.graph
-    catalog = evaluator.catalog
     path = binding.path
+    name = binding.name
     member = member_of(path)
     if member is None:
         access = ("member_scan" if path.root == OEMGraph.ROOT
                   else "traverse")
-        return None, BindingPlan(binding.name, access,
-                                 detail={"path": _path_text(path)})
+        detail = {"path": _path_text(path)}
+        return lambda params: (None, BindingPlan(name, access, detail))
+    resolved = [(kind, label, value(arg) if kind == "eq"
+                 else tuple((op, value(bound)) for op, bound in arg))
+                for kind, label, arg in preds]
 
-    scan_cost = graph.member_count(member)
-    best_access = "member_scan"
-    best_detail: dict = {"member": member}
-    best_est = scan_cost
-    best_pred: Optional[tuple] = None
-    for pred in filters.get(binding.name, ()):
-        if pred[0] == "eq":
-            _, label, value = pred
-            est = catalog.equality_estimate(label, value)
-            detail = {"index": label, "op": "=", "value": value}
-            access = "equality_index"
+    def choose(params: tuple):
+        best_est, best = graph.member_count(member), None
+        for kind, label, arg in resolved:
+            if kind == "eq":
+                key = arg(params)
+                est = catalog.equality_estimate(label, key)
+            else:
+                key = _interval(arg, params)
+                est = catalog.range(label).estimate(*key)
+            if est < best_est:
+                best_est, best = est, (kind, label, key)
+        if best is None:
+            catalog.index_misses += 1
+            return None, BindingPlan(name, "member_scan",
+                                     {"member": member}, best_est)
+        catalog.index_hits += 1
+        kind, label, key = best
+        if kind == "eq":
+            detail = {"index": label, "op": "=", "value": key}
+            nodes = catalog.equality_lookup(label, key)
         else:
-            _, label, low, low_inc, high, high_inc = pred
-            est = catalog.range(label).estimate(low, low_inc,
-                                                high, high_inc)
+            low, low_inc, high, high_inc = key
             detail = {"index": label, "op": "range",
                       "low": low, "low_inc": low_inc,
                       "high": high, "high_inc": high_inc}
-            access = "range_index"
-        if est < best_est:
-            best_access, best_detail, best_est = access, detail, est
-            best_pred = pred
-
-    best_detail["member"] = member
-    plan = BindingPlan(binding.name, best_access, detail=best_detail,
-                       est_rows=best_est)
-    if best_pred is None:
-        catalog.index_misses += 1
-        return None, plan
-    catalog.index_hits += 1
-    if best_pred[0] == "eq":
-        nodes = catalog.equality_lookup(best_pred[1], best_pred[2])
-    else:
-        nodes = catalog.range(best_pred[1]).lookup(*best_pred[2:])
-    if member != "node":
-        nodes = [node for node in nodes
-                 if isinstance(node.type, str)
-                 and node.type.lower() == member]
-    # Range lookups repeat a node once per matching value; candidate
-    # sets are node sets (nodes hash by identity; order preserved).
-    return list(dict.fromkeys(nodes)), plan
+            nodes = catalog.range(label).lookup(*key)
+        detail["member"] = member
+        plan = BindingPlan(name, "equality_index" if kind == "eq"
+                           else "range_index", detail, best_est)
+        # Range lookups repeat a node once per matching value; candidate
+        # sets are node sets (nodes hash by identity; order preserved).
+        return list(dict.fromkeys(of_member(nodes, member))), plan
+    return choose

@@ -99,8 +99,8 @@ SRC_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
 
 
 def _run_passflow():
-    from repro.lint import analyze_tree, build_program, graph_payload
-    from repro.lint.flowcheck import check_program
+    from repro.lint.callgraph import build_program, graph_payload
+    from repro.lint.flowcheck import analyze_tree, check_program
 
     diagnostics = analyze_tree(SRC_ROOT)
     program = build_program(SRC_ROOT)

@@ -1,19 +1,21 @@
 """Plan-cache soundness: a shape compiled for one set of literals and
-bound to another answers exactly as a fresh compile would.
+run with another answers exactly as a fresh compile would.
 
 The engine keys compiled plans by query *shape* (literals lifted out by
-``repro.pql.lexer.parameterize``) and binds the caller's values into a
-copy of the cached AST.  These properties generate one query template
-and two independent literal assignments -- strings with quotes,
-backslashes, ``#``, ``?``, runs of spaces and digits; ints, floats and
-``-n``; beside ``{m,n}`` quantifiers and ``limit N``, which
+``repro.pql.lexer.parameterize``) and runs the cached closures with the
+caller's values in the parameter slots.  These properties generate one
+query template and two independent literal assignments -- strings with
+quotes, backslashes, ``#``, ``?``, runs of spaces and digits; ints,
+floats and ``-n``; beside ``{m,n}`` quantifiers and ``limit N``, which
 must stay structural -- and require the second execution to be
 indistinguishable from a cold one, before and after the graph's
-vocabulary epoch moves.
+vocabulary epoch moves; and sequences of shapes, repeated with new
+literals through an evicting cache on a growing live graph.
 """
 
 import dataclasses
 import re
+from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ProvenanceRecord
 from repro.pql import ast
 from repro.pql.engine import QueryEngine
+from repro.pql.evaluator import slot_literals
 from repro.pql.lexer import number_value, parameterize, tokenize
 from repro.pql.oem import OEMGraph
 from repro.pql.parser import parse
@@ -211,17 +214,90 @@ def test_parameters_are_the_lexers_literal_tokens(siblings):
 
 @given(sibling_queries())
 @settings(max_examples=200, deadline=None)
-def test_bound_ast_is_the_parsed_ast(siblings):
-    """Binding B's literals into A's cached plan yields exactly the AST
-    parsing B yields, leaves A's bound AST as it was, and repeats of one
-    text share one bound object."""
+def test_one_plan_keeps_its_ast_and_takes_each_callers_params(
+        siblings):
+    """The second text of a shape reuses the first one's plan: its
+    parameters are the second text's literals in the slots the compiler
+    reads, and the plan's AST stays the first text's parse."""
     (first, _), (second, _), _ = siblings
     engine = QueryEngine.from_records([])
-    kept = engine.parse(first)
-    assert kept == parse(first)
-    bound = engine.parse(second)
-    assert bound == parse(second)
-    assert engine.parse(second) is bound
-    assert kept == parse(first)                     # nothing mutated
-    assert engine.parse(first) == kept
+    plan = engine.plan(first)
+    assert plan.query == parse(first)
+    assert engine.plan(second) is plan
+    assert plan.params == parameterize(second)[1]
+    assert [literal.value for literal in slot_literals(parse(second))] \
+        == list(plan.params)
+    assert plan.query == parse(first)               # nothing mutated
     assert len(engine._plans) == 1
+
+
+# -- slots across executions -------------------------------------------------
+
+#: Literals in the select list, on both sides of WHERE, inside IN and
+#: EXISTS subqueries and in ORDER BY; ``limit`` and ``{m,n}`` stay
+#: structure.  ``§L`` is a ``limit`` that varies the shape.
+SEQUENCE_TEMPLATES = [
+    'select N, §n from Provenance.node as N where N.name = §s §L',
+    'select N.time + §n from Provenance.node as N where §n < N.time §L',
+    'select N from Provenance.node as N where N.name in '
+    '(select A.name from Provenance.node as A where A.time >= §n) '
+    'and N.md5 != §s §L',
+    'select N from Provenance.node as N where exists (select A from '
+    'N.input{1,} as A where A.name = §s limit 40) or N.time = §n §L',
+    'select N.name, §s from Provenance.node as N '
+    'order by N.time * §n desc §L',
+    'select N from Provenance.node as N, N.input* as A '
+    'where A.md5 = §s and N.time >= §n and N.time < §n §L',
+    'select A from Provenance.node as N, N.^input{1,3} as A '
+    'where N.md5 = §s §L',
+    'select count(N) from Provenance.node as N where N.time > §n §L',
+]
+
+steps = st.lists(st.one_of(
+    st.tuples(st.just("query"), st.integers(0, len(SEQUENCE_TEMPLATES) - 1),
+              st.integers(0, 2), st.data()),
+    st.tuples(st.just("apply"), st.lists(records, min_size=1, max_size=8))),
+    min_size=1, max_size=25)
+
+
+def rows_or_error(engine: QueryEngine, text: str):
+    """Rows in the order they came (nodes as refs), or the error."""
+    try:
+        return [as_refs(row) for row in engine.execute(text)]
+    except ReproError as error:
+        return type(error).__name__, str(error)
+
+
+@given(streams, steps)
+@settings(max_examples=150, deadline=None)
+def test_slots_across_executions(stream, sequence):
+    """One live engine, a plan cache of four shapes, and a sequence of
+    shapes -- each run twice with independent literals -- between record
+    groups that grow the graph's vocabulary: every answer equals, in
+    order, that of a fresh engine compiling the text over the same
+    graph, and, as a set, the catalog-less reference's."""
+    from repro.pql import engine as engine_module
+    from repro.storage.database import ProvenanceDatabase
+    database = ProvenanceDatabase("props")
+    database.insert_many(stream)
+    engine = QueryEngine.live([database])
+    epochs = {engine.graph.vocab_epoch}
+    with mock.patch.object(engine_module, "PLAN_CACHE_SHAPES", 4):
+        for step in sequence:
+            if step[0] == "apply":
+                database.insert_many(step[1] + [ProvenanceRecord(
+                    ObjectRef(1, 0), f"LABEL_{len(epochs)}", 1)])
+                epochs.add(engine.graph.vocab_epoch)
+                continue
+            _, index, limit, data = step
+            template = SEQUENCE_TEMPLATES[index].replace(
+                "§L", f"limit {40 + limit}")
+            for _ in range(2):
+                text, _ = data.draw(renderings(template))
+                got = rows_or_error(engine, text)
+                assert got == rows_or_error(QueryEngine(engine.graph), text)
+                if isinstance(got, list):
+                    assert sorted(map(repr, got)) == sorted(
+                        map(repr, reference_refs(engine, text)))
+            assert len(engine._plans) <= 4
+    assert len(epochs) == 1 + sum(step[0] == "apply" for step in sequence)

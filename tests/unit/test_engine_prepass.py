@@ -7,6 +7,7 @@ from repro.core.errors import PQLError, PQLNameError
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ObjType, ProvenanceRecord
 from repro.pql.engine import QueryEngine
+from repro.pql.oem import OEMGraph
 
 
 def R(pnode, version, attr, value):
@@ -27,14 +28,19 @@ def engine():
 
 
 class TestPrePass:
-    def test_unknown_attribute_rejected_before_evaluation(self, engine,
-                                                          monkeypatch):
-        def explode(*args, **kwargs):
-            raise AssertionError("evaluator must not run")
-        monkeypatch.setattr(engine._evaluator, "execute", explode)
+    def test_unknown_attribute_rejected_before_evaluation(self):
+        from repro.obs import Observability
+        obs = Observability(trace_enabled=True)
+        engine = QueryEngine(OEMGraph.build([
+            R(1, 0, Attr.TYPE, ObjType.FILE)]), obs=obs)
         with pytest.raises(PQLNameError) as exc:
             engine.execute('select F from Provenance.file as F\n'
                            'where F.nmae = "x"')
+        # The check ran; the evaluator and the planner never did.
+        spans = {span["name"] for span in obs.trace()}
+        assert "pql.check" in spans and "pql.eval" not in spans
+        assert (engine.catalog.index_hits, engine.catalog.index_misses) \
+            == (0, 0)
         assert "PL101" in str(exc.value)
         assert "(line 2, column 8)" in str(exc.value)
         assert exc.value.line == 2
@@ -84,3 +90,27 @@ class TestPrePass:
         diags = engine.lint('select F from Provenance.file as F '
                             'where F.nmae = "x"')
         assert [d.code for d in diags] == ["PL101"]
+
+
+def test_a_query_loads_only_the_pql_checker():
+    """The pre-pass needs ``repro.lint.pqlcheck``; the whole-program
+    analyzers stay unimported until something asks for them."""
+    import os
+    import subprocess
+    import sys
+    script = (
+        "import sys\n"
+        "from repro.pql.engine import QueryEngine\n"
+        "engine = QueryEngine.from_records([])\n"
+        "assert engine.execute('select F from Provenance.file as F') == []\n"
+        "print(sorted(name for name in sys.modules\n"
+        "             if name.startswith('repro.lint')))\n")
+    source = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(source))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = done.stdout
+    assert "repro.lint.pqlcheck" in loaded
+    for module in ("repro.lint.callgraph", "repro.lint.flowcheck",
+                   "repro.lint.layercheck"):
+        assert module not in loaded, loaded

@@ -4,8 +4,13 @@ determinism of the graph export."""
 import json
 import os
 
-from repro.lint import build_program, graph_payload, render_graph_dot
-from repro.lint.callgraph import GRAPH_SCHEMA, scan_suppressions
+from repro.lint.callgraph import (
+    GRAPH_SCHEMA,
+    build_program,
+    graph_payload,
+    render_graph_dot,
+    scan_suppressions,
+)
 from repro.lint.flowcheck import check_program
 
 SRC_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,

@@ -3,7 +3,7 @@ suppression machinery it shares with the PL2xx import rules."""
 
 import os
 
-from repro.lint import analyze_tree
+from repro.lint.flowcheck import analyze_tree
 
 SRC_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                         "src", "repro")

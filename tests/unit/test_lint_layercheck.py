@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.lint import check_source, check_tree
+from repro.lint.layercheck import check_source, check_tree
 
 SRC_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                         "src", "repro")

@@ -6,9 +6,8 @@ clean of it.
 
 import pytest
 
-from repro.lint import check_query_text
 from repro.lint.diagnostics import ERROR, WARNING
-from repro.lint.pqlcheck import Vocabulary
+from repro.lint.pqlcheck import Vocabulary, check_query_text
 
 BASE = "select F from Provenance.file as F"
 

@@ -8,6 +8,7 @@ from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ObjType, ProvenanceRecord
 from repro.pql.engine import QueryEngine
 from repro.pql.oem import OEMGraph
+from repro.pql.parser import parse
 
 
 def R(pnode, version, attr, value):
@@ -280,7 +281,7 @@ class TestPlanCache:
         assert shapes == {"select F from Provenance . file as F "
                           "where F . name = ?s"}
         assert len(engine._plans) == 1
-        assert engine.plan(spellings[3]).query.where.right.value == 'x"y'
+        assert engine.plan(spellings[3]).params == ('x"y',)
         assert engine.execute_refs(spellings[4]) == [ObjectRef(3, 0)]
 
     def test_structure_is_part_of_the_shape(self):
@@ -321,16 +322,19 @@ class TestPlanCache:
         assert len(engine.execute_refs(unfiltered)) == 3
         assert engine.plan(filtered) is not engine.plan(unfiltered)
 
-    def test_repeat_of_a_text_shares_the_bound_query(self):
+    def test_repeat_of_a_text_takes_its_literals_into_one_plan(self):
         engine = cache_engine()
         first, second = (FILE_WHERE + 'F.name = "a b"',
                          FILE_WHERE + 'F.name = "it\'s"')
-        bound = engine.parse(first)
-        assert engine.parse(first) is bound
-        other = engine.parse(second)
-        assert other is not bound and other != bound
-        assert bound.where.right.value == "a b"      # never mutated
-        assert bound.where.left is other.where.left  # spine only
+        plan = engine.plan(first)
+        assert engine.plan(first) is plan and plan.params == ("a b",)
+        assert engine.plan(second) is plan and plan.params == ("it's",)
+        assert plan.text == second
+        # The source AST is the first text's, never rebound.
+        assert plan.query == parse(first)
+        assert plan.query.where.right.value == "a b"
+        assert engine.execute_refs(second) == [ObjectRef(3, 0)]
+        assert engine.execute_refs(first) == [ObjectRef(2, 0)]
 
     def test_check_runs_once_per_epoch(self):
         from repro.obs import Observability
@@ -428,10 +432,29 @@ class TestPlanCacheObservability:
         assert [e["query"] for e in slow] == [self.FIRST, self.SECOND]
         assert [e["cache_hit"] for e in slow] == [False, True]
         assert {e["shape"] for e in slow} == {self.SHAPE}
-        assert "'a b'" in slow[0]["plan"] and "it's" in slow[1]["plan"]
+        # One compiled plan; each entry renders the literals it ran with.
+        plan = engine.plan(self.SECOND)
+        assert plan.params == ("it's",) and plan.source == self.FIRST
+        assert [e["plan"] for e in slow] == [
+            f"<CompiledPlan {self.SHAPE!r} ('a b',)>",
+            f"<CompiledPlan {self.SHAPE!r} (\"it's\",)>"]
         explained, = obs.journal.events("pql.plan_explain")
         assert explained["query"] == self.SECOND
         assert explained["shape"] == self.SHAPE
+
+    def test_explain_counts_the_cache_as_execute_does(self):
+        # EXPLAIN reads the plan its execution just ran: a never-seen
+        # query is one parse and no cache hit, a sibling one hit.
+        from repro.obs import Observability
+        obs = Observability(metrics_enabled=True)
+        engine = cache_engine(obs)
+        assert engine.explain(self.FIRST)["rows"] == 1
+        counters = obs.stats()["pql"]["counters"]
+        assert (counters["parses"], counters.get("parse_cache_hits", 0)) \
+            == (1, 0)
+        assert engine.explain(self.SECOND)["query"] == self.SECOND
+        counters = obs.stats()["pql"]["counters"]
+        assert (counters["parses"], counters["parse_cache_hits"]) == (1, 1)
 
     def test_check_error_is_positioned_in_the_callers_text(self):
         from repro.core.errors import PQLNameError
@@ -467,10 +490,14 @@ class TestEngine:
         assert engine.execute("select count(F) from Provenance.file as F") \
             == [2]
 
-    def test_parse_cache(self):
+    def test_the_plan_is_cached_per_shape(self):
         engine = QueryEngine.from_records([])
-        text = "select F from Provenance.file as F"
-        assert engine.parse(text) is engine.parse(text)
+        text = 'select F from Provenance.file as F where F.name = "a"'
+        plan = engine.plan(text)
+        assert engine.plan(text) is plan
+        assert engine.plan(text.replace('"a"', '"b"')) is plan
+        assert plan.query == parse(text)            # the source AST
+        assert plan.params == ("b",)
 
     def test_execute_refs_conversion(self):
         engine = QueryEngine.from_records([

@@ -19,10 +19,12 @@ from repro.core.errors import PQLTypeError
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ObjType, ProvenanceRecord
 from repro.obs import Observability
+from repro.pql.ast import Literal
 from repro.pql.engine import QueryEngine
 from repro.pql.indexes import (AncestryView, CSRSnapshot, EqualityIndex,
                                IndexCatalog, RangeIndex)
 from repro.pql.oem import OEMGraph
+from repro.pql.parser import parse
 from repro.pql.planner import extract_filters, place_conjuncts
 from repro.storage.database import ProvenanceDatabase
 from tests.conftest import reference_refs, reference_rows
@@ -482,11 +484,13 @@ class TestIntervalMerging:
         graph = engine.graph
         for pnode, size in ((1, 7), (2, 7), (3, 8)):
             graph.apply(R(pnode, "SIZE", size))
-        filters = extract_filters(engine.parse(
+        filters = extract_filters(parse(
             self.FILE + "F.mtime >= 10 and F.size < 8 and F.mtime < 30"
         ).where)
-        assert filters == {"F": [("range", "mtime", 10, True, 30, False),
-                                 ("range", "size", None, False, 8, False)]}
+        # Templates: the literals are resolved (and intersected) per run.
+        assert filters == {"F": [
+            ("range", "mtime", ((">=", Literal(10)), ("<", Literal(30)))),
+            ("range", "size", (("<", Literal(8)),))]}
         interval, plan = self._range(
             engine, "F.mtime >= 25 and F.size < 9 and F.mtime < 35")
         assert plan.detail["index"] == "mtime"      # 1 candidate beats 3
@@ -495,7 +499,7 @@ class TestIntervalMerging:
 
 class TestConjunctPlacement:
     def _placed(self, engine, text, outer=()):
-        query = engine.parse(text)
+        query = parse(text)
         placed, residual = place_conjuncts(query.where,
                                            list(query.bindings), outer)
         return [len(exprs) for exprs in placed], len(residual)
@@ -523,19 +527,35 @@ class TestConjunctPlacement:
 
     def test_root_predicate_runs_once_per_root(self, engine):
         """``input*`` from /b joins three tuples; the md5 conjunct is
-        checked on the one root tuple, never on the joined ones."""
+        checked on the one root tuple, never on the joined ones: once
+        the md5 index is built, a run reads the root's md5 atom once."""
         text = ("select A from Provenance.file as F, F.input* as A "
                 'where F.md5 = "bbb"')
-        evaluator = engine._evaluator
-        compares = []
-        original = evaluator._compare
-        evaluator._compare = lambda expr, env: (
-            compares.append(sorted(env)), original(expr, env))[1]
-        try:
-            assert len(engine.execute(text)) == 3
-        finally:
-            del evaluator._compare
-        assert compares == [["F"]]
+        engine.execute(text)                        # builds the index
+        root = engine.graph.named("/b")[0]
+        reads = []
+
+        class CountingAtoms(dict):
+            def get(self, label, default=None):
+                reads.append(label)
+                return super().get(label, default)
+
+        root.atoms = CountingAtoms(root.atoms)
+        for _ in range(2):
+            reads.clear()
+            report = engine.explain(text)
+            assert report["rows"] == 3
+            assert reads.count("md5") == 1
+            f_binding, a_binding = report["bindings"]
+            assert (f_binding["actual_rows"], f_binding["kept_rows"]) == (1, 1)
+            assert (a_binding["actual_rows"], a_binding["kept_rows"]) == (3, 3)
+        # Unindexable, the conjunct still sits at F: two root tuples
+        # scanned, one kept, and only its closure joined.
+        report = engine.explain(text.replace("=", "like"))
+        f_binding, a_binding = report["bindings"]
+        assert f_binding["access"] == "member_scan"
+        assert (f_binding["actual_rows"], f_binding["kept_rows"]) == (2, 1)
+        assert (a_binding["actual_rows"], a_binding["kept_rows"]) == (3, 3)
 
     # ``like`` conjuncts: pure but not indexable, so only placement (not
     # index narrowing, which this leaves as it was) decides who sees what.
