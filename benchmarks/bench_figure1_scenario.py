@@ -117,7 +117,7 @@ def test_figure1_anomaly_detection(benchmark):
     def names_of(refs):
         out = {}
         for ref in refs:
-            for name in graph.node(ref).atom("name"):
+            for name in graph.node(ref).atoms.get("name", ()):
                 out.setdefault(name, set()).add(ref.version)
         return out
 

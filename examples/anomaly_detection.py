@@ -110,7 +110,7 @@ def main() -> None:
     def names(refs):
         found = {}
         for ref in refs:
-            for name in graph.node(ref).atom("name"):
+            for name in graph.node(ref).atoms.get("name", ()):
                 found.setdefault(str(name), set()).add(ref.version)
         return found
 

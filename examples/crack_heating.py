@@ -45,8 +45,8 @@ def names_types(graph, refs):
     names, types = set(), set()
     for ref in refs:
         node = graph.node(ref)
-        names.update(map(str, node.atom("name")))
-        types.update(map(str, node.atom("type")))
+        names.update(map(str, node.atoms.get("name", ())))
+        types.update(map(str, node.atoms.get("type", ())))
     return names, types
 
 

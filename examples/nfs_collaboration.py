@@ -59,7 +59,7 @@ def vignette_collaboration(server_sys, server, clients):
     graph = server_sys.query_engine().graph
     out_ref = newest_ref_by_name(graph, "/shared/model-output.dat")
     names = {str(name) for ref in ancestry_refs(graph, out_ref)
-             for name in graph.node(ref).atom("name")}
+             for name in graph.node(ref).atoms.get("name", ())}
     print(f"  server-side ancestry of model-output.dat: {sorted(names)}")
     assert "alice-simulator" in names
     assert "bob-runner" in names

@@ -171,7 +171,9 @@ class QueryEngine:
 
     def _apply_batch(self, records) -> None:
         """Subscription callback: splice one record group in."""
-        count = self.graph.apply_batch(records)
+        with self.obs.span("oem.apply", layer="pql") as span:
+            count = self.graph.apply_batch(records)
+            span.tag("records", count)
         self.obs.inc("pql", "oem_records_applied", count)
 
     # -- compilation ------------------------------------------------------------

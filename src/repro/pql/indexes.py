@@ -26,8 +26,9 @@ module is the access-path layer the cost-based planner
   ancestry queries near-O(answer).
 
 Everything hangs off one :class:`IndexCatalog`, attached to the graph
-by the query engine (``graph.indexes``).  The graph notifies the
-catalog from ``apply``/``apply_batch`` (``note_atom``/``note_edge``) --
+by the query engine (``graph.indexes``).  The graph's one splice loop
+(``OEMGraph._splice``, behind ``build`` and ``apply_batch``) notifies
+the catalog of every atom and edge (``note_atom``/``note_edge``) --
 O(delta) maintenance, no epoch races: an index built at time T scans
 the graph as of T and receives every later delta through the
 notification hooks, exactly like the plan cache's epoch discipline but

@@ -17,30 +17,31 @@ objects" (section 5.7).  Here:
   (``Provenance.file``, ``Provenance.process``, ...) plus ``node`` for
   everything.
 
-The graph is *maintainable*: :meth:`OEMGraph.build` constructs it from a
-record stream, or from the databases' row streams, in one batch pass,
-and :meth:`OEMGraph.apply_batch` splices a record group into an
-existing graph -- new nodes, edge wiring,
-identity-atom sharing, member classification, and the name index are all
-updated in O(delta).  A live query engine applies records as Waldo
-drains them instead of rebuilding the world per sync; the two paths are
-property-tested equivalent (``tests/properties/test_oem_incremental_props``).
+The graph is *maintainable*: one run-memoised loop
+(``OEMGraph._splice``) splices flat record rows into it.
+:meth:`OEMGraph.build` runs that loop once on an empty graph, and a live
+query engine runs it on each record group Waldo drains
+(:meth:`OEMGraph.apply_batch`), so new nodes, edge wiring,
+identity-atom sharing, member classification, the name index and an
+attached index catalog are all updated in O(delta) instead of
+rebuilding the world per sync.  Splitting a stream into consecutive
+splices gives the graph one build over the whole stream gives
+(property-tested in ``tests/properties/test_oem_incremental_props``).
 
 Vocabulary growth (a never-before-seen atom label, edge label, or
-member) bumps :attr:`OEMGraph.vocab_epoch`, which the query engine uses
-to invalidate cached lint vocabularies and compiled-plan check results.
+member) bumps :attr:`OEMGraph.vocab_epoch` once per splice; the query
+engine uses it to invalidate cached lint vocabularies and
+compiled-plan check results.
 """
 
 from __future__ import annotations
 
 import gc
 from collections import defaultdict
-from itertools import chain
 from typing import Iterable, Optional
 
 from repro.core.pnode import ObjectRef
-from repro.core.records import (Attr, ProvenanceRecord, RecordBatch,
-                                rows_of, slots_of)
+from repro.core.records import Attr, ProvenanceRecord, slots_of
 
 #: Attributes whose atoms are shared by every version of an object.
 IDENTITY_ATTRS = frozenset({Attr.NAME, Attr.TYPE, Attr.ARGV, Attr.ENV,
@@ -69,25 +70,12 @@ class OEMNode:
         #: a list from the second on (the rule ``EqualityIndex`` buckets
         #: follow), so a node whose atoms are single plain values holds
         #: nothing the cycle collector must keep walking.  Written only
-        #: through :func:`_add_atom` (inlined in ``OEMGraph.load_rows``).
+        #: through :func:`_add_atom` (inlined in ``OEMGraph._splice``).
         self.atoms: dict[str, tuple | list] = {}
         #: edge label -> list of target nodes.
         self.edges: dict[str, list["OEMNode"]] = {}
         #: edge label -> list of source nodes (reverse traversal).
         self.redges: dict[str, list["OEMNode"]] = {}
-
-    def atom(self, label: str) -> list:
-        """Values of one atom attribute (possibly empty), always as a
-        new list the caller owns (:attr:`atoms` has the stored shape)."""
-        return list(self.atoms.get(label, ()))
-
-    def out(self, label: str) -> list["OEMNode"]:
-        """Forward edge targets."""
-        return self.edges.get(label, [])
-
-    def rin(self, label: str) -> list["OEMNode"]:
-        """Reverse edge sources."""
-        return self.redges.get(label, [])
 
     @property
     def type(self) -> Optional[str]:
@@ -169,49 +157,62 @@ class OEMGraph:
     @classmethod
     def build(cls, records: Iterable[ProvenanceRecord] = (),
               streams: Iterable[Iterable] = ()) -> "OEMGraph":
-        """Build a graph in one batch pass (:meth:`load_rows` on an
-        empty graph) from a :class:`~repro.core.records.RecordBatch`
-        (read as rows, no record minted) or any stream of ``records``,
-        then from each of ``streams``: flat slot streams such as the
-        databases' ``all_rows()``, read as they stream."""
+        """Build a graph in one splice (:meth:`_splice` on an empty
+        graph) from a :class:`~repro.core.records.RecordBatch` (read as
+        rows, no record minted) or any stream of ``records``, then from
+        each of ``streams``: flat slot streams such as the databases'
+        ``all_rows()``, read as they stream."""
         graph = cls()
-        graph.load_rows(slots_of(records), *streams)
+        graph._splice(slots_of(records), *streams)
         return graph
 
-    def load_rows(self, *streams: Iterable) -> int:
-        """Splice flat slot streams, three slots per record (subject,
-        attr, value), into the graph in one batch pass; returns how many
-        records were applied.
+    def apply(self, record: ProvenanceRecord) -> None:
+        """Splice one record into the graph (a splice of one)."""
+        self._splice(slots_of((record,)))
+
+    def apply_batch(self, records: Iterable[ProvenanceRecord]) -> int:
+        """Splice a record group -- a
+        :class:`~repro.core.records.RecordBatch` (read as rows) or any
+        records -- into the graph; returns how many records were
+        applied.  Live query engines call this once per group Waldo
+        drains into the database."""
+        return self._splice(slots_of(records))
+
+    def _splice(self, *streams: Iterable) -> int:
+        """The one splice loop: flat slot streams, three slots per
+        record (subject, attr, value), spliced into the graph in one
+        pass; returns how many records were applied.
 
         The pass memoises runs: the subject's node is resolved once per
         run of rows about one subject *instance* (a database yields each
         object's rows together, with one ref per run as the analyzer
         resolved it), and the label, framing test and identity test once
         per run of one attribute string.  Identity-atom sharing and
-        member classification are deferred to the end of the streams
-        (cheaper than doing them per record).  The graph may already
-        hold nodes -- a new version still inherits the identity atoms
-        its siblings hold -- and the result is indistinguishable from
-        :meth:`apply_batch` over the same records.  A graph with an
-        index catalog attached takes that path instead, so the catalog
-        sees every delta.
+        member classification wait for the end of the call
+        (:meth:`_settle`), and the vocabulary epoch moves at most once
+        per call.  Splitting a stream into consecutive calls gives the
+        graph one call over the whole stream gives.  With an index
+        catalog attached, every atom and edge is noted in it.
         """
-        if self.indexes is not None:
-            rows = list(chain.from_iterable(streams))
-            return self.apply_batch(RecordBatch.of_rows(rows))
-        # Everything allocated here stays alive in the graph, so the
-        # cyclic collector is paused for the pass: left on, it re-scans
-        # the growing heap hundreds of times, once in full, for nothing.
+        # Everything allocated here stays alive in the graph (a build's
+        # nodes and a drained group's alike), so the cyclic collector is
+        # paused for the pass: left on, it re-scans the growing heap
+        # hundreds of times, once in full, for nothing.
         collecting = gc.isenabled()
         gc.disable()
         try:
             nodes = self._nodes
-            live_node = self._live_node
+            new_node = self._new_node
             labels = self._labels
             atom_labels = self._atom_labels
             edge_labels = self._edge_labels
+            catalog = self.indexes
+            vocabulary = (len(atom_labels), len(edge_labels),
+                          len(self._members))
             #: pnode -> its identity atoms, arrival-ordered (label, value).
             identity: dict[int, list] = defaultdict(list)
+            #: The nodes this call creates, in creation order.
+            created: list[OEMNode] = []
             count = 0
             # The run memo: the last subject instance with its node's
             # dicts, and the last attribute string with what it decides
@@ -234,11 +235,11 @@ class OEMGraph:
                     count += 1
                     if ref is not subject:
                         subject = ref
-                        node = live_node(ref)
+                        node = nodes.get(ref) or new_node(ref, created)
                         atoms = node.atoms
                         edges = node.edges
                     if isinstance(value, ObjectRef):
-                        target = nodes.get(value) or live_node(value)
+                        target = nodes.get(value) or new_node(value, created)
                         targets = edges.get(label)
                         if targets is None:
                             edges[label] = [target]
@@ -250,6 +251,8 @@ class OEMGraph:
                         else:
                             sources.append(node)
                         edge_labels.add(label)
+                        if catalog is not None:
+                            catalog.note_edge(label, node, target)
                         continue
                     if shared:
                         identity[ref.pnode].append((label, value))
@@ -262,151 +265,80 @@ class OEMGraph:
                             atoms[label] = [values[0], value]
                         else:
                             values.append(value)
+                        if catalog is not None:
+                            catalog.note_atom(node, label, value)
                     if not noted:
                         atom_labels.add(label)
                         noted = True
             self.records_applied += count
-            self._apply_identity(identity)
-            self._classify()
+            self._settle(identity, created)
         finally:
             if collecting:
                 gc.enable()
-        self.vocab_epoch += 1
+        if vocabulary != (len(atom_labels), len(edge_labels),
+                          len(self._members)):
+            self.vocab_epoch += 1
         return count
 
-    def apply(self, record: ProvenanceRecord) -> None:
-        """Splice one record into the graph (a batch of one)."""
-        self.apply_batch((record,))
-
-    def apply_batch(self, records: Iterable[ProvenanceRecord]) -> int:
-        """Splice a record group into the graph (the incremental delta
-        path); returns how many records were applied.
-
-        Applying a record stream through here yields a graph equivalent
-        to :meth:`build` on the same stream: nodes, atoms, edges, member
-        classification, identity sharing, and the name index are all
-        maintained eagerly.  Used by live query engines as Waldo drains
-        records into the database.  Vocabulary bookkeeping is deferred:
-        however many new labels or members the batch introduces, the
-        epoch advances once at the end (cached vocabularies only test
-        the epoch for change, so one bump per batch invalidates them
-        just as well).
-        """
-        epoch0 = self.vocab_epoch
-        count = 0
-        live_node = self._live_node
-        edge_labels = self._edge_labels
-        by_pnode = self._by_pnode
-        add_identity = self._add_identity_atom
-        note_label = self._note_atom_label
-        catalog = self.indexes
-        labels = self._labels
-        row = iter(rows_of(records))
-        for subject, attr, value in zip(row, row, row):
-            if attr in _FRAMING:
-                continue
-            count += 1
-            node = live_node(subject)
-            label = labels.get(attr) or labels.setdefault(attr, attr.lower())
-            if isinstance(value, ObjectRef):
-                target = live_node(value)
-                node.edges.setdefault(label, []).append(target)
-                target.redges.setdefault(label, []).append(node)
-                if label not in edge_labels:
-                    edge_labels.add(label)
-                    self.vocab_epoch += 1
-                if catalog is not None:
-                    catalog.note_edge(label, node, target)
-            elif attr in IDENTITY_ATTRS:
-                # Shared by every version, present and future (a new
-                # version copies it from a sibling: see _live_node).
-                note_label(label)
-                for version in bucket_nodes(by_pnode[subject.pnode]):
-                    add_identity(version, label, value)
-            else:
-                _add_atom(node.atoms, label, value)
-                note_label(label)
-                if catalog is not None:
-                    catalog.note_atom(node, label, value)
-        self.records_applied += count
-        if self.vocab_epoch != epoch0:
-            # Deferred bookkeeping: the whole batch costs one bump.
-            self.vocab_epoch = epoch0 + 1
-        return count
-
-    def _node(self, ref: ObjectRef) -> OEMNode:
-        node = self._nodes.get(ref)
-        if node is None:
-            node = OEMNode(ref)
-            self._nodes[ref] = node
-            bucket_add(self._by_pnode, ref.pnode, node)
-        return node
-
-    def _live_node(self, ref: ObjectRef) -> OEMNode:
-        """Get-or-create with eager classification (the apply path):
-        a new node joins ``Provenance.node`` immediately and inherits
-        every identity atom already seen for its pnode, copied from a
-        sibling version: each version holds them all, in arrival order."""
-        node = self._nodes.get(ref)
-        if node is not None:
-            return node
+    def _new_node(self, ref: ObjectRef, created: list) -> OEMNode:
+        """Create the node of a version first seen in this call.  It
+        takes the identity atoms its older versions hold (every version
+        holds the same ones, in arrival order) and waits in ``created``
+        for :meth:`_settle` to classify it."""
         sibling = self._by_pnode.get(ref.pnode)
         if sibling.__class__ is list:
             sibling = sibling[0]
-        node = self._node(ref)
-        self._members["node"].append(node)
+        node = OEMNode(ref)
+        self._nodes[ref] = node
+        bucket_add(self._by_pnode, ref.pnode, node)
+        created.append(node)
         for label, values in sibling.atoms.items() if sibling else ():
             if label in _IDENTITY_LABELS:
                 for value in values:
-                    self._add_identity_atom(node, label, value)
+                    self._share_atom(node, label, value)
         return node
 
-    def _add_identity_atom(self, node: OEMNode, label: str, value) -> None:
-        """Share one identity atom onto one version node, maintaining
-        the member classification, name index, and (when attached) the
-        secondary-index catalogue it feeds."""
-        values = node.atoms.get(label, ())
-        if value in values:
-            return
-        _add_atom(node.atoms, label, value)
-        if label == "type" and not values \
-                and isinstance(value, str) and value:
-            member = value.lower()
-            if member not in self._members:
-                self.vocab_epoch += 1
-            self._members[member].append(node)
-        elif label == "name" and isinstance(value, str):
-            bucket_add(self._by_name, value, node)
-        if self.indexes is not None:
-            self.indexes.note_atom(node, label, value)
+    def _share_atom(self, node: OEMNode, label: str, value) -> None:
+        """Add one identity atom to one node unless it holds it already,
+        noting it in the catalog."""
+        if value not in node.atoms.get(label, ()):
+            _add_atom(node.atoms, label, value)
+            if self.indexes is not None:
+                self.indexes.note_atom(node, label, value)
 
-    def _note_atom_label(self, label: str) -> None:
-        if label not in self._atom_labels:
-            self._atom_labels.add(label)
-            self.vocab_epoch += 1
-
-    def _apply_identity(self, identity) -> None:
-        """Share identity atoms across every version of each object."""
+    def _settle(self, identity: dict, created: list) -> None:
+        """The end of a splice, O(delta): share each identity atom the
+        call saw onto every version of its object, then classify the
+        nodes the call created, in creation order, and the older
+        versions the sharing touched."""
+        # Older versions exist only if the graph held nodes before the
+        # call; a build holds none, so it needs no set of its nodes.
+        fresh = (set(created) if identity and len(created) < len(self._nodes)
+                 else None)
         for pnode, pairs in identity.items():
             for node in bucket_nodes(self._by_pnode[pnode]):
                 atoms = node.atoms
+                typed, named = "type" in atoms, len(atoms.get("name", ()))
                 for label, value in pairs:
-                    if value not in atoms.get(label, ()):
-                        _add_atom(atoms, label, value)
+                    self._share_atom(node, label, value)
+                if fresh is not None and node not in fresh:
+                    self._index_node(node, typed, named)
+        if created:
+            self._members["node"] += created
+            for node in created:
+                self._index_node(node, False, 0)
 
-    def _classify(self) -> None:
-        """Populate the Provenance root members from TYPE atoms, and the
-        name index the evaluator's selection pushdown uses."""
-        self._members.clear()
-        self._by_name.clear()
-        for node in self._nodes.values():
-            self._members["node"].append(node)
+    def _index_node(self, node: OEMNode, typed: bool, named: int) -> None:
+        """File ``node`` under the ``Provenance`` member of its TYPE
+        unless it was ``typed`` already (the first TYPE decides), and in
+        the name index under each NAME past its first ``named``."""
+        if not typed:
             node_type = node.type
             if isinstance(node_type, str) and node_type:
                 self._members[node_type.lower()].append(node)
-            for name in node.atoms.get("name", ()):
-                if isinstance(name, str):
-                    bucket_add(self._by_name, name, node)
+        for name in node.atoms.get("name", ())[named:]:
+            if isinstance(name, str):
+                bucket_add(self._by_name, name, node)
 
     # -- lookups -----------------------------------------------------------------------
 

@@ -62,8 +62,8 @@ def test_five_layer_stack():
     names, types = set(), set()
     for ref in ancestry_refs(graph, summary_ref):
         node = graph.node(ref)
-        names.update(map(str, node.atom("name")))
-        types.update(map(str, node.atom("type")))
+        names.update(map(str, node.atoms.get("name", ())))
+        types.update(map(str, node.atoms.get("type", ())))
 
     # Layer 1: application objects (the tracked values).
     assert ObjType.PYOBJECT in types

@@ -119,7 +119,7 @@ class TestDataOriginUseCase:
             where Inv.name = "crack_heating#%d"
         """ % (stats["total"] + 1))
         doc_rows = [row for row in rows
-                    if row.atom("type") == [ObjType.PYOBJECT]]
+                    if row.atoms.get("type") == (ObjType.PYOBJECT,)]
         # parse invocations are 1..total; the curve call is total+1.
         assert len(doc_rows) == stats["used"]
 

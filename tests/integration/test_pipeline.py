@@ -30,7 +30,7 @@ class TestBasicFlow:
         db = system.database("pass")
         file_ref = system.find_by_name("/pass/x")[0]
         graph = system.query_engine().graph
-        parents = [node.ref for node in graph.node(file_ref).out("input")]
+        parents = [node.ref for node in graph.node(file_ref).edges["input"]]
         assert parents
         # The ancestor process carries NAME=writer-prog.
         names = []

@@ -1,24 +1,27 @@
-"""Incremental == batch: OEMGraph.apply vs OEMGraph.build.
+"""One splice loop: any split of a row stream into batches == one build.
 
-The live query path only works if a graph grown one record at a time is
-indistinguishable from one batch-built over the same stream.  These
-properties drive randomly generated record streams (framing, identity
-atoms, cross-references, version churn, arbitrary arrival order) through
-both paths and compare the full observable surface: nodes, atoms, edges
-in both directions, Provenance members, the name index, and actual
-query results.
+The live query path only works if a graph grown one drained group at a
+time is indistinguishable from one built over the same stream.  These
+properties drive randomly generated row streams (framing, identity
+atoms, cross-references, version churn, arbitrary arrival order, runs
+of shared ref and attribute instances) through consecutive splices and
+compare the full observable surface: nodes, atoms, edges in both
+directions, Provenance members, the name index, an attached index
+catalog's indexes, and actual query results.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.core.pnode import ObjectRef
-from repro.core.records import Attr, ProvenanceRecord, RecordBatch
+from repro.core.records import (Attr, ProvenanceRecord, RecordBatch,
+                                rows_of)
 from repro.pql.engine import QueryEngine
-from repro.pql.indexes import IndexCatalog
+from repro.pql.indexes import EqualityIndex, IndexCatalog, RangeIndex
 from repro.pql.oem import OEMGraph
 from repro.storage.database import ProvenanceDatabase
 from tests.conftest import graph_fingerprint
+from tests.properties.test_planner_props import eq_fingerprint, rng_fingerprint
 
 refs = st.builds(ObjectRef,
                  pnode=st.integers(1, 6),
@@ -79,27 +82,6 @@ def fingerprint(graph: OEMGraph) -> dict:
 
 
 @given(streams)
-@settings(max_examples=200)
-def test_apply_equals_build(stream):
-    batch = OEMGraph.build(stream)
-    live = OEMGraph()
-    for record in stream:
-        live.apply(record)
-    assert fingerprint(live) == fingerprint(batch)
-
-
-@given(streams, st.integers(0, 60))
-@settings(max_examples=200)
-def test_build_prefix_then_apply_suffix_equals_build(stream, cut):
-    """The real lifecycle: batch-build over history, then go live."""
-    cut = min(cut, len(stream))
-    hybrid = OEMGraph.build(stream[:cut])
-    for record in stream[cut:]:
-        hybrid.apply(record)
-    assert fingerprint(hybrid) == fingerprint(OEMGraph.build(stream))
-
-
-@given(streams)
 @settings(max_examples=50)
 def test_query_results_match(stream):
     """Same rows out of both graphs, not just same structure."""
@@ -136,40 +118,57 @@ def test_vocab_epoch_monotonic_and_label_complete(stream):
     assert seen_edges <= graph.edge_labels()
 
 
-@given(run_rows())
-@settings(max_examples=200)
-def test_run_memo_build_equals_apply(rows):
-    """Rows in shared-instance runs: the one-pass build and the apply
-    path give the same graph, straight or regrouped by a database and
-    streamed from its ``all_rows()`` into a live engine."""
-    applied = OEMGraph()
-    applied.apply_batch(RecordBatch.of_rows(rows))
-    assert fingerprint(OEMGraph.build(RecordBatch.of_rows(rows))) == \
-        fingerprint(applied)
-    database = ProvenanceDatabase()
-    database.insert_many(RecordBatch.of_rows(rows))
-    regrouped = OEMGraph()
-    regrouped.apply_batch(database.all_records())
-    live = QueryEngine.live([database], check=False)
-    assert fingerprint(live.graph) == fingerprint(regrouped)
+@st.composite
+def row_streams(draw):
+    """Flat rows: a record stream flattened, rows in shared-instance
+    runs, or those runs regrouped by a database and read back from its
+    ``all_rows()`` (the stream a live engine builds from)."""
+    kind = draw(st.sampled_from(("records", "runs", "database")))
+    if kind == "records":
+        return rows_of(draw(streams))
+    rows = draw(run_rows())
+    if kind == "database":
+        database = ProvenanceDatabase()
+        database.insert_many(RecordBatch.of_rows(rows))
+        rows = list(database.all_rows())
+    return rows
 
 
-@given(run_rows(), st.integers(0, 40))
-@settings(max_examples=200)
-def test_load_rows_into_a_grown_graph_equals_apply(rows, cut):
-    """The one pass spliced into a graph that already holds nodes --
-    new versions of old objects, identity atoms both old and new --
-    gives the graph the apply path gives, with or without an index
-    catalog attached."""
-    cut = 3 * min(cut, len(rows) // 3)
-    applied = OEMGraph()
-    applied.apply_batch(RecordBatch.of_rows(rows))
-    for attach in (False, True):
-        graph = OEMGraph.build(RecordBatch.of_rows(rows[:cut]))
-        if attach:
-            IndexCatalog.attach(graph)
-        count = sum(attr not in (Attr.BEGINTXN, Attr.ENDTXN)
-                    for attr in rows[cut + 1::3])
-        assert graph.load_rows(iter(rows[cut:])) == count
-        assert fingerprint(graph) == fingerprint(applied)
-        assert graph.records_applied == applied.records_applied
+@given(row_streams(), st.lists(st.integers(0, 60), max_size=8),
+       st.integers(-1, 8))
+@settings(max_examples=300, deadline=None)
+def test_any_split_into_batches_equals_one_build(rows, cuts, attach_at):
+    """Splice consecutive batches of a row stream -- the first through
+    ``build`` unless the catalog is attached to the empty graph, the rest
+    through ``apply_batch`` -- attaching an index catalog before batch
+    ``attach_at`` (never when out of range).  The graph, its record count
+    and its name index equal one build over the whole stream, and the
+    indexes requested right after attaching equal indexes rebuilt over
+    the final graph."""
+    records = len(rows) // 3
+    bounds = sorted({0, records, *(min(cut, records) for cut in cuts)})
+    batches = [RecordBatch.of_rows(rows[3 * start:3 * end])
+               for start, end in zip(bounds, bounds[1:])]
+    graph, maintained = OEMGraph(), None
+    for position, batch in enumerate(batches):
+        if position == attach_at:
+            catalog = IndexCatalog.attach(graph)
+            maintained = (
+                [catalog.equality(label) for label in ("md5", "name")],
+                [catalog.range(label) for label in ("time", "pid")])
+        if position == 0 and attach_at != 0:
+            graph = OEMGraph.build(batch)
+        else:
+            graph.apply_batch(batch)
+    built = OEMGraph.build(RecordBatch.of_rows(rows))
+    assert fingerprint(graph) == fingerprint(built)
+    assert graph.records_applied == built.records_applied == sum(
+        attr not in (Attr.BEGINTXN, Attr.ENDTXN) for attr in rows[1::3])
+    if maintained is not None:
+        equality, ranges = maintained
+        for index in equality:
+            assert eq_fingerprint(index, graph) == eq_fingerprint(
+                EqualityIndex(index.label, graph.nodes()), graph)
+        for index in ranges:
+            assert rng_fingerprint(index) == rng_fingerprint(
+                RangeIndex(index.label, graph.nodes()))

@@ -2,10 +2,12 @@
 
 Each batch entry point -- ``Analyzer.submit_batch``,
 ``Distributor.flush_batch``, ``ProvenanceLog.append_batch``,
-``ProvenanceDatabase.insert_many`` / ``subscribe_batch``, and
-``OEMGraph.apply_batch`` -- is held to a reference that shares no code
-with it: ``Analyzer.submit`` and ``ProvenanceLog.append`` (the ordered
-route), lookups worked out by hand, ``OEMGraph.build``.  The end-to-end
+and ``ProvenanceDatabase.insert_many`` / ``subscribe_batch`` -- is
+held to a reference that shares no code with it: ``Analyzer.submit``
+and ``ProvenanceLog.append`` (the ordered route), lookups worked out by
+hand.  ``OEMGraph.apply_batch`` is the graph's one splice loop, held to
+one build over the same stream in
+``tests/properties/test_oem_incremental_props.py``.  The end-to-end
 property lives in ``tests/properties/test_batch_equivalence.py``; these
 tests pin stage-local contracts (validation, thresholds, framing, laziness).
 """
@@ -618,7 +620,7 @@ class TestInsertMany:
             assert [node.ref for node in graph.versions_of(1)] == [a0, a2]
             assert [node.ref for node in graph.versions_of(2)] == [b3]
             assert [node.ref for node in graph.named("/pass/a")] == [a0, a2]
-            assert [node.ref for node in graph.node(b3).rin("input")] == [a0]
+            assert [node.ref for node in graph.node(b3).redges["input"]] == [a0]
 
     def test_rows_are_the_only_containers(self):
         """NAME and cross-reference rows about k pnodes leave the
@@ -693,26 +695,3 @@ class TestInsertMany:
         database.insert(records[3])
         assert [len(g) for g in groups] == [3, 1]
         assert [r for g in groups for r in g] == records[:4]
-
-
-# -- OEM graph --------------------------------------------------------------------
-
-
-class TestApplyBatch:
-    def test_matches_per_record_apply(self):
-        from tests.conftest import graph_fingerprint
-
-        records = [
-            ProvenanceRecord(ObjectRef(1, 0), Attr.TYPE, "file"),
-            ProvenanceRecord(ObjectRef(1, 0), Attr.NAME, "/pass/a"),
-            ProvenanceRecord(ObjectRef(2, 0), Attr.TYPE, "process"),
-            ProvenanceRecord(ObjectRef(1, 0), Attr.INPUT, ObjectRef(2, 0)),
-            ProvenanceRecord(ObjectRef(2, 0), Attr.ANNOTATION, "note"),
-        ]
-        one = OEMGraph()
-        for record in records:
-            one.apply(record)
-        many = OEMGraph()
-        assert many.apply_batch(records) == len(records)
-        built = graph_fingerprint(OEMGraph.build(records))
-        assert graph_fingerprint(one) == graph_fingerprint(many) == built

@@ -42,8 +42,8 @@ class TestRoundtrip:
         original = OEMGraph.build(db.all_records())
 
         def readers(graph):
-            return {node.ref for node in graph.node(ObjectRef(1, 0)).rin(
-                "input")}
+            return {node.ref for node in graph.node(ObjectRef(1, 0)).redges[
+                "input"]}
 
         assert [node.ref for node in clone.named("/data")] \
             == [node.ref for node in original.named("/data")]

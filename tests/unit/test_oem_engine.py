@@ -27,7 +27,7 @@ class TestGraphConstruction:
     def test_plain_values_become_atoms(self):
         graph = OEMGraph.build([R(1, 0, Attr.PID, 42)])
         node = graph.node(ObjectRef(1, 0))
-        assert node.atom("pid") == [42]
+        assert node.atoms["pid"] == (42,)
 
     def test_xrefs_become_edges_both_directions(self):
         graph = OEMGraph.build([
@@ -35,8 +35,8 @@ class TestGraphConstruction:
         ])
         child = graph.node(ObjectRef(1, 0))
         parent = graph.node(ObjectRef(2, 0))
-        assert child.out("input") == [parent]
-        assert parent.rin("input") == [child]
+        assert child.edges["input"] == [parent]
+        assert parent.redges["input"] == [child]
 
     def test_framing_records_excluded(self):
         graph = OEMGraph.build([
@@ -59,14 +59,18 @@ class TestGraphConstruction:
         assert v2.type == ObjType.FILE
         # Non-identity atoms stay per-version.
         v0 = graph.node(ObjectRef(1, 0))
-        assert v0.atom("annotation") == []
+        assert "annotation" not in v0.atoms
 
     def test_multiple_names_all_kept(self):
         graph = OEMGraph.build([
             R(1, 0, Attr.NAME, "/old"),
             R(1, 0, Attr.NAME, "/new"),
+            R(1, 1, Attr.NAME, "/old"),     # a repeat is held once
         ])
-        assert graph.node(ObjectRef(1, 0)).atom("name") == ["/old", "/new"]
+        for version in (0, 1):
+            assert graph.node(ObjectRef(1, version)).atoms["name"] == \
+                ["/old", "/new"]
+        assert len(graph.named("/old")) == 2
 
     def test_members_classified_by_type(self):
         graph = OEMGraph.build([
@@ -118,8 +122,8 @@ class TestIncrementalApply:
         graph.apply(R(1, 0, Attr.INPUT, ObjectRef(2, 0)))
         child = graph.node(ObjectRef(1, 0))
         parent = graph.node(ObjectRef(2, 0))
-        assert child.out("input") == [parent]
-        assert parent.rin("input") == [child]
+        assert child.edges["input"] == [parent]
+        assert parent.redges["input"] == [child]
         assert len(graph.members("node")) == 2
 
     def test_apply_skips_framing(self):
@@ -157,7 +161,7 @@ class TestIncrementalApply:
             applied.apply(record)
         built = OEMGraph.build(stream)
         for graph in (applied, built):
-            assert [node.atom("name") for node in graph.versions_of(1)] \
+            assert [node.atoms["name"] for node in graph.versions_of(1)] \
                 == [["/a", "/b"]] * 3
             for name in ("/a", "/b"):
                 assert sorted(node.ref.version

@@ -143,9 +143,9 @@ class TestEqualityIndex:
 
     def test_len_counts_entries_not_values(self, graph):
         index = EqualityIndex("md5", graph.nodes())
-        assert len(index) == sum(len(n.atom("md5")) for n in graph.nodes())
+        assert len(index) == sum(len(n.atoms.get("md5", ())) for n in graph.nodes())
         assert len(EqualityIndex("type", graph.nodes())) == sum(
-            len(n.atom("type")) for n in graph.nodes())
+            len(n.atoms.get("type", ())) for n in graph.nodes())
 
 
 class TestRangeIndex:
@@ -177,7 +177,7 @@ class TestRangeIndex:
         built = RangeIndex("mtime", graph.nodes())
         grown = RangeIndex("mtime", [])
         for node in graph.nodes():
-            for value in node.atom("mtime"):
+            for value in node.atoms.get("mtime", ()):
                 grown.add(value, node)
         assert built._pairs == grown._pairs
         assert [pair[0] for pair in built._pairs] == \

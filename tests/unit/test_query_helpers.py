@@ -136,7 +136,7 @@ class TestGraphIndexes:
 
     def test_referencing(self, graph):
         assert graph.node(ObjectRef(4, 0)) in graph.node(
-            ObjectRef(3, 0)).rin("input")
+            ObjectRef(3, 0)).redges["input"]
 
     def test_reverse_edges_under_several_attributes(self):
         """One target referenced five ways, one subject twice: worked
@@ -172,7 +172,7 @@ class TestGraphIndexes:
                           reverse=True) == [ObjectRef(11, 0),
                                             ObjectRef(13, 1)]
         assert [node.ref for node in graph.node(
-            ObjectRef(10, 1)).rin("input")] == [ObjectRef(11, 0)]
+            ObjectRef(10, 1)).redges["input"]] == [ObjectRef(11, 0)]
         assert graph.node(ObjectRef(10, 0)) is None
         assert neighbours(graph, ObjectRef(10, 0), ANCESTRY_LABELS,
                           reverse=True) == []

@@ -87,6 +87,16 @@ class TestTrace:
         assert drain["parent_id"] == sync["span_id"]
         assert drain["depth"] == 1
 
+    def test_live_splice_span_counts_the_records_applied(self):
+        system = System.boot(tracing=True)
+        run_pipeline(system)
+        graph = system.query_engine().graph
+        before = graph.records_applied
+        run_pipeline(system)
+        applied = [s["tags"]["records"] for s in system.trace()
+                   if s["name"] == "oem.apply"]
+        assert applied and sum(applied) == graph.records_applied - before
+
     def test_spans_carry_simulated_time(self):
         system = System.boot(tracing=True)
         run_pipeline(system)
