@@ -67,7 +67,7 @@ from repro.pql.ast import Query
 from repro.pql.evaluator import Evaluator
 from repro.pql.indexes import IndexCatalog
 from repro.pql.lexer import parameterize
-from repro.pql.oem import OEMGraph, OEMNode
+from repro.pql.oem import OEMGraph
 from repro.pql.parser import parse
 
 #: "Plan has never passed the check" sentinel -- distinct from None
@@ -307,16 +307,3 @@ class QueryEngine:
                        accesses=",".join(binding["access"]
                                          for binding in bindings))
         return report
-
-    def execute_refs(self, text: str) -> list:
-        """Like :meth:`execute`, but nodes come back as ObjectRefs."""
-        out = []
-        for row in self.execute(text):
-            if isinstance(row, OEMNode):
-                out.append(row.ref)
-            elif isinstance(row, tuple):
-                out.append(tuple(cell.ref if isinstance(cell, OEMNode)
-                                 else cell for cell in row))
-            else:
-                out.append(row)
-        return out

@@ -39,9 +39,9 @@ from repro.pql import planner as _planner
 from repro.pql.indexes import ANCESTRY_LABELS
 from repro.pql.oem import OEMGraph, OEMNode
 
-#: Largest frontier the materialized ancestry view serves; bigger
-#: frontiers walk the CSR arrays in one joint BFS instead (per-root
-#: closure caching only pays off for few roots).
+#: Largest frontier the ancestry memo serves; bigger frontiers walk the
+#: live dicts in one joint BFS instead (per-root closure caching only
+#: pays off for few roots).
 _VIEW_FRONTIER_MAX = 8
 
 
@@ -87,8 +87,8 @@ class Evaluator:
     With a :class:`~repro.pql.indexes.IndexCatalog` attached
     (``catalog``), FROM bindings go through the cost-based planner
     (index vs scan per binding, WHERE conjuncts checked at the binding
-    that completes them) and closure steps pick the materialized
-    ancestry view or the CSR arrays over the live dicts; without one,
+    that completes them) and ancestry closure steps from small
+    frontiers come from the ancestry memo; without one,
     evaluation is the pre-planner naive path (member scans plus the
     name-only pushdown, WHERE after the join) -- the ground truth the
     planned path is property-tested against.  Both compile the same
@@ -334,12 +334,10 @@ class Evaluator:
     def _step(self, step: ast.Step):
         """``fn(frontier) -> nodes``: one edge step with its quantifier.
 
-        Single hops always walk the live dicts (cheapest).  Multi-hop
-        and unbounded closures consult the index catalogue when one is
-        attached: ancestry-label closures from small frontiers come
-        from the materialized view, other closures run over the CSR
-        arrays when the snapshot is fresh, and everything falls back to
-        the dict walk mid-burst.  All three produce the same node set.
+        Single hops always walk the live dicts (cheapest).  With a
+        catalogue attached, unbounded ancestry-label closures from small
+        frontiers come from the ancestry memo; every other step walks
+        the live dicts.  Both produce the same node set.
         """
         minimum = step.quantifier.minimum
         maximum = step.quantifier.maximum
@@ -349,11 +347,11 @@ class Evaluator:
             # identity).
             return lambda frontier: list(dict.fromkeys(
                 target for node in frontier for target in follow(node)))
-        fast = self._fast_step(step) if self.catalog is not None else None
+        memo = self._memo_step(step) if self.catalog is not None else None
 
         def walk(frontier):
-            if fast is not None and frontier:
-                found = fast(frontier)
+            if memo is not None and frontier:
+                found = memo(frontier)
                 if found is not None:
                     return found
             # BFS over repetition depth; visited prevents cycles from
@@ -377,10 +375,10 @@ class Evaluator:
             return list(found)
         return walk
 
-    def _fast_step(self, step: ast.Step):
+    def _memo_step(self, step: ast.Step):
         """``fn(frontier) -> nodes or None`` serving a closure step from
-        the ancestry view or the CSR snapshot (None: walk the live
-        dicts), or None for a step neither can serve."""
+        the ancestry memo (None: walk the live dicts), or None for a
+        step with at most one hop or no edge to walk."""
         minimum = step.quantifier.minimum
         maximum = step.quantifier.maximum
         edges = _flat_edges(step.edge)
@@ -393,31 +391,18 @@ class Evaluator:
                     and len(directions) == 1 and labels <= ANCESTRY_LABELS)
         key, reverse = tuple(sorted(labels)), next(iter(directions))
 
-        def fast(frontier):
-            notes = self._notes
-            if viewable and len(frontier) <= _VIEW_FRONTIER_MAX:
-                # Materialized ancestry closure, cached per root.
-                _note(notes, "ancestry_view")
-                # Nodes hash by identity: each once, in discovery order.
-                found = dict.fromkeys(frontier) if minimum == 0 else {}
-                for node in frontier:
-                    found.update(dict.fromkeys(
-                        catalog.view.closure(node, key, reverse)))
-                return list(found)
-            csr = catalog.csr()
-            if csr is None:
-                # Mid-burst: the snapshot is stale, walk the live dicts.
-                _note(notes, "dict_walk")
+        def memo(frontier):
+            if not viewable or len(frontier) > _VIEW_FRONTIER_MAX:
+                _note(self._notes, "dict_walk")
                 return None
-            node_id = csr.node_id
-            roots = [node_id.get(id(node)) for node in frontier]
-            if None in roots:
-                return None
-            _note(notes, "csr_bfs")
-            nodes = csr.nodes
-            return [nodes[index]
-                    for index in csr.bfs(roots, edges, minimum, maximum)]
-        return fast
+            _note(self._notes, "ancestry_view")
+            # Nodes hash by identity: each once, in discovery order.
+            found = dict.fromkeys(frontier) if minimum == 0 else {}
+            closure = catalog.view.closure
+            for node in frontier:
+                found.update(dict.fromkeys(closure(node, key, reverse)))
+            return list(found)
+        return memo
 
     # -- expressions ----------------------------------------------------------
 

@@ -14,7 +14,7 @@ planner decides, per binding, *where the candidate nodes come from*:
   one label as one interval;
 * ``traverse``        -- the binding is rooted in another variable
   (``F.input* as A``): candidates come from walking the graph, where
-  the evaluator separately picks ancestry view vs CSR vs live dicts
+  the evaluator separately picks the ancestry memo or the live dicts
   per step.
 
 Costs are actual row counts, not guesses: the member class length and
@@ -96,8 +96,9 @@ class BindingPlan:
     actually contributed across the join (candidates times enclosing
     tuples for pushed bindings) and ``kept_rows`` those that survived
     the WHERE conjuncts evaluated at this binding.  ``notes`` counts
-    the traversal mechanisms steps under this binding used
-    (``ancestry_view``, ``csr_bfs``, ``dict_walk``).
+    the traversal mechanisms steps under this binding used:
+    ``ancestry_view`` (the ancestry memo) or ``dict_walk`` (the live
+    dicts).
     """
 
     __slots__ = ("variable", "access", "detail", "est_rows",

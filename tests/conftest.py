@@ -67,8 +67,13 @@ def reference_rows(engine, text: str) -> list:
 
 def reference_refs(engine, text: str) -> list:
     """:func:`reference_rows` with nodes as ObjectRefs, the form
-    ``QueryEngine.execute_refs`` returns."""
+    :func:`planned_refs` returns."""
     return [as_refs(row) for row in reference_rows(engine, text)]
+
+
+def planned_refs(engine, text: str) -> list:
+    """``engine.execute(text)`` with nodes as ObjectRefs."""
+    return [as_refs(row) for row in engine.execute(text)]
 
 
 def as_refs(row):

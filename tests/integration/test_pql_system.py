@@ -1,7 +1,7 @@
 """PQL over a live system: the paper's section 5.7 query shape."""
 
 from repro.pql.oem import OEMNode
-from tests.conftest import write_file
+from tests.conftest import planned_refs, write_file
 
 
 def node_names(rows):
@@ -57,13 +57,13 @@ class TestLiveQueries:
         system.sync()
         engine = system.query_engine()
         assert system.query_engine() is engine
-        assert engine.execute_refs(
-            'select F from Provenance.file as F where F.name = "/pass/one"')
+        assert planned_refs(engine, 'select F from Provenance.file as F '
+                            'where F.name = "/pass/one"')
         write_file(system, "/pass/two", b"2")
         system.sync()
         assert system.query_engine() is engine
-        assert engine.execute_refs(
-            'select F from Provenance.file as F where F.name = "/pass/two"')
+        assert planned_refs(engine, 'select F from Provenance.file as F '
+                            'where F.name = "/pass/two"')
 
     def test_count_processes(self, system):
         write_file(system, "/pass/x", b"x")

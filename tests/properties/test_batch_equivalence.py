@@ -20,6 +20,7 @@ from repro.core.pnode import ObjectRef, TRANSIENT_VOLUME, local_of, volume_of
 from repro.core.records import Attr
 from repro.kernel.params import LogParams, SimParams
 from repro.system import System
+from tests.conftest import planned_refs
 
 #: Log configurations that must not be observable, by name.
 CONFIGS = {
@@ -118,7 +119,7 @@ QUERIES = (
 
 def query_answers(system: System) -> list[list[tuple]]:
     engine = system.query_engine()
-    return [sorted(_canon_ref(ref) for ref in engine.execute_refs(query))
+    return [sorted(_canon_ref(ref) for ref in planned_refs(engine, query))
             for query in QUERIES]
 
 

@@ -20,7 +20,7 @@ from repro.pql.engine import QueryEngine
 from repro.pql.indexes import EqualityIndex, IndexCatalog, RangeIndex
 from repro.pql.oem import OEMGraph
 from repro.storage.database import ProvenanceDatabase
-from tests.conftest import graph_fingerprint
+from tests.conftest import graph_fingerprint, planned_refs
 from tests.properties.test_planner_props import eq_fingerprint, rng_fingerprint
 
 refs = st.builds(ObjectRef,
@@ -95,8 +95,8 @@ def test_query_results_match(stream):
         "select D from Provenance.node as N N.^input* as D",
         "select count(N) from Provenance.node as N",
     ):
-        assert sorted(map(repr, live.execute_refs(query))) == \
-            sorted(map(repr, batch.execute_refs(query)))
+        assert sorted(map(repr, planned_refs(live, query))) == \
+            sorted(map(repr, planned_refs(batch, query)))
 
 
 @given(streams)

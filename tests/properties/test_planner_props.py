@@ -5,10 +5,11 @@ from*, never which rows come back.  These properties drive random
 record streams and generated queries through an engine (and a
 federated one) and through the catalog-less reference evaluator over
 the same graph (``tests.conftest.reference_rows``) and require
-identical answers; separately, indexes and the ancestry view maintained
-incrementally through ``apply``/``apply_batch`` must match structures
-rebuilt from scratch over the final graph -- including after a
-crash/recover replay through the storage tier.
+identical answers; separately, indexes maintained incrementally through
+``apply``/``apply_batch`` must match structures rebuilt from scratch
+over the final graph, and the ancestry memo read after splices must
+match closures walked fresh -- including after a crash/recover replay
+through the storage tier.
 """
 
 import hypothesis.strategies as st
@@ -22,7 +23,7 @@ from repro.pql.indexes import EqualityIndex, IndexCatalog, RangeIndex
 from repro.pql.lexer import KEYWORDS
 from repro.pql.oem import OEMGraph
 from repro.storage.database import ProvenanceDatabase
-from tests.conftest import graph_fingerprint, reference_refs
+from tests.conftest import graph_fingerprint, planned_refs, reference_refs
 
 # -- generators (mirroring test_oem_incremental_props / test_pql_props) -------
 
@@ -148,7 +149,7 @@ def canonical(rows) -> list[str]:
 
 def assert_arms_agree(engine: QueryEngine, query: str) -> None:
     try:
-        planned = engine.execute_refs(query)
+        planned = planned_refs(engine, query)
     except ReproError:
         return
     naive = reference_refs(engine, query)
@@ -180,7 +181,7 @@ def test_planned_equals_naive_federated(stream, query):
 @settings(max_examples=100, deadline=None)
 def test_planned_equals_naive_while_growing(stream, cut, query):
     """Queries interleaved with ingest: answer, grow, answer again --
-    index maintenance and view patching must stay sound mid-stream."""
+    index maintenance and the memo's emptying must stay sound mid-stream."""
     cut = min(cut, len(stream))
     engine = QueryEngine(OEMGraph.build(stream[:cut]), check=False)
     assert_arms_agree(engine, query)
@@ -220,7 +221,7 @@ def test_straddling_values_survive_merged_interval(stream, ref, low, width,
         engine.execute(query)               # build the index first
     engine.graph.apply(straddle[1])
     assert_arms_agree(engine, query)
-    assert ref in engine.execute_refs(query)
+    assert ref in planned_refs(engine, query)
     plan, = engine.plan(query).binding_plans
     if plan.access == "range_index":
         assert (plan.detail["low"], plan.detail["high"]) == (low, high)
@@ -284,17 +285,17 @@ def test_maintained_indexes_equal_rebuilt(stream, cut):
 
 
 def assert_closures_well_formed(view) -> None:
-    """Every cached closure lists each member exactly once."""
+    """Every memoised closure lists each node exactly once."""
     for entry in view._entries.values():
-        assert len(entry.order) == len(entry.members)
-        assert {id(node) for node in entry.order} == entry.members
+        assert len(entry) == len({id(node) for node in entry})
 
 
 @given(streams, st.integers(0, 60))
 @settings(max_examples=150, deadline=None)
 def test_patched_view_equals_recomputed(stream, cut):
-    """Closures cached early and patched through later deltas match
-    closures computed fresh on the graph as of each drain."""
+    """Closures read through the memo of an attached catalog, before
+    and after each later splice, equal closures a fresh unattached
+    catalog walks on the graph as it is -- node for node, in order."""
     cut = min(cut, len(stream))
     graph = OEMGraph.build(stream[:cut])
     catalog = IndexCatalog.attach(graph)
@@ -309,10 +310,10 @@ def test_patched_view_equals_recomputed(stream, cut):
         fresh = IndexCatalog(graph)         # unattached: no deltas seen
         for root in roots:
             for reverse in (False, True):
-                patched = catalog.view.closure(root, labels, reverse)
+                memo = catalog.view.closure(root, labels, reverse)
                 computed = fresh.view.closure(root, labels, reverse)
-                assert canonical(n.ref for n in patched) == \
-                    canonical(n.ref for n in computed), (root.ref, reverse)
+                assert [n.ref for n in memo] == \
+                    [n.ref for n in computed], (root.ref, reverse)
         assert_closures_well_formed(catalog.view)
 
 
@@ -364,7 +365,7 @@ def test_crash_recover_replay_keeps_planner_sound():
 
     for query in queries:
         assert_arms_agree(engine, query)
-    assert engine.execute_refs(q_name)      # the replay really arrived
+    assert planned_refs(engine, q_name)      # the replay really arrived
     for query in (q_closure, q_across):
         names = {getattr(row, "name", None)
                  for row in engine.execute(query)}

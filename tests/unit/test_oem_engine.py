@@ -9,6 +9,7 @@ from repro.core.records import Attr, ObjType, ProvenanceRecord
 from repro.pql.engine import QueryEngine
 from repro.pql.oem import OEMGraph
 from repro.pql.parser import parse
+from tests.conftest import planned_refs
 
 
 def R(pnode, version, attr, value):
@@ -286,7 +287,7 @@ class TestPlanCache:
                           "where F . name = ?s"}
         assert len(engine._plans) == 1
         assert engine.plan(spellings[3]).params == ('x"y',)
-        assert engine.execute_refs(spellings[4]) == [ObjectRef(3, 0)]
+        assert planned_refs(engine, spellings[4]) == [ObjectRef(3, 0)]
 
     def test_structure_is_part_of_the_shape(self):
         engine = cache_engine()
@@ -310,10 +311,10 @@ class TestPlanCache:
         # The text-keyed cache collapsed them and answered the second
         # query with the first one's literal.
         engine = cache_engine()
-        assert engine.execute_refs(
-            FILE_WHERE + 'F.name = "a  b"') == [ObjectRef(1, 0)]
-        assert engine.execute_refs(
-            FILE_WHERE + 'F.name = "a b"') == [ObjectRef(2, 0)]
+        assert planned_refs(
+            engine, FILE_WHERE + 'F.name = "a  b"') == [ObjectRef(1, 0)]
+        assert planned_refs(
+            engine, FILE_WHERE + 'F.name = "a b"') == [ObjectRef(2, 0)]
 
     def test_comment_ends_at_its_newline(self):
         # Folding the newline away commented the WHERE clause out (or,
@@ -322,8 +323,8 @@ class TestPlanCache:
         filtered = ('select F from Provenance.file as F # all\n'
                     ' where F.name = "a b"')
         unfiltered = filtered.replace("\n", "")
-        assert engine.execute_refs(filtered) == [ObjectRef(2, 0)]
-        assert len(engine.execute_refs(unfiltered)) == 3
+        assert planned_refs(engine, filtered) == [ObjectRef(2, 0)]
+        assert len(planned_refs(engine, unfiltered)) == 3
         assert engine.plan(filtered) is not engine.plan(unfiltered)
 
     def test_repeat_of_a_text_takes_its_literals_into_one_plan(self):
@@ -337,8 +338,8 @@ class TestPlanCache:
         # The source AST is the first text's, never rebound.
         assert plan.query == parse(first)
         assert plan.query.where.right.value == "a b"
-        assert engine.execute_refs(second) == [ObjectRef(3, 0)]
-        assert engine.execute_refs(first) == [ObjectRef(2, 0)]
+        assert planned_refs(engine, second) == [ObjectRef(3, 0)]
+        assert planned_refs(engine, first) == [ObjectRef(2, 0)]
 
     def test_check_runs_once_per_epoch(self):
         from repro.obs import Observability
@@ -376,7 +377,7 @@ class TestPlanCache:
         from repro.lint.pqlcheck import check_query
         engine = cache_engine()
         text, number = FILE_WHERE + 'F.name = "a b"', FILE_WHERE + "F.name = 5"
-        assert engine.execute_refs(text) == [ObjectRef(2, 0)]
+        assert planned_refs(engine, text) == [ObjectRef(2, 0)]
         for sibling in (number, FILE_WHERE + "F.name = 77"):
             plan = engine.plan(sibling)
             assert plan.shape != engine.plan(text).shape
@@ -396,13 +397,13 @@ class TestPlanCache:
         texts = [FILE_WHERE + f'F.name = "a b" limit {n}'
                  for n in range(1, 11)]
         for text in texts:
-            assert engine.execute_refs(text) == [ObjectRef(2, 0)]
+            assert planned_refs(engine, text) == [ObjectRef(2, 0)]
         assert len(engine._plans) == 4
         counters = obs.stats()["pql"]["counters"]
         assert counters["plan_evictions"] == 6
         assert counters["plan_compiles"] == 10
         # The oldest shape was evicted: it compiles again and answers.
-        assert engine.execute_refs(texts[0]) == [ObjectRef(2, 0)]
+        assert planned_refs(engine, texts[0]) == [ObjectRef(2, 0)]
         assert obs.stats()["pql"]["counters"]["plan_compiles"] == 11
         # Use keeps a shape: texts[7] is the oldest now; touched, it
         # outlives texts[8] when one more shape arrives.
@@ -508,8 +509,8 @@ class TestEngine:
             R(5, 1, Attr.TYPE, ObjType.FILE),
             R(5, 1, Attr.NAME, "/x"),
         ])
-        refs = engine.execute_refs("select F from Provenance.file as F")
+        refs = planned_refs(engine, "select F from Provenance.file as F")
         assert refs == [ObjectRef(5, 1)]
-        rows = engine.execute_refs(
-            "select F, F.name from Provenance.file as F")
+        rows = planned_refs(engine,
+                            "select F, F.name from Provenance.file as F")
         assert rows == [(ObjectRef(5, 1), "/x")]

@@ -16,7 +16,7 @@ from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ObjType, ProvenanceRecord
 from repro.pql.engine import QueryEngine
 from repro.pql.oem import OEMNode
-from tests.conftest import reference_rows
+from tests.conftest import planned_refs, reference_rows
 
 
 def R(pnode, version, attr, value):
@@ -274,8 +274,8 @@ class TestSelectShapes:
             'select F from Provenance.file as F where F.name = "nope"') == []
 
     def test_execute_refs(self, engine):
-        refs = engine.execute_refs(
-            'select F from Provenance.file as F where F.name = "/data/mid.dat"')
+        refs = planned_refs(engine, 'select F from Provenance.file as F '
+                            'where F.name = "/data/mid.dat"')
         assert refs == [ObjectRef(MID, 0)]
 
 

@@ -1,11 +1,10 @@
 """The cost-based planner and its access paths.
 
-Covers the access-path layer (equality/range indexes, CSR snapshot,
-materialized ancestry view) in isolation, the planner's per-binding
-choices, the EXPLAIN surface (engine dict, CLI rendering, journal
-event), the passmon counters, engine detach, and the regression guard
-for the old OEMNode defaultdict leak (queries must never grow a node's
-footprint).
+Covers the access-path layer (equality/range indexes, the ancestry
+memo) in isolation, the planner's per-binding choices, the EXPLAIN
+surface (engine dict, CLI rendering, journal event), the passmon
+counters, engine detach, and the regression guard for the old OEMNode
+defaultdict leak (queries must never grow a node's footprint).
 """
 
 import json
@@ -21,13 +20,13 @@ from repro.core.records import Attr, ObjType, ProvenanceRecord
 from repro.obs import Observability
 from repro.pql.ast import Literal
 from repro.pql.engine import QueryEngine
-from repro.pql.indexes import (AncestryView, CSRSnapshot, EqualityIndex,
-                               IndexCatalog, RangeIndex)
+from repro.pql.indexes import (AncestryView, EqualityIndex, IndexCatalog,
+                               RangeIndex)
 from repro.pql.oem import OEMGraph
 from repro.pql.parser import parse
 from repro.pql.planner import extract_filters, place_conjuncts
 from repro.storage.database import ProvenanceDatabase
-from tests.conftest import reference_refs, reference_rows
+from tests.conftest import planned_refs, reference_refs, reference_rows
 
 
 def R(pnode, attr, value, version=0):
@@ -225,58 +224,16 @@ class TestRangeIndex:
         assert list(rebuilt._multi) == list(index._multi)
 
 
-class TestCSRSnapshot:
-    def test_bfs_matches_dict_walk(self, graph):
-        csr = CSRSnapshot(graph, epoch=None)
-        root = csr.node_id[id(graph.named("/b")[0])]
-        reached = csr.bfs([root], [("input", False)], 1, None)
-        names = {csr.nodes[nid].name for nid in reached}
-        assert names == {"cc", "/a"}
-
-    def test_reverse_direction(self, graph):
-        csr = CSRSnapshot(graph, epoch=None)
-        root = csr.node_id[id(graph.named("/a")[0])]
-        reached = csr.bfs([root], [("input", True)], 1, None)
-        assert {csr.nodes[nid].name for nid in reached} == {"cc", "/b"}
-
-    def test_depth_bounds(self, graph):
-        csr = CSRSnapshot(graph, epoch=None)
-        root = csr.node_id[id(graph.named("/b")[0])]
-        one_hop = csr.bfs([root], [("input", False)], 1, 1)
-        assert {csr.nodes[nid].name for nid in one_hop} == {"cc"}
-        with_self = csr.bfs([root], [("input", False)], 0, 0)
-        assert {csr.nodes[nid].name for nid in with_self} == {"/b"}
-
-    def test_catalog_rebuilds_only_when_quiescent(self, graph):
-        catalog = IndexCatalog.attach(graph)
-        assert catalog.csr() is None            # first sight of epoch
-        assert catalog.csr() is not None        # quiescent: build
-        assert catalog.csr_rebuilds == 1
-        graph.apply(R(9, Attr.TYPE, ObjType.FILE))
-        assert catalog.csr() is None            # stale again
-        assert catalog.csr_fallbacks == 2
-        snapshot = catalog.csr()
-        assert snapshot is not None
-        assert len(snapshot.nodes) == len(graph)
-
-
 class TestAncestryView:
-    def test_closure_cached_and_patched(self, graph):
-        catalog = IndexCatalog.attach(graph)
+    def test_hit_within_one_graph_state(self, graph):
+        view = IndexCatalog.attach(graph).view
         root = graph.named("/b")[0]
-        first = catalog.view.closure(root, ("input",), False)
+        first = view.closure(root, ("input",), False)
         assert {n.name for n in first} == {"cc", "/a"}
-        assert catalog.view.hits == 0
-        again = catalog.view.closure(root, ("input",), False)
+        assert (view.hits, view.refreshes) == (0, 1)
+        again = view.closure(root, ("input",), False)
         assert again is first
-        assert catalog.view.hits == 1
-        # A new ancestry edge below the closure is patched in, not
-        # recomputed: /a gains an input -> new node 9.
-        graph.apply(R(9, Attr.TYPE, ObjType.FILE))
-        graph.apply(R(9, Attr.NAME, "/deep"))
-        graph.apply(R(1, Attr.INPUT, ObjectRef(9, 0)))
-        patched = catalog.view.closure(root, ("input",), False)
-        assert {n.name for n in patched} == {"cc", "/a", "/deep"}
+        assert (view.hits, view.refreshes) == (1, 1)
 
     def test_irrelevant_edge_does_not_grow_closure(self, graph):
         catalog = IndexCatalog.attach(graph)
@@ -288,19 +245,35 @@ class TestAncestryView:
         closure = catalog.view.closure(root, ("input",), False)
         assert {n.name for n in closure} == {"cc", "/a"}
 
-    def test_pending_overflow_invalidates(self, graph):
-        view = AncestryView(max_pending=2)
-        catalog = IndexCatalog.attach(graph)
-        catalog.view = view
+    def test_ancestry_splice_empties_the_memo(self, graph):
+        view = IndexCatalog.attach(graph).view
         root = graph.named("/b")[0]
         view.closure(root, ("input",), False)
-        for pnode in range(20, 24):
-            graph.apply(R(pnode, Attr.INPUT, ObjectRef(1, 0)))
-        assert view.invalidations == 1
+        view.closure(root, ("input",), True)
+        # One splice, two ancestry edges: /a gains an input -> new node
+        # 9, which gains one -> 10.  One emptying, counted once.
+        graph.apply_batch([R(9, Attr.NAME, "/deep"),
+                           R(1, Attr.INPUT, ObjectRef(9, 0)),
+                           R(9, Attr.INPUT, ObjectRef(10, 0))])
         assert len(view) == 0
-        # And the next read recomputes correctly from scratch.
+        assert view.invalidations == 1
+        graph.apply(R(2, Attr.FORKPARENT, ObjectRef(10, 0)))
+        assert view.invalidations == 1      # nothing cached: no emptying
+        # The next read walks the graph as it is now.
         closure = view.closure(root, ("input",), False)
-        assert {n.name for n in closure} >= {"cc", "/a"}
+        assert [n.ref.pnode for n in closure] == [2, 1, 9, 10]
+        assert view.refreshes == 3
+
+    def test_atoms_only_splice_keeps_the_memo(self, graph):
+        view = IndexCatalog.attach(graph).view
+        root = graph.named("/b")[0]
+        first = view.closure(root, ("input",), False)
+        graph.apply_batch([R(1, "MD5", "ccc"), R(3, Attr.NAME, "/b2"),
+                           R(11, Attr.TYPE, ObjType.FILE)])
+        assert len(view) == 1
+        assert view.invalidations == 0
+        assert view.closure(root, ("input",), False) is first
+        assert view.hits == 1
 
     def test_lru_bounded(self, graph):
         view = AncestryView(max_entries=2)
@@ -309,8 +282,9 @@ class TestAncestryView:
             view.closure(node, ("input",), False)
         assert len(view) == 2
 
-    # The batched drain: one absorb per (drain, closure), whatever the
-    # order of the burst.  Fixture chain: /b(3) -input-> cc(2) -input-> /a(1).
+    # A splice with an ancestry edge costs the memo one walk per cached
+    # root on its next read, whatever the order of the burst.  Fixture
+    # chain: /b(3) -input-> cc(2) -input-> /a(1).
 
     @staticmethod
     def _chain_edge(near: int, far: int, reverse: bool, attr=Attr.INPUT):
@@ -350,16 +324,18 @@ class TestAncestryView:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_edge_from_the_root_itself(self, graph, reverse):
         """The root is not a member of its own closure, but an edge
-        leaving it grows the closure all the same."""
+        leaving it grows the closure all the same: 9 is one hop out,
+        so the walk reaches it before the end of the chain."""
         _, read, root, last = self._cache_whole_chain(graph, reverse)
         graph.apply(self._chain_edge(root, 9, reverse))
-        assert read() == [2, last, 9]
+        assert read() == [2, 9, last]
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_unfollowed_label_is_ignored(self, graph, reverse):
+        """An edge outside the ancestry labels keeps the memo."""
         view, read, _, last = self._cache_whole_chain(graph, reverse)
         refreshes = view.refreshes
-        graph.apply(self._chain_edge(2, 9, reverse, Attr.FORKPARENT))
+        graph.apply(self._chain_edge(2, 9, reverse, Attr.BRANCH_OF))
         assert read() == [2, last]
         assert view.refreshes == refreshes
 
@@ -419,7 +395,7 @@ class TestPlannerChoices:
             "select A from Provenance.file as F, F.input* as A "
             'where F.md5 = "bbb"',
         ):
-            planned = engine.execute_refs(query)
+            planned = planned_refs(engine, query)
             naive = reference_refs(engine, query)
             assert sorted(map(repr, planned)) == sorted(map(repr, naive))
 
