@@ -295,8 +295,7 @@ class IndexCatalog:
             for index in watchers:
                 index.add(value, node)
 
-    def note_edge(self, label: str, source: OEMNode,
-                  target: OEMNode) -> None:
+    def note_edge(self, label: str) -> None:
         if label in ANCESTRY_LABELS:
             self.view.note_edge()
 

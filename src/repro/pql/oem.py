@@ -252,7 +252,7 @@ class OEMGraph:
                             sources.append(node)
                         edge_labels.add(label)
                         if catalog is not None:
-                            catalog.note_edge(label, node, target)
+                            catalog.note_edge(label)
                         continue
                     if shared:
                         identity[ref.pnode].append((label, value))
