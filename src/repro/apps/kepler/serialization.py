@@ -55,7 +55,7 @@ def register_actor_type(cls: type) -> type:
         raise WorkflowError(f"{cls.__name__} is not an Actor subclass")
     # Registration API, exercised at import/composition time by user
     # code -- never on the record hot path.
-    ACTOR_TYPES[cls.__name__] = cls  # lint: disable=PL304
+    ACTOR_TYPES[cls.__name__] = cls
     return cls
 
 

@@ -221,43 +221,13 @@ def cmd_lint(args: argparse.Namespace) -> int:
     import os
 
     from repro.lint import LintReport, all_rules, render_json, render_text
-    from repro.lint.callgraph import (
-        build_program,
-        graph_payload,
-        render_graph_dot,
-    )
-    from repro.lint.flowcheck import analyze_tree
+    from repro.lint.layercheck import check_tree
     from repro.lint.pqlcheck import check_query_text
 
     if args.rules:
         for registered in all_rules():
             print(f"{registered.code}  {registered.severity:7s} "
                   f"{registered.title}")
-        return 0
-
-    if args.graph:
-        targets = [t for t in args.targets
-                   if os.path.isdir(t) or t.endswith(".py")]
-        if not targets:
-            print("lint: --graph needs a directory (or .py) target",
-                  file=sys.stderr)
-            return 2
-        for target in targets:
-            if not os.path.exists(target):
-                print(f"lint: no such file or directory: {target!r}",
-                      file=sys.stderr)
-                return 2
-            program = build_program(target)
-            # The flow pass populates the call/attr edges the import
-            # scan alone cannot see.
-            from repro.lint.flowcheck import check_program
-            check_program(program)
-            if args.graph == "json":
-                import json as _json
-                print(_json.dumps(graph_payload(program), indent=2,
-                                  sort_keys=True))
-            else:
-                print(render_graph_dot(program), end="")
         return 0
 
     report = LintReport()
@@ -274,7 +244,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
                 report.extend(check_query_text(handle.read(),
                                                source=target))
         elif os.path.isdir(target) or target.endswith(".py"):
-            report.extend(analyze_tree(target))
+            try:
+                report.extend(check_tree(target))
+            except ValueError as exc:
+                print(f"lint: {exc}", file=sys.stderr)
+                return 2
         else:
             print(f"lint: skipping {target!r} (not a directory, .py, or "
                   ".pql file)", file=sys.stderr)
@@ -622,10 +596,12 @@ def main(argv: list[str] | None = None) -> int:
     fsck_cmd.set_defaults(func=cmd_fsck)
 
     lint = sub.add_parser(
-        "lint", help="static analysis: PQL queries and layer discipline")
+        "lint", help="static analysis: PQL queries (PL1xx) and the "
+                     "repro tree's layer discipline (PL2xx, PL303)")
     lint.add_argument("targets", nargs="*", metavar="PATH",
-                      help="directories / .py files (layer discipline) "
-                           "or .pql files (query checks)")
+                      help="directories / .py files inside a repro "
+                           "package (layer discipline) or .pql files "
+                           "(query checks)")
     lint.add_argument("--query", metavar="TEXT",
                       help="PQL query text to check statically")
     lint.add_argument("--json", action="store_true",
@@ -634,9 +610,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="exit nonzero on warnings too")
     lint.add_argument("--rules", action="store_true",
                       help="list every registered PL### rule and exit")
-    lint.add_argument("--graph", choices=("dot", "json"),
-                      help="export the layer call graph instead of "
-                           "diagnostics")
     lint.set_defaults(func=cmd_lint)
 
     bench = sub.add_parser(

@@ -36,7 +36,7 @@ class DeadlockError(KernelError):
 
 
 #: Pipe ids: an itertools.count so nothing can rebind or rewind the
-#: sequence (lint rule PL304).
+#: sequence.
 _PIPE_IDS = itertools.count(1)
 
 

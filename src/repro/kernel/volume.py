@@ -32,9 +32,9 @@ JOURNAL_REGION_BLOCKS = 1 << 15     # 128 MB
 PROVLOG_REGION_BLOCKS = 1 << 19     # 2 GB
 
 #: Volume ids are globally unique across every machine in a simulation,
-#: because pnode numbers embed them and cross machines over NFS.  An
-#: itertools.count is the mint lint rule PL304 accepts: nothing can
-#: rebind or rewind the sequence.
+#: because pnode numbers embed them and cross machines over NFS.  The
+#: mint is an itertools.count: nothing can rebind or rewind the
+#: sequence.
 _VOLUME_IDS = itertools.count(1)
 
 

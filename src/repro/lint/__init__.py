@@ -9,24 +9,18 @@ cost something.  This package rejects them before they run:
   type-incompatible comparisons, always-empty constructs, and
   unbounded-closure cost hazards -- every diagnostic positioned with
   the lexer's line/column.
-* :mod:`repro.lint.layercheck` walks the ``repro`` source tree itself
-  and enforces the paper's Figure 2 layering as import rules, confines
-  transaction framing to the storage/NFS layers, and rejects mutation
-  of finalized provenance records.
-* :mod:`repro.lint.callgraph` builds a whole-program symbol table and
-  module call graph (plain ``ast``, nothing under analysis imported),
-  and :mod:`repro.lint.flowcheck` runs dataflow rules over it: layer
-  discipline through objects, cross-layer private-state reaches, batch
-  escape/mutation across boundaries, shared mutable state, and
-  dynamic imports.
+* :mod:`repro.lint.layercheck` walks the ``repro`` source tree itself,
+  one module at a time, and enforces the paper's Figure 2 layering as
+  import rules, confines transaction framing to the storage/NFS
+  layers, rejects mutation of finalized provenance records, and keeps
+  batch entry points from mutating a batch that crossed a layer
+  boundary (PL303).
 
-Diagnostics carry ``PL###`` codes (PL1xx = PQL, PL2xx = layering,
-PL3xx = dataflow) and come in two severities; reporters render them as
-text or JSON.  ``lint: disable=PL###`` trailing comments suppress a
-diagnostic on their line; unused suppressions are themselves reported.
-The package re-exports only the diagnostics; each analyzer is imported
-from its own module, so a PQL query loads :mod:`~repro.lint.pqlcheck`
-and none of the whole-program analyzers.
+Diagnostics carry ``PL###`` codes (PL1xx = PQL, PL2xx and PL303 =
+source tree) and come in two severities; reporters render them as
+text or JSON.  The package re-exports only the diagnostics; each
+analyzer is imported from its own module, so a PQL query loads
+:mod:`~repro.lint.pqlcheck` and not the source-tree checker.
 """
 
 from repro.lint.diagnostics import (

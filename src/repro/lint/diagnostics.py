@@ -2,11 +2,12 @@
 
 Every check in :mod:`repro.lint` is a registered :class:`Rule` with a
 stable ``PL###`` code.  Codes in the PL1xx range are PQL query checks;
-PL2xx are layer-discipline import checks over the source tree; PL3xx
-are whole-program dataflow checks over the call graph.  Analyzers
-emit :class:`Diagnostic` instances through :meth:`Rule.at`, so a
-diagnostic can never reference an unregistered code and the registry
-doubles as the documentation table (``repro lint --rules``).
+PL2xx are layer-discipline checks over the source tree, and PL303 (the
+one PL3xx code) guards batches handed across a layer boundary; both
+run one module at a time.  Analyzers emit :class:`Diagnostic`
+instances through :meth:`Rule.at`, so a diagnostic can never reference
+an unregistered code and the registry doubles as the documentation
+table (``repro lint --rules``).
 """
 
 from __future__ import annotations
@@ -51,21 +52,15 @@ def rule(code: str, severity: str, title: str, detail: str = "") -> Rule:
     registered = Rule(code, severity, title, detail)
     # Import-time registration only: every rule module runs this at
     # module scope, before any checker exists.
-    _REGISTRY[code] = registered  # lint: disable=PL304
+    _REGISTRY[code] = registered
     return registered
 
 
 def all_rules() -> list[Rule]:
     """Every registered rule, ordered by code."""
     # Importing the analyzers registers their rules.
-    from repro.lint import flowcheck, layercheck, pqlcheck  # noqa: F401
+    from repro.lint import layercheck, pqlcheck  # noqa: F401
     return sorted(_REGISTRY.values(), key=lambda r: r.code)
-
-
-def get_rule(code: str) -> Rule:
-    """Look up one rule by code."""
-    from repro.lint import flowcheck, layercheck, pqlcheck  # noqa: F401
-    return _REGISTRY[code]
 
 
 @dataclass(frozen=True)

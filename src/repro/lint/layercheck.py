@@ -1,4 +1,4 @@
-"""Layer-discipline checking over the ``repro`` source tree (PL2xx).
+"""Layer-discipline checking over the ``repro`` source tree (PL2xx, PL303).
 
 The paper's Figure 2 stacks the system: applications over libpass/DPAPI,
 the core pipeline over the kernel, Lasagna/Waldo in storage, PA-NFS
@@ -17,9 +17,13 @@ violation is a CI failure instead of a production incident:
   storage and NFS layers -- nothing else may even name those records;
 * finalized ``ProvenanceRecord`` instances are immutable: the frozen
   bypass ``object.__setattr__`` and direct writes to record fields are
-  rejected everywhere.
+  rejected everywhere;
+* a batch handed to a ``submit_batch``/``apply_batch``-style entry
+  point is the caller's: the entry point may not mutate it, nor keep
+  it and let another method of its class mutate it later (PL303).
 
-Checks are plain :mod:`ast` passes; no module under test is imported.
+Every check reads one module at a time: a plain :mod:`ast` pass, no
+symbol table, and no module under test is imported.
 """
 
 from __future__ import annotations
@@ -85,6 +89,13 @@ PL210 = rule(
     "into the database to pull them.  Waldo serves the engine (section "
     "5.1), not the other way round; a storage import here inverts that "
     "ownership and couples query evaluation to the store's layout.")
+PL303 = rule(
+    "PL303", ERROR, "batch mutated after crossing a layer boundary",
+    "A submit_batch/append_batch/apply_batch-style entry point mutates "
+    "its batch argument, or retains it and mutates it later.  Batches "
+    "are shared, not transferred: the producer may still hold the "
+    "object, and a subscriber may be handed the same one.  Copy "
+    "before mutating, or build a new batch.")
 
 #: Layer allow-lists: module-prefix of the *importing* layer -> import
 #: prefixes it may use.  The longest matching importer prefix wins.
@@ -145,20 +156,43 @@ _FRAMING_ALLOWED = ("repro.storage", "repro.nfs", "repro.core.records",
 _RECORD_FIELDS = frozenset({"subject", "attr", "value"})
 _RECORD_NAME_HINTS = ("record", "rec", "proto")
 
+#: Batch entry-point names whose first non-self argument is a batch
+#: that crossed a layer boundary (PL303).
+_BATCH_ENTRY_POINTS = frozenset({
+    "submit_batch", "append_batch", "apply_batch", "flush_batch",
+    "insert_many",
+})
+
+#: Receiver method names that mutate a container in place.
+_MUTATORS = frozenset({
+    "add", "append", "appendleft", "clear", "discard", "extend",
+    "extendleft", "insert", "pop", "popitem", "remove", "reverse",
+    "setdefault", "sort", "update",
+})
+
 
 # -- entry points ------------------------------------------------------------
 
 
 def check_tree(root: str) -> list[Diagnostic]:
     """Check every ``*.py`` under ``root`` (a path at or inside the
-    ``repro`` package, or a tree containing it)."""
+    ``repro`` package, or a tree containing it).
+
+    Files outside a ``repro`` package are skipped; a ``root`` that
+    holds no module of the package at all raises :class:`ValueError`,
+    so a mistyped target cannot pass as clean.
+    """
     diagnostics: list[Diagnostic] = []
+    checked = 0
     for path in sorted(_python_files(root)):
         module = _module_name(path)
         if module is None:
             continue
+        checked += 1
         with open(path, "r", encoding="utf-8") as handle:
             diagnostics.extend(check_source(handle.read(), module, path))
+    if not checked:
+        raise ValueError(f"no module of the repro package under {root!r}")
     return diagnostics
 
 
@@ -173,7 +207,8 @@ def check_source(source: str, module: str,
                          exc.lineno or 0, (exc.offset or 1) - 1)]
     checker = _ModuleChecker(module, path)
     checker.visit(tree)
-    return checker.diagnostics
+    return sorted(checker.diagnostics,
+                  key=lambda d: (d.line, d.column, d.code))
 
 
 def _python_files(root: str) -> Iterable[str]:
@@ -222,11 +257,8 @@ def import_violation(module: str,
     """The (rule, message) importing ``target`` from ``module`` breaks,
     or None when the layering allows it.
 
-    The one shared judgment for every way an import can happen: the
-    static ``import``/``from`` pass below, and passflow's PL305
-    constant-folding of ``importlib.import_module("...")`` calls
-    (:mod:`repro.lint.flowcheck`), so a dynamic import is held to
-    exactly the Figure-2 rules a static one is.
+    Only ``import``/``from`` statements are judged: no module of the
+    package imports dynamically, and CI keeps it that way with a grep.
     """
     if not target.startswith("repro"):
         return None
@@ -275,6 +307,7 @@ class _ModuleChecker(pyast.NodeVisitor):
         self.path = path
         self.layer = _layer_of(module)
         self.diagnostics: list[Diagnostic] = []
+        self._class: Optional[pyast.ClassDef] = None   # directly enclosing
 
     def _emit(self, registered, message: str, node: pyast.AST) -> None:
         self.diagnostics.append(registered.at(
@@ -364,3 +397,120 @@ class _ModuleChecker(pyast.NodeVisitor):
             self._emit(PL206, f"assignment to {target.value.id}."
                        f"{target.attr} mutates a provenance record "
                        "after finalization", node)
+
+    # -- batches crossing a layer boundary (PL303) ---------------------------
+
+    def visit_ClassDef(self, node: pyast.ClassDef) -> None:
+        outer, self._class = self._class, node
+        self.generic_visit(node)
+        self._class = outer
+
+    def visit_FunctionDef(self, node) -> None:
+        if node.name in _BATCH_ENTRY_POINTS:
+            self._check_batch_entry(node)
+        outer, self._class = self._class, None
+        self.generic_visit(node)
+        self._class = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _check_batch_entry(self, node) -> None:
+        args = node.args
+        params = [a.arg for a in [*args.posonlyargs, *args.args]
+                  if a.arg not in ("self", "cls")]
+        if not params:
+            return
+        batch = params[0]
+        found: dict[int, tuple] = {}    # id(stmt) -> (stmt, message)
+
+        def mutated(how: str, stmt: pyast.AST) -> None:
+            found.setdefault(id(stmt), (
+                stmt, f"batch argument {batch!r} mutated in {node.name}"
+                      f"{how}; batches that crossed a layer boundary are "
+                      "shared, not owned"))
+
+        aliases = {batch}
+        retained: list[tuple[str, pyast.AST]] = []
+        for stmt in pyast.walk(node):
+            if isinstance(stmt, pyast.Assign):
+                value_is_batch = (isinstance(stmt.value, pyast.Name)
+                                  and stmt.value.id in aliases)
+                value_is_backing = (
+                    isinstance(stmt.value, pyast.Attribute)
+                    and isinstance(stmt.value.value, pyast.Name)
+                    and stmt.value.value.id in aliases)
+                for target in stmt.targets:
+                    if isinstance(target, pyast.Name):
+                        # A bare-name target is a rebind, never a
+                        # mutation: ``b = batch`` adds an alias,
+                        # ``batch = list(batch)`` (defensive copy)
+                        # releases one.
+                        if value_is_batch:
+                            aliases.add(target.id)
+                        else:
+                            aliases.discard(target.id)
+                    elif (_is_self_attr(target)
+                          and (value_is_batch or value_is_backing)):
+                        retained.append((target.attr, stmt))
+                    elif _rooted_in(target, aliases):
+                        mutated(" (assignment through the batch)", stmt)
+            elif isinstance(stmt, (pyast.AugAssign, pyast.Delete)):
+                targets = (stmt.targets if isinstance(stmt, pyast.Delete)
+                           else [stmt.target])
+                if any(_rooted_in(t, aliases) for t in targets):
+                    mutated("", stmt)
+            elif isinstance(stmt, pyast.Call):
+                func = stmt.func
+                if (isinstance(func, pyast.Attribute)
+                        and func.attr in _MUTATORS
+                        and _rooted_in(func.value, aliases)):
+                    mutated(f" (.{func.attr}())", stmt)
+        for attr, stmt in retained:
+            if (self._class is not None
+                    and _class_mutates_attr(self._class, attr)):
+                found.setdefault(id(stmt), (
+                    stmt, f"batch argument {batch!r} retained as "
+                          f"self.{attr} in {node.name} and mutated "
+                          "elsewhere in the class; copy the records "
+                          "instead of adopting the caller's list"))
+        for stmt, message in found.values():
+            self._emit(PL303, message, stmt)
+
+
+def _is_self_attr(node: pyast.AST) -> bool:
+    return (isinstance(node, pyast.Attribute)
+            and isinstance(node.value, pyast.Name)
+            and node.value.id == "self")
+
+
+def _rooted_in(node: pyast.AST, names: set) -> bool:
+    """True when an attribute/subscript chain bottoms out at a name."""
+    while isinstance(node, (pyast.Attribute, pyast.Subscript)):
+        node = node.value
+    return isinstance(node, pyast.Name) and node.id in names
+
+
+def _class_mutates_attr(cls: pyast.ClassDef, attr: str) -> bool:
+    """Does any method in the body of ``cls`` mutate ``self.<attr>``
+    in place?"""
+    for method in cls.body:
+        if not isinstance(method, (pyast.FunctionDef,
+                                   pyast.AsyncFunctionDef)):
+            continue
+        for node in pyast.walk(method):
+            if isinstance(node, pyast.Call):
+                func = node.func
+                if (isinstance(func, pyast.Attribute)
+                        and func.attr in _MUTATORS
+                        and _is_self_attr(func.value)
+                        and func.value.attr == attr):
+                    return True
+            elif isinstance(node, (pyast.Assign, pyast.AugAssign)):
+                targets = (node.targets if isinstance(node, pyast.Assign)
+                           else [node.target])
+                for target in targets:
+                    if (isinstance(target, pyast.Subscript)
+                            and _is_self_attr(target.value)
+                            and target.value.attr == attr):
+                        return True
+    return False

@@ -58,7 +58,7 @@ def _zero_digest(length: int) -> bytes:
         # state for a given length, so a lost or duplicated store under
         # concurrency costs time, never correctness (the dict is
         # written first: every listed length has its state).
-        _ZERO_STATES[length] = state.copy()  # lint: disable=PL304
+        _ZERO_STATES[length] = state.copy()
         insort(_ZERO_LENGTHS, length)
     return state.digest()
 

@@ -92,29 +92,22 @@ def test_prepass_rejections_are_positioned(text):
             assert diag.line >= 1
 
 
-# -- passflow over the shipped tree -------------------------------------------
+# -- the source-tree pass over the shipped tree -----------------------------
 
 SRC_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                         "src", "repro")
 
 
-def _run_passflow():
-    from repro.lint.callgraph import build_program, graph_payload
-    from repro.lint.flowcheck import analyze_tree, check_program
+def _run_check_tree():
+    from repro.lint.layercheck import check_tree
 
-    diagnostics = analyze_tree(SRC_ROOT)
-    program = build_program(SRC_ROOT)
-    check_program(program)
-    graph = json.dumps(graph_payload(program), indent=2, sort_keys=True)
-    report = json.dumps([d.to_dict() for d in diagnostics], sort_keys=True)
-    return report, graph
+    return json.dumps([d.to_dict() for d in check_tree(SRC_ROOT)],
+                      sort_keys=True)
 
 
-def test_passflow_is_deterministic_and_strict_clean():
+def test_check_tree_is_deterministic_and_strict_clean():
     """Two full runs over src/repro: byte-identical JSON, and clean
     enough for --strict (no diagnostics at all)."""
-    first_report, first_graph = _run_passflow()
-    second_report, second_graph = _run_passflow()
-    assert first_report == second_report
-    assert first_graph == second_graph
-    assert first_report == "[]"
+    first = _run_check_tree()
+    assert first == _run_check_tree()
+    assert first == "[]"

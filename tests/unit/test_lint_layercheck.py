@@ -1,4 +1,4 @@
-"""Per-rule tests for the layer-discipline checker (PL2xx), plus the
+"""Per-rule tests for the source-tree checker (PL2xx, PL303), plus the
 gate that the shipped tree itself is violation-free."""
 
 import os
@@ -147,6 +147,50 @@ class TestBoundaries:
         found = check_source("def broken(:\n", "repro.apps.badapp")
         assert [d.code for d in found] == ["PL203"]
         assert found[0].line == 1
+
+
+class TestPL303BatchMutation:
+    def test_entry_point_mutating_its_batch(self):
+        assert codes("class Log:\n"
+                     "    def __init__(self):\n"
+                     "        self._records = []\n"
+                     "    def append_batch(self, records):\n"
+                     "        records.append(None)\n",
+                     "repro.storage.store") == ["PL303"]
+
+    def test_copying_into_own_state_is_clean(self):
+        assert codes("class Log:\n"
+                     "    def __init__(self):\n"
+                     "        self._records = []\n"
+                     "    def append_batch(self, records):\n"
+                     "        self._records.extend(records)\n",
+                     "repro.storage.store") == []
+
+    def test_defensive_copy_rebind_is_clean(self):
+        assert codes("class Log:\n"
+                     "    def __init__(self):\n"
+                     "        self._records = []\n"
+                     "    def append_batch(self, records):\n"
+                     "        records = list(records)\n"
+                     "        records.append(None)\n"
+                     "        self._records.extend(records)\n",
+                     "repro.storage.store") == []
+
+    def test_retained_and_mutated_batch(self):
+        assert codes("class Log:\n"
+                     "    def append_batch(self, records):\n"
+                     "        self._pending = records\n"
+                     "    def poke(self):\n"
+                     "        self._pending.append(1)\n",
+                     "repro.storage.store") == ["PL303"]
+
+    def test_retained_but_never_mutated_is_clean(self):
+        assert codes("class Log:\n"
+                     "    def append_batch(self, records):\n"
+                     "        self._pending = records\n"
+                     "    def peek(self):\n"
+                     "        return len(self._pending)\n",
+                     "repro.storage.store") == []
 
 
 class TestPositions:
