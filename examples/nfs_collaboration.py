@@ -82,7 +82,7 @@ def vignette_orphaned_txn(server_sys, server):
              if r.attr == Attr.NAME}
     print(f"  'half-shipped-dataset' in database: "
           f"{'half-shipped-dataset' in in_db}")
-    print(f"  orphaned records held aside: {len(waldo.orphaned)}")
+    print(f"  orphaned records held aside: {waldo.orphaned}")
     assert "half-shipped-dataset" not in in_db
     assert waldo.orphaned
     print("  the transaction framing kept the database clean.\n")

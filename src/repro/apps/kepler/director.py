@@ -69,10 +69,6 @@ class Director:
                     f"{actor.name}: firing without a token on {port!r}")
             inputs[port] = queue.popleft()
         dpapi, operator_ref = self.recorder.context_extras(actor)
-        if hasattr(actor, "recorder"):
-            # Composite actors run their inner workflow under the same
-            # recorder, so inner operators land in the same store.
-            actor.recorder = self.recorder
         ctx = FiringContext(inputs=inputs, params=actor.params, sc=sc,
                             dpapi=dpapi, operator_ref=operator_ref)
         sc.compute(actor.cpu_seconds())

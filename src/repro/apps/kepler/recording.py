@@ -15,8 +15,6 @@ provenance into PASSv2 via the DPAPI" (section 6.2).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.apps.kepler.actors import Actor, FiringContext, Token
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ObjType
@@ -118,8 +116,6 @@ class PassRecorder(Recorder):
     # -- operator objects ------------------------------------------------------------
 
     def actor_registered(self, actor: Actor) -> None:
-        if actor.name in self._fds:
-            return          # composite re-runs re-register inner actors
         fd = self.dpapi.pass_mkobj()
         self._fds[actor.name] = fd
         records = [

@@ -197,10 +197,6 @@ class Analyzer:
         """Make an object freezable / resolvable by pnode."""
         self._registry[obj.pnode] = obj
 
-    def lookup(self, pnode: int) -> Optional[Freezable]:
-        """Find the live object for a pnode, if registered."""
-        return self._registry.get(pnode)
-
     def forget(self, pnode: int) -> None:
         """Drop a dead object from the registry.  The keys of its
         current version go at the next sweep; a record about it that

@@ -252,11 +252,3 @@ class Distributor:
     def cached_records(self, pnode: int) -> list[ProvenanceRecord]:
         """Copy of the records currently cached for an object."""
         return list(records_from(self._cache.get(pnode, ())))
-
-    def cached_pnodes(self) -> list[int]:
-        """Pnodes with cached (unmaterialized) provenance."""
-        return list(self._cache)
-
-    def assigned_volume(self, pnode: int) -> Optional[str]:
-        """Volume a transient object's provenance was materialized on."""
-        return self._assigned.get(pnode)

@@ -72,7 +72,7 @@ class PageCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        # Hit/miss totals are harvested at snapshot time; lookup() stays
+        # Hit/miss totals are harvested at snapshot time; read() stays
         # untouched by observability.
         obs.add_collector("cache", self._obs_counters)
 
@@ -85,11 +85,6 @@ class PageCache:
             "runs": len(self._starts),
             "capacity_pages": self._capacity,
         }
-
-    @property
-    def capacity(self) -> int:
-        """Current capacity in pages."""
-        return self._capacity
 
     def shrink(self, factor: float) -> None:
         """Reduce effective capacity (stackable double buffering)."""
@@ -106,12 +101,12 @@ class PageCache:
         The contract is that of one pass over the blocks followed by one
         capacity check: a block already cached moves to the newest end,
         a new one is added there, and only when the whole write is in do
-        the oldest pages leave until the cache fits.  That is *not* an
-        ``insert`` per block -- the final order is the same but fewer
-        pages may be evicted, because a cached block of the write cannot
-        be pushed out and brought back by the blocks before it (capacity
-        3 holding 5, 1, 2, oldest first: writing 4, 5 evicts one page,
-        ``insert(4); insert(5)`` evicts two).  A write longer than the
+        the oldest pages leave until the cache fits.  That is *not* one
+        write per block -- the final order is the same but fewer pages
+        may be evicted, because a cached block of the write cannot be
+        pushed out and brought back by the blocks before it (capacity 3
+        holding 5, 1, 2, oldest first: writing 4, 5 evicts one page,
+        writing 4 and then 5 evicts two).  A write longer than the
         capacity evicts its own head.
         """
         base = volume_id << _VOLUME_SHIFT
@@ -124,9 +119,10 @@ class PageCache:
 
     def read(self, volume_id: int,
              runs: Iterable[range]) -> list[tuple[int, int]]:
-        """``lookup`` each block in order and ``insert`` it on a miss;
-        returns the missing blocks as maximal ``(first block, count)``
-        runs -- a run ends at a hit or at a jump in block numbers.
+        """Touch each block in order, adding it on a miss and evicting
+        until the cache fits; returns the missing blocks as maximal
+        ``(first block, count)`` runs -- a run ends at a hit or at a
+        jump in block numbers.
 
         The range is walked piece by piece.  A cached piece is a row of
         hits, which evict nothing, so touching it whole is touching it
@@ -173,22 +169,7 @@ class PageCache:
                 pos = piece
         return missing
 
-    # -- one page at a time ----------------------------------------------------
-
-    def lookup(self, volume_id: int, block: int) -> bool:
-        """Return True on a hit (and refresh recency)."""
-        key = volume_id << _VOLUME_SHIFT | block
-        after = bisect_right(self._starts, key)
-        if after and self._stops[after - 1] > key:
-            self._touch(key, key + 1, after)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    def insert(self, volume_id: int, block: int) -> None:
-        """Add a page, evicting the least recently used if full."""
-        self.write(volume_id, (range(block, block + 1),))
+    # -- whole volumes and introspection ---------------------------------------
 
     def invalidate_volume(self, volume_id: int) -> None:
         """Drop every page of one volume (unmount, crash)."""

@@ -50,11 +50,6 @@ class SimClock:
         """Copy of the per-category time accounting."""
         return dict(self._by_category)
 
-    def category(self, name: str) -> float:
-        """Total time charged to one category."""
-        return self._by_category.get(name, 0.0)
-
-
 class Stopwatch:
     """Measures simulated time across a region of code.
 

@@ -147,8 +147,3 @@ class SimulatedDisk:
         cost = self.params.short_seek + barrier + nbytes / self.params.transfer_rate
         self._clock.advance(cost, "disk_write")
         self.bytes_written += nbytes
-
-    @property
-    def head(self) -> int:
-        """Current head position (block number)."""
-        return self._head

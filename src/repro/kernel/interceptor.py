@@ -51,10 +51,6 @@ class Interceptor:
         self.observer = observer
         self.enabled = True
 
-    def detach(self) -> None:
-        """Stop capturing (baseline mode)."""
-        self.enabled = False
-
     def event(self, name: str) -> Optional["Observer"]:
         """Report one event; returns the observer iff it should see it.
 

@@ -174,10 +174,6 @@ class Kernel:
         self.observer.bind_obs(self.obs)
         self.interceptor.attach(self.observer)
 
-    def disable_provenance(self) -> None:
-        """Detach the interceptor (baseline mode); pipeline state remains."""
-        self.interceptor.detach()
-
     def _provenance_sink(self, volume_name: str, bundle) -> None:
         """Distributor flush target: the volume's Lasagna log."""
         volume = self.volume(volume_name)
@@ -340,14 +336,6 @@ class Kernel:
         proc.close_all()
         self._libpass.pop(proc.pid, None)
 
-    def process(self, pid: int) -> Process:
-        """Look up a process by pid."""
-        from repro.core.errors import NoSuchProcess
-        try:
-            return self._processes[pid]
-        except KeyError:
-            raise NoSuchProcess(f"no process {pid}") from None
-
     # -- libpass ----------------------------------------------------------------------
 
     def libpass_for(self, proc: Process):
@@ -359,10 +347,6 @@ class Kernel:
 
     # -- convenience --------------------------------------------------------------------
 
-    def syscalls_for(self, proc: Process) -> Syscalls:
-        """A syscall facade for an existing process (tests, REPL use)."""
-        return Syscalls(self, proc)
-
     def spawn_shell(self, argv: Optional[list[str]] = None) -> Syscalls:
         """An interactive 'shell' process for direct syscall use."""
         proc = self._create_process(argv or ["sh"], {"PATH": "/bin"}, None)
@@ -373,9 +357,3 @@ class Kernel:
         if observer is not None:
             observer.on_execve(proc, None, argv[0] if argv else "sh")
         return Syscalls(self, proc)
-
-    def sync(self) -> None:
-        """Flush every Lasagna log and drain every Waldo."""
-        for volume in self.pass_volumes():
-            if volume.lasagna is not None:
-                volume.lasagna.sync()

@@ -11,7 +11,7 @@ trips diluting local overheads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -121,7 +121,3 @@ class SimParams:
     net: NetParams = field(default_factory=NetParams)
     log: LogParams = field(default_factory=LogParams)
     scale: float = 1.0
-
-    def scaled(self, scale: float) -> "SimParams":
-        """Return a copy with a different workload scale factor."""
-        return replace(self, scale=scale)

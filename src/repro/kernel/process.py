@@ -163,10 +163,6 @@ class Process(Versioned):
             fdesc.pipe.writers -= 1
         return fdesc
 
-    def open_fds(self) -> list[int]:
-        """Currently open descriptor numbers."""
-        return sorted(self._fds)
-
     def close_all(self) -> None:
         """Close every descriptor (process exit)."""
         for fd in list(self._fds):

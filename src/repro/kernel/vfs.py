@@ -283,10 +283,6 @@ class VFS:
                 return volume, path[len(prefix):]
         raise FileNotFound(f"no volume mounted for {path}")
 
-    def mounts(self) -> dict[str, "Volume"]:
-        """Copy of the mount table."""
-        return dict(self._mounts)
-
     # -- path operations -----------------------------------------------------
 
     def resolve(self, path: str) -> Inode:

@@ -114,9 +114,6 @@ class LintReport:
         """True when nothing error-severity was found."""
         return not self.errors
 
-    def by_code(self, code: str) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.code == code]
-
     def __str__(self) -> str:
         status = ("clean" if not self.diagnostics
                   else f"{len(self.errors)} error(s), "

@@ -36,6 +36,10 @@ from repro.lint.diagnostics import ERROR, WARNING, Diagnostic, Rule, rule
 
 # -- rules -------------------------------------------------------------------
 
+PL200 = rule(
+    "PL200", ERROR, "module does not parse",
+    "A module that is not valid Python cannot be checked for any other "
+    "rule, so it is reported instead of passing as clean.")
 PL201 = rule(
     "PL201", ERROR, "application layer reaches below libpass/DPAPI",
     "Modules under repro.apps may import only repro.apps and the "
@@ -154,7 +158,10 @@ _FRAMING_ALLOWED = ("repro.storage", "repro.nfs", "repro.core.records",
 #: Record fields whose assignment outside a record's own methods is a
 #: finalized-record mutation.
 _RECORD_FIELDS = frozenset({"subject", "attr", "value"})
-_RECORD_NAME_HINTS = ("record", "rec", "proto")
+#: Words of a variable name (split at underscores, plural "s" dropped)
+#: that mark it as holding a record: ``record``, ``first_rec`` and
+#: ``protos`` do, ``direction`` does not.
+_RECORD_NAME_WORDS = frozenset({"record", "rec", "proto"})
 
 #: Batch entry-point names whose first non-self argument is a batch
 #: that crossed a layer boundary (PL303).
@@ -203,7 +210,7 @@ def check_source(source: str, module: str,
     try:
         tree = pyast.parse(source, filename=path)
     except SyntaxError as exc:
-        return [PL203.at(f"module does not parse: {exc.msg}", path,
+        return [PL200.at(f"module does not parse: {exc.msg}", path,
                          exc.lineno or 0, (exc.offset or 1) - 1)]
     checker = _ModuleChecker(module, path)
     checker.visit(tree)
@@ -392,8 +399,9 @@ class _ModuleChecker(pyast.NodeVisitor):
                 and target.attr in _RECORD_FIELDS
                 and isinstance(target.value, pyast.Name)):
             return
-        holder = target.value.id.lower()
-        if any(hint in holder for hint in _RECORD_NAME_HINTS):
+        words = {word.removesuffix("s")
+                 for word in target.value.id.lower().split("_")}
+        if words & _RECORD_NAME_WORDS:
             self._emit(PL206, f"assignment to {target.value.id}."
                        f"{target.attr} mutates a provenance record "
                        "after finalization", node)

@@ -153,10 +153,6 @@ class RemoteLasagna:
         records, self._buffer = self._buffer, []
         return records
 
-    @property
-    def buffered(self) -> int:
-        return len(self._buffer)
-
     def crash(self) -> int:
         lost = len(self._buffer)
         self._buffer = []
@@ -218,9 +214,6 @@ class NFSVolume:
 
     def inode(self, ino: int) -> ProxyInode:
         return self._proxies[ino]
-
-    def live_inodes(self) -> list[ProxyInode]:
-        return list(self._proxies.values())
 
     # -- namespace RPCs ---------------------------------------------------------------
 
@@ -364,11 +357,6 @@ class NFSVolume:
             self.server.op_passprov(txn, chunk)
         self.network.call(_HEADER_BYTES, _HEADER_BYTES)
         self.server.op_endtxn(txn, subject)
-
-    # -- space accounting --------------------------------------------------------------------
-
-    def used_bytes(self) -> int:
-        return self.server.volume.used_bytes()
 
     def __repr__(self) -> str:
         return f"<NFSVolume {self.name} -> {self.server.volume.name}>"

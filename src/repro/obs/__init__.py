@@ -60,11 +60,6 @@ class Observability:
 
     # -- toggles ---------------------------------------------------------------
 
-    @property
-    def enabled(self) -> bool:
-        """True when metric collection is on."""
-        return self.metrics.enabled
-
     def enable(self, tracing: Optional[bool] = None,
                journal: Optional[bool] = None) -> None:
         """Turn on metrics (and optionally set tracing / the journal)."""
@@ -95,10 +90,6 @@ class Observability:
     def observe(self, layer: str, name: str, value: float,
                 volume: Optional[str] = None) -> None:
         self.metrics.observe(layer, name, value, volume=volume)
-
-    def set_gauge(self, layer: str, name: str, value: float,
-                  volume: Optional[str] = None) -> None:
-        self.metrics.set_gauge(layer, name, value, volume=volume)
 
     def add_collector(self, layer: str, collector,
                       volume: Optional[str] = None) -> None:
@@ -141,13 +132,6 @@ class Observability:
     def journal_events(self, kind: Optional[str] = None) -> list[dict]:
         """Retained journal events, oldest first."""
         return self.journal.events(kind)
-
-    def reset(self) -> None:
-        """Zero metrics, drop finished spans, clear the journal."""
-        self.metrics.reset()
-        self.tracer.reset()
-        self.journal.reset()
-
 
 #: Shared disabled instance for components wired without a handle.
 #: Never enable it -- boot a machine with observability on instead.

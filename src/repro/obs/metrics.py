@@ -174,20 +174,6 @@ class MetricsRegistry:
 
     # -- reads -----------------------------------------------------------------
 
-    def counter(self, layer: str, name: str,
-                volume: Optional[str] = None) -> float:
-        """One counter's current value (collectors included)."""
-        snapshot = self.snapshot()
-        section = snapshot.get(layer, {})
-        if volume is not None:
-            section = section.get("volumes", {}).get(volume, {})
-        return section.get("counters", {}).get(name, 0)
-
-    def histogram(self, layer: str, name: str,
-                  volume: Optional[str] = None) -> Optional[Histogram]:
-        """Direct access to one histogram (testing aid)."""
-        return self._histograms.get((layer, volume, name))
-
     def snapshot(self) -> dict:
         """Nested view: layer -> counters/gauges/histograms (+ volumes).
 

@@ -183,10 +183,6 @@ class Tracer:
 
     # -- reads -----------------------------------------------------------------
 
-    def spans(self) -> list[Span]:
-        """Finished spans, oldest first (bounded by capacity)."""
-        return list(self._finished)
-
     def export(self) -> dict:
         """Finished spans as stable-schema dicts, plus the drop count:
         ``{"spans": [...], "dropped_spans": N}``.  A nonzero

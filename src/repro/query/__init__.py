@@ -2,7 +2,6 @@
 running system, the live one: ``System.query_engine().graph``)."""
 
 from repro.query.helpers import (
-    ancestry_of_name,
     ancestry_refs,
     descendant_refs,
     explain_dependency,
@@ -10,7 +9,6 @@ from repro.query.helpers import (
 )
 
 __all__ = [
-    "ancestry_of_name",
     "ancestry_refs",
     "descendant_refs",
     "explain_dependency",

@@ -85,11 +85,6 @@ def newest_ref_by_name(graph: "OEMGraph", name: str) -> ObjectRef:
     return max(graph.versions_of(pnode)[-1].ref for pnode in pnodes)
 
 
-def ancestry_of_name(graph: "OEMGraph", name: str) -> set[ObjectRef]:
-    """Complete ancestry of the newest object with the given NAME."""
-    return ancestry_refs(graph, newest_ref_by_name(graph, name))
-
-
 def describe(graph: "OEMGraph", ref: ObjectRef) -> dict:
     """Human-oriented summary of one object version: ``attrs`` maps
     each record attribute to its values (refs for edges).  Identity

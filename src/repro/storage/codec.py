@@ -231,11 +231,6 @@ class RecordEncoder:
         self._run_attr: Optional[str] = None
         self._run_head_prefix = b""
 
-    def encode(self, record: ProvenanceRecord) -> bytes:
-        """Encode one record (identical bytes to :func:`encode_record`)."""
-        return self.encode_rows(
-            (record.subject, record.attr, record.value))[0]
-
     def encode_rows(self, rows) -> list[bytes]:
         """Encode flat (subject, attr, value) rows into one chunk per
         record (the group-commit buffer).

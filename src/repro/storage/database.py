@@ -138,10 +138,6 @@ class ProvenanceDatabase:
         """Bytes the documented index entries of every row cost."""
         return self._sizes()[1]
 
-    def pnodes(self) -> list[int]:
-        """Every pnode with at least one record."""
-        return list(self._records)
-
     def records_of(self, pnode: int) -> list[ProvenanceRecord]:
         """All records for all versions of one object."""
         return list(records_from(self._records.get(pnode, ())))

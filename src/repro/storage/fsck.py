@@ -53,10 +53,6 @@ class FsckReport:
     def clean(self) -> bool:
         return not self.findings
 
-    def by_check(self, check: str) -> list[Finding]:
-        return [finding for finding in self.findings
-                if finding.check == check]
-
     def __str__(self) -> str:
         status = "clean" if self.clean else f"{len(self.findings)} finding(s)"
         return (f"passfsck: {self.objects_checked} objects, "

@@ -198,11 +198,6 @@ class System:
                 self.tier.federated_sources(), obs=self.obs)
         return self._query_engine
 
-    def ancestry(self, name: str):
-        """All ancestor refs of the newest object named ``name``."""
-        from repro.query.helpers import ancestry_of_name
-        return ancestry_of_name(self.query_engine().graph, name)
-
     def fsck(self):
         """Integrity-check every volume's database (see storage.fsck)."""
         from repro.storage.fsck import fsck

@@ -75,7 +75,7 @@ class TestDataPath:
             proc.write(fd, b"x" * 10000)
             proc.close(fd)
         assert client.network.calls > 0
-        assert client_sys.kernel.clock.category("network") > 0
+        assert client_sys.kernel.clock.breakdown()["network"] > 0
         assert client_sys.kernel.clock.now > t0
 
     def test_metadata_ops_propagate(self):
@@ -286,8 +286,7 @@ class TestTransactionsAndCrashes:
         db = server_sys.database("export")
         names = {r.value for r in db.all_records() if r.attr == Attr.NAME}
         assert "half-sent-nfs" not in names
-        orphaned = server_sys.tier.waldo("export").orphaned
-        assert any(r.value == "half-sent-nfs" for r in orphaned)
+        assert server_sys.tier.waldo("export").orphaned == 1
 
     def test_mkobj_survives_server_restart(self):
         """'The pnode is just a number': after a server crash the client

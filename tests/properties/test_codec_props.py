@@ -152,12 +152,13 @@ def _with_shared_instances(batch):
 @given(st.lists(records, max_size=40))
 @settings(max_examples=200)
 def test_record_encoder_matches_encode_record(batch):
-    """RecordEncoder.encode is byte-identical to encode_record across
-    arbitrary interleavings (memo hits, misses, and runs)."""
+    """RecordEncoder is byte-identical to encode_record one record at a
+    time across arbitrary interleavings (memo hits, misses, and runs)."""
     encoder = codec.RecordEncoder()
     batch = _with_shared_instances(batch)
     for record in batch + batch:      # replay: all-hit second pass
-        assert encoder.encode(record) == codec.encode_record(record)
+        assert encoder.encode_rows(_rows([record])) == [
+            codec.encode_record(record)]
 
 
 def _rows(batch):
@@ -196,7 +197,8 @@ def test_encode_rows_and_encode_interleave_on_one_encoder(stream, share):
             assert encoder.encode_rows(_rows(chunk)) == [
                 codec.encode_record(r) for r in chunk]
             chunk = []
-            assert encoder.encode(record) == codec.encode_record(record)
+            assert encoder.encode_rows(_rows([record])) == [
+                codec.encode_record(record)]
         else:
             chunk.append(record)
     assert encoder.encode_rows(_rows(chunk)) == [
@@ -238,12 +240,12 @@ def test_encoder_rejects_overlong_attribute():
         ProvenanceRecord(ObjectRef(1, 0), "é" * 128, "v")
     record = make_record(ObjectRef(1, 0), "é" * 128, "v")
     encoder = codec.RecordEncoder()
-    for encode in (codec.encode_record, encoder.encode,
+    for encode in (codec.encode_record,
                    lambda r: encoder.encode_rows(_rows([r]))):
         with pytest.raises(ValueError, match="too long"):
             encode(record)
     ok = ProvenanceRecord(ObjectRef(1, 0), "é" * 127, "v")
-    assert encoder.encode(ok) == codec.encode_record(ok)
+    assert encoder.encode_rows(_rows([ok])) == [codec.encode_record(ok)]
 
 
 @given(records)

@@ -170,14 +170,14 @@ class TestRegistry:
         analyzer, _ = make_analyzer()
         obj = FakeObject(42)
         analyzer.register(obj)
-        assert analyzer.lookup(42) is obj
+        assert analyzer._registry.get(42) is obj
 
     def test_forget(self):
         analyzer, _ = make_analyzer()
         obj = FakeObject(42)
         analyzer.register(obj)
         analyzer.forget(42)
-        assert analyzer.lookup(42) is None
+        assert analyzer._registry.get(42) is None
 
 
 def held_entries(analyzer):

@@ -456,7 +456,7 @@ class TestFlushBatch:
             ("pass", Bundle, [Attr.NAME, Attr.PID]),
             ("pass", Bundle, [Attr.NAME, Attr.INPUT])]
         assert dist.records_flushed == 4 and dist.flush_calls == 2
-        assert dist.cached_pnodes() == []
+        assert dist._cache == {}
         assert dist.discard(parent.pnode) == 0
 
 

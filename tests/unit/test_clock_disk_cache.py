@@ -31,9 +31,7 @@ class TestClock:
         clock.advance(1.0, "disk_read")
         clock.advance(2.0, "user_cpu")
         clock.advance(0.5, "disk_read")
-        assert clock.category("disk_read") == 1.5
         assert clock.breakdown() == {"disk_read": 1.5, "user_cpu": 2.0}
-        assert clock.category("missing") == 0.0
 
     def test_stopwatch(self):
         clock = SimClock()
@@ -83,9 +81,9 @@ class TestDisk:
     def test_clustered_write_does_not_move_head(self):
         clock, disk = self.make()
         disk.write(5000, 4096)
-        head = disk.head
+        head = disk._head
         disk.clustered_write(8192, barrier=0.001)
-        assert disk.head == head
+        assert disk._head == head
 
     def test_clustered_write_cost(self):
         clock, disk = self.make()
@@ -125,34 +123,35 @@ class TestDisk:
         assert disk.bytes_read == 500
 
 
+def page(block):
+    """One block as the run list ``read`` and ``write`` take."""
+    return [range(block, block + 1)]
+
+
 class TestPageCacheUnit:
     def test_miss_then_hit(self):
         cache = PageCache(CacheParams(capacity_pages=4))
-        assert not cache.lookup(1, 0)
-        cache.insert(1, 0)
-        assert cache.lookup(1, 0)
+        assert cache.read(1, page(0)) == [(0, 1)]    # the miss brings it in
+        assert cache.read(1, page(0)) == []
         assert cache.hits == 1 and cache.misses == 1
 
     def test_eviction_order(self):
         cache = PageCache(CacheParams(capacity_pages=2))
-        cache.insert(1, 0)
-        cache.insert(1, 1)
-        cache.lookup(1, 0)           # refresh 0
-        cache.insert(1, 2)           # evicts 1
-        assert cache.lookup(1, 0)
-        assert not cache.lookup(1, 1)
-        assert cache.lookup(1, 2)
+        cache.write(1, page(0))
+        cache.write(1, page(1))
+        assert cache.read(1, page(0)) == []          # refresh 0
+        cache.write(1, page(2))                      # evicts 1
+        assert blocks_of(cache) == [0, 2]
 
     def test_shrink_evicts(self):
         cache = PageCache(CacheParams(capacity_pages=10))
         for block in range(10):
-            cache.insert(1, block)
+            cache.write(1, page(block))
         cache.shrink(0.5)
         assert len(cache) == 5
-        assert cache.capacity == 5
+        assert cache._capacity == 5
         # The *oldest* pages went.
-        assert not cache.lookup(1, 0)
-        assert cache.lookup(1, 9)
+        assert blocks_of(cache) == [5, 6, 7, 8, 9]
 
     def test_shrink_bad_factor(self):
         cache = PageCache()
@@ -163,18 +162,17 @@ class TestPageCacheUnit:
 
     def test_invalidate_volume(self):
         cache = PageCache(CacheParams(capacity_pages=10))
-        cache.insert(1, 0)
-        cache.insert(2, 0)
+        cache.write(1, page(0))
+        cache.write(2, page(0))
         cache.invalidate_volume(1)
-        assert not cache.lookup(1, 0)
-        assert cache.lookup(2, 0)
+        assert list(cache.lru_order()) == [(2, 0)]
 
 
 def cache_holding(capacity, blocks, volume_id=1):
     """A cache whose LRU order is exactly ``blocks``, oldest first."""
     cache = PageCache(CacheParams(capacity_pages=capacity))
     for block in blocks:
-        cache.insert(volume_id, block)
+        cache.write(volume_id, page(block))
     assert blocks_of(cache) == list(blocks) and cache.evictions == 0
     return cache
 
@@ -188,16 +186,16 @@ class TestPageCacheRuns:
 
     def test_write_is_one_pass_then_one_eviction_check(self):
         """The contract the pins were recorded with: same final order
-        as ``insert`` per block, but *not* the same eviction count."""
+        as one write per block, but *not* the same eviction count."""
         cache = cache_holding(3, [5, 1, 2])
         cache.write(1, [range(4, 6)])
         assert blocks_of(cache) == [2, 4, 5]
         assert cache.evictions == 1          # page 1; 5 was only moved
-        per_insert = cache_holding(3, [5, 1, 2])
-        per_insert.insert(1, 4)              # evicts 5 ...
-        per_insert.insert(1, 5)              # ... and brings it back
-        assert blocks_of(per_insert) == [2, 4, 5]
-        assert per_insert.evictions == 2
+        per_block = cache_holding(3, [5, 1, 2])
+        per_block.write(1, page(4))          # evicts 5 ...
+        per_block.write(1, page(5))          # ... and brings it back
+        assert blocks_of(per_block) == [2, 4, 5]
+        assert per_block.evictions == 2
 
     def test_write_retouches_its_own_earlier_pages(self):
         cache = PageCache(CacheParams(capacity_pages=8))
@@ -252,7 +250,7 @@ class TestPageCacheRuns:
         obs = Observability()
         cache = PageCache(CacheParams(capacity_pages=64), obs=obs)
         cache.write(1, [range(0, 30)])
-        cache.lookup(1, 10)                  # splits the run in three
+        assert cache.read(1, page(10)) == []  # splits the run in three
         counters = obs.stats()["cache"]["counters"]
         assert counters["pages"] == 30
         assert counters["runs"] == 3
@@ -268,7 +266,7 @@ class TestStateGrowth:
         cache.write(1, [range(0, capacity)])
         rng = random.Random(23)
         for _ in range(100_000):
-            assert cache.lookup(1, rng.randrange(capacity))
+            assert cache.read(1, page(rng.randrange(capacity))) == []
         assert (cache.hits, cache.evictions, len(cache)) == (100_000, 0,
                                                              capacity)
         runs = len(cache._starts)

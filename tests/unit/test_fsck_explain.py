@@ -10,6 +10,10 @@ from repro.storage.database import ProvenanceDatabase
 from repro.storage.fsck import fsck
 
 
+def findings(report, check):
+    return [finding for finding in report.findings if finding.check == check]
+
+
 def R(pnode, version, attr, value):
     return ProvenanceRecord(ObjectRef(pnode, version), attr, value)
 
@@ -63,14 +67,14 @@ class TestFsckFindings:
             R(2, 0, Attr.INPUT, ObjectRef(1, 0)),
         ])
         report = fsck([db])
-        assert report.by_check("cycle")
+        assert findings(report, "cycle")
 
     def test_missing_prev_version(self):
         db = healthy_db()
         db.insert(R(5, 2, Attr.TYPE, ObjType.FILE))
         report = fsck([db])
-        assert report.by_check("version-chain")
-        assert report.by_check("version-gap")
+        assert findings(report, "version-chain")
+        assert findings(report, "version-gap")
 
     def test_wrong_prev_version_target(self):
         db = ProvenanceDatabase()
@@ -81,19 +85,19 @@ class TestFsckFindings:
         ])
         report = fsck([db])
         assert any("expected" in str(finding)
-                   for finding in report.by_check("version-chain"))
+                   for finding in findings(report, "version-chain"))
 
     def test_dangling_reference(self):
         db = healthy_db()
         db.insert(R(3, 1, Attr.INPUT, ObjectRef(999, 0)))
         report = fsck([db])
-        assert report.by_check("dangling-ref")
+        assert findings(report, "dangling-ref")
 
     def test_future_version_reference(self):
         db = healthy_db()
         db.insert(R(3, 1, Attr.INPUT, ObjectRef(1, 7)))
         report = fsck([db])
-        assert report.by_check("dangling-ref")
+        assert findings(report, "dangling-ref")
 
     def test_missing_type(self):
         db = ProvenanceDatabase()
@@ -102,13 +106,13 @@ class TestFsckFindings:
             R(9, 0, Attr.INPUT, ObjectRef(1, 0)),    # untyped subject
         ])
         report = fsck([db])
-        assert report.by_check("missing-type")
+        assert findings(report, "missing-type")
 
     def test_framing_leak(self):
         db = healthy_db()
         db.insert(R(1, 0, Attr.BEGINTXN, 3))
         report = fsck([db])
-        assert report.by_check("framing-leak")
+        assert findings(report, "framing-leak")
 
 
 class TestExplainDependency:

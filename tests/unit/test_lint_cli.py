@@ -55,6 +55,13 @@ class TestLintCommand:
         assert main(["lint", str(bad)]) == 1
         assert "PL201" in capsys.readouterr().out
 
+    def test_unparseable_module_fails_strict(self, tmp_path, capsys):
+        pkg = tmp_path / "repro" / "apps"
+        pkg.mkdir(parents=True)
+        (pkg / "broken.py").write_text("def broken(:\n")
+        assert main(["lint", "--strict", str(pkg)]) == 1
+        assert "PL200" in capsys.readouterr().out
+
     def test_nothing_to_check_is_usage_error(self, capsys):
         assert main(["lint"]) == 2
 
@@ -66,6 +73,7 @@ class TestLintCommand:
         assert main(["lint", "--rules"]) == 0
         out = capsys.readouterr().out
         assert "PL101" in out and "PL201" in out and "PL303" in out
+        assert "PL200" in out
         assert "PL301" not in out
 
     def test_target_outside_repro_is_usage_error(self, tmp_path, capsys):

@@ -62,7 +62,8 @@ class TestReport:
 
     def test_by_code(self):
         report = self.make()
-        assert [d.message for d in report.by_code("PL107")] == ["closure"]
+        assert [d.message for d in report.diagnostics
+                if d.code == "PL107"] == ["closure"]
 
     def test_text_reporter(self):
         text = render_text(self.make())

@@ -70,6 +70,13 @@ RULE_CASES = [
     ("PL210", "repro.pql.badpql",
      "import repro.storage.database\n",
      "from repro.lint.pqlcheck import Vocabulary\n"),
+    # Record names are whole words of the variable name, not fragments.
+    ("PL206", "repro.kernel.x",
+     "def f(rec, v):\n    rec.value = v\n",
+     "def f(direction, v):\n    direction.value = v\n"),
+    ("PL206", "repro.kernel.x",
+     "def f(protos, v):\n    protos.value = v\n",
+     "def f(reception, v):\n    reception.attr = v\n"),
 ]
 
 
@@ -145,7 +152,7 @@ class TestBoundaries:
 
     def test_unparseable_module_is_reported_not_raised(self):
         found = check_source("def broken(:\n", "repro.apps.badapp")
-        assert [d.code for d in found] == ["PL203"]
+        assert [d.code for d in found] == ["PL200"]
         assert found[0].line == 1
 
 

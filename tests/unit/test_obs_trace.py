@@ -29,7 +29,7 @@ class TestNesting:
         with tracer.span("outer"):
             with tracer.span("inner"):
                 pass
-        assert [s.name for s in tracer.spans()] == ["inner", "outer"]
+        assert [s["name"] for s in tracer.export()["spans"]] == ["inner", "outer"]
 
     def test_siblings_share_a_parent(self):
         tracer = Tracer(enabled=True)
@@ -78,7 +78,7 @@ class TestRing:
         for i in range(5):
             with tracer.span(f"s{i}"):
                 pass
-        assert [s.name for s in tracer.spans()] == ["s2", "s3", "s4"]
+        assert [s["name"] for s in tracer.export()["spans"]] == ["s2", "s3", "s4"]
 
     def test_evictions_are_counted_as_drops(self):
         tracer = Tracer(enabled=True, capacity=3)
@@ -100,7 +100,7 @@ class TestRing:
         with tracer.span("gone"):
             pass
         tracer.reset()
-        assert tracer.spans() == []
+        assert tracer.export()["spans"] == []
 
     def test_reset_zeroes_the_drop_count(self):
         tracer = Tracer(enabled=True, capacity=1)
@@ -158,4 +158,4 @@ class TestDisabled:
     def test_null_span_is_inert(self):
         with NULL_SPAN as span:
             span.tag("k", "v")        # accepted, discarded
-        assert Tracer(enabled=False).spans() == []
+        assert Tracer(enabled=False).export()["spans"] == []

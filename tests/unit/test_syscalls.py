@@ -201,7 +201,7 @@ class TestProcesses:
 
         baseline.register_program("/pass/bin/leaky", leaky)
         proc = baseline.run("/pass/bin/leaky")
-        assert proc.open_fds() == []
+        assert proc._fds == {}
 
     def test_stdin_stdout_inheritance(self, baseline):
         def producer(sc):

