@@ -172,11 +172,6 @@ class CrashPointResult:
     idempotent: bool
     db_records: int
 
-    @property
-    def ok(self) -> bool:
-        return (self.fired and not self.wap_violations
-                and self.idempotent and self.fsck_findings == 0)
-
 
 @dataclass
 class ExplorerReport:

@@ -17,8 +17,8 @@ cost something.  This package rejects them before they run:
   boundary (PL303).
 
 Diagnostics carry ``PL###`` codes (PL1xx = PQL, PL2xx and PL303 =
-source tree) and come in two severities; reporters render them as
-text or JSON.  The package re-exports only the diagnostics; each
+source tree) and come in two severities; the reporter renders them
+as text.  The package re-exports only the diagnostics; each
 analyzer is imported from its own module, so a PQL query loads
 :mod:`~repro.lint.pqlcheck` and not the source-tree checker.
 """
@@ -30,7 +30,6 @@ from repro.lint.diagnostics import (
     LintReport,
     Rule,
     all_rules,
-    render_json,
     render_text,
     rule,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "LintReport",
     "Rule",
     "all_rules",
-    "render_json",
     "render_text",
     "rule",
 ]

@@ -1,4 +1,4 @@
-"""Diagnostics framework: rule registry, severities, reporters.
+"""Diagnostics framework: rule registry, severities, the reporter.
 
 Every check in :mod:`repro.lint` is a registered :class:`Rule` with a
 stable ``PL###`` code.  Codes in the PL1xx range are PQL query checks;
@@ -7,12 +7,11 @@ one PL3xx code) guards batches handed across a layer boundary; both
 run one module at a time.  Analyzers emit :class:`Diagnostic`
 instances through :meth:`Rule.at`, so a diagnostic can never reference
 an unregistered code and the registry doubles as the documentation
-table (``repro lint --rules``).
+table (:func:`all_rules`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 #: Severities, in increasing order of gravity.  Only ``ERROR`` blocks
@@ -30,7 +29,7 @@ class Rule:
     code: str                  # "PL101"
     severity: str              # WARNING | ERROR
     title: str                 # short imperative summary
-    detail: str = ""           # one-paragraph description for --rules
+    detail: str = ""           # one-paragraph description
 
     def at(self, message: str, source: str = "<query>",
            line: int = 0, column: int = 0) -> "Diagnostic":
@@ -80,16 +79,6 @@ class Diagnostic:
             where = f"{where}:{self.line}:{self.column}"
         return f"{where}: {self.severity} {self.code}: {self.message}"
 
-    def to_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "severity": self.severity,
-            "message": self.message,
-            "source": self.source,
-            "line": self.line,
-            "column": self.column,
-        }
-
 
 @dataclass
 class LintReport:
@@ -122,7 +111,7 @@ class LintReport:
                 f"{status}")
 
 
-# -- reporters ---------------------------------------------------------------
+# -- reporter ----------------------------------------------------------------
 
 
 def render_text(report: LintReport) -> str:
@@ -130,14 +119,3 @@ def render_text(report: LintReport) -> str:
     lines = [str(d) for d in report.diagnostics]
     lines.append(str(report))
     return "\n".join(lines)
-
-
-def render_json(report: LintReport) -> str:
-    """Machine-readable report for CI consumers."""
-    return json.dumps({
-        "ok": report.ok,
-        "targets_checked": report.targets_checked,
-        "errors": len(report.errors),
-        "warnings": len(report.warnings),
-        "diagnostics": [d.to_dict() for d in report.diagnostics],
-    }, indent=2, sort_keys=True)

@@ -6,18 +6,17 @@
 :class:`Observability` instance belongs to each simulated machine
 (:class:`repro.kernel.kernel.Kernel`) and carries:
 
-* :class:`~repro.obs.metrics.MetricsRegistry` -- counters, gauges, and
+* :class:`~repro.obs.metrics.MetricsRegistry` -- counters and
   histograms keyed by Figure-2 layer (and volume where relevant);
 * :class:`~repro.obs.trace.Tracer` -- nestable spans over simulated and
-  wall clocks, collected in a ring buffer, exportable as JSON;
+  wall clocks, collected in a ring buffer;
 * :class:`~repro.obs.journal.EventJournal` -- bounded, sampled,
   trace-correlated events from the hot-path seams (group commits,
   drains, recovery, fault firings) plus the slow-query log.
 
 The export-and-analysis half (passview) sits beside them, still inside
 the leaf: :mod:`repro.obs.export` (Chrome trace / Prometheus text /
-collapsed stacks), :mod:`repro.obs.rollup` (dimension rollups), and
-:mod:`repro.obs.health` (SLO verdicts).
+collapsed stacks) and :mod:`repro.obs.health` (SLO verdicts).
 
 Components that are wired without an explicit handle fall back to
 :data:`NULL_OBS`, a shared disabled instance, so instrumentation sites
@@ -45,7 +44,7 @@ LAYERS = FIGURE2_LAYERS + AUX_LAYERS
 
 
 class Observability:
-    """One machine's metrics + tracer + journal, with shared toggles."""
+    """One machine's metrics + tracer + journal."""
 
     def __init__(self, metrics_enabled: bool = True,
                  trace_enabled: bool = False,
@@ -57,23 +56,6 @@ class Observability:
         self.journal = EventJournal(enabled=journal_enabled,
                                     sim_now=sim_now)
         self.journal.bind_tracer(self.tracer)
-
-    # -- toggles ---------------------------------------------------------------
-
-    def enable(self, tracing: Optional[bool] = None,
-               journal: Optional[bool] = None) -> None:
-        """Turn on metrics (and optionally set tracing / the journal)."""
-        self.metrics.enabled = True
-        if tracing is not None:
-            self.tracer.enabled = tracing
-        if journal is not None:
-            self.journal.enabled = journal
-
-    def disable(self) -> None:
-        """Turn off metrics, tracing, and the journal."""
-        self.metrics.enabled = False
-        self.tracer.enabled = False
-        self.journal.enabled = False
 
     def bind_clock(self, sim_now: Callable[[], float]) -> None:
         """Give spans and journal events access to the machine's
@@ -117,7 +99,7 @@ class Observability:
                                     rows=rows, plan=plan, shape=shape)
 
     def stats(self) -> dict:
-        """The metrics snapshot (layer -> counters/gauges/histograms)."""
+        """The metrics snapshot (layer -> counters/histograms)."""
         return self.metrics.snapshot()
 
     def trace(self) -> list[dict]:

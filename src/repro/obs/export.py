@@ -5,7 +5,7 @@ Three formats, all deterministic (same snapshot in, same bytes out):
 * :func:`chrome_trace` -- the Chrome trace-event JSON format ("X"
   complete events), loadable in ``chrome://tracing`` and Perfetto;
 * :func:`prometheus_text` -- the Prometheus text exposition format
-  (version 0.0.4): counters, gauges, and histogram summaries with
+  (version 0.0.4): counters and histogram summaries with
   ``quantile`` labels, names and label values escaped per the spec;
 * :func:`collapsed_stacks` -- semicolon-collapsed stack lines
   aggregated from the span tree (Brendan Gregg's folded format), the
@@ -140,7 +140,6 @@ def prometheus_text(snapshot: dict, prefix: str = PROM_PREFIX) -> str:
     """
     lines: list[str] = []
     counters: dict[str, list[str]] = {}
-    gauges: dict[str, list[str]] = {}
     summaries: dict[str, list[str]] = {}
 
     def walk(layer: str, section: dict, volume: str | None) -> None:
@@ -150,10 +149,6 @@ def prometheus_text(snapshot: dict, prefix: str = PROM_PREFIX) -> str:
         for name, value in sorted(section.get("counters", {}).items()):
             metric = prom_name(prefix, name)
             counters.setdefault(metric, []).append(
-                f"{metric}{_labels(labels)} {_format_value(value)}")
-        for name, value in sorted(section.get("gauges", {}).items()):
-            metric = prom_name(prefix, name)
-            gauges.setdefault(metric, []).append(
                 f"{metric}{_labels(labels)} {_format_value(value)}")
         for name, summ in sorted(section.get("histograms", {}).items()):
             metric = prom_name(prefix, name)
@@ -177,9 +172,6 @@ def prometheus_text(snapshot: dict, prefix: str = PROM_PREFIX) -> str:
     for metric in sorted(counters):
         lines.append(f"# TYPE {metric} counter")
         lines.extend(sorted(counters[metric]))
-    for metric in sorted(gauges):
-        lines.append(f"# TYPE {metric} gauge")
-        lines.extend(sorted(gauges[metric]))
     for metric in sorted(summaries):
         lines.append(f"# TYPE {metric} summary")
         lines.extend(sorted(summaries[metric]))
@@ -234,31 +226,3 @@ def collapsed_stacks(spans: list[dict], clock: str = "wall") -> str:
         folded[path] = folded.get(path, 0) + micros
     lines = [f"{path} {value}" for path, value in sorted(folded.items())]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def profile_table(spans: list[dict], clock: str = "wall",
-                  top: int = 20) -> str:
-    """Human-readable self-time profile: top frames by aggregated self
-    time, with counts -- the quick-look view ``repro profile`` prints."""
-    elapsed_key = "wall_elapsed" if clock == "wall" else "sim_elapsed"
-    by_id = {span["span_id"]: span for span in spans}
-    child_time: dict[int, float] = {}
-    for span in spans:
-        parent = span.get("parent_id")
-        if parent in by_id:
-            child_time[parent] = child_time.get(parent, 0.0) \
-                + span.get(elapsed_key, 0.0)
-    totals: dict[str, tuple[float, int]] = {}
-    for span in spans:
-        frame = f"{span.get('layer') or '-'}:{span['name']}"
-        self_time = span.get(elapsed_key, 0.0) \
-            - child_time.get(span["span_id"], 0.0)
-        seconds, count = totals.get(frame, (0.0, 0))
-        totals[frame] = (seconds + max(0.0, self_time), count + 1)
-    grand = sum(seconds for seconds, _ in totals.values()) or 1.0
-    rows = sorted(totals.items(), key=lambda item: (-item[1][0], item[0]))
-    lines = [f"{'frame':40s}{'self':>12s}{'%':>7s}{'count':>8s}"]
-    for frame, (seconds, count) in rows[:top]:
-        lines.append(f"{frame:40s}{seconds * 1e3:>10.3f}ms"
-                     f"{100.0 * seconds / grand:>6.1f}%{count:>8d}")
-    return "\n".join(lines)

@@ -96,9 +96,11 @@ def evaluate_health(snapshot: dict, dropped_spans: int = 0,
     """Check the telemetry against the SLO policy.
 
     ``snapshot`` is a metrics snapshot; ``crashtest`` an optional
-    ``repro crashtest --json`` report -- absent, its check is marked ok
-    with a "not supplied" detail rather than failing, so the verdict
-    composes with whatever artifacts a CI job actually produced.
+    ``repro crashtest`` report -- absent, its check is marked ok with a
+    "not supplied" detail rather than failing, so the verdict composes
+    with whatever artifacts a CI job actually produced.  A report
+    without a ``totals.wap_violations`` count fails the check: it
+    proves nothing about write-ahead provenance.
     """
     slos = slos or SLOPolicy()
     verdict = HealthVerdict()
@@ -126,11 +128,17 @@ def evaluate_health(snapshot: dict, dropped_spans: int = 0,
         slos.max_query_p99_s, "pql execute_wall_s p99"))
 
     if crashtest is not None:
-        violations = crashtest.get("totals", {}).get("wap_violations", 0)
+        totals = crashtest.get("totals") if isinstance(crashtest, dict) \
+            else None
+        violations = totals.get("wap_violations") \
+            if isinstance(totals, dict) else None
+        counted = type(violations) is int
         checks.append(HealthCheck(
-            "wap_violations", violations <= slos.max_wap_violations,
+            "wap_violations",
+            counted and violations <= slos.max_wap_violations,
             violations, slos.max_wap_violations,
-            "crash points that broke write-ahead provenance"))
+            "crash points that broke write-ahead provenance" if counted
+            else "crashtest report has no totals.wap_violations count"))
     else:
         checks.append(HealthCheck(
             "wap_violations", True, None, slos.max_wap_violations,

@@ -44,10 +44,6 @@ SAMPLE_INTERVAL = 1
 #: are journaled with their compiled plan and cache-hit status.
 SLOW_QUERY_THRESHOLD_S = 0.050
 
-#: Slow-query entries retained (they ride in their own bounded list so
-#: a storm of slow queries cannot evict unrelated journal history).
-SLOW_QUERY_CAPACITY = 256
-
 
 class EventJournal:
     """Bounded, sampled event ring with trace/span correlation."""
@@ -68,7 +64,6 @@ class EventJournal:
         #: Observability so events correlate with open spans.
         self._tracer = None
         self._events: deque[dict] = deque(maxlen=capacity)
-        self._slow_queries: deque[dict] = deque(maxlen=SLOW_QUERY_CAPACITY)
         self._seq = 0
         self._seen_by_kind: dict[str, int] = {}
         # Statistics (exposed via stats(), harvestable as a collector).
@@ -136,8 +131,7 @@ class EventJournal:
         ``text`` is the query as the caller wrote it, ``shape`` its
         plan-cache key (literals lifted out), ``plan`` a compact
         rendering of the compiled plan, ``cache_hit`` whether
-        the plan cache served it.  Slow queries bypass sampling and are
-        additionally retained in their own bounded list.
+        the plan cache served it.  Slow queries bypass sampling.
         """
         if not self.enabled or wall_s < self.slow_query_threshold_s:
             return None
@@ -146,7 +140,6 @@ class EventJournal:
                           cache_hit=cache_hit, rows=rows)
         if event is not None:
             self.slow_queries_recorded += 1
-            self._slow_queries.append(event)
         return event
 
     # -- reads -----------------------------------------------------------------
@@ -156,10 +149,6 @@ class EventJournal:
         if kind is None:
             return list(self._events)
         return [event for event in self._events if event["kind"] == kind]
-
-    def slow_queries(self) -> list[dict]:
-        """Retained slow-query entries, oldest first."""
-        return list(self._slow_queries)
 
     def stats(self) -> dict:
         """Journal bookkeeping counters (flat, collector-shaped)."""
@@ -176,23 +165,6 @@ class EventJournal:
         keys -- byte-identical across exports of the same ring)."""
         return "".join(json.dumps(event, sort_keys=True, default=str) + "\n"
                        for event in self._events)
-
-    def dump(self, path: str) -> int:
-        """Write the JSONL export to ``path``; returns events written."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_jsonl())
-        return len(self._events)
-
-    def reset(self) -> None:
-        """Drop retained events and zero the bookkeeping counters."""
-        self._events.clear()
-        self._slow_queries.clear()
-        self._seen_by_kind.clear()
-        self._seq = 0
-        self.events_emitted = 0
-        self.events_sampled_out = 0
-        self.events_dropped = 0
-        self.slow_queries_recorded = 0
 
     def __repr__(self) -> str:
         state = "on" if self.enabled else "off"

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and histograms keyed by layer.
+"""Metrics registry: counters and histograms keyed by layer.
 
 The registry is the numeric half of :mod:`repro.obs`.  It answers the
 question the paper's Figure 2 poses but the reproduction could not:
@@ -121,7 +121,6 @@ class MetricsRegistry:
         #: (layer, volume-or-None, name) -> number.  Flat dicts keep the
         #: enabled hot path to one update.
         self._counters: dict[tuple, float] = {}
-        self._gauges: dict[tuple, float] = {}
         self._histograms: dict[tuple, Histogram] = {}
         self._collectors: dict[tuple[str, Optional[str]], list[Collector]] = {}
         #: Layers that must appear in every snapshot even when silent
@@ -154,13 +153,6 @@ class MetricsRegistry:
         counters = self._counters
         counters[key] = counters.get(key, 0) + n
 
-    def set_gauge(self, layer: str, name: str, value: float,
-                  volume: Optional[str] = None) -> None:
-        """Set a point-in-time value."""
-        if not self.enabled:
-            return
-        self._gauges[(layer, volume, name)] = value
-
     def observe(self, layer: str, name: str, value: float,
                 volume: Optional[str] = None) -> None:
         """Record one histogram observation."""
@@ -175,7 +167,7 @@ class MetricsRegistry:
     # -- reads -----------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Nested view: layer -> counters/gauges/histograms (+ volumes).
+        """Nested view: layer -> counters/histograms (+ volumes).
 
         Collector output and per-volume metrics are folded into the
         layer-wide counter totals; per-volume breakdowns appear under
@@ -188,12 +180,12 @@ class MetricsRegistry:
         layers: dict[str, dict] = {}
 
         def section(layer: str, volume: Optional[str]) -> dict:
-            top = layers.setdefault(layer, {"counters": {}, "gauges": {},
+            top = layers.setdefault(layer, {"counters": {},
                                             "histograms": {}})
             if volume is None:
                 return top
             per_vol = top.setdefault("volumes", {})
-            return per_vol.setdefault(volume, {"counters": {}, "gauges": {},
+            return per_vol.setdefault(volume, {"counters": {},
                                                "histograms": {}})
 
         def fold_counter(layer: str, volume: Optional[str],
@@ -212,21 +204,9 @@ class MetricsRegistry:
             for collector in collectors:
                 for name, value in collector().items():
                     fold_counter(layer, volume, name, value)
-        for (layer, volume, name), value in self._gauges.items():
-            section(layer, volume)["gauges"][name] = value
-            if volume is not None:
-                section(layer, None)["gauges"].setdefault(name, 0)
-                section(layer, None)["gauges"][name] += value
         for (layer, volume, name), histogram in self._histograms.items():
             section(layer, volume)["histograms"][name] = histogram.summary()
             if volume is not None:
                 section(layer, None)["histograms"].setdefault(
                     name, histogram.summary())
         return layers
-
-    def reset(self) -> None:
-        """Zero every counter/gauge/histogram (collectors stay bound;
-        their sources are the layers' own statistics)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()

@@ -11,7 +11,7 @@ drain, a PQL evaluation) on *both* clocks that matter here:
 Spans nest: entering a span makes it the parent of spans opened inside
 it, so a trace of ``system.sync`` shows the Lasagna flushes and Waldo
 drains it triggered as children.  Finished spans land in a bounded ring
-buffer per :class:`Tracer` (per machine), exportable as JSON.
+buffer per :class:`Tracer` (per machine), exportable as dicts.
 
 Tracing is off by default.  A disabled tracer hands out one shared
 no-op span, so instrumented code pays a single branch.
@@ -20,7 +20,6 @@ no-op span, so instrumented code pays a single branch.
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from collections import deque
 from typing import Callable, Optional
@@ -192,13 +191,3 @@ class Tracer:
             "spans": [span.to_dict() for span in self._finished],
             "dropped_spans": self.dropped_spans,
         }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The exported trace as a JSON document."""
-        return json.dumps(self.export(), indent=indent, default=str)
-
-    def reset(self) -> None:
-        """Drop all finished spans (open spans keep running) and zero
-        the drop count."""
-        self._finished.clear()
-        self.dropped_spans = 0

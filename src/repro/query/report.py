@@ -1,16 +1,16 @@
-"""Provenance reports: human-readable ancestry trees and DOT export.
+"""Provenance reports: human-readable ancestry trees and record sheets.
 
 The paper notes that "PQL queries, if not posed carefully, can result in
 information overload" (section 5.7).  These helpers render bounded,
 readable views of the graph: an indented ancestry tree with cycles
-impossible (the store is a DAG) and repetition folded, and a Graphviz
-DOT rendering for figures.  Like the helpers, they walk an
+impossible (the store is a DAG) and repetition folded, and one
+object's record sheet.  Like the helpers, they walk an
 :class:`~repro.pql.oem.OEMGraph`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr
@@ -64,56 +64,6 @@ def ancestry_tree(graph: "OEMGraph", ref: ObjectRef,
             walk(parent, depth + 1)
 
     walk(ref, 0)
-    return "\n".join(lines)
-
-
-def to_dot(graph: "OEMGraph", roots: Iterable[ObjectRef],
-           max_nodes: int = 200,
-           direction: str = "ancestors") -> str:
-    """Graphviz DOT for the provenance reachable from ``roots``.
-
-    ``direction`` is "ancestors" (follow dependency edges) or
-    "descendants" (reverse edges -- taint view).
-    """
-    if direction not in ("ancestors", "descendants"):
-        raise ValueError(f"unknown direction {direction!r}")
-    nodes: dict[ObjectRef, str] = {}
-    edges: list[tuple[ObjectRef, ObjectRef, str]] = []
-    frontier = list(roots)
-    while frontier and len(nodes) < max_nodes:
-        ref = frontier.pop(0)
-        if ref in nodes:
-            continue
-        nodes[ref] = _label(graph, ref)
-        node = graph.node(ref)
-        if node is None:
-            continue
-        for label, targets in node.edges.items():
-            if label in ANCESTRY_LABELS:
-                for target in targets:
-                    edges.append((ref, target.ref, label))
-                    if direction == "ancestors":
-                        frontier.append(target.ref)
-        if direction == "descendants":
-            for label, sources in node.redges.items():
-                if label in ANCESTRY_LABELS:
-                    for source in sources:
-                        edges.append((source.ref, ref, label))
-                        frontier.append(source.ref)
-
-    def node_id(ref: ObjectRef) -> str:
-        return f"n{ref.pnode}_{ref.version}"
-
-    lines = ["digraph provenance {", "  rankdir=BT;",
-             '  node [shape=box, fontname="Helvetica"];']
-    for ref, label in nodes.items():
-        escaped = label.replace('"', r"\"")
-        lines.append(f'  {node_id(ref)} [label="{escaped}"];')
-    for src, dst, label in edges:
-        if src in nodes and dst in nodes:
-            lines.append(f"  {node_id(src)} -> {node_id(dst)} "
-                         f'[label="{label}"];')
-    lines.append("}")
     return "\n".join(lines)
 
 

@@ -59,7 +59,7 @@ class FsckReport:
                 f"{self.records_checked} records, {status}")
 
     def to_dict(self) -> dict:
-        """JSON-ready summary (the CLI's ``fsck --json`` reporter)."""
+        """JSON-ready summary (what ``repro fsck`` prints)."""
         return {
             "clean": self.clean,
             "objects_checked": self.objects_checked,

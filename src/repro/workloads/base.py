@@ -36,9 +36,6 @@ class WorkloadResult:
     index_bytes: int = 0            # index size (Table 3 col 3 delta)
     stats: dict = field(default_factory=dict)
     breakdown: dict = field(default_factory=dict)
-    #: Per-layer observability snapshot of the measured machine
-    #: (layer -> counters/gauges/histograms; see docs/OBSERVABILITY.md).
-    layer_metrics: dict = field(default_factory=dict)
     #: Real seconds ``workload.run`` took (``run_local`` only): what the
     #: simulator itself costs, beside the simulated ``elapsed``.
     wall_s: float = 0.0
@@ -46,11 +43,6 @@ class WorkloadResult:
     @property
     def provenance_total(self) -> int:
         return self.provenance_bytes + self.index_bytes
-
-    def layer_counters(self) -> dict:
-        """Compact {layer: {counter: value}} view of ``layer_metrics``."""
-        return {layer: dict(section.get("counters", {}))
-                for layer, section in self.layer_metrics.items()}
 
 
 def overhead_pct(base: WorkloadResult, testable: WorkloadResult) -> float:
@@ -109,7 +101,6 @@ def run_local(workload: Workload, provenance: bool,
         sizes = system.tier.sizes("pass")
         result.provenance_bytes = sizes["database"]
         result.index_bytes = sizes["indexes"]
-    result.layer_metrics = system.stats()
     return result
 
 
@@ -149,5 +140,4 @@ def run_nfs(workload: Workload, provenance: bool,
         result.provenance_bytes = sizes["database"]
         result.index_bytes = sizes["indexes"]
     result.stats["network_calls"] = network.calls
-    result.layer_metrics = client_sys.stats()
     return result

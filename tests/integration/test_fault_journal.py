@@ -149,7 +149,7 @@ class TestGroupCommitAndPlanCompileEvents:
         text = "select F from Provenance.file as F"
         system.query(text)
         system.query(text)
-        slow = system.obs.journal.slow_queries()
+        slow = system.journal_events("pql.slow_query")
         assert len(slow) == 2
         assert slow[0]["cache_hit"] is False
         assert slow[1]["cache_hit"] is True

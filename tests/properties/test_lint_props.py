@@ -101,8 +101,7 @@ SRC_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
 def _run_check_tree():
     from repro.lint.layercheck import check_tree
 
-    return json.dumps([d.to_dict() for d in check_tree(SRC_ROOT)],
-                      sort_keys=True)
+    return json.dumps([str(d) for d in check_tree(SRC_ROOT)])
 
 
 def test_check_tree_is_deterministic_and_strict_clean():

@@ -292,7 +292,7 @@ def assert_closures_well_formed(view) -> None:
 
 @given(streams, st.integers(0, 60))
 @settings(max_examples=150, deadline=None)
-def test_patched_view_equals_recomputed(stream, cut):
+def test_memoized_closures_equal_fresh_walks(stream, cut):
     """Closures read through the memo of an attached catalog, before
     and after each later splice, equal closures a fresh unattached
     catalog walks on the graph as it is -- node for node, in order."""

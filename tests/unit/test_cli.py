@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import BENCH_SCHEMA, SCENARIOS, main
+from repro.cli import SCENARIOS, main
 from repro.obs import FIGURE2_LAYERS, LAYERS
 
 
@@ -23,16 +23,6 @@ class TestDemoCommand:
         out = capsys.readouterr().out
         assert out.startswith("/pass/result.dat")
         assert "transform" in out
-
-    def test_dot_to_stdout(self, capsys):
-        assert main(["demo", "--scenario", "quickstart", "--dot", "-"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("digraph provenance")
-
-    def test_dot_to_file(self, tmp_path, capsys):
-        target = tmp_path / "graph.dot"
-        assert main(["demo", "--dot", str(target)]) == 0
-        assert target.read_text().startswith("digraph provenance")
 
     def test_no_action_hint(self, capsys):
         assert main(["demo"]) == 0
@@ -60,39 +50,20 @@ class TestDemoCommand:
 
 
 class TestOtherCommands:
-    def test_inspect(self, capsys):
-        assert main(["inspect"]) == 0
-        out = capsys.readouterr().out
-        for component in ("interceptor", "analyzer", "distributor",
-                          "lasagna", "waldo"):
-            assert component in out
-
-    def test_bench_tiny(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--scale", "0.02"]) == 0
-        out = capsys.readouterr().out
-        assert "Linux Compile" in out
-        assert "%" in out
-        assert not list(tmp_path.iterdir())     # writes only to --out
-
-    def test_bench_writes_results_json(self, tmp_path, capsys):
-        target = tmp_path / "table2.json"
-        assert main(["bench", "--scale", "0.02",
-                     "--out", str(target)]) == 0
-        results = json.loads(target.read_text())
-        assert results["schema"] == BENCH_SCHEMA
-        assert results["scale"] == 0.02
-        workload = results["workloads"]["Linux Compile"]
-        for key in ("ext3_elapsed_s", "passv2_elapsed_s", "overhead_pct",
-                    "provenance_bytes", "index_bytes", "layers"):
-            assert key in workload
-        # Per-layer breakdown covers the documented contract keys.
-        for layer in LAYERS:
-            assert layer in workload["layers"]
-
+    # Deleted commands and flags are usage errors: nothing in CI, README
+    # or the examples drove them, and SLOPolicy declares every limit.
     @pytest.mark.parametrize("argv", [
         ["bench", "--suite", "x"], ["bench", "--against", "x"],
-        ["health", "--bench", "x"]])
+        ["health", "--bench", "x"],
+        ["bench"], ["inspect"], ["demo", "--dot", "-"],
+        ["query", "--db", "x", "--explain", "q"],
+        ["lint", "--rules"], ["lint", "--json", "src"],
+        ["lint", "--query", "q"], ["stats", "--rollup", "volume"],
+        ["profile", "--format", "table"], ["profile", "--top", "3"],
+        ["journal", "--jsonl"], ["journal", "--kind", "x"],
+        ["journal", "--slow-ms", "0"], ["health", "--max-p50", "1"],
+        ["health", "--max-p99", "1"], ["health", "--max-dropped-spans", "1"],
+        ["crashtest", "--json"], ["fsck", "--db", "x", "--json"]])
     def test_ratio_suite_flags_are_gone(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -104,8 +75,12 @@ class TestOtherCommands:
         for layer in FIGURE2_LAYERS:
             assert f"== {layer} ==" in out
 
-    def test_stats_json_contract(self, capsys):
-        assert main(["stats", "--json"]) == 0
+    def test_stats_trace_json_contract(self, capsys):
+        # The quickstart metrics contract (docs/OBSERVABILITY.md):
+        # every documented layer key, the Figure-2 ones active, spans
+        # collected with tracing on.
+        assert main(["stats", "--scenario", "quickstart", "--trace",
+                     "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["scenario"] == "quickstart"
         assert payload["simulated_elapsed_s"] > 0
@@ -114,11 +89,22 @@ class TestOtherCommands:
         for layer in FIGURE2_LAYERS:
             counters = payload["layers"][layer]["counters"]
             assert sum(counters.values()) > 0, layer
-
-    def test_stats_with_tracing(self, capsys):
-        assert main(["stats", "--trace", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
         assert payload["spans_collected"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--json"], ["stats"], ["trace", "--json"], ["trace"]],
+        ids=" ".join)
+    def test_out_writes_every_format(self, argv, tmp_path, capsys):
+        target = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(target)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"wrote {target}" in captured.err
+        text = target.read_text()
+        if "--json" in argv:
+            json.loads(text)
+        else:
+            assert "pql" in text
 
     def test_trace_text(self, capsys):
         assert main(["trace"]) == 0
@@ -157,13 +143,6 @@ class TestPassviewCommands:
             _, _, value = line.rpartition(" ")
             float(value)
 
-    def test_stats_rollup_by_volume(self, capsys):
-        assert main(["stats", "--rollup", "volume", "--format",
-                     "json"]) == 0
-        rolled = json.loads(capsys.readouterr().out)
-        assert "pass" in rolled
-        assert rolled["pass"]["counters"]["records_inserted"] > 0
-
     def test_trace_chrome_format(self, capsys):
         assert main(["trace", "--format", "chrome"]) == 0
         document = json.loads(capsys.readouterr().out)
@@ -180,49 +159,50 @@ class TestPassviewCommands:
                      "--out", str(target)]) == 0
         json.loads(target.read_text())
 
-    def test_profile_table(self, capsys):
-        assert main(["profile"]) == 0
-        out = capsys.readouterr().out
-        assert "pql:pql.execute" in out
-        assert "%" in out
-
     def test_profile_collapsed(self, capsys):
-        assert main(["profile", "--format", "collapsed"]) == 0
+        assert main(["profile"]) == 0
         out = capsys.readouterr().out
         assert "waldo:waldo.drain" in out
         for line in out.splitlines():
             int(line.rsplit(" ", 1)[1])
 
-    def test_journal_text(self, capsys):
+    def test_journal_prints_jsonl(self, capsys):
         assert main(["journal"]) == 0
-        captured = capsys.readouterr()
-        assert "waldo.drain" in captured.out
-        assert "events" in captured.err
-
-    def test_journal_jsonl_and_kind_filter(self, capsys):
-        assert main(["journal", "--jsonl", "--kind", "waldo.drain"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines
-        for line in lines:
-            assert json.loads(line)["kind"] == "waldo.drain"
-
-    def test_journal_slow_threshold_zero_records_queries(self, capsys):
-        assert main(["journal", "--jsonl", "--kind", "pql.slow_query",
-                     "--slow-ms", "0"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines
-        event = json.loads(lines[0])
-        assert "cache_hit" in event and "wall_s" in event
+        events = [json.loads(line)
+                  for line in capsys.readouterr().out.splitlines()]
+        kinds = {event["kind"] for event in events}
+        assert {"waldo.drain", "pql.plan_compile"} <= kinds
+        assert [event["seq"] for event in events] == sorted(
+            event["seq"] for event in events)
 
     def test_health_ok(self, capsys):
         assert main(["health"]) == 0
         assert "health: OK" in capsys.readouterr().out
 
-    def test_health_injected_breach_exits_nonzero(self, capsys):
-        assert main(["health", "--max-p99", "0.0"]) == 1
+    def test_health_wap_violation_exits_nonzero(self, tmp_path, capsys):
+        report = tmp_path / "crashtest.json"
+        report.write_text(json.dumps({"totals": {"wap_violations": 1}}))
+        assert main(["health", "--crashtest", str(report)]) == 1
         out = capsys.readouterr().out
         assert "health: FAIL" in out
-        assert "query_p99_s" in out
+        assert "FAIL wap_violations" in out
+
+    def test_health_missing_crashtest_is_usage_error(self, capsys):
+        missing = "/nonexistent/crashtest.json"
+        assert main(["health", "--crashtest", missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert missing in captured.err
+
+    def test_health_crashtest_without_count_fails(self, tmp_path, capsys):
+        report = tmp_path / "crashtest.json"
+        report.write_text(json.dumps({"totals": {}}))
+        assert main(["health", "--crashtest", str(report), "--json"]) == 1
+        verdict = json.loads(capsys.readouterr().out)
+        (check,) = [check for check in verdict["checks"]
+                    if check["name"] == "wap_violations"]
+        assert check["ok"] is False
 
     def test_health_json_verdict(self, capsys):
         assert main(["health", "--json"]) == 0

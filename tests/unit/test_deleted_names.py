@@ -80,6 +80,32 @@ DELETED = [
     ("dead-entry-points", r"syscalls_for|assigned_volume", True,
      SRC_TESTS_BENCH,
      "nothing called them; the distributor's _assigned is read directly"),
+    ("gauges", r"set_gauge|_gauges|\"gauges\"", False, SRC_TESTS_BENCH,
+     "nothing sets a gauge: snapshots hold counters and histograms"),
+    ("snapshot-rollups",
+     r"obs\.rollup|journal_rollup|merge_summaries|\brollup\(",
+     False, SRC_TESTS_BENCH,
+     "one machine, one snapshot: there is no multi-machine merge"),
+    ("profile-table", r"profile_table", True, SRC_TESTS_BENCH,
+     "repro profile prints collapsed stacks only"),
+    ("slow-query-copy", r"_slow_queries|SLOW_QUERY_CAPACITY|slow_queries",
+     True, SRC_TESTS_BENCH,
+     "the journal's one ring holds every pql.slow_query event"),
+    ("bench-command", r"BENCH_SCHEMA|cmd_bench|repro-bench/", False,
+     SRC_TESTS_BENCH,
+     "the paper benches are Table 2's one path"),
+    ("inspect-command", r"cmd_inspect", True, SRC_TESTS_BENCH,
+     "repro stats reports the same component counters"),
+    ("dot-export", r"to_dot|_interesting_outputs", True, SRC_TESTS_BENCH,
+     "no Graphviz export: demo --tree is the rendered ancestry"),
+    ("layer-counters", r"layer_counters|layer_metrics", True,
+     SRC_TESTS_BENCH,
+     "workload results carry no observability snapshot"),
+    ("slo-flags", r"--max-p50|--max-p99|--max-dropped-spans|max_p50"
+     r"|max_p99",
+     False, ("src/repro", "benchmarks/*.py", ".github"),
+     "SLOPolicy's defaults are the one declaration of every limit; "
+     "test_cli.py checks that the CLI rejects the flags"),
 ]
 
 #: (label, pattern, paths, the one number of matching lines allowed)

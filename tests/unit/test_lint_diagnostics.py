@@ -1,10 +1,8 @@
-"""Tests for the diagnostics framework: registry, report, reporters."""
-
-import json
+"""Tests for the diagnostics framework: registry, report, reporter."""
 
 import pytest
 
-from repro.lint import LintReport, all_rules, render_json, render_text
+from repro.lint import LintReport, all_rules, render_text
 from repro.lint.diagnostics import ERROR, WARNING, Diagnostic, rule
 
 
@@ -69,11 +67,3 @@ class TestReport:
         text = render_text(self.make())
         assert "<query>:1:4: error PL101: bad attr" in text
         assert "2 target(s) checked" in text
-
-    def test_json_reporter_round_trips(self):
-        payload = json.loads(render_json(self.make()))
-        assert payload["ok"] is False
-        assert payload["errors"] == 1
-        assert payload["warnings"] == 1
-        assert payload["diagnostics"][0]["code"] == "PL101"
-        assert payload["diagnostics"][0]["line"] == 1

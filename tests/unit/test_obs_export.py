@@ -1,5 +1,4 @@
-"""Unit tests for the exporters (repro.obs.export) and rollups
-(repro.obs.rollup)."""
+"""Unit tests for the exporters (repro.obs.export)."""
 
 import json
 
@@ -9,12 +8,10 @@ from repro.obs.export import (
     chrome_trace,
     chrome_trace_json,
     collapsed_stacks,
-    profile_table,
     prom_label_value,
     prom_name,
     prometheus_text,
 )
-from repro.obs.rollup import journal_rollup, merge_summaries, rollup
 from repro.obs.trace import Tracer
 
 
@@ -32,18 +29,15 @@ def traced_spans():
 SNAPSHOT = {
     "lasagna": {
         "counters": {"flushes": 5, "batch_records": 23},
-        "gauges": {},
         "histograms": {},
         "volumes": {
             "pass": {"counters": {"flushes": 3, "batch_records": 23},
-                     "gauges": {}, "histograms": {}},
-            "export": {"counters": {"flushes": 2},
-                       "gauges": {}, "histograms": {}},
+                     "histograms": {}},
+            "export": {"counters": {"flushes": 2}, "histograms": {}},
         },
     },
     "pql": {
         "counters": {"queries_executed": 4},
-        "gauges": {"plan_cache_size": 2},
         "histograms": {
             "execute_wall_s": {"count": 4, "sum": 0.4, "min": 0.05,
                                "max": 0.2, "mean": 0.1, "p50": 0.08,
@@ -118,7 +112,7 @@ class TestPromEscaping:
     def test_unusual_label_values_survive_exposition(self):
         snapshot = {
             'we"ird\nlayer\\name': {
-                "counters": {"events": 1}, "gauges": {}, "histograms": {},
+                "counters": {"events": 1}, "histograms": {},
             },
         }
         text = prometheus_text(snapshot)
@@ -197,60 +191,3 @@ class TestCollapsedStacks:
 
     def test_empty_input(self):
         assert collapsed_stacks([]) == ""
-
-
-class TestProfileTable:
-    def test_top_frames_render(self):
-        table = profile_table(traced_spans())
-        assert "system:root" in table
-        assert "%" in table.splitlines()[0]
-
-    def test_top_limits_rows(self):
-        table = profile_table(traced_spans(), top=1)
-        assert len(table.splitlines()) == 2      # header + one row
-
-
-class TestRollup:
-    def test_by_layer_uses_folded_totals(self):
-        rolled = rollup(SNAPSHOT, by=("layer",))
-        assert rolled["lasagna"]["counters"]["flushes"] == 5
-        assert rolled["pql"]["counters"]["queries_executed"] == 4
-
-    def test_by_volume_aggregates_across_layers(self):
-        rolled = rollup(SNAPSHOT, by=("volume",))
-        assert rolled["pass"]["counters"]["flushes"] == 3
-        assert rolled["export"]["counters"]["flushes"] == 2
-        # Layers without volumes land under the wildcard.
-        assert rolled["*"]["counters"]["queries_executed"] == 4
-
-    def test_by_layer_and_volume(self):
-        rolled = rollup(SNAPSHOT, by=("layer", "volume"))
-        assert rolled["lasagna/pass"]["counters"]["flushes"] == 3
-        assert rolled["pql/*"]["counters"]["queries_executed"] == 4
-
-    def test_unknown_dimension_raises(self):
-        with pytest.raises(ValueError):
-            rollup(SNAPSHOT, by=("site",))
-
-    def test_histograms_merge_conservatively(self):
-        merged = merge_summaries([
-            {"count": 2, "sum": 1.0, "min": 0.1, "max": 0.9,
-             "mean": 0.5, "p50": 0.5, "p90": 0.8, "p99": 0.9},
-            {"count": 2, "sum": 3.0, "min": 1.0, "max": 2.0,
-             "mean": 1.5, "p50": 1.5, "p90": 1.9, "p99": 2.0},
-        ])
-        assert merged["count"] == 4
-        assert merged["sum"] == 4.0
-        assert merged["min"] == 0.1 and merged["max"] == 2.0
-        assert merged["mean"] == 1.0
-        assert merged["p99"] == 2.0              # max = upper bound
-
-
-class TestJournalRollup:
-    def test_counts_by_kind(self):
-        events = [{"kind": "a", "records": 5},
-                  {"kind": "a", "records": 2},
-                  {"kind": "b"}]
-        rolled = journal_rollup(events, by="kind", value_field="records")
-        assert rolled["a"] == {"events": 2, "records": 7}
-        assert rolled["b"] == {"events": 1}

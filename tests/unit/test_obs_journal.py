@@ -89,15 +89,6 @@ class TestRing:
         # The retained window is the newest events.
         assert [e["seq"] for e in journal.events()] == [3, 4, 5]
 
-    def test_reset_zeroes_everything(self):
-        journal = EventJournal(enabled=True, capacity=1)
-        journal.emit("k")
-        journal.emit("k")
-        journal.reset()
-        assert journal.events() == []
-        stats = journal.stats()
-        assert stats["events_emitted"] == stats["events_dropped"] == 0
-
 
 class TestCorrelation:
     def test_events_carry_the_open_span_ids(self):
@@ -123,7 +114,7 @@ class TestSlowQueries:
     def test_fast_query_not_recorded(self):
         journal = EventJournal(enabled=True, slow_query_threshold_s=0.05)
         assert journal.slow_query("select F", 0.001, cache_hit=True) is None
-        assert journal.slow_queries() == []
+        assert journal.events() == []
 
     def test_slow_query_recorded_with_plan_and_cache_status(self):
         journal = EventJournal(enabled=True, slow_query_threshold_s=0.05)
@@ -135,7 +126,7 @@ class TestSlowQueries:
         assert event["cache_hit"] is False
         assert event["rows"] == 7
         assert event["plan"] == "<Query select F>"
-        assert journal.slow_queries() == [event]
+        assert journal.events() == [event]
         assert journal.stats()["slow_queries_recorded"] == 1
 
     def test_slow_queries_bypass_sampling(self):
@@ -143,7 +134,7 @@ class TestSlowQueries:
                                slow_query_threshold_s=0.0)
         for _ in range(5):
             journal.slow_query("q", 0.1, cache_hit=True)
-        assert len(journal.slow_queries()) == 5
+        assert len(journal.events("pql.slow_query")) == 5
 
 
 class TestExport:
@@ -161,25 +152,9 @@ class TestExport:
         journal.emit("a", zebra=1, alpha=2)
         assert journal.to_jsonl() == journal.to_jsonl()
 
-    def test_dump_writes_the_export(self, tmp_path):
-        journal = EventJournal(enabled=True)
-        journal.emit("a")
-        path = tmp_path / "journal.jsonl"
-        assert journal.dump(str(path)) == 1
-        assert path.read_text() == journal.to_jsonl()
-
 
 class TestFacade:
     def test_event_facade_guards_on_enabled(self):
         obs = Observability(journal_enabled=False)
         obs.event("k", layer="waldo")
         assert obs.journal_events() == []
-
-    def test_enable_flips_the_journal_too(self):
-        obs = Observability(journal_enabled=False)
-        obs.enable(journal=True)
-        obs.event("k")
-        assert len(obs.journal_events()) == 1
-        obs.disable()
-        obs.event("k")                  # no longer collected
-        assert len(obs.journal_events()) == 1

@@ -433,7 +433,7 @@ class TestPlanCacheObservability:
         compiles = obs.journal.events("pql.plan_compile")
         assert [(e["query"], e["shape"]) for e in compiles] == [
             (self.FIRST, self.SHAPE)]
-        slow = obs.journal.slow_queries()
+        slow = obs.journal.events("pql.slow_query")
         assert [e["query"] for e in slow] == [self.FIRST, self.SECOND]
         assert [e["cache_hit"] for e in slow] == [False, True]
         assert {e["shape"] for e in slow} == {self.SHAPE}

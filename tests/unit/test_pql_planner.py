@@ -2,12 +2,10 @@
 
 Covers the access-path layer (equality/range indexes, the ancestry
 memo) in isolation, the planner's per-binding choices, the EXPLAIN
-surface (engine dict, CLI rendering, journal event), the passmon
+surface (engine dict, journal event), the passmon
 counters, engine detach, and the regression guard for the old OEMNode
 defaultdict leak (queries must never grow a node's footprint).
 """
-
-import json
 
 import hypothesis.strategies as st
 import pytest
@@ -673,36 +671,6 @@ class TestCLIExplain:
         path = tmp_path / "prov.db"
         database.save(str(path))
         return str(path)
-
-    def test_text_output(self, db_path, capsys):
-        assert main(["query", "--db", db_path, "--explain",
-                     'select F from Provenance.file as F '
-                     'where F.md5 = "aaa"']) == 0
-        out = capsys.readouterr().out
-        assert "equality_index" in out
-        assert "est=1 actual=1 kept=1" in out
-        assert 'query: select F from Provenance.file as F where ' \
-            'F.md5 = "aaa"\n' in out
-        assert "shape: select F from Provenance . file as F where " \
-            "F . md5 = ?s\n" in out
-
-    def test_range_text_shows_inclusivity(self, db_path, capsys):
-        assert main(["query", "--db", db_path, "--explain",
-                     "select N from Provenance.node as N "
-                     "where N.mtime > 10 and N.mtime <= 20"]) == 0
-        out = capsys.readouterr().out
-        assert "range_index (est=1 actual=1 kept=1)" in out
-        assert "high=20, high_inc=True" in out
-        assert "low=10, low_inc=False" in out
-
-    def test_json_output(self, db_path, capsys):
-        assert main(["query", "--db", db_path, "--explain", "--json",
-                     "select F from Provenance.file as F"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["bindings"][0]["access"] == "member_scan"
-        assert report["bindings"][0]["kept_rows"] == 2
-        assert report["query"] == "select F from Provenance.file as F"
-        assert report["shape"] == "select F from Provenance . file as F"
 
     def test_plain_query_still_prints_rows(self, db_path, capsys):
         assert main(["query", "--db", db_path,

@@ -5,7 +5,7 @@ import pytest
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ObjType, ProvenanceRecord
 from repro.pql.engine import QueryEngine
-from repro.query.report import ancestry_tree, summarize_object, to_dot
+from repro.query.report import ancestry_tree, summarize_object
 from repro.storage.database import ProvenanceDatabase
 
 
@@ -87,32 +87,6 @@ class TestAncestryTree:
             "    ... (1 ancestors beyond depth limit)",
             "  /out [FILE]",
             "    ... (2 ancestors beyond depth limit)"]
-
-
-class TestDot:
-    def test_dot_contains_nodes_and_edges(self, graph):
-        dot = to_dot(graph, [ObjectRef(3, 0)])
-        assert dot.startswith("digraph provenance")
-        assert 'label="/out [FILE]"' in dot
-        assert "n3_0 -> n2_0" in dot
-        assert 'label="input"' in dot
-
-    def test_dot_descendants_direction(self, graph):
-        dot = to_dot(graph, [ObjectRef(1, 0)], direction="descendants")
-        assert "n2_0 -> n1_0" in dot
-
-    def test_dot_node_cap(self, db, graph):
-        for index in range(100, 160):
-            db.insert(R(index, 0, Attr.INPUT, ObjectRef(index + 1, 0)))
-        dot = to_dot(graph, [ObjectRef(100, 0)], max_nodes=5)
-        import re
-        node_lines = [line for line in dot.splitlines()
-                      if re.match(r"^  n\d+_\d+ \[label=", line)]
-        assert len(node_lines) == 5
-
-    def test_bad_direction(self, graph):
-        with pytest.raises(ValueError):
-            to_dot(graph, [ObjectRef(1, 0)], direction="sideways")
 
 
 class TestSummarize:

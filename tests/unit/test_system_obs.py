@@ -7,6 +7,7 @@ when clocks are shared across boots.
 """
 
 from repro.kernel.clock import SimClock
+from repro.nfs import NFSClient, NFSServer, Network
 from repro.obs import FIGURE2_LAYERS, LAYERS
 from repro.system import System
 
@@ -49,6 +50,23 @@ class TestStats:
         stats = system.stats()
         assert "pass" in stats["lasagna"]["volumes"]
         assert "pass" in stats["waldo"]["volumes"]
+
+    def test_nfs_wire_counters_reach_the_client_snapshot(self):
+        clock = SimClock()
+        server_sys = System.boot(hostname="server", clock=clock,
+                                 pass_volumes=("export",), plain_volumes=())
+        client_sys = System.boot(hostname="client", clock=clock)
+        network = Network(clock, client_sys.kernel.params.net,
+                          obs=client_sys.obs)
+        NFSClient(client_sys, NFSServer(server_sys, "export"), network,
+                  mountpoint="/nfs")
+        with client_sys.process() as proc:
+            fd = proc.open("/nfs/remote.txt", "w")
+            proc.write(fd, b"over the wire")
+            proc.close(fd)
+        counters = client_sys.stats()["nfs"]["counters"]
+        assert counters["rpc_calls"] == network.calls > 0
+        assert counters["bytes_sent"] > 0
 
     def test_fresh_boot_starts_from_zero(self):
         first = System.boot()
