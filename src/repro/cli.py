@@ -286,12 +286,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     from repro.obs.export import chrome_trace_json
 
+    if args.limit is not None and args.limit < 1:
+        print(f"trace: --limit must be at least 1, not {args.limit}",
+              file=sys.stderr)
+        return 2
     system = SCENARIOS[args.scenario](tracing=True)
     system.query(args.query or STATS_QUERY)
     document = system.trace_export()
     spans = document["spans"]
     dropped = document["dropped_spans"]
-    if args.limit:
+    if args.limit is not None:
         spans = spans[-args.limit:]
     fmt = "json" if args.json else args.format
     if fmt == "chrome":
@@ -454,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
     trace.add_argument("--query", metavar="TEXT",
                        help="PQL query to exercise (default: canned)")
     trace.add_argument("--limit", type=int, metavar="N",
-                       help="only the newest N spans")
+                       help="only the newest N spans (N >= 1)")
     trace.add_argument("--format", choices=("text", "json", "chrome"),
                        default="text",
                        help="output format (chrome = trace-event JSON "

@@ -40,12 +40,8 @@ from typing import Callable, Optional, Union
 
 from repro.core.errors import InvalidRecord
 from repro.core.pnode import ObjectRef
-from repro.core.records import (Attr, ProvenanceRecord, RecordBatch, Value,
-                                attr_too_long)
-
-#: Plain value classes a record may carry (the batch path validates with
-#: one frozenset membership test instead of three isinstance calls).
-_PLAIN_VALUE_TYPES = frozenset((int, float, str, bytes, bool))
+from repro.core.records import (PLAIN_VALUE_TYPES, Attr, ProvenanceRecord,
+                                RecordBatch, Value, attr_too_long)
 
 #: ``_seen`` size below which dead versions' keys are never swept.
 _SWEEP_FLOOR = 1 << 16
@@ -290,7 +286,7 @@ class Analyzer:
         """
         if not isinstance(protos, (list, tuple)):
             protos = list(protos)
-        plain_types = _PLAIN_VALUE_TYPES
+        plain_types = PLAIN_VALUE_TYPES
         count = len(protos)
         if ProtoRun in map(type, protos):
             # A run bulk admission cannot take travels as proto-records.

@@ -22,8 +22,8 @@ from typing import Callable, Optional
 
 from repro.core.errors import UnknownPnode, VolumeError
 from repro.core.pnode import TRANSIENT_VOLUME, ObjectRef, volume_of
-from repro.core.records import (Bundle, ProvenanceRecord, RecordBatch,
-                                records_from)
+from repro.core.records import (PLAIN_VALUE_TYPES, Bundle, ProvenanceRecord,
+                                RecordBatch, records_from, subject_runs)
 
 #: A sink accepting (volume_name, Bundle) -- Lasagna's provenance-only
 #: write path, bound in by the kernel assembly.
@@ -113,6 +113,14 @@ class Distributor:
         the sink as one :class:`RecordBatch` per volume instead of one
         Bundle per record.  Per-volume record order -- the order the WAP
         log and the database see -- is exactly the per-record order.
+
+        Batches arrive as runs of records about one subject, and the
+        routing decision is made once per run: a pnode's routing can
+        only flip from cached to assigned when a routed record
+        references it, and a run never references its own subject from
+        the cache (a cached run flushes nothing).  A run with no
+        cross-reference moves as one slice; a routed run carrying one
+        goes row by row, each ancestor ahead of the record naming it.
         """
         pending: dict[str, list] = {}
         self._pending = pending
@@ -121,48 +129,44 @@ class Distributor:
             cache = self._cache
             assigned = self._assigned
             volume_name_of = self._volume_name_of
-            # Batches arrive as runs of records about the same subject;
-            # the routing decision (and destination list) is re-derived
-            # only when the subject pnode changes.  A pnode's routing
-            # can only flip from cached to assigned when some *other*
-            # subject's record references it, which always breaks the
-            # run first, so the cached decision never goes stale.
-            last_pnode = None
-            volume = None
-            bucket: Optional[list] = None
-            routed = False
-            row = iter(batch.rows)
-            for subject, attr, value in zip(row, row, row):
-                pnode = subject.pnode
-                if pnode != last_pnode:
-                    last_pnode = pnode
-                    volume_id = volume_of(pnode)
-                    if volume_id != TRANSIENT_VOLUME:
-                        volume = volume_name_of(volume_id)
-                        routed = True
-                    elif pnode in assigned:
-                        volume = assigned[pnode]
-                        routed = True
+            rows = batch.rows
+            bounds = subject_runs(rows)
+            # One class test for the whole batch: without a
+            # cross-reference every routed run moves as one slice.
+            plain = PLAIN_VALUE_TYPES.issuperset(map(type, rows[2::3]))
+            for start, stop in zip(bounds, bounds[1:]):
+                pnode = rows[start].pnode
+                volume_id = volume_of(pnode)
+                if volume_id != TRANSIENT_VOLUME:
+                    volume = volume_name_of(volume_id)
+                elif pnode in assigned:
+                    volume = assigned[pnode]
+                else:
+                    bucket = cache.get(pnode)
+                    if bucket is None:
+                        cache[pnode] = rows[start:stop]
                     else:
-                        routed = False
-                        bucket = cache.get(pnode)
-                        if bucket is None:
-                            bucket = cache[pnode] = []
-                    if routed:
-                        bucket = pending.get(volume)
-                        if bucket is None:
-                            bucket = pending[volume] = []
-                if routed:
-                    if isinstance(value, ObjectRef):
+                        bucket += rows[start:stop]
+                    cached += (stop - start) // 3
+                    continue
+                bucket = pending.get(volume)
+                if bucket is None:
+                    bucket = pending[volume] = []
+                if plain or PLAIN_VALUE_TYPES.issuperset(
+                        map(type, rows[start + 2:stop:3])):
+                    bucket += rows[start:stop]
+                    flushed += (stop - start) // 3
+                    continue
+                for offset in range(start, stop, 3):
+                    value = rows[offset + 2]
+                    if isinstance(value, ObjectRef) and value.pnode in cache:
                         # Ancestors first: write-ahead provenance across
                         # objects.  flush() appends into ``pending`` (the
-                        # same per-volume list ``bucket`` refers to), so
-                        # ancestor records precede this one.
+                        # list ``bucket`` is), so ancestor records
+                        # precede this one.
                         self.flush(value.pnode, volume)
+                    bucket += rows[offset:offset + 3]
                     flushed += 1
-                else:
-                    cached += 1
-                bucket += (subject, attr, value)
         finally:
             self._pending = None
             self.records_flushed += flushed
@@ -192,21 +196,31 @@ class Distributor:
         order their refs appear in the rows: a post-order walk on an
         explicit stack, so a chain of any depth flushes whole.
         """
-        if pnode not in self._cache:
+        cache = self._cache
+        if pnode not in cache:
             return 0
         taken, volume = self._take(pnode, volume)
-        stack = [(taken, iter(taken[2::3]))]
+        stack = [(taken, self._cached_ancestors(taken))]
         while stack:
-            rows, values = stack[-1]
-            for value in values:
-                if isinstance(value, ObjectRef) and value.pnode in self._cache:
-                    ancestor, _ = self._take(value.pnode, volume)
-                    stack.append((ancestor, iter(ancestor[2::3])))
+            rows, ancestors = stack[-1]
+            for ancestor in ancestors:
+                # Still cached: an ancestor flushed deeper down is not.
+                if ancestor in cache:
+                    ancestor_rows, _ = self._take(ancestor, volume)
+                    stack.append((ancestor_rows,
+                                  self._cached_ancestors(ancestor_rows)))
                     break
             else:
                 stack.pop()
                 self._emit(rows, volume)
         return len(taken) // 3
+
+    def _cached_ancestors(self, rows: list):
+        """The cached pnodes the rows reference, in row order: the only
+        values of ``rows`` the flush walk has to look at again."""
+        cache = self._cache
+        return iter([value.pnode for value in rows[2::3]
+                     if isinstance(value, ObjectRef) and value.pnode in cache])
 
     def _take(self, pnode: int, volume: Optional[str]) -> tuple[list, str]:
         """Pop one object's cached rows and bind it to a volume."""

@@ -14,7 +14,7 @@ shell pipeline, for example).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
@@ -23,6 +23,11 @@ from repro.core.pnode import ObjectRef
 
 #: Types a record value may take.  ObjectRef marks a cross-reference.
 Value = Union[int, float, str, bytes, bool, ObjectRef]
+
+#: The exact value classes that are not a cross-reference: a batch
+#: stage tests a run's classes against this set in one operation
+#: instead of one ``isinstance`` per value.
+PLAIN_VALUE_TYPES = frozenset((int, float, str, bytes, bool))
 
 
 class Attr:
@@ -193,6 +198,19 @@ def rows_of(records) -> list:
     for record in records:
         rows += (record.subject, record.attr, record.value)
     return rows
+
+
+def subject_runs(rows: list) -> list[int]:
+    """Where the runs of records about one subject begin in a flat rows
+    list, as row offsets, then ``len(rows)``: each pair of neighbours
+    bounds one run (``rows[start:stop]``).  Pipeline batches are runs
+    -- the analyzer resolves one ref per run of protos about one object
+    -- so a stage that decides per subject decides per run and moves
+    the run as one slice."""
+    bounds = [0]
+    for _, run in groupby(rows[0::3]):
+        bounds.append(bounds[-1] + 3 * len(list(run)))
+    return bounds
 
 
 _SLOTS = attrgetter("subject", "attr", "value")

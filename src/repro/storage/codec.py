@@ -13,12 +13,17 @@ measure.  Layout of one record::
 The codec is self-delimiting, so a log segment is just concatenated
 records; recovery walks it record by record and stops at the first
 truncated/corrupt one.
+
+Only readers of bytes encode: recovery, a torn-tail cut and a database
+export (``encode_rows``).  Everything that only needs the length -- the
+log's disk charge, the database's Table 3 sizes -- measures flat rows
+with ``encoded_nbytes``, which builds no bytes.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.core.errors import InvalidRecord, LogCorruption
 from repro.core.pnode import ObjectRef
@@ -32,7 +37,6 @@ TAG_BOOL = 0x05
 TAG_REF = 0x06
 
 _HEAD = struct.Struct(">QI")          # pnode, version
-_TAG_STR = bytes([TAG_STR])           # pre-built tag for the str fast path
 _REF = struct.Struct(">QI")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
@@ -93,14 +97,25 @@ def decode_value(buf: bytes, offset: int) -> tuple[Value, int]:
 
 def encode_record(record: ProvenanceRecord) -> bytes:
     """Encode one record (self-delimiting)."""
-    attr_raw = record.attr.encode("utf-8")
+    return _encode_row(record.subject, record.attr, record.value)
+
+
+def encode_rows(rows) -> bytes:
+    """Encode flat (subject, attr, value) rows: their records'
+    encodings, concatenated (a log segment's or an export's bytes)."""
+    row = iter(rows)
+    return b"".join(map(_encode_row, row, row, row))
+
+
+def _encode_row(subject: ObjectRef, attr: str, value: Value) -> bytes:
+    attr_raw = attr.encode("utf-8")
     if len(attr_raw) > 255:
-        raise ValueError(f"attribute name too long: {record.attr!r}")
+        raise ValueError(f"attribute name too long: {attr!r}")
     return b"".join((
-        _HEAD.pack(record.subject.pnode, record.subject.version),
+        _HEAD.pack(subject.pnode, subject.version),
         bytes([len(attr_raw)]),
         attr_raw,
-        encode_value(record.value),
+        encode_value(value),
     ))
 
 
@@ -155,140 +170,47 @@ def decode_stream(buf: bytes) -> Iterable[ProvenanceRecord]:
 
 
 def encoded_size(record: ProvenanceRecord) -> int:
-    """Encoded length of a record: ``len(encode_record(record))``
-    (property-tested), computed arithmetically."""
-    return encoded_size_of(record.attr, record.value)
+    """Encoded length of a record: ``len(encode_record(record))``."""
+    return encoded_nbytes((record.subject, record.attr, record.value))
 
 
-def encoded_size_of(attr: str, value: Value) -> int:
-    """Encoded length of a record with this attribute and value (the
-    subject head is fixed-width), without building any bytes -- this
-    runs once per stored row when the database folds its deferred size
-    accounting, so it must stay allocation-free.
+#: Encoded bytes (tag included) of a value of each fixed-width class.
+_FIXED_VALUE_BYTES = {int: 1 + _I64.size, float: 1 + _F64.size,
+                      bool: 2, ObjectRef: 1 + _REF.size}
+
+
+def _utf8_len(text: str) -> int:
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
+def encoded_nbytes(rows) -> int:
+    """``len(encode_rows(rows))`` without building any bytes
+    (property-tested): the one sizing function behind the log's disk
+    charge, the database's main-store size and recovery's count of
+    decoded bytes.
+
+    The subject head is fixed-width and the UTF-8 length of a joined
+    string is the sum of its parts', so the attribute names and the
+    string values are each measured as one joined string; only the
+    other values are looked at one by one.
     """
-    # Exact-class tests first (the overwhelmingly common case); the
-    # isinstance chain below only catches subclasses.  bool must stay
-    # ahead of int in both chains (bool is an int subclass).
-    cls = value.__class__
-    if cls is str:
-        vsize = 5 + (len(value) if value.isascii()
-                     else len(value.encode("utf-8")))
-    elif cls is ObjectRef:
-        vsize = 1 + _REF.size
-    elif cls is bool:
-        vsize = 2
-    elif cls is int or cls is float:
-        vsize = 9
-    elif cls is bytes:
-        vsize = 5 + len(value)
-    elif isinstance(value, bool):
-        vsize = 2
-    elif isinstance(value, ObjectRef):
-        vsize = 1 + _REF.size
-    elif isinstance(value, (int, float)):
-        vsize = 9
-    elif isinstance(value, str):
-        vsize = 5 + (len(value) if value.isascii()
-                     else len(value.encode("utf-8")))
-    elif isinstance(value, bytes):
-        vsize = 5 + len(value)
-    else:
-        raise TypeError(f"unencodable value type: {type(value).__name__}")
-    attr_len = len(attr) if attr.isascii() else len(attr.encode("utf-8"))
-    return _HEAD.size + 1 + attr_len + vsize
-
-
-class RecordEncoder:
-    """Memoizing encoder for the group-commit flush path.
-
-    A flush encodes many records that share a small working set of
-    subjects, attribute names, and cross-reference targets (block I/O
-    produces runs of records about the same few objects).  The encoder
-    interns the three reusable fragments of the wire format -- subject
-    head, length-prefixed attribute name, and tagged ObjectRef value --
-    so a batch encode is mostly dictionary hits.
-
-    Output is byte-identical to :func:`encode_record` (property-tested:
-    ``tests/properties/test_codec_props.py``).
-    Caches are capped; on overflow they are cleared (the working set has
-    moved on, so LRU bookkeeping would cost more than it saves).
-    """
-
-    _CAP = 8192
-
-    __slots__ = ("_heads", "_attrs", "_refs",
-                 "_run_subject", "_run_attr", "_run_head_prefix")
-
-    def __init__(self) -> None:
-        self._heads: dict[ObjectRef, bytes] = {}
-        self._attrs: dict[str, bytes] = {}
-        self._refs: dict[ObjectRef, bytes] = {}
-        # Run memo: batches arrive as runs of records sharing the same
-        # subject ref *instance* and (interned) attribute string, so the
-        # concatenated head+prefix from the previous record is reusable
-        # after two identity tests -- no hashing, no concat.
-        self._run_subject: Optional[ObjectRef] = None
-        self._run_attr: Optional[str] = None
-        self._run_head_prefix = b""
-
-    def encode_rows(self, rows) -> list[bytes]:
-        """Encode flat (subject, attr, value) rows into one chunk per
-        record (the group-commit buffer).
-
-        Byte-for-byte ``encode_record`` of each row, with the run memo,
-        caches, and value fast paths held in locals so the per-record
-        cost is the loop body alone -- no method dispatch.
-        """
-        heads = self._heads
-        attrs = self._attrs
-        refs = self._refs
-        cap = self._CAP
-        run_subject = self._run_subject
-        run_attr = self._run_attr
-        head_prefix = self._run_head_prefix
-        pack_len = _LEN.pack
-        out: list[bytes] = []
-        append = out.append
-        row = iter(rows)
-        for subject, attr, value in zip(row, row, row):
-            if subject is not run_subject or attr is not run_attr:
-                head = heads.get(subject)
-                if head is None:
-                    if len(heads) >= cap:
-                        heads.clear()
-                    head = _HEAD.pack(subject.pnode, subject.version)
-                    heads[subject] = head
-                prefix = attrs.get(attr)
-                if prefix is None:
-                    raw = attr.encode("utf-8")
-                    if len(raw) > 255:
-                        raise ValueError(
-                            f"attribute name too long: {attr!r}")
-                    if len(attrs) >= cap:
-                        attrs.clear()
-                    prefix = bytes([len(raw)]) + raw
-                    attrs[attr] = prefix
-                head_prefix = head + prefix
-                run_subject = subject
-                run_attr = attr
-            if value.__class__ is str:
-                # Unique strings (annotations, names) defeat memoization,
-                # so the common tail is encoded inline instead of paying
-                # the encode_value isinstance chain per record.
-                raw = value.encode("utf-8")
-                append(head_prefix + _TAG_STR + pack_len(len(raw)) + raw)
-            elif isinstance(value, ObjectRef):
-                tail = refs.get(value)
-                if tail is None:
-                    if len(refs) >= cap:
-                        refs.clear()
-                    tail = bytes([TAG_REF]) + _REF.pack(value.pnode,
-                                                        value.version)
-                    refs[value] = tail
-                append(head_prefix + tail)
-            else:
-                append(head_prefix + encode_value(value))
-        self._run_subject = run_subject
-        self._run_attr = run_attr
-        self._run_head_prefix = head_prefix
-        return out
+    attrs = rows[1::3]
+    values = rows[2::3]
+    strings = [value for value in values if value.__class__ is str]
+    nbytes = ((_HEAD.size + 1) * len(attrs) + _utf8_len("".join(attrs))
+              + (1 + _LEN.size) * len(strings) + _utf8_len("".join(strings)))
+    if len(strings) == len(values):
+        return nbytes
+    fixed = _FIXED_VALUE_BYTES.get
+    for value in values:
+        cls = value.__class__
+        if cls is str:
+            continue
+        size = fixed(cls)
+        if size is None:
+            # bytes, or a subclass of a value class: encode_value
+            # resolves it (and rejects what it cannot encode).
+            size = (1 + _LEN.size + len(value) if cls is bytes
+                    else len(encode_value(value)))
+        nbytes += size
+    return nbytes

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 from repro.core.pnode import ObjectRef
 from repro.core.records import (Attr, ProvenanceRecord, RecordBatch,
-                                make_record, records_from)
+                                make_record, records_from, subject_runs)
 from repro.storage import codec
 
 #: Approximate on-disk bytes per index entry (key pointer + record id),
@@ -86,23 +86,17 @@ class ProvenanceDatabase:
         """Insert a :class:`RecordBatch`, or any iterable of records
         (flattened once); returns how many records were added.
 
-        The one pass groups the rows by pnode and notifies subscribers
-        once with the whole group.
+        Each run of records about one subject joins its pnode's group
+        as one slice; subscribers are notified once with the whole
+        group.
         """
         if not isinstance(records, RecordBatch):
             records = RecordBatch(records)
         rows = records.rows
         by_pnode = self._records
-        # Drained batches arrive as runs of records about one subject
-        # (the analyzer resolves refs per run); the pnode list is
-        # re-derived only when the subject *instance* changes.
-        last_subject = plist = None
-        row = iter(rows)
-        for subject, attr, value in zip(row, row, row):
-            if subject is not last_subject:
-                last_subject = subject
-                plist = by_pnode[subject.pnode]
-            plist += (subject, attr, value)
+        bounds = subject_runs(rows)
+        for start, stop in zip(bounds, bounds[1:]):
+            by_pnode[rows[start].pnode] += rows[start:stop]
         self.record_count += len(records)
         # Size accounting is deferred: sizes are pure functions of the
         # rows, so a read computes them instead of this loop paying per
@@ -122,9 +116,8 @@ class ProvenanceDatabase:
         if count != self.record_count:
             main = index = 0
             for group in self._records.values():
-                attrs, values = group[1::3], group[2::3]
-                main += sum(map(codec.encoded_size_of, attrs, values))
-                index += _index_bytes_of(attrs, values)
+                main += codec.encoded_nbytes(group)
+                index += _index_bytes_of(group[1::3], group[2::3])
             self._sized = (self.record_count, main, index)
         return main, index
 
@@ -180,8 +173,7 @@ class ProvenanceDatabase:
     def to_bytes(self) -> bytes:
         """Serialize the whole database (the byte accounting is derived
         state and is recomputed on load)."""
-        return self.MAGIC + b"".join(
-            codec.RecordEncoder().encode_rows(self.all_rows()))
+        return self.MAGIC + codec.encode_rows(self.all_rows())
 
     @classmethod
     def from_bytes(cls, blob: bytes,

@@ -15,6 +15,11 @@ later drains into the database.  The log guarantees:
   dormant too long, the kernel closes it and starts a new one; the
   closed segment waits on ``closed_segments`` until Waldo has processed
   it (the paper's Waldo learns of it through inotify).
+
+The log keeps records as flat rows plus an arithmetic byte count
+(``codec.encoded_nbytes``): the count is what the disk is charged for,
+and the bytes themselves are encoded only when something reads them
+(:attr:`LogSegment.raw`: recovery, a torn-tail cut, tests).
 """
 
 from __future__ import annotations
@@ -83,18 +88,35 @@ def md5_unpack(value: bytes) -> tuple[int, int, bytes]:
     return offset, length, value[_MD5_META.size:]
 
 
+#: Encoded bytes of a flush's BEGINTXN/ENDTXN frame: fixed, since the
+#: subject head and the integer transaction id are fixed-width.
+_FRAME_NBYTES = codec.encoded_nbytes(
+    (ObjectRef(0, 0), Attr.BEGINTXN, 0, ObjectRef(0, 0), Attr.ENDTXN, 0))
+
+
 class LogSegment:
-    """One closed (or in-progress) log file."""
+    """One closed (or in-progress) log file: its records as flat rows,
+    and how many bytes their encoding fills on disk.
+
+    The bytes themselves are only built when read (:attr:`raw`):
+    recovery and a torn-tail cut read them, Waldo reads the rows.
+    """
 
     def __init__(self, index: int):
         self.index = index
-        self.raw = bytearray()
-        #: What ``raw`` decodes to, as flat (subject, attr, value) rows.
+        #: The segment's records, as flat (subject, attr, value) rows.
         self.rows: list = []
+        #: Bytes on disk: the rows' encoded length plus ``_torn``.
+        self.nbytes = 0
+        #: The partial record a torn crash left at the end (its first
+        #: bytes), else empty.  A torn segment takes no more appends:
+        #: the machine is down until recovery resets the log.
+        self._torn = b""
 
     @property
-    def nbytes(self) -> int:
-        return len(self.raw)
+    def raw(self) -> bytes:
+        """The segment's on-disk bytes, encoded from the rows."""
+        return codec.encode_rows(self.rows) + self._torn
 
     @property
     def records(self) -> RecordBatch:
@@ -105,24 +127,39 @@ class LogSegment:
     @records.setter
     def records(self, records) -> None:
         self.rows = rows_of(records)
+        self.nbytes = codec.encoded_nbytes(self.rows)
+        self._torn = b""
 
-    def append(self, record: ProvenanceRecord, encoded: bytes) -> None:
-        self.extend(encoded, (record.subject, record.attr, record.value))
+    def append(self, record: ProvenanceRecord) -> None:
+        row = (record.subject, record.attr, record.value)
+        self.extend(codec.encoded_nbytes(row), row)
 
-    def extend(self, raw: bytes, *groups) -> None:
-        """Append one flushed group: pre-joined bytes plus its rows, as
-        the flat pieces they arrive in."""
-        self.raw.extend(raw)
+    def extend(self, nbytes: int, *groups) -> None:
+        """Append one flushed group: its encoded length plus its rows,
+        as the flat pieces they arrive in."""
+        self.nbytes += nbytes
         for rows in groups:
             self.rows += rows
 
     def truncate_tail(self, nbytes: int) -> None:
-        """Crash simulation: drop the last ``nbytes`` of raw log."""
+        """Crash simulation: drop the last ``nbytes`` of raw log.
+
+        Whole records come off the end of ``rows``; the first bytes of
+        a record the cut lands inside stay behind as the torn tail."""
         if nbytes <= 0:
             return
-        del self.raw[max(0, len(self.raw) - nbytes):]
-        # Decoded rows no longer trustworthy; recovery re-decodes.
-        self.records = codec.decode_stream(bytes(self.raw))
+        keep = max(0, self.nbytes - nbytes)
+        whole = self.nbytes - len(self._torn)
+        if keep >= whole:
+            self._torn = self._torn[:keep - whole]
+        else:
+            rows = self.rows
+            while whole > keep:
+                last = rows[-3:]
+                del rows[-3:]
+                whole -= codec.encoded_nbytes(last)
+            self._torn = codec.encode_rows(last)[:keep - whole]
+        self.nbytes = keep
 
 
 class ProvenanceLog:
@@ -140,16 +177,11 @@ class ProvenanceLog:
         self._faults = faults
         self.obs = obs
         self.volume_name = volume_name
-        #: Buffered records (flat rows), not yet durable.  Each is encoded
-        #: exactly once, at append time, through the memoized encoder;
-        #: the raw chunks wait in ``_buffer_raw`` so a flush is a single
-        #: join, and the running byte total -- the single source of
-        #: truth for how much disk the next flush pays for -- is the sum
-        #: of their lengths.
+        #: Buffered records (flat rows), not yet durable, and their
+        #: encoded length: the one count of how much disk the next
+        #: flush pays for (nothing is encoded until bytes are read).
         self._buffer: list = []
-        self._buffer_raw: list[bytes] = []
         self._buffer_bytes = 0
-        self._encoder = codec.RecordEncoder()
         self._next_txn = 1
         self._segment_index = 0
         self.current = LogSegment(self._segment_index)
@@ -175,7 +207,7 @@ class ProvenanceLog:
             "log_flushes": self.flushes,
             "txns_opened": self.txns_opened,
             "rotations": self.rotations,
-            "buffered_records": len(self._buffer_raw),
+            "buffered_records": len(self._buffer) // 3,
             "batch_records": self.batch_records,
             "batch_flushes": self.batch_flushes,
         }
@@ -190,19 +222,17 @@ class ProvenanceLog:
             records.subject, records.attr, records.value))
 
     def _buffer_rows(self, rows) -> int:
-        """Encode rows into the buffer; returns how many records."""
-        raws = self._encoder.encode_rows(rows)
+        """Buffer rows and count their bytes; returns how many records."""
         self._buffer += rows
-        self._buffer_raw += raws
-        self._buffer_bytes += sum(map(len, raws))
-        return len(raws)
+        self._buffer_bytes += codec.encoded_nbytes(rows)
+        return len(rows) // 3
 
     def append_batch(self, records) -> None:
         """Buffer a :class:`RecordBatch` (or any iterable of records)
         and group-commit past thresholds.
 
-        The batched ingest entry point: each record is encoded once,
-        here, and when the buffer crosses
+        The batched ingest entry point: the rows are sized here, and
+        when the buffer crosses
         ``LogParams.group_commit_records`` / ``group_commit_bytes`` the
         whole group is flushed as one transaction.  A threshold flush is
         strictly *earlier* than the next WAP ordering point (the data
@@ -210,7 +240,7 @@ class ProvenanceLog:
         never weaken write-ahead provenance.
         """
         self.batch_records += self._buffer_rows(rows_of(records))
-        buffered = len(self._buffer_raw)
+        buffered = len(self._buffer) // 3
         size = self._buffer_bytes
         params = self.params
         if ((params.group_commit_records
@@ -229,7 +259,7 @@ class ProvenanceLog:
 
     @property
     def buffered_records(self) -> int:
-        return len(self._buffer_raw)
+        return len(self._buffer) // 3
 
     def next_txn_id(self) -> int:
         txn = self._next_txn
@@ -252,18 +282,13 @@ class ProvenanceLog:
         faults = self._faults
         if faults is not None:
             # Crashing here loses the whole buffer: never durable.
-            faults.fire("log.flush.pre", records=len(self._buffer_raw))
+            faults.fire("log.flush.pre", records=len(buffer) // 3)
         txn = self.next_txn_id()
         subject = txn_subject or buffer[0]
         frame = (subject, Attr.BEGINTXN, txn, subject, Attr.ENDTXN, txn)
-        open_raw, close_raw = self._encoder.encode_rows(frame)
-        # One byte counter: the buffered payload was encoded (and sized)
-        # on append, so the disk charge is that counter plus the two
-        # frames, and the write itself is one join of the ready chunks.
-        nbytes = self._buffer_bytes + len(open_raw) + len(close_raw)
-        raw = b"".join([open_raw, *self._buffer_raw, close_raw])
+        # The disk charge: the payload was sized on append.
+        nbytes = self._buffer_bytes + _FRAME_NBYTES
         self._buffer = []
-        self._buffer_raw = []
         self._buffer_bytes = 0
 
         self._disk_write(nbytes)
@@ -273,7 +298,7 @@ class ProvenanceLog:
                 # The batch reached the disk queue; a mid-sector crash
                 # tears its tail off, cutting into the ENDTXN record so
                 # recovery sees an orphaned transaction.
-                self.current.extend(raw, frame[:3], buffer, frame[3:])
+                self.current.extend(nbytes, frame[:3], buffer, frame[3:])
                 tear = max(1, min(nbytes - 1, int(nbytes * action.param)))
                 self.current.truncate_tail(tear)
                 from repro.faults import CrashFault
@@ -281,7 +306,7 @@ class ProvenanceLog:
                     f"torn log append: {tear} of {nbytes} bytes lost "
                     f"(txn {txn})", site=action.site, hit=action.hit,
                     torn_bytes=tear))
-        self.current.extend(raw, frame[:3], buffer, frame[3:])
+        self.current.extend(nbytes, frame[:3], buffer, frame[3:])
         self.records_logged += len(buffer) // 3 + 2
         self.bytes_logged += nbytes
         self.flushes += 1
@@ -321,9 +346,8 @@ class ProvenanceLog:
         current on-disk segment is torn (an in-flight sector).  Returns
         the number of buffered records that were lost.
         """
-        lost = len(self._buffer_raw)
+        lost = len(self._buffer) // 3
         self._buffer = []
-        self._buffer_raw = []
         self._buffer_bytes = 0
         if drop_tail_bytes:
             self.current.truncate_tail(drop_tail_bytes)
@@ -342,5 +366,4 @@ class ProvenanceLog:
         self._segment_index += 1
         self.current = LogSegment(self._segment_index)
         self._buffer = []
-        self._buffer_raw = []
         self._buffer_bytes = 0

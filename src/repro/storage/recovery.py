@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.pnode import ObjectRef
-from repro.core.records import Attr, ProvenanceRecord
+from repro.core.records import Attr, ProvenanceRecord, rows_of
 from repro.storage import codec
 from repro.storage.lasagna import Lasagna
 from repro.storage.log import data_digest, md5_unpack
@@ -91,7 +91,7 @@ def recover(lasagna: Lasagna, database=None,
 
 
 def _bytes_consumed(records: list[ProvenanceRecord]) -> int:
-    return sum(codec.encoded_size(record) for record in records)
+    return codec.encoded_nbytes(rows_of(records))
 
 
 def _replay(records: list[ProvenanceRecord], report: RecoveryReport) -> None:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.records import Attr
 from repro.faults import CrashFault, FaultInjector, FaultPlan
+from repro.storage import codec
+from repro.storage.log import LogSegment
 from repro.storage.recovery import recover
 from repro.system import System
 from tests.conftest import write_file
@@ -100,6 +102,65 @@ class TestTornLog:
         assert report.orphaned_records or report.torn_bytes > 0
 
 
+def _eager_recovery(raw: bytes):
+    """What recovery finds in a segment's bytes, read the way the log
+    wrote them when every record was encoded on append: decode the
+    prefix, count what did not decode, walk the BEGINTXN/ENDTXN
+    frames."""
+    decoded = list(codec.decode_stream(raw))
+    torn = len(raw) - sum(len(codec.encode_record(r)) for r in decoded)
+    committed, orphaned, open_txn, pending = [], [], None, []
+    for record in decoded:
+        if record.attr == Attr.BEGINTXN:
+            orphaned += pending
+            open_txn, pending = record.value, []
+        elif record.attr == Attr.ENDTXN:
+            if record.value == open_txn:
+                committed += pending
+            open_txn, pending = None, []
+        elif open_txn is None:
+            committed.append(record)
+        else:
+            pending.append(record)
+    return decoded, torn, committed, orphaned + pending
+
+
+class TestTornTailAtEveryOffset:
+    def test_every_cut_across_the_last_two_records(self, system):
+        """A tear at any byte of the segment's last two records: the
+        bytes are the eagerly encoded ones minus the cut, the rows are
+        what those bytes decode to, and recovery reports the same torn
+        bytes, committed and orphaned records.  A second cut (1 byte
+        more) trims the torn tail or crosses into the record before."""
+        write_file(system, "/pass/a", b"aaa")
+        write_file(system, "/pass/b", b"bbb")
+        lasagna = system.kernel.volume("pass").lasagna
+        log = lasagna.log
+        whole = log.current
+        eager = b"".join(codec.encode_record(r) for r in whole.records)
+        assert whole.raw == eager and whole.nbytes == len(eager)
+        last_two = sum(map(codec.encoded_size, list(whole.records)[-2:]))
+        try:
+            for cut in range(1, last_two + 1):
+                for extra in (0, 1):
+                    segment = log.current = LogSegment(whole.index)
+                    segment.extend(whole.nbytes, list(whole.rows))
+                    segment.truncate_tail(cut)
+                    segment.truncate_tail(extra)
+                    kept = eager[:len(eager) - cut - extra]
+                    decoded, torn, committed, orphaned = _eager_recovery(kept)
+                    assert segment.raw == kept
+                    assert segment.nbytes == len(kept)
+                    assert list(segment.records) == decoded
+                    report = recover(lasagna)
+                    assert report.torn_bytes == torn
+                    assert report.committed_records == committed
+                    assert report.orphaned_records == orphaned
+                    assert not report.inconsistent_data
+        finally:
+            log.current = whole
+
+
 class TestOrphanedNfsStyleTxn:
     def test_recovery_drops_uncommitted_txn_records(self, system):
         """Simulates a client that sent BEGINTXN + records but died
@@ -111,12 +172,11 @@ class TestOrphanedNfsStyleTxn:
         subject = ObjectRef(999, 0)
         txn = log.next_txn_id()
         # Hand-write an unterminated transaction into the segment.
-        from repro.storage import codec
         for record in (
             ProvenanceRecord(subject, Attr.BEGINTXN, txn),
             ProvenanceRecord(subject, Attr.NAME, "half-sent"),
         ):
-            log.current.append(record, codec.encode_record(record))
+            log.current.append(record)
         report = recover(lasagna)
         orphan_names = {r.value for r in report.orphaned_records
                         if r.attr == Attr.NAME}

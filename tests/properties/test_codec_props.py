@@ -135,31 +135,7 @@ def test_corruption_at_every_byte_offset():
             assert decoded[:intact] == ALL_TAG_RECORDS[:intact]
 
 
-# -- memoizing encoder equivalence --------------------------------------------------
-
-def _with_shared_instances(batch):
-    """Rewrite a batch so equal subjects/attrs share one instance --
-    the run-memo shape real pipeline batches have."""
-    subjects: dict = {}
-    attrs: dict = {}
-    return [
-        ProvenanceRecord(subjects.setdefault(r.subject, r.subject),
-                         attrs.setdefault(r.attr, r.attr), r.value)
-        for r in batch
-    ]
-
-
-@given(st.lists(records, max_size=40))
-@settings(max_examples=200)
-def test_record_encoder_matches_encode_record(batch):
-    """RecordEncoder is byte-identical to encode_record one record at a
-    time across arbitrary interleavings (memo hits, misses, and runs)."""
-    encoder = codec.RecordEncoder()
-    batch = _with_shared_instances(batch)
-    for record in batch + batch:      # replay: all-hit second pass
-        assert encoder.encode_rows(_rows([record])) == [
-            codec.encode_record(record)]
-
+# -- encode_rows and the bulk sizer ----------------------------------------------
 
 def _rows(batch):
     return [slot for r in batch for slot in (r.subject, r.attr, r.value)]
@@ -168,41 +144,11 @@ def _rows(batch):
 @given(st.lists(records, max_size=40))
 @settings(max_examples=200)
 def test_encode_list_and_batch_match_per_record_path(batch):
-    """``encode_rows`` (what ``encode_list``/``encode_batch`` became):
-    one chunk per row, each byte-identical to ``encode_record``."""
-    batch = _with_shared_instances(batch)
-    expected = [codec.encode_record(record) for record in batch]
-    encoder = codec.RecordEncoder()
-    assert encoder.encode_rows(_rows(batch)) == expected
-    # The run memo carries across calls; a replay must stay identical.
-    assert encoder.encode_rows(_rows(batch)) == expected
-    assert encoder.encode_rows(iter(_rows(batch))) == expected
-
-
-@given(st.lists(st.tuples(records, st.booleans()), max_size=40),
-       st.booleans())
-@settings(max_examples=300)
-def test_encode_rows_and_encode_interleave_on_one_encoder(stream, share):
-    """Every log byte goes through one encoder whose run memo spans
-    calls: chunks of ``encode_rows`` and single ``encode`` calls, over
-    subjects that share an instance with their neighbours or are equal
-    copies of them, stay byte-identical to ``encode_record``."""
-    batch = [record for record, _ in stream]
-    if share:
-        batch = _with_shared_instances(batch)
-    encoder = codec.RecordEncoder()
-    chunk: list = []
-    for record, (_, single) in zip(batch, stream):
-        if single:
-            assert encoder.encode_rows(_rows(chunk)) == [
-                codec.encode_record(r) for r in chunk]
-            chunk = []
-            assert encoder.encode_rows(_rows([record])) == [
-                codec.encode_record(record)]
-        else:
-            chunk.append(record)
-    assert encoder.encode_rows(_rows(chunk)) == [
-        codec.encode_record(r) for r in chunk]
+    """``encode_rows`` is the records' ``encode_record`` bytes joined,
+    for a list or a one-pass iterator of rows."""
+    expected = b"".join(codec.encode_record(record) for record in batch)
+    assert codec.encode_rows(_rows(batch)) == expected
+    assert codec.encode_rows(iter(_rows(batch))) == expected
 
 
 def test_encode_rows_covers_every_tag_and_both_run_shapes():
@@ -213,23 +159,9 @@ def test_encode_rows_covers_every_tag_and_both_run_shapes():
                      [ObjectRef(11, 3) for _ in ALL_TAG_RECORDS]):
         run = [ProvenanceRecord(ref, record.attr, record.value)
                for ref, record in zip(subjects, ALL_TAG_RECORDS)]
-        encoder = codec.RecordEncoder()
-        assert encoder.encode_rows(_rows(ALL_TAG_RECORDS + run)) == [
-            codec.encode_record(r) for r in ALL_TAG_RECORDS + run]
-
-
-def test_encoder_caches_clear_past_their_cap():
-    """More distinct subjects, attributes and cross-references than the
-    memo holds: the caches clear and the bytes stay right."""
-    count = codec.RecordEncoder._CAP + 50
-    batch = [ProvenanceRecord(ObjectRef(index, 0), f"a{index}",
-                              ObjectRef(index, 1))
-             for index in range(count)]
-    encoder = codec.RecordEncoder()
-    expected = [codec.encode_record(record) for record in batch]
-    assert encoder.encode_rows(_rows(batch)) == expected
-    assert len(encoder._heads) == len(encoder._refs) == 50
-    assert encoder.encode_rows(_rows(batch[:60])) == expected[:60]
+        batch = ALL_TAG_RECORDS + run
+        assert codec.encode_rows(_rows(batch)) == b"".join(
+            codec.encode_record(r) for r in batch)
 
 
 def test_encoder_rejects_overlong_attribute():
@@ -239,13 +171,76 @@ def test_encoder_rejects_overlong_attribute():
     with pytest.raises(InvalidRecord):
         ProvenanceRecord(ObjectRef(1, 0), "é" * 128, "v")
     record = make_record(ObjectRef(1, 0), "é" * 128, "v")
-    encoder = codec.RecordEncoder()
     for encode in (codec.encode_record,
-                   lambda r: encoder.encode_rows(_rows([r]))):
+                   lambda r: codec.encode_rows(_rows([r]))):
         with pytest.raises(ValueError, match="too long"):
             encode(record)
     ok = ProvenanceRecord(ObjectRef(1, 0), "é" * 127, "v")
-    assert encoder.encode_rows(_rows([ok])) == [codec.encode_record(ok)]
+    assert codec.encode_rows(_rows([ok])) == codec.encode_record(ok)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Bytes(bytes):
+    pass
+
+
+#: Any attribute name the log can frame, multi-byte UTF-8 included.
+wide_attrs = st.text(min_size=1, max_size=40).filter(
+    lambda attr: len(attr.encode("utf-8")) <= 255)
+
+#: Values of every tag, plus subclasses of the plain classes (the
+#: sizer's exact-class table misses them and must still be exact).
+wide_values = st.one_of(
+    values,
+    st.builds(_Str, st.text(max_size=60)),
+    st.builds(_Int, st.integers(-(1 << 62), (1 << 62) - 1)),
+    st.builds(_Bytes, st.binary(max_size=60)),
+)
+
+
+def _frame(subject, txn):
+    return [make_record(subject, attr, txn) for attr in ("BEGINTXN", "ENDTXN")]
+
+
+@given(st.lists(st.one_of(
+    st.builds(make_record, refs, wide_attrs, wide_values),
+    st.builds(_frame, refs, st.integers(1, (1 << 62))).map(tuple)),
+    max_size=40))
+@settings(max_examples=500)
+def test_encoded_nbytes_equals_encoded_length(items):
+    """The bulk sizer is the length of the bytes, over any mix of the
+    six tags, non-ASCII attributes and values, ``True`` beside ``1``,
+    bytes, subclasses and BEGINTXN/ENDTXN frames."""
+    batch = []
+    for item in items:
+        batch += item if isinstance(item, tuple) else [item]
+    rows = _rows(batch)
+    assert codec.encoded_nbytes(rows) == sum(
+        len(codec.encode_record(record)) for record in batch)
+    assert codec.encoded_nbytes(rows) == len(codec.encode_rows(rows))
+
+
+def test_encoded_nbytes_pins_the_fixed_widths():
+    """The two easiest sizes to get wrong, as numbers: a cross-reference
+    value is a tag plus 8 + 4 bytes, and the frames' names differ in
+    length (BEGINTXN is 8 characters, ENDTXN 6)."""
+    subject = ObjectRef(1, 0)
+    head = 12 + 1
+    assert codec.encoded_nbytes(
+        [subject, "I", ObjectRef(2, 0)]) == head + 1 + 1 + 12
+    assert codec.encoded_nbytes([subject, "BEGINTXN", 7]) == head + 8 + 9
+    assert codec.encoded_nbytes([subject, "ENDTXN", 7]) == head + 6 + 9
+    assert codec.encoded_nbytes([subject, "B", True]) == head + 1 + 2
+    assert codec.encoded_nbytes([]) == 0
+    with pytest.raises(TypeError):
+        codec.encoded_nbytes([subject, "X", object()])
 
 
 @given(records)

@@ -124,6 +124,16 @@ class TestOtherCommands:
         assert len(spans) == 3
         assert spans[-1]["name"] == "pql.execute"
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_trace_limit_below_one_is_a_usage_error(self, limit, capsys):
+        """``--limit 0`` used to mean "every span" and ``--limit -1``
+        dropped the oldest span while reporting none dropped."""
+        assert main(["trace", "--json", "--limit", limit]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--limit" in captured.err
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

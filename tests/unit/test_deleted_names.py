@@ -69,6 +69,9 @@ DELETED = [
      r"|take_closed|fail_before_data_write",
      False, SRC_TESTS_BENCH,
      "Waldo drains the log and keeps nothing behind"),
+    ("log-encoder", r"RecordEncoder|_buffer_raw|encoded_size_of", False,
+     SRC_TESTS_BENCH,
+     "the log keeps rows and a byte count; bytes are encoded when read"),
     ("crash-point", r"CrashPoint", True, SRC_TESTS_BENCH,
      "one crash hook at the WAP window (lasagna.write.pre_data)"),
     ("beyond-paper-apps",

@@ -7,6 +7,7 @@ from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ProvenanceRecord
 from repro.kernel.clock import SimClock
 from repro.kernel.params import LogParams
+from repro.storage import codec
 from repro.storage.log import (
     LogSegment,
     ProvenanceLog,
@@ -142,9 +143,10 @@ class TestSegmentRecordsView:
 
     def test_append_is_one_row(self):
         segment = LogSegment(3)
-        segment.append(rec(value="x"), b"raw")
+        segment.append(rec(value="x"))
         assert segment.rows == [ObjectRef(1, 0), Attr.NAME, "x"]
-        assert bytes(segment.raw) == b"raw" and segment.nbytes == 3
+        assert segment.raw == codec.encode_record(rec(value="x"))
+        assert segment.nbytes == len(segment.raw) == 12 + 1 + 4 + 5 + 1
 
 
 class TestWaldo:
@@ -181,7 +183,7 @@ class TestWaldo:
             ProvenanceRecord(subject, Attr.BEGINTXN, 77),
             orphan,
         ):
-            segment.append(record, b"")
+            segment.append(record)
         log.closed_segments.append(segment)
         waldo.drain()
         assert len(waldo.database) == 0
@@ -193,7 +195,7 @@ class TestWaldo:
         waldo = Waldo(log)
         segment = LogSegment(0)
         for record in records:
-            segment.append(record, b"")
+            segment.append(record)
         log.closed_segments.append(segment)
         return waldo, waldo.drain()
 
