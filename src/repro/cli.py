@@ -15,7 +15,9 @@ then lets you query or render it::
 ``stats``, ``trace``, ``profile``, ``journal`` and ``health`` report on
 a scenario's own telemetry (docs/OBSERVABILITY.md); ``lint`` checks the
 source tree's layering and ``crashtest`` the WAP invariant under every
-reachable crash (docs/TESTING.md).
+reachable crash (docs/TESTING.md).  A query that does not parse or
+check, or a file that cannot be read or written, is one line on stderr
+and exit status 2.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.errors import LogCorruption
+from repro.core.errors import LogCorruption, PQLError
 from repro.pql.oem import OEMNode
 from repro.query.helpers import newest_ref_by_name
 from repro.query.report import ancestry_tree
@@ -144,15 +146,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 def _load_export(command: str, path: str):
     """A saved database export, or None after one line on stderr when
-    the file cannot be read or is not a valid export."""
+    the file is not a valid export (one that cannot be read is
+    :func:`main`'s)."""
     from repro.storage.database import ProvenanceDatabase
 
     try:
         return ProvenanceDatabase.load(path)
-    except (OSError, LogCorruption) as exc:
-        # An OSError's strerror drops the path the message repeats.
-        reason = getattr(exc, "strerror", None) or exc
-        print(f"{command}: {path}: {reason}", file=sys.stderr)
+    except LogCorruption as exc:
+        print(f"{command}: {path}: {exc}", file=sys.stderr)
         return None
 
 
@@ -357,9 +358,8 @@ def cmd_health(args: argparse.Namespace) -> int:
         try:
             with open(args.crashtest, "r", encoding="utf-8") as handle:
                 crashtest = json.load(handle) or {}
-        except (OSError, ValueError) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            print(f"health: {args.crashtest}: {reason}", file=sys.stderr)
+        except ValueError as exc:
+            print(f"health: {args.crashtest}: {exc}", file=sys.stderr)
             return 2
     system = SCENARIOS[args.scenario](tracing=True, journal=True)
     for _ in range(max(1, args.query_repeats)):
@@ -525,7 +525,14 @@ def main(argv: list[str] | None = None) -> int:
     crashtest.set_defaults(func=cmd_crashtest)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (PQLError, OSError) as exc:
+        # An OSError's strerror drops the path the message repeats.
+        reason = (f"{exc.filename}: {exc.strerror}"
+                  if getattr(exc, "filename", None) else exc)
+        print(f"{args.command}: {reason}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

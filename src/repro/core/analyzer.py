@@ -25,11 +25,15 @@ what lets the same analyzer run unmodified on NFS clients and servers.
 Duplicate elimination: programs do I/O in small blocks, so a single
 logical read/write produces many identical records; a record whose
 (subject, attribute, value) triple was already recorded for the same
-subject version is dropped.  A version this analyzer has superseded
-(or forgotten) is never the subject of a proto-record again, so the
-keys it holds for such versions are dropped in place once the key set
-has doubled since the last such sweep: the state is proportional to
-the live versions, plus at most one doubling.
+subject version is dropped.  A key is held in one of two stores: the
+values of bulk-disclosed runs as plain values, grouped per subject
+version and (attribute, exact class), and every other key as one flat
+tuple.  A version this analyzer has superseded (or forgotten) is never
+the subject of a proto-record again, so the keys it holds for such
+versions are dropped once the two stores together have doubled since
+the last such sweep -- a dead version's groups in one pop, the flat
+keys in one scan: the state is proportional to the live versions, plus
+at most one doubling.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from repro.core.pnode import ObjectRef
 from repro.core.records import (PLAIN_VALUE_TYPES, Attr, ProvenanceRecord,
                                 RecordBatch, Value, attr_too_long)
 
-#: ``_seen`` size below which dead versions' keys are never swept.
+#: Held keys below which dead versions' keys are never swept.
 _SWEEP_FLOOR = 1 << 16
 
 
@@ -142,13 +146,19 @@ class Analyzer:
         #: Versions some object depends on: immutable from then on.  A
         #: freeze drops the version it supersedes.
         self._observed: set[ObjectRef] = set()
-        #: Dedup keys of the records recorded about every version not
-        #: swept yet (``_dedup_key``): one set, no container per version.
+        #: Dedup keys of the records admitted one at a time about every
+        #: version not swept yet (``_dedup_key``): one flat set.
         self._seen: set[tuple] = set()
+        #: The keys ``_admit_run`` admitted, as plain values: version ->
+        #: {(attr, exact class): values}.  The class keeps ``1``,
+        #: ``True`` and ``1.0`` apart; no key is in both stores.
+        self._runs: dict[int, dict[tuple, set]] = {}
+        #: Values held in ``_runs``.
+        self._run_keys = 0
         #: Versions (``pnode << 32 | version``, a key's first slot) this
         #: analyzer superseded or forgot since the last sweep.
         self._dead: set[int] = set()
-        #: ``_seen`` size at which the next version death sweeps: twice
+        #: Held keys at which the next version death sweeps: twice
         #: what the last sweep left (a load factor, not a setting).
         self._sweep_at = _SWEEP_FLOOR
         #: pnode -> live object, so freezes can bump versions.
@@ -182,7 +192,7 @@ class Analyzer:
             "cycle_breaks": self.cycle_breaks,
             "observed_versions": len(self._observed),
             "registered_objects": len(self._registry),
-            "seen_keys": len(self._seen),
+            "seen_keys": len(self._seen) + self._run_keys,
             "dead_versions_pending": len(self._dead),
             "dedup_sweeps": self.dedup_sweeps,
         }
@@ -204,17 +214,23 @@ class Analyzer:
             self._bury(pnode << 32 | obj.version)
 
     def _bury(self, version: int) -> None:
-        """Mark ``version`` dead; sweep if ``_seen`` has doubled.
+        """Mark ``version`` dead; sweep if the held keys have doubled.
 
         :meth:`freeze` and :meth:`forget` are the only callers, so both
         admission paths sweep at the same point of a stream."""
         self._dead.add(version)
-        if len(self._seen) >= self._sweep_at:
+        if len(self._seen) + self._run_keys >= self._sweep_at:
             seen = self._seen
             dead = self._dead
+            runs = self._runs
             seen.difference_update([key for key in seen if key[0] in dead])
+            for version in dead:
+                groups = runs.pop(version, None)
+                if groups is not None:
+                    self._run_keys -= sum(map(len, groups.values()))
             dead.clear()
-            self._sweep_at = max(_SWEEP_FLOOR, 2 * len(seen))
+            self._sweep_at = max(_SWEEP_FLOOR,
+                                 2 * (len(seen) + self._run_keys))
             self.dedup_sweeps += 1
 
     # -- record admission -----------------------------------------------------
@@ -263,17 +279,18 @@ class Analyzer:
 
         * one clock advance for the whole batch;
         * duplicate elimination is one ``_seen`` membership test per
-          proto on a key built from the subject's ``pnode``/``version``,
-          so a duplicate (block-sized I/O re-submits the same few
-          records hundreds of times) is dropped without resolving a ref
-          or building anything else; the subject's ref is resolved once
-          per run of admitted protos about the same object;
+          proto on a key built from the subject's ``pnode``/``version``
+          (and one group lookup while the subject version holds run
+          groups), so a duplicate (block-sized I/O re-submits the same
+          few records hundreds of times) is dropped without resolving a
+          ref or building anything else; the subject's ref is resolved
+          once per run of admitted protos about the same object;
         * a :class:`ProtoRun` whose values share one exact plain class
           is admitted with set operations instead of a loop body per
-          value.  Any other run (cross-references, which cycle
-          avoidance must see one by one; mixed classes such as
-          ``1``/``True``/``1.0``; subclasses) travels as its
-          proto-records;
+          value, and its keys are held as those values.  Any other run
+          (cross-references, which cycle avoidance must see one by one;
+          mixed classes such as ``1``/``True``/``1.0``; subclasses)
+          travels as its proto-records;
         * field validation happens here with per-class tests (an
           attribute once per run of one attribute string), and no
           record object is built: admitted records leave as the flat
@@ -308,15 +325,18 @@ class Analyzer:
         self._batch_out = out
         try:
             seen = self._seen
+            runs = self._runs
             dedup = self.dedup_enabled
             ancestry = Attr.ANCESTRY_ATTRS
             observe = self._observed.add
-            last_subject = ref = None
+            last_subject = ref = groups = None
             last_attr = Attr.TYPE           # any attribute known valid
             for proto in protos:
                 if proto.__class__ is not ProtoRecord:
                     if proto.__class__ is ProtoRun:
                         dropped += self._admit_run(proto, out)
+                        # It may have made the version's first group.
+                        last_subject = None
                         continue
                     if isinstance(proto, ProvenanceRecord):
                         # Already finalized (e.g. the NFS wire): admitted
@@ -352,21 +372,26 @@ class Analyzer:
                     last_subject = subject
                     version = subject.pnode << 32 | subject.version
                     ref = None
+                    groups = runs.get(version) if runs else None
                 if cls is str:                  # keys as _dedup_key's
                     key = (version, attr, value)
                 elif is_ref:
                     key = (version, attr, value.pnode, value.version)
                 else:
                     key = (version, attr, cls.__name__, value)
-                if dedup and key in seen:
-                    dropped += 1
-                    continue
+                if key in seen or groups is not None and value in groups.get(
+                        (attr, cls), ()):
+                    if dedup:
+                        dropped += 1
+                        continue
+                    key = None          # held: emitted, not stored again
                 if ref is None:
                     ref = subject.ref()
                     if not isinstance(ref, ObjectRef):
                         raise InvalidRecord(
                             f"subject must be an ObjectRef: {ref!r}")
-                seen.add(key)
+                if key is not None:
+                    seen.add(key)
                 if is_ref and attr in ancestry:
                     observe(value)      # immutable from now on
                 out += (ref, attr, value)
@@ -381,34 +406,53 @@ class Analyzer:
 
     def _admit_run(self, run: ProtoRun, out: list) -> int:
         """Admit a run whose values share one exact plain class onto
-        ``out``; returns how many were dropped as duplicates."""
+        ``out``; returns how many were dropped as duplicates.  The keys
+        it adds are its values, in the version's ``(attr, class)``
+        group; one held already, flat or grouped, is not added again."""
         ref = run.subject.ref()
         attr = run.attr
         values = run.values
         ProvenanceRecord(ref, attr, values[0])  # subject, attr: validated once
+        count = len(values)
         seen = self._seen
         version = ref.pnode << 32 | ref.version
         cls = values[0].__class__
-        keys = ([(version, attr, value) for value in values] if cls is str
-                else [(version, attr, cls.__name__, value) for value in values])
-        fresh = set(keys)
-        if self.dedup_enabled and (len(fresh) != len(keys)
-                                   or not seen.isdisjoint(fresh)):
-            # First occurrences not seen before, in order.
-            fresh = dict.fromkeys(key for key in keys if key not in seen)
-            values = [key[-1] for key in fresh]
-        seen.update(fresh)
+        # The values' flat keys, as zip yields them: one tuple reused.
+        slots = ((repeat(version), repeat(attr)) if cls is str else
+                 (repeat(version), repeat(attr), repeat(cls.__name__)))
+        fresh = set(values)
+        groups = self._runs.get(version)
+        group = groups.get((attr, cls)) if groups is not None else None
+        if (len(fresh) != count
+                or group is not None and not group.isdisjoint(fresh)
+                or not seen.isdisjoint(zip(*slots, fresh))):
+            flat = {key[-1] for key in seen.intersection(zip(*slots, fresh))}
+            grouped = () if group is None else group
+            fresh = {value for value in fresh
+                     if value not in flat and value not in grouped}
+            if self.dedup_enabled:
+                # First occurrences not held before, in order.
+                values = [value for value in dict.fromkeys(values)
+                          if value in fresh]
+        if fresh:
+            self._run_keys += len(fresh)
+            if group is None:
+                self._runs.setdefault(version, {})[attr, cls] = fresh
+            else:
+                group |= fresh
         block = [attr] * (3 * len(values))
         block[0::3] = [ref] * len(values)
         block[2::3] = values
         out += block
-        return len(keys) - len(values)
+        return count - len(values)
 
     def _admit(self, subject_ref: ObjectRef, attr: str, value: Value) -> None:
         record = ProvenanceRecord(subject_ref, attr, value)
         seen = self._seen
         dedup_key = _dedup_key(subject_ref, attr, value)
-        if dedup_key in seen:
+        groups = self._runs.get(dedup_key[0])
+        if dedup_key in seen or groups is not None and value in groups.get(
+                (attr, value.__class__), ()):
             if self.dedup_enabled:
                 self.duplicates_dropped += 1
                 return
@@ -451,7 +495,7 @@ class Analyzer:
         and its duplicate-elimination state starts fresh.  No
         proto-record is about the old version again: it leaves
         ``_observed`` (cycle avoidance only asks about current versions)
-        and its ``_seen`` keys are dropped at the next sweep.
+        and its keys are dropped at the next sweep.
         """
         old_ref = subject.ref()
         subject.version += 1

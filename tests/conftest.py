@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.analyzer import _dedup_key
+from repro.core.pnode import ObjectRef
 from repro.kernel.params import SimParams
 from repro.pql.evaluator import Evaluator
 from repro.pql.oem import OEMNode
@@ -55,6 +57,37 @@ def read_file(system: System, path: str) -> bytes:
         data = proc.read(fd)
         proc.close(fd)
     return data
+
+
+def run_keys(analyzer) -> list:
+    """The keys an analyzer holds in its run groups, each expanded to
+    the ``_dedup_key`` tuple ``_seen`` would hold for it; every value
+    is asserted to be of its group's exact class."""
+    keys = []
+    for version, groups in analyzer._runs.items():
+        subject = ObjectRef(version >> 32, version & 0xFFFFFFFF)
+        for (attr, cls), values in groups.items():
+            assert values and all(type(value) is cls for value in values)
+            keys += [_dedup_key(subject, attr, value) for value in values]
+    return keys
+
+
+def held_keys(analyzer) -> set:
+    """Every dedup key an analyzer holds, flat or grouped, as one set of
+    ``_dedup_key`` tuples; asserts that no key is held twice and that
+    ``seen_keys`` counts them all."""
+    grouped = run_keys(analyzer)
+    held = analyzer._seen.union(grouped)
+    assert len(held) == len(analyzer._seen) + len(grouped)
+    assert analyzer._obs_counters()["seen_keys"] == len(held)
+    return held
+
+
+def held_count(analyzer) -> int:
+    """How many dedup keys an analyzer holds, without expanding them."""
+    return len(analyzer._seen) + sum(
+        len(values) for groups in analyzer._runs.values()
+        for values in groups.values())
 
 
 def reference_rows(engine, text: str) -> list:

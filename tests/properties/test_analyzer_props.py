@@ -12,6 +12,7 @@ from repro.core.analyzer import Analyzer, ProtoRecord, ProtoRun
 from repro.core.errors import InvalidRecord
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ProvenanceRecord
+from tests.conftest import held_keys
 
 N_OBJECTS = 6
 
@@ -228,13 +229,14 @@ def _admit_stream(stream, chunk, dedup):
 @settings(max_examples=500)
 def test_mixed_batches_admit_what_submit_admits(stream, chunk, dedup, bad):
     """ProtoRecords, finalized records and ProtoRuns in one batch: the
-    emitted rows, their order, every counter, the dedup state and the
-    versions the objects end on equal ``submit`` over the expanded
-    stream -- with duplicates inside a run, against earlier batches and
-    against one-record batches, with dedup on and off, and with freezes
-    landing in the middle of a run.  ``bad`` puts an invalid proto at a
-    random position: both paths raise there, having emitted the same
-    prefix and kept nothing of the invalid proto."""
+    emitted rows, their order, every counter, the held dedup keys (none
+    of them in both stores) and the versions the objects end on equal
+    ``submit`` over the expanded stream -- with duplicates inside a run,
+    against earlier batches and against one-record batches, with dedup
+    on and off, and with freezes landing in the middle of a run.
+    ``bad`` puts an invalid proto at a random position: both paths raise
+    there, having emitted the same prefix and kept nothing of the
+    invalid proto."""
     if bad is not None:
         position, proto = bad
         stream = stream[:position] + [proto] + stream[position:]
@@ -245,7 +247,8 @@ def test_mixed_batches_admit_what_submit_admits(stream, chunk, dedup, bad):
     assert out == expected
     assert ([obj.version for obj in objects]
             == [obj.version for obj in ref_objects])
-    assert analyzer._seen == reference._seen
+    # held_keys also asserts that no key sits in both stores.
+    assert held_keys(analyzer) == held_keys(reference)
     assert analyzer._observed == reference._observed
     counters = ["records_out", "duplicates_dropped", "freezes",
                 "cycle_breaks"]

@@ -2,10 +2,13 @@
 
 import math
 
+import pytest
+
 from repro.core.analyzer import Analyzer, ProtoRecord, ProtoRun
 from repro.core.pnode import ObjectRef
 from repro.core.records import Attr, ProvenanceRecord
 from repro.system import System
+from tests.conftest import held_count, held_keys
 
 
 class FakeObject:
@@ -222,18 +225,18 @@ class TestStateGrowth:
 
     def test_dedup_state_flat_under_freeze_churn(self):
         """Keys of versions a freeze superseded are swept: after warm-up
-        ``_seen`` stays within twice the live versions' keys plus the
-        sweep floor and one round, at N rounds and at 2N, while a
-        reference that never sweeps grows with the records.  Sweeping
-        changes no admitted record and no counter."""
+        the held keys, flat and grouped, stay within twice the live
+        versions' keys plus the sweep floor and one round, at N rounds
+        and at 2N, while a reference that never sweeps grows with the
+        records.  Sweeping changes no admitted record and no counter."""
         rounds = 400
         analyzer, out, sizes = soak(2 * rounds)
         reference, expected, _ = soak(2 * rounds, sweeps=False)
         live = live_versions(analyzer)
-        live_keys = sum(key[0] in live for key in analyzer._seen)
+        live_keys = sum(key[0] in live for key in held_keys(analyzer))
         bound = 2 * live_keys + SWEEP_FLOOR + 200
         assert sizes[rounds - 1] <= bound and sizes[-1] <= bound
-        assert len(reference._seen) > bound
+        assert held_count(reference) > bound
         assert analyzer.dedup_sweeps >= 1
         assert len(analyzer._observed) <= len(analyzer._registry)
         assert analyzer.duplicates_dropped == reference.duplicates_dropped
@@ -245,16 +248,16 @@ class TestStateGrowth:
         """Past the sweep floor, with freezes inside batches and late
         finalized records about superseded versions: ``submit`` per
         record and ``submit_batch`` emit the same stream and end with
-        the same ``_seen`` and ``_observed``."""
+        the same held keys and ``_observed``."""
         stream = sweep_stream(rounds=300)
         reference, expected = admit(stream, chunk=None)
         analyzer, out = admit(stream, chunk=7)
         assert reference.dedup_sweeps >= 1
         assert analyzer.dedup_sweeps == reference.dedup_sweeps
         assert out == expected
-        assert analyzer._seen == reference._seen
+        assert held_keys(analyzer) == held_keys(reference)
         assert analyzer._observed == reference._observed
-        assert len(analyzer._seen) < analyzer.records_out
+        assert held_count(analyzer) < analyzer.records_out
         for counter in ("records_in", "records_out", "duplicates_dropped",
                         "freezes", "cycle_breaks"):
             assert getattr(analyzer, counter) == getattr(reference, counter)
@@ -274,7 +277,8 @@ class TestStateGrowth:
                                         list(map(str, range(SWEEP_FLOOR))))])
         analyzer.freeze(churn)
         assert analyzer.dedup_sweeps == 1
-        assert not any(key[0] in (1 << 32, 3 << 32) for key in analyzer._seen)
+        assert not any(key[0] in (1 << 32, 3 << 32)
+                       for key in held_keys(analyzer))
         admitted = analyzer.records_out
         analyzer.submit(ProtoRecord(gone, Attr.NAME, "tmp"))
         assert analyzer.records_out == admitted + 1
@@ -293,7 +297,81 @@ class TestStateGrowth:
         assert counters["dedup_sweeps"] == 0
 
 
-#: ``_seen`` size below which the analyzer never sweeps.
+class TestRunGroups:
+    """Keys of bulk runs of plain values are held as values grouped per
+    version and (attribute, exact class), beside the flat keys."""
+
+    def test_dead_versions_groups_go_with_its_flat_keys(self):
+        """A superseded version's groups stay until the sweep that drops
+        its flat keys, and go at that sweep.  A late finalized record
+        (the NFS wire) about a swept bulk key is admitted once more,
+        as it is for a swept flat key."""
+        analyzer, out = make_analyzer()
+        file_, churn = FakeObject(1), FakeObject(2)
+        for obj in (file_, churn):
+            analyzer.register(obj)
+        analyzer.submit_batch([ProtoRun(file_, Attr.ANNOTATION, ["a", "b"]),
+                               ProtoRecord(file_, Attr.NAME, "f")])
+        analyzer.freeze(file_)
+        late = [ProvenanceRecord(ObjectRef(1, 0), Attr.ANNOTATION, "a"),
+                ProvenanceRecord(ObjectRef(1, 0), Attr.NAME, "f")]
+        analyzer.submit_many(late)
+        assert analyzer.duplicates_dropped == 2
+        assert 1 << 32 in analyzer._runs
+        assert (1 << 32, Attr.NAME, "f") in analyzer._seen
+        analyzer.submit_batch([ProtoRun(churn, Attr.ANNOTATION,
+                                        list(map(str, range(SWEEP_FLOOR))))])
+        analyzer.freeze(churn)
+        assert analyzer.dedup_sweeps == 1
+        assert list(analyzer._runs) == []
+        assert not any(key[0] in (1 << 32, 2 << 32)
+                       for key in held_keys(analyzer))
+        admitted = len(out)
+        analyzer.submit_many(late)
+        assert out[admitted:] == late
+        assert analyzer.duplicates_dropped == 2
+        assert {(1 << 32, Attr.ANNOTATION, "a"),
+                (1 << 32, Attr.NAME, "f")} <= analyzer._seen
+
+    @pytest.mark.parametrize("run_first", [True, False])
+    @pytest.mark.parametrize("chunk", [None, 1, 4])
+    def test_equal_values_of_other_classes_stay_apart(self, run_first,
+                                                      chunk):
+        """``1``, ``True`` and ``1.0`` are equal and hash alike yet are
+        three record values, whether a run or a single record holds
+        the key first, on both admission paths."""
+        file_ = FakeObject(1)
+        runs = [ProtoRun(file_, Attr.NAME, [1, 2, 1]),
+                ProtoRun(file_, Attr.NAME, [True, False]),
+                ProtoRun(file_, Attr.NAME, [1.0, 2.0])]
+        before = (True, 1.0) if not run_first else ()
+        after = (True, 1.0, 1, 2, False, 2.0, 1.0)[len(before):]
+        stream = ([ProtoRecord(file_, Attr.NAME, value) for value in before]
+                  + runs
+                  + [ProtoRecord(file_, Attr.NAME, value) for value in after])
+        reference, expected = make_analyzer()
+        for item in stream:
+            reference.submit_many(item if type(item) is ProtoRun else [item])
+        analyzer, out = make_analyzer()
+        if chunk is None:
+            for item in stream:
+                if type(item) is ProtoRun:
+                    analyzer.submit_batch([item])
+                else:
+                    analyzer.submit(item)
+        else:
+            for start in range(0, len(stream), chunk):
+                analyzer.submit_batch(stream[start:start + chunk])
+        assert [(type(record.value), record.value) for record in out] == [
+            (type(record.value), record.value) for record in expected]
+        assert sorted(map(repr, (record.value for record in out))) == [
+            "1", "1.0", "2", "2.0", "False", "True"]
+        assert analyzer._runs
+        assert held_keys(analyzer) == held_keys(reference)
+        assert analyzer.duplicates_dropped == reference.duplicates_dropped
+
+
+#: Held keys below which the analyzer never sweeps.
 SWEEP_FLOOR = 1 << 16
 
 
@@ -322,8 +400,8 @@ def soak(rounds, sweeps=True):
     """``rounds`` rounds of churn through a booted system: a writer
     writes a file twice and discloses 100 annotations (10 of them a
     second time), then a second process overwrites the file, which
-    freezes it.  Returns the analyzer, what it emitted and ``len(_seen)``
-    after each round; ``sweeps=False`` is a reference that keeps every
+    freezes it.  Returns the analyzer, what it emitted and the keys it
+    held after each round; ``sweeps=False`` is a reference that keeps every
     key."""
     system = System.boot()
     analyzer = system.kernel.analyzer
@@ -356,7 +434,7 @@ def soak(rounds, sweeps=True):
             fd = rewriter.open("/pass/soak", "w")
             rewriter.write(fd, b"over")
             rewriter.close(fd)
-            sizes.append(len(analyzer._seen))
+            sizes.append(held_count(analyzer))
     return analyzer, out, sizes
 
 

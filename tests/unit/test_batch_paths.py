@@ -28,6 +28,7 @@ from repro.storage import codec
 from repro.storage.database import ProvenanceDatabase
 from repro.storage.log import ProvenanceLog
 from repro.system import System
+from tests.conftest import held_keys
 
 
 class FakeObject:
@@ -98,16 +99,23 @@ class TestSubmitBatch:
         assert sum(len(list(b)) for b in batches) == 1
         assert analyzer.duplicates_dropped == 3
 
-    def test_seen_is_one_set_of_untracked_keys(self):
-        """Dedup state is one set of tuples of atoms, which the cycle
-        collector stops tracking at its first look: nothing per version
-        or per record for it to walk."""
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_keys_are_untracked_tuples_or_run_values(self, bulk):
+        """Dedup state is one flat set of tuples of atoms, which the
+        cycle collector stops tracking at its first look, plus the
+        values of bulk runs of plain values grouped per version: only a
+        version such a run reached has a group.  ``bulk`` False submits
+        the run's records one at a time; runs of cross-references or of
+        mixed classes are never bulk-admitted."""
         analyzer, _, _ = batch_analyzer()
         file_, other = FakeObject(2), FakeObject(3)
+        run = ProtoRun(file_, Attr.ANNOTATION, ["a", "b"])
         analyzer.submit_batch([
             ProtoRecord(file_, Attr.TYPE, "file"),
             ProtoRecord(file_, Attr.INPUT, other.ref()),
-            ProtoRun(file_, Attr.ANNOTATION, ["a", "b"]),
+            *([run] if bulk else run),
+            ProtoRun(file_, Attr.INPUT, [other.ref()]),
+            ProtoRun(other, Attr.NAME, [1, True]),
             ProtoRecord(other, Attr.PID, 7),
             ProtoRecord(file_, Attr.INPUT, file_.ref()),     # a freeze
         ])
@@ -118,11 +126,19 @@ class TestSubmitBatch:
         # The version as one int, the attribute, then a str as itself, a
         # cross-reference as its target, any other value after its class.
         v20, v21, v30 = 2 << 32, 2 << 32 | 1, 3 << 32
-        assert analyzer._seen == {
+        annotations = {(v20, Attr.ANNOTATION, "a"),
+                       (v20, Attr.ANNOTATION, "b")}
+        assert held_keys(analyzer) == annotations | {
             (v20, Attr.TYPE, "file"), (v20, Attr.INPUT, 3, 0),
-            (v20, Attr.ANNOTATION, "a"), (v20, Attr.ANNOTATION, "b"),
+            (v30, Attr.NAME, "int", 1), (v30, Attr.NAME, "bool", True),
             (v30, Attr.PID, "int", 7), (v21, Attr.PREV_VERSION, 2, 0),
             (v21, Attr.INPUT, 2, 0), (v30, Attr.MD5, "bytes", b"x")}
+        if bulk:
+            assert analyzer._runs == {
+                v20: {(Attr.ANNOTATION, str): {"a", "b"}}}
+            assert analyzer._seen.isdisjoint(annotations)
+        else:
+            assert analyzer._runs == {}
 
     def test_dedup_disabled_keeps_duplicates(self):
         analyzer, batches, _ = batch_analyzer()
@@ -322,7 +338,7 @@ class TestRunAdmission:
         with pytest.raises(InvalidRecord):
             reference.submit_many(run)
         assert [record for batch in batches for record in batch] == expected
-        assert analyzer._seen == reference._seen
+        assert held_keys(analyzer) == held_keys(reference)
 
 
 class TestDisclosedRuns:

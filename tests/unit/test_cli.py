@@ -134,6 +134,39 @@ class TestOtherCommands:
         assert captured.err.count("\n") == 1
         assert "--limit" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["query", "--db", "{db}", "select"],
+        ["demo", "--query", "select"],
+        ["stats", "--query", "select F from Provenance.file as F "
+                             "where G.name = 1"],
+        ["trace", "--query", "select"],
+        ["profile", "--query", "select"],
+        ["journal", "--query", "select"],
+        ["health", "--query", "select"],
+        ["demo", "--save", "{missing}/prov.passdb"],
+        ["stats", "--out", "{missing}/stats.txt"],
+        ["trace", "--out", "{missing}/trace.txt"],
+        ["profile", "--out", "{missing}/stacks.folded"],
+    ])
+    def test_bad_query_or_path_is_a_usage_error(self, argv, tmp_path,
+                                                 capsys):
+        """One line naming the command, exit 2 -- not a traceback, and
+        for ``health`` not the exit 1 of an SLO breach."""
+        db = tmp_path / "prov.passdb"
+        if "{db}" in argv:
+            assert main(["demo", "--save", str(db)]) == 0
+            capsys.readouterr()
+        argv = [arg.format(db=db, missing=tmp_path / "missing")
+                for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # ``demo`` and ``stats`` report the scenario they built first.
+        message = captured.err.splitlines()[-1]
+        assert "Traceback" not in captured.err
+        assert message.startswith(f"{argv[0]}: ")
+        assert "(line 1, column" in message or "missing" in message
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
